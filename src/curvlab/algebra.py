@@ -170,13 +170,19 @@ def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
 
     d(alpha)(x_0, ..., x_k) = sum over i < j of
     (-1)^(i+j) alpha([x_i, x_j], x_0, ..., without x_i, x_j, ..., x_k).
-    For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).
+    For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).  The result is skew,
+    so only sorted index tuples are evaluated; the other entries follow by the
+    sign of the permutation.
     """
-    out = MultiTensor(alpha.rank + 1)
-    for idx in all_indices(alpha.rank + 1):
+    n = alpha.rank + 1
+    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
+    out = MultiTensor(n)
+    for idx in itertools.combinations(INDICES, n):
         v = d_component(alpha, alg, idx)
         if not v.is_zero():
-            out[idx] = v
+            neg = -v
+            for p, sign in perms:
+                out[tuple(idx[q] for q in p)] = v if sign > 0 else neg
     return out
 
 
@@ -227,12 +233,12 @@ def wedge_component(a: MultiTensor, b: MultiTensor, idx: tuple) -> GaussianRatio
         if vb.is_zero():
             continue
         term = va * vb
-        total = total + term if _shuffle_sign(chosen, rest) > 0 else total - term
+        total = total + term if _perm_sign(chosen + rest) > 0 else total - term
     return total
 
 
-def _shuffle_sign(chosen, rest) -> int:
-    perm = list(chosen) + list(rest)
+def _perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):

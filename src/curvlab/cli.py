@@ -482,6 +482,8 @@ def main(argv=None) -> int:
     try:
         ap = build_parser(_load_config_defaults(argv))
         args = ap.parse_args(argv)
+        if getattr(args, "points", 1) < 1:
+            raise CliError(f"--points must be at least 1, got {args.points}")
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

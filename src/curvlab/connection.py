@@ -9,22 +9,29 @@ with the Levi-Civita symbols
     Gamma^{LC}_{IH}^K = 1/2 c_{IH}^K - 1/2 g^{KA} g_{BI} c_{HA}^B - 1/2 g^{KA} g_{BH} c_{IA}^B.
 
 The Hermitian (Gauduchon) connections sit on the line eps + rho = 1/2.
-The curvature operator is R(x, y) = [nabla_x, nabla_y] - nabla_[x,y]; the
-stored (4,0)-tensor is R_{IHKL} = g(R(phi_I, phi_H) phi_L, phi_K), the
-component orientation that reproduces the golden closed-form tables
-(see docs/conventions.md).  The Riemannian Ricci trace ric_lc keeps the
-standard operator orientation, so the Ricci flow below has its usual sign.
+The curvature operator R(x, y) = [nabla_x, nabla_y] - nabla_[x,y] has raised
+components R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A
+- c_{IH}^B Gamma_{BK}^A.  The stored (4,0)-tensor is the lowered operator
+R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K), the
+component orientation of the golden tables (see docs/conventions.md); the
+Bianchi defect is built on the same operator, and the flow's exact Ricci is
+its trace.  The Riemannian Ricci ric_lc keeps the standard orientation, so
+the Ricci flow has its usual sign.  All of it runs on one Gaussian-integer
+kernel (below).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .algebra import LieAlgebraCx
 from .metric import HermitianData, torsion_forms
 from .scalars import ZERO, GaussianRational, Rat, gr, rat_from_str
 from .tensors import (
+    BARRED,
     DIM,
     INDICES,
     MultiTensor,
@@ -102,6 +109,8 @@ class ConnectionSpec:
             key = key.strip()
             if key not in ("eps", "rho") or not val:
                 raise ValueError(f"bad connection spec {text!r}; expected eps=a/b,rho=c/d")
+            if key in fields:
+                raise ValueError(f"bad connection spec {text!r}: repeated key {key!r}")
             fields[key] = rat_from_str(val)
         if "eps" not in fields:
             raise ValueError(f"bad connection spec {text!r}: missing eps")
@@ -126,6 +135,152 @@ class ConnectionSpec:
         return {"eps": str(self.eps), "rho": str(self.rho), "name": self.name}
 
 
+# -- the Gaussian-integer kernel ----------------------------------------------
+#
+# An int tensor is (re, im, den): two flat lists of Python ints indexed like
+# MultiTensor.data, over one positive common denominator, so entry n is
+# (re[n] + im[n] i) / den.  Every loop of the kernel runs on these; values
+# become GaussianRational only in _gaussian, at the public boundary.
+
+def _ints(values):
+    """Gaussian-integer numerators of GaussianRational values over their common denominator."""
+    den = 1
+    for v in values:
+        den = lcm(den, int(v.re.denominator), int(v.im.denominator))
+    re = [int(v.re.numerator) * (den // int(v.re.denominator)) for v in values]
+    im = [int(v.im.numerator) * (den // int(v.im.denominator)) for v in values]
+    return re, im, den
+
+
+def _gaussian(rank, re, im, den) -> MultiTensor:
+    """The MultiTensor of entries (re + im i) / den, made canonical by Rat."""
+    return MultiTensor(rank, [GaussianRational(Rat(a, den), Rat(b, den)) if a or b else ZERO
+                              for a, b in zip(re, im)])
+
+
+def _reduced(t):
+    """The same int tensor with the common content of numerators and denominator divided out."""
+    g = gcd(t[2], *t[0], *t[1])
+    return [a // g for a in t[0]], [b // g for b in t[1]], t[2] // g
+
+
+def _negated(t):
+    return [-a for a in t[0]], [-b for b in t[1]], t[2]
+
+
+def _common(s, t):
+    """Two int tensors rescaled to one denominator, the lcm of theirs."""
+    den = lcm(s[2], t[2])
+    fs, ft = den // s[2], den // t[2]
+    return (([fs * a for a in s[0]], [fs * b for b in s[1]], den),
+            ([ft * a for a in t[0]], [ft * b for b in t[1]], den))
+
+
+def _combine(terms):
+    """sum of q * t over the (rational q, int tensor t) pairs, on one denominator."""
+    terms = [(int(q.numerator), int(q.denominator) * t[2], t) for q, t in terms if q]
+    den = lcm(*(d for _, d, _ in terms))
+    re = [0] * len(terms[0][2][0])
+    im = [0] * len(re)
+    for p, d, (tre, tim, _) in terms:
+        f = p * (den // d)
+        re = [x + f * a for x, a in zip(re, tre)]
+        im = [x + f * b for x, b in zip(im, tim)]
+    return _reduced((re, im, den))
+
+
+def _rows(t):
+    """Sparse rows over the last slot: rows[n // 6] lists (n % 6, re, im) per nonzero n."""
+    rows = [[] for _ in range(len(t[0]) // DIM)]
+    for n, (a, b) in enumerate(zip(t[0], t[1])):
+        if a or b:
+            rows[n // DIM].append((n % DIM, a, b))
+    return rows
+
+
+def _times_matrix(t, m):
+    """out[..., K] = sum_L t[..., L] m[L, K]: the last slot of t contracted with a 6x6 matrix."""
+    mrows = _rows(m)
+    re = [0] * len(t[0])
+    im = [0] * len(re)
+    for p, row in enumerate(_rows(t)):
+        base = p * DIM
+        for l, a, b in row:
+            for k, c, d in mrows[l]:
+                re[base + k] += a * c - b * d
+                im[base + k] += a * d + b * c
+    return re, im, t[2] * m[2]
+
+
+def _trace(t, stride, pairs, g, size=DIM * DIM):
+    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < size."""
+    pairs = [(o, g[0][w], g[1][w]) for o, w in pairs if g[0][w] or g[1][w]]
+    re = [0] * size
+    im = [0] * size
+    for n in range(size):
+        for o, c, d in pairs:
+            a, b = t[0][stride * n + o], t[1][stride * n + o]
+            re[n] += a * c - b * d
+            im[n] += a * d + b * c
+    return re, im, t[2] * g[2]
+
+
+def _christoffel_core(c, g, g_inv, torsion=()):
+    """Lowered and raised symbols of Gamma^LC + sum q t over the (q, t) pairs in torsion.
+
+    Gamma_{IH,L} = 1/2 (c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}) + sum q t_{IHL}
+    and Gamma_{IH}^K = Gamma_{IH,L} g^{LK}, for any nondegenerate invariant (g, g^{-1}).
+    """
+    grows = _rows(g)
+    re = [0] * DIM ** 3
+    im = [0] * DIM ** 3
+    for n, row in enumerate(_rows(c)):
+        x, y = divmod(n, DIM)
+        for b, cr, ci in row:
+            for l, gr_, gi in grows[b]:
+                tr, ti = cr * gr_ - ci * gi, cr * gi + ci * gr_
+                # where c_{xy}^b g_{bl} enters +c_{IH}^B g_{BL}, -c_{HL}^B g_{BI}, -c_{IL}^B g_{BH}
+                for off, s in ((36 * x + 6 * y + l, 1), (36 * l + 6 * x + y, -1),
+                               (36 * x + 6 * l + y, -1)):
+                    re[off] += s * tr
+                    im[off] += s * ti
+    low = _combine([(_HALF, (re, im, c[2] * g[2])), *torsion])
+    return low, _reduced(_times_matrix(low, g_inv))
+
+
+def _operator(gamma, c):
+    """The raised curvature operator R(I,H)K^A as an int tensor over (I, H, K, A).
+
+    R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A - c_{IH}^B Gamma_{BK}^A,
+    evaluated for I < H and filled in by skewness in (I, H).
+    """
+    gamma, c = _common(gamma, c)
+    rows = _rows(gamma)  # rows[6 I + B] = nonzero (A, Gamma_{IB}^A)
+    crows = _rows(c)
+    re = [0] * DIM ** 4
+    im = [0] * DIM ** 4
+    for i in INDICES:
+        for hh in range(i + 1, DIM):
+            crow = crows[6 * i + hh]
+            for k in INDICES:
+                ar, ai = [0] * DIM, [0] * DIM
+                for first, second, s in ((6 * hh + k, 6 * i, 1), (6 * i + k, 6 * hh, -1)):
+                    for b, xr, xi in rows[first]:
+                        for a, yr, yi in rows[second + b]:
+                            ar[a] += s * (xr * yr - xi * yi)
+                            ai[a] += s * (xr * yi + xi * yr)
+                for b, xr, xi in crow:
+                    for a, yr, yi in rows[6 * b + k]:
+                        ar[a] -= xr * yr - xi * yi
+                        ai[a] -= xr * yi + xi * yr
+                up = 216 * i + 36 * hh + 6 * k
+                down = 216 * hh + 36 * i + 6 * k
+                for a in INDICES:
+                    re[up + a], im[up + a] = ar[a], ai[a]
+                    re[down + a], im[down + a] = -ar[a], -ai[a]
+    return re, im, gamma[2] * gamma[2]
+
+
 @dataclass(frozen=True)
 class ChristoffelTable:
     """Raised symbols Gamma_{IH}^K plus the lowered table Gamma_{IH,L} = Gamma_{IH}^A g_{AL}."""
@@ -136,41 +291,13 @@ class ChristoffelTable:
 
 
 def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> ChristoffelTable:
-    g = h.g
-    g_rows = h.g_rows()
-    g_inv_rows = h.g_inv_rows()
-    half = GaussianRational(_HALF)
-
-    # lowered Levi-Civita: 1/2 (c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH})
-    low = MultiTensor(3)
-    for (x, y, b), val in alg.c.nonzero():
-        hv = half * val
-        for (l, gv) in g_rows[b]:
-            term = hv * gv
-            # c_{IH}^B g_{BL} contributes at (I,H,L) = (x,y,l)
-            low[x, y, l] = low[x, y, l] + term
-            # -c_{HL}^B g_{BI} contributes at (I,H,L) = (l,x,y)
-            low[l, x, y] = low[l, x, y] - term
-            # -c_{IL}^B g_{BH} contributes at (I,H,L) = (x,l,y)
-            low[x, l, y] = low[x, l, y] - term
-
+    torsion = ()
     if spec.eps != 0 or spec.rho != 0:
         t_form, c_form = torsion_forms(h, alg)
-        eps = GaussianRational(spec.eps)
-        rho = GaussianRational(spec.rho)
-        if spec.eps != 0:
-            for idx, tv in t_form.nonzero():
-                low[idx] = low[idx] + eps * tv
-        if spec.rho != 0:
-            for idx, cv in c_form.nonzero():
-                low[idx] = low[idx] + rho * cv
-
-    gamma = MultiTensor(3)
-    for (i, hh, l), lv in low.nonzero():
-        for (k, giv) in g_inv_rows[l]:
-            gamma[i, hh, k] = gamma[i, hh, k] + lv * giv
-
-    return ChristoffelTable(spec, gamma, low)
+        torsion = ((spec.eps, _ints(t_form.data)), (spec.rho, _ints(c_form.data)))
+    low, gamma = _christoffel_core(_ints(alg.c.data), _ints(h.g.data), _ints(h.g_inv.data),
+                                   torsion)
+    return ChristoffelTable(spec, _gaussian(3, *gamma), _gaussian(3, *low))
 
 
 @dataclass(frozen=True)
@@ -185,45 +312,13 @@ class CurvatureTensor:
 
 
 def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
-    """Assemble the (4,0)-curvature in the pinned component orientation.
+    """The (4,0)-curvature in the pinned component orientation: the lowered operator
 
-    g(R(phi_I, phi_H) phi_K, phi_A) = Gamma_{HK}^B Gamma_{IB,A}
-        - Gamma_{IK}^B Gamma_{HB,A} - c_{IH}^B Gamma_{BK,A},
-    and the stored component is R_{IHKL} = g(R(phi_I, phi_H) phi_L, phi_K),
-    i.e. the negative of the expression above at (K, L) = (K, A).
+    R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K).
     """
-    gm = gamma.gamma
-    low = gamma.lowered
-    r = MultiTensor(4)
-    # raised rows for fast B-sums: rows[(I,K)] = [(B, Gamma_{IK}^B), ...]
-    rows = {}
-    for (i, k2, b), v in gm.nonzero():
-        rows.setdefault((i, k2), []).append((b, v))
-
-    for i in INDICES:
-        for hh in range(i + 1, DIM):
-            crow = alg.bracket_row(i, hh)
-            for k in INDICES:
-                row_hk = rows.get((hh, k), ())
-                row_ik = rows.get((i, k), ())
-                for l in INDICES:
-                    acc = ZERO
-                    for b, v in row_ik:
-                        w = low[hh, b, l]
-                        if not w.is_zero():
-                            acc = acc + v * w
-                    for b, v in row_hk:
-                        w = low[i, b, l]
-                        if not w.is_zero():
-                            acc = acc - v * w
-                    for b, v in crow:
-                        w = low[b, k, l]
-                        if not w.is_zero():
-                            acc = acc + v * w
-                    if not acc.is_zero():
-                        r[i, hh, k, l] = acc
-                        r[hh, i, k, l] = -acc
-    return CurvatureTensor(gamma.spec, r)
+    rop = _operator(_ints(gamma.gamma.data), _ints(alg.c.data))
+    r = _times_matrix(rop, _negated(_ints(h.g.data)))
+    return CurvatureTensor(gamma.spec, _gaussian(4, *r))
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -248,120 +343,60 @@ class RicciData:
 
 
 def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
-    r = curv.tensor
-    g_inv = h.g_inv
-
-    # holomorphic trace pairs (k, lbar) weighted by g^{lbar k}
-    pairs = [(k, l + 3, g_inv[l + 3, k]) for k in UNBARRED for l in range(3)
-             if not g_inv[l + 3, k].is_zero()]
-
-    ric1 = MultiTensor(2)
-    for i in INDICES:
-        for hh in INDICES:
-            acc = ZERO
-            for k, lb, w in pairs:
-                v = r[i, hh, k, lb]
-                if not v.is_zero():
-                    acc = acc + v * w
-            if not acc.is_zero():
-                ric1[i, hh] = acc
-
-    ric2 = MultiTensor(2)
-    for k in INDICES:
-        for l in INDICES:
-            acc = ZERO
-            for i, jb, w in pairs:
-                v = r[i, jb, k, l]
-                if not v.is_zero():
-                    acc = acc + v * w
-            if not acc.is_zero():
-                ric2[k, l] = acc
-
-    ric_lc = MultiTensor(2)
-    for hh in INDICES:
-        for k in INDICES:
-            acc = ZERO
-            for (a, l), w in g_inv.nonzero():
-                v = r[a, hh, k, l]
-                if not v.is_zero():
-                    acc = acc - v * w
-            if not acc.is_zero():
-                ric_lc[hh, k] = acc
-
-    scal = ZERO
-    for i, jb, w in pairs:
-        v = ric1[i, jb]
-        if not v.is_zero():
-            scal = scal + v * w
-    return RicciData(ric1, ric2, ric_lc, scal)
+    r, g_inv = _ints(curv.tensor.data), _ints(h.g_inv.data)
+    # holomorphic trace pairs (k, lbar), weighted by g^{lbar k}
+    hol = [(k, l, 6 * l + k) for k in UNBARRED for l in BARRED]
+    ric1 = _trace(r, 36, [(6 * k + l, w) for k, l, w in hol], g_inv)
+    ric2 = _trace(r, 1, [(216 * k + 36 * l, w) for k, l, w in hol], g_inv)
+    ric_lc = _trace(r, 6, [(216 * a + l, 6 * a + l) for a in INDICES for l in INDICES],
+                    _negated(g_inv))
+    scal = _trace(ric1, 0, [(6 * k + l, w) for k, l, w in hol], g_inv, size=1)
+    return RicciData(_gaussian(2, *ric1), _gaussian(2, *ric2), _gaussian(2, *ric_lc),
+                     _gaussian(0, *scal).data[0])
 
 
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
     """Connection torsion T(x,y) = nabla_x y - nabla_y x - [x,y] and the Bianchi defect.
 
     The defect is (cyclic sum of R(x,y)z) - (d^nabla T)(x,y,z), a vector-valued
-    3-tensor that must vanish identically for every metric connection.  It is
-    the structural oracle for the whole Christoffel/curvature pipeline.
+    3-tensor that must vanish identically for every metric connection.  Its
+    curvature side is the operator the stored curvature lowers, so it is the
+    structural oracle for the whole Christoffel/curvature pipeline.  Both sides
+    are fully skew in (x, y, z), so sorted triples are evaluated.
     """
     table = christoffel(spec, h, alg)
-    gm = table.gamma
-    c = alg.c
+    gamma, c = _common(_ints(table.gamma.data), _ints(alg.c.data))
+    (gre, gim, den), (cre, cim, _) = gamma, c
+    swap = [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]  # the flat offset of (H, I, K)
+    torsion = ([gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
+               [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
 
-    torsion = MultiTensor(3)
-    for idx in all_indices(3):
-        i, hh, k = idx
-        v = gm[i, hh, k] - gm[hh, i, k] - c[i, hh, k]
-        if not v.is_zero():
-            torsion[idx] = v
+    rre, rim, _ = _operator(gamma, c)
+    trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
+    dre = [0] * DIM ** 4
+    dim = [0] * DIM ** 4
+    for i, hh, k in itertools.combinations(INDICES, 3):
+        ar, ai = [0] * DIM, [0] * DIM
+        for x, y, zz in ((i, hh, k), (hh, k, i), (k, i, hh)):
+            base = 216 * x + 36 * y + 6 * zz
+            for a in INDICES:
+                ar[a] += rre[base + a]
+                ai[a] += rim[base + a]
+            # d^nabla T cyclic part: nabla_x (T(y,z)) - T([x,y], z)
+            for m, tr, ti in trows[6 * y + zz]:
+                for a, gr_, gi in grows[6 * x + m]:
+                    ar[a] -= tr * gr_ - ti * gi
+                    ai[a] -= tr * gi + ti * gr_
+            for m, cr, ci in crows[6 * x + y]:
+                for a, tr, ti in trows[6 * m + zz]:
+                    ar[a] += cr * tr - ci * ti
+                    ai[a] += cr * ti + ci * tr
+        for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1)):
+            base = 216 * x + 36 * y + 6 * zz
+            for a in INDICES:
+                dre[base + a], dim[base + a] = s * ar[a], s * ai[a]
 
-    # curvature operator R_{IHK}^A (indices raised, no metric lowering)
-    rop = MultiTensor(4)
-    rows = {}
-    for (i, k2, b), v in gm.nonzero():
-        rows.setdefault((i, k2), []).append((b, v))
-    for i in INDICES:
-        for hh in range(i + 1, DIM):
-            crow = alg.bracket_row(i, hh)
-            for k in INDICES:
-                for a in INDICES:
-                    acc = ZERO
-                    for b, v in rows.get((hh, k), ()):
-                        w = gm[i, b, a]
-                        if not w.is_zero():
-                            acc = acc + v * w
-                    for b, v in rows.get((i, k), ()):
-                        w = gm[hh, b, a]
-                        if not w.is_zero():
-                            acc = acc - v * w
-                    for b, v in crow:
-                        w = gm[b, k, a]
-                        if not w.is_zero():
-                            acc = acc - v * w
-                    if not acc.is_zero():
-                        rop[i, hh, k, a] = acc
-                        rop[hh, i, k, a] = -acc
-
-    defect = MultiTensor(4)
-    for i, hh, k in all_indices(3):
-        for a in INDICES:
-            acc = ZERO
-            for (x, y, zz) in ((i, hh, k), (hh, k, i), (k, i, hh)):
-                acc = acc + rop[x, y, zz, a]
-                # d^nabla T cyclic part: nabla_x (T(y,z)) - T([x,y], z)
-                for m in INDICES:
-                    tv = torsion[y, zz, m]
-                    if not tv.is_zero():
-                        w = gm[x, m, a]
-                        if not w.is_zero():
-                            acc = acc - tv * w
-                for m, cv in alg.bracket_row(x, y):
-                    tv = torsion[m, zz, a]
-                    if not tv.is_zero():
-                        acc = acc + cv * tv
-            if not acc.is_zero():
-                defect[i, hh, k, a] = acc
-
-    return torsion, defect
+    return _gaussian(3, *torsion), _gaussian(4, dre, dim, den * den)
 
 
 # -- structural invariants ---------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebraCx
+from .connection import _christoffel_core, _gaussian, _ints, _operator, _trace
 from .metric import HermitianData
 from .scalars import GaussianRational, ZERO
 from .tensors import DIM, INDICES, bar, index_name
@@ -35,9 +36,6 @@ __all__ = [
     "trace_to_csv",
 ]
 
-_HALF = GaussianRational("1/2")
-
-
 # -- exact path ----------------------------------------------------------------
 
 def _invert6_exact(g):
@@ -51,71 +49,32 @@ def _invert6_exact(g):
         a[col], a[pivot] = a[pivot], a[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
+        # zero entries are skipped: an invariant metric has many of them
+        a[col] = [x / scale if x else x for x in a[col]]
+        inv[col] = [x / scale if x else x for x in inv[col]]
         for r in range(DIM):
             if r == col or a[r][col].is_zero():
                 continue
             factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+            a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
+            inv[r] = [x - factor * y if y else x for x, y in zip(inv[r], inv[col])]
     return inv
 
 
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
 
-    Ric(y, z) = tr(x -> R(x, y) z) with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y];
+    Ric(y, z) = tr(x -> R(x, y) z) with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y],
+    the trace sum_A R(A,H)K^A of the connection kernel's curvature operator;
     the trace needs no metric, so only the Christoffel raise uses g^{-1}.
     """
-    ginv = _invert6_exact(g6)
-    c = alg.c
-
-    low = [[[ZERO] * DIM for _ in INDICES] for _ in INDICES]
-    for (x, y, b), val in c.nonzero():
-        hv = _HALF * val
-        for l in INDICES:
-            gv = g6[b][l]
-            if gv.is_zero():
-                continue
-            term = hv * gv
-            low[x][y][l] = low[x][y][l] + term
-            low[l][x][y] = low[l][x][y] - term
-            low[x][l][y] = low[x][l][y] - term
-
-    gm = [[[ZERO] * DIM for _ in INDICES] for _ in INDICES]
-    for i in INDICES:
-        for h in INDICES:
-            row = low[i][h]
-            for k in INDICES:
-                acc = ZERO
-                for l in INDICES:
-                    v = row[l]
-                    if not v.is_zero():
-                        w = ginv[l][k]
-                        if not w.is_zero():
-                            acc = acc + v * w
-                gm[i][h][k] = acc
-
-    ric = [[ZERO] * DIM for _ in INDICES]
-    for h in INDICES:
-        for k in INDICES:
-            acc = ZERO
-            for a in INDICES:
-                # [R(phi_a, phi_h) phi_k]^a
-                for b in INDICES:
-                    v = gm[h][k][b]
-                    if not v.is_zero():
-                        acc = acc + v * gm[a][b][a]
-                    w = gm[a][k][b]
-                    if not w.is_zero():
-                        acc = acc - w * gm[h][b][a]
-                for b, cv in alg.bracket_row(a, h):
-                    w = gm[b][k][a]
-                    if not w.is_zero():
-                        acc = acc - cv * w
-            ric[h][k] = acc
-    return ric
+    c = _ints(alg.c.data)
+    _, gamma = _christoffel_core(c, _ints([v for row in g6 for v in row]),
+                                 _ints([v for row in _invert6_exact(g6) for v in row]))
+    # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A; unit weights
+    ric = _gaussian(2, *_trace(_operator(gamma, c), 6, [(217 * a, 0) for a in INDICES],
+                               ([1], [0], 1))).data
+    return [ric[DIM * h:DIM * (h + 1)] for h in INDICES]
 
 
 # -- float path ----------------------------------------------------------------
@@ -244,6 +203,8 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     out) supports the integrator-order tests.  The trace records every
     accepted step with its Hermitian deviation and the Frobenius norm of
     the Ricci term; it truncates with a halt reason if positivity fails.
+    horizon/step must be a whole number of steps (to a relative 1e-9).  A step
+    costs four evaluations: the field at an accepted point also starts the next.
     """
     if step <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
@@ -260,20 +221,24 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
         conj = np.array([[np.conj(m[bar(i), bar(j)]) for j in INDICES] for i in INDICES])
         return 0.5 * (m + conj)
 
-    n_steps = int(round(horizon / step))
+    ratio = horizon / step
+    n_steps = round(ratio)
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ValueError(f"horizon/step must be a positive whole number of steps, "
+                         f"got {horizon:g}/{step:g} = {ratio:g}")
     m = g0.as_float_matrix()
     trace = FlowTrace()
+    k1 = rhs(m)
     if g0.is_exact and default_field:
         # the t = 0 record comes from the exact evaluation
         ric0 = exact_lc_ricci(g0.g6, g0.structure)
         norm0 = float(np.linalg.norm(np.array(
             [[complex(float(v.re), float(v.im)) for v in row] for row in ric0])))
     else:
-        norm0 = float(np.linalg.norm(rhs(m)))
+        norm0 = float(np.linalg.norm(k1))
     trace.samples.append(FlowSample(0.0, m.copy(), hermitian_deviation(m), norm0))
     t = 0.0
     for _ in range(n_steps):
-        k1 = rhs(m)
         k2 = rhs(project(m + 0.5 * step * k1))
         k3 = rhs(project(m + 0.5 * step * k2))
         k4 = rhs(project(m + step * k3))
@@ -283,8 +248,10 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
             break
         m = m_next
         t += step
+        # the field at the new point is this sample's Ricci term and the next step's k1
+        k1 = rhs(m)
         trace.samples.append(FlowSample(t, m.copy(), hermitian_deviation(m),
-                                        float(np.linalg.norm(rhs(m)))))
+                                        float(np.linalg.norm(k1))))
     return trace
 
 

@@ -154,19 +154,6 @@ class HermitianData:
     omega: MultiTensor
     det_scaled: GaussianRational
 
-    def g_rows(self):
-        """Sparse rows of g: rows[K] = [(L, g_KL), ...]."""
-        rows = [[] for _ in INDICES]
-        for (k, l), v in self.g.nonzero():
-            rows[k].append((l, v))
-        return rows
-
-    def g_inv_rows(self):
-        rows = [[] for _ in INDICES]
-        for (k, l), v in self.g_inv.nonzero():
-            rows[k].append((l, v))
-        return rows
-
 
 def build_metric(p: MetricParams) -> HermitianData:
     """Validate the positivity constraints and assemble g, g^{-1}, and omega.
@@ -212,15 +199,17 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
 
     T(x, y, z) = -d(omega)(Jx, Jy, Jz) and C(x, y, z) = d(omega)(Jx, y, z),
     with J acting as multiplication by +/- i on the frame.  T is fully skew;
-    C is skew only in its last two slots.
+    C is skew only in its last two slots.  As j_factor(i) = s_i * i with s_i = +/-1,
+    T = s_0 s_1 s_2 * i d(omega) and C = s_0 * i d(omega): a swap of parts, up to sign.
     """
     domega = exterior_d(h.omega, alg)
     t = MultiTensor(3)
     c = MultiTensor(3)
     for idx, w in domega.nonzero():
         i0, i1, i2 = idx
-        t[idx] = -(j_factor(i0) * j_factor(i1) * j_factor(i2)) * w
-        c[idx] = j_factor(i0) * w
+        iw = GaussianRational(-w.im, w.re)
+        t[idx] = iw if is_barred(i0) ^ is_barred(i1) ^ is_barred(i2) else -iw
+        c[idx] = iw if is_barred(i0) else -iw
     return t, c
 
 

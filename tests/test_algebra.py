@@ -152,6 +152,23 @@ def test_d_component_matches_full():
         assert d_component(alpha, alg, idx) == full[idx]
 
 
+def test_exterior_d_matches_full_enumeration(rng):
+    # exterior_d evaluates sorted tuples only; d_component over every 6^(k+1)
+    # tuple is the reference, for a generic 2-form and a 3-form
+    alg = instantiate(FamilySpec.make("Sv"))
+    two = MultiTensor(2)
+    for i, j in itertools.combinations(range(6), 2):
+        v = rand_gauss(rng)
+        two[i, j] = v
+        two[j, i] = -v
+    three = wedge(one_form(0), two)
+    for alpha in (two, three):
+        d = exterior_d(alpha, alg)
+        assert not d.is_zero()
+        for idx in all_indices(alpha.rank + 1):
+            assert d[idx] == d_component(alpha, alg, idx)
+
+
 def test_wedge_determinant_convention():
     w = wedge(one_form(0), one_form(1))
     assert w[0, 1] == ONE

@@ -80,7 +80,7 @@ def test_curvature_json_reparses(capsys):
     assert curv.component(0, 3, 0, 3) == 2
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "check-kl", "--family", "Np", "--set", "rho=7",
                        "--metric", "r2=1,s2=1,t2=1")
     assert code == 2 and "rho in {0, 1}" in err
@@ -108,6 +108,22 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "check-kl", "--family", "Np", "--set", "rho=1",
                        "--metric", "r2=1,s2=1,t2=1", "--spec", "eps=1/0,rho=0")
     assert code == 2 and "denominator" in err
+
+    code, _, err = run(capsys, "check-kl", "--family", "Np", "--set", "rho=1",
+                       "--metric", "r2=1,s2=1,t2=1", "--spec", "eps=1/2,rho=1/2,eps=0")
+    assert code == 2 and "repeated key 'eps'" in err
+
+    for horizon, step in (("1", "2"), ("1", "3/10")):
+        code, out, err = run(capsys, "flow", "run", "--family", "Np", "--set", "rho=1",
+                             "--metric", "r2=1,s2=1,t2=1", "--horizon", horizon, "--step", step)
+        assert code == 2 and "whole number of steps" in err and not out
+
+    cfg = tmp_path / "curvlab.cfg"
+    cfg.write_text("points=0\n")
+    for sub in ("theorems", "appendix"):
+        for argv in (("verify", sub, "--points", "0"), ("--config", str(cfg), "verify", sub)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "--points must be at least 1" in err and not out
 
 
 def test_verify_theorems_deterministic(capsys, tmp_path):

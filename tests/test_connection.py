@@ -1,5 +1,6 @@
 import pytest
 
+from curvlab import connection, goldens
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
@@ -63,6 +64,8 @@ def test_spec_parse():
         ConnectionSpec.parse("frobenius")
     with pytest.raises(ValueError):
         ConnectionSpec.parse("eps=1/6,bogus=1")
+    with pytest.raises(ValueError, match="repeated key 'eps'"):
+        ConnectionSpec.parse("eps=1/2,rho=1/2,eps=0")
 
 
 def test_torus_christoffel_zero(rng):
@@ -226,6 +229,29 @@ def test_bianchi_sides_oracle(rng):
         i, hh, k, a = idx
         cyc = rop(i, hh, k, a) + rop(hh, k, i, a) + rop(k, i, hh, a)
         assert cyc == dnabla_t(i, hh, k, a)
+
+
+def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
+    """The Bianchi defect and the goldens both fail on an operator whose
+    c_{IH}^B Gamma_{BK}^A term has the wrong sign."""
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    h = build_metric(rand_metric(rng))
+    chern = ConnectionSpec.preset("chern")
+    case = goldens.OracleCase(
+        "Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
+        MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), Rat(1, 4))
+    assert torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
+    assert all(ok for *_, ok in goldens.compare_components(case))
+
+    operator = connection._operator
+
+    def flipped(gamma, c):
+        re, im, den = c
+        return operator(gamma, ([-a for a in re], [-b for b in im], den))
+
+    monkeypatch.setattr(connection, "_operator", flipped)
+    assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
+    assert not all(ok for *_, ok in goldens.compare_components(case))
 
 
 def test_closed_form_pins_other_families():

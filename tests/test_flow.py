@@ -172,6 +172,38 @@ def test_integrator_rejects_bad_steps():
         integrate_flow(state, horizon=-1.0, step=0.1)
 
 
+def test_integrator_rejects_a_fractional_step_count():
+    alg = instantiate(FamilySpec.make("Np", rho=0))
+    state = flow_state_from_hermitian(build_metric(MetricParams.make()), alg)
+    for horizon, step in ((1.0, 2.0), (1.0, 0.3)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate_flow(state, horizon=horizon, step=step)
+    assert len(integrate_flow(state, horizon=0.4, step=0.01).samples) == 41
+
+
+def test_rk4_evaluates_the_field_four_times_per_step():
+    # the field at each accepted point is that sample's norm and the next k1
+    alg = instantiate(FamilySpec.make("Sii", x="1/2"))
+    state = flow_state_from_hermitian(build_metric(MetricParams.make(r2=2, s2=1, t2=1)), alg)
+    c = _structure_array(alg)
+    calls = []
+
+    def field(m):
+        calls.append(1)
+        return -float_lc_ricci(m, c)
+
+    float_state = FlowState(0.0, state.as_float_matrix(), alg)
+    trace = integrate_flow(float_state, horizon=0.1, step=0.01, rhs=field)
+    assert trace.completed and len(calls) == 1 + 4 * 10
+    # the same trace as the default field, which starts from the exact t = 0 Ricci
+    default = integrate_flow(state, horizon=0.1, step=0.01)
+    assert len(default.samples) == len(trace.samples) == 11
+    for a, b in zip(trace.samples, default.samples):
+        assert a.g6.tobytes() == b.g6.tobytes()
+    assert [s.ricci_norm for s in trace.samples[1:]] == [
+        s.ricci_norm for s in default.samples[1:]]
+
+
 def test_rk4_order_round_trip():
     # perturb the Kahler stationary point, then integrate the true field
     # forward and time-reversed; the exact round trip is the identity
