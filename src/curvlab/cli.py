@@ -44,7 +44,7 @@ from .scalars import Rat, gr, rat_from_str
 from .symmetry import flatness_check, kahler_like_check, report_to_json
 from .tensors import index_name
 from .verify import SamplePlan, sample_metric, structural_sweep, theorem_suite
-from .flow import flow_state_from_hermitian, integrate_flow, trace_to_csv
+from .flow import flow_state_from_hermitian, integrate_flow, step_count, trace_to_csv
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
@@ -77,7 +77,10 @@ def _metric_from_args(args) -> MetricParams:
     unknown = set(fields) - set(_METRIC_KEYS)
     if unknown:
         raise CliError(f"unknown metric keys {sorted(unknown)}; expected {_METRIC_KEYS}")
-    return MetricParams.make(**fields)
+    try:
+        return MetricParams.make(**fields)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _family_from_args(args) -> FamilySpec:
@@ -323,9 +326,12 @@ def cmd_verify_structural(args) -> int:
 
 def cmd_flow_run(args) -> int:
     fam, alg, metric, h = _setup_configuration(args)
-    state = flow_state_from_hermitian(h, alg)
-    trace = integrate_flow(state, horizon=float(rat_from_str(args.horizon)),
-                           step=float(rat_from_str(args.step)))
+    try:
+        horizon, step = float(rat_from_str(args.horizon)), float(rat_from_str(args.step))
+        step_count(horizon, step)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    trace = integrate_flow(flow_state_from_hermitian(h, alg), horizon=horizon, step=step)
     csv_text = trace_to_csv(trace)
     if args.out:
         with open(args.out, "w") as fh:
@@ -473,7 +479,11 @@ def _load_config_defaults(argv):
         defaults[key.strip().replace("-", "_")] = val.strip()
     for key in ("seed", "points", "draws", "witness_cap"):
         if key in defaults:
-            defaults[key] = int(defaults[key])
+            try:
+                defaults[key] = int(defaults[key])
+            except ValueError:
+                raise CliError(f"config key {key!r} needs an integer, "
+                               f"got {defaults[key]!r}") from None
     return defaults
 
 
@@ -485,10 +495,8 @@ def main(argv=None) -> int:
         if getattr(args, "points", 1) < 1:
             raise CliError(f"--points must be at least 1, got {args.points}")
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (FamilyDomainError, MetricValidationError, ValueError) as exc:
+    except (CliError, FamilyDomainError, MetricValidationError) as exc:
+        # only usage and domain errors; an internal ValueError propagates
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,7 +17,7 @@ component orientation of the golden tables (see docs/conventions.md); the
 Bianchi defect is built on the same operator, and the flow's exact Ricci is
 its trace.  The Riemannian Ricci ric_lc keeps the standard orientation, so
 the Ricci flow has its usual sign.  All of it runs on one Gaussian-integer
-kernel (below).
+kernel (below) that reads and writes the numerators MultiTensor stores.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import LieAlgebraCx
 from .metric import HermitianData, torsion_forms
-from .scalars import ZERO, GaussianRational, Rat, gr, rat_from_str
+from .scalars import GaussianRational, Rat, rat_from_str
 from .tensors import (
     BARRED,
     DIM,
@@ -40,7 +40,6 @@ from .tensors import (
     bar,
     index_name,
     is_barred,
-    parse_index,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "ricci_and_scalar",
     "torsion_and_bianchi_defect",
     "curvature_to_json",
-    "curvature_from_json",
 ]
 
 _HALF = Rat(1, 2)
@@ -137,62 +135,37 @@ class ConnectionSpec:
 
 # -- the Gaussian-integer kernel ----------------------------------------------
 #
-# An int tensor is (re, im, den): two flat lists of Python ints indexed like
-# MultiTensor.data, over one positive common denominator, so entry n is
-# (re[n] + im[n] i) / den.  Every loop of the kernel runs on these; values
-# become GaussianRational only in _gaussian, at the public boundary.
-
-def _ints(values):
-    """Gaussian-integer numerators of GaussianRational values over their common denominator."""
-    den = 1
-    for v in values:
-        den = lcm(den, int(v.re.denominator), int(v.im.denominator))
-    re = [int(v.re.numerator) * (den // int(v.re.denominator)) for v in values]
-    im = [int(v.im.numerator) * (den // int(v.im.denominator)) for v in values]
-    return re, im, den
-
-
-def _gaussian(rank, re, im, den) -> MultiTensor:
-    """The MultiTensor of entries (re + im i) / den, made canonical by Rat."""
-    return MultiTensor(rank, [GaussianRational(Rat(a, den), Rat(b, den)) if a or b else ZERO
-                              for a, b in zip(re, im)])
-
-
-def _reduced(t):
-    """The same int tensor with the common content of numerators and denominator divided out."""
-    g = gcd(t[2], *t[0], *t[1])
-    return [a // g for a in t[0]], [b // g for b in t[1]], t[2] // g
-
-
-def _negated(t):
-    return [-a for a in t[0]], [-b for b in t[1]], t[2]
-
+# Every loop of the kernel runs on the numerators of MultiTensor (re[n] + im[n] i
+# over one positive den; see tensors.py) and returns MultiTensors in the same
+# format, so no stage converts values on the way in or out.
 
 def _common(s, t):
-    """Two int tensors rescaled to one denominator, the lcm of theirs."""
-    den = lcm(s[2], t[2])
-    fs, ft = den // s[2], den // t[2]
-    return (([fs * a for a in s[0]], [fs * b for b in s[1]], den),
-            ([ft * a for a in t[0]], [ft * b for b in t[1]], den))
+    """Two tensors rescaled to one denominator, the lcm of theirs."""
+    den = lcm(s.den, t.den)
+    fs, ft = den // s.den, den // t.den
+    return (MultiTensor.from_numerators(s.rank, [fs * a for a in s.re], [fs * b for b in s.im],
+                                        den),
+            MultiTensor.from_numerators(t.rank, [ft * a for a in t.re], [ft * b for b in t.im],
+                                        den))
 
 
 def _combine(terms):
-    """sum of q * t over the (rational q, int tensor t) pairs, on one denominator."""
-    terms = [(int(q.numerator), int(q.denominator) * t[2], t) for q, t in terms if q]
+    """sum of q * t over the (rational q, tensor t) pairs, on one denominator."""
+    terms = [(int(q.numerator), int(q.denominator) * t.den, t) for q, t in terms if q]
     den = lcm(*(d for _, d, _ in terms))
-    re = [0] * len(terms[0][2][0])
+    re = [0] * len(terms[0][2].re)
     im = [0] * len(re)
-    for p, d, (tre, tim, _) in terms:
+    for p, d, t in terms:
         f = p * (den // d)
-        re = [x + f * a for x, a in zip(re, tre)]
-        im = [x + f * b for x, b in zip(im, tim)]
-    return _reduced((re, im, den))
+        re = [x + f * a for x, a in zip(re, t.re)]
+        im = [x + f * b for x, b in zip(im, t.im)]
+    return MultiTensor.from_numerators(terms[0][2].rank, re, im, den).reduced()
 
 
 def _rows(t):
     """Sparse rows over the last slot: rows[n // 6] lists (n % 6, re, im) per nonzero n."""
-    rows = [[] for _ in range(len(t[0]) // DIM)]
-    for n, (a, b) in enumerate(zip(t[0], t[1])):
+    rows = [[] for _ in range(len(t.re) // DIM)]
+    for n, (a, b) in enumerate(zip(t.re, t.im)):
         if a or b:
             rows[n // DIM].append((n % DIM, a, b))
     return rows
@@ -201,7 +174,7 @@ def _rows(t):
 def _times_matrix(t, m):
     """out[..., K] = sum_L t[..., L] m[L, K]: the last slot of t contracted with a 6x6 matrix."""
     mrows = _rows(m)
-    re = [0] * len(t[0])
+    re = [0] * len(t.re)
     im = [0] * len(re)
     for p, row in enumerate(_rows(t)):
         base = p * DIM
@@ -209,20 +182,21 @@ def _times_matrix(t, m):
             for k, c, d in mrows[l]:
                 re[base + k] += a * c - b * d
                 im[base + k] += a * d + b * c
-    return re, im, t[2] * m[2]
+    return MultiTensor.from_numerators(t.rank, re, im, t.den * m.den)
 
 
-def _trace(t, stride, pairs, g, size=DIM * DIM):
-    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < size."""
-    pairs = [(o, g[0][w], g[1][w]) for o, w in pairs if g[0][w] or g[1][w]]
-    re = [0] * size
-    im = [0] * size
-    for n in range(size):
+def _trace(t, stride, pairs, g, rank=2):
+    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < 6**rank."""
+    pairs = [(o, g.re[w], g.im[w]) for o, w in pairs if g.re[w] or g.im[w]]
+    tre, tim = t.re, t.im
+    re = [0] * DIM ** rank
+    im = [0] * DIM ** rank
+    for n in range(DIM ** rank):
         for o, c, d in pairs:
-            a, b = t[0][stride * n + o], t[1][stride * n + o]
+            a, b = tre[stride * n + o], tim[stride * n + o]
             re[n] += a * c - b * d
             im[n] += a * d + b * c
-    return re, im, t[2] * g[2]
+    return MultiTensor.from_numerators(rank, re, im, t.den * g.den)
 
 
 def _christoffel_core(c, g, g_inv, torsion=()):
@@ -244,15 +218,16 @@ def _christoffel_core(c, g, g_inv, torsion=()):
                                (36 * x + 6 * l + y, -1)):
                     re[off] += s * tr
                     im[off] += s * ti
-    low = _combine([(_HALF, (re, im, c[2] * g[2])), *torsion])
-    return low, _reduced(_times_matrix(low, g_inv))
+    low = _combine([(_HALF, MultiTensor.from_numerators(3, re, im, c.den * g.den)), *torsion])
+    return low, _times_matrix(low, g_inv).reduced()
 
 
 def _operator(gamma, c):
-    """The raised curvature operator R(I,H)K^A as an int tensor over (I, H, K, A).
+    """The raised curvature operator R(I,H)K^A as a rank-4 tensor over (I, H, K, A).
 
     R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A - c_{IH}^B Gamma_{BK}^A,
-    evaluated for I < H and filled in by skewness in (I, H).
+    evaluated for I < H and filled in by skewness in (I, H); its denominator
+    is the square of the lcm of gamma's and c's.
     """
     gamma, c = _common(gamma, c)
     rows = _rows(gamma)  # rows[6 I + B] = nonzero (A, Gamma_{IB}^A)
@@ -278,7 +253,7 @@ def _operator(gamma, c):
                 for a in INDICES:
                     re[up + a], im[up + a] = ar[a], ai[a]
                     re[down + a], im[down + a] = -ar[a], -ai[a]
-    return re, im, gamma[2] * gamma[2]
+    return MultiTensor.from_numerators(4, re, im, gamma.den * gamma.den)
 
 
 @dataclass(frozen=True)
@@ -294,10 +269,9 @@ def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> Ch
     torsion = ()
     if spec.eps != 0 or spec.rho != 0:
         t_form, c_form = torsion_forms(h, alg)
-        torsion = ((spec.eps, _ints(t_form.data)), (spec.rho, _ints(c_form.data)))
-    low, gamma = _christoffel_core(_ints(alg.c.data), _ints(h.g.data), _ints(h.g_inv.data),
-                                   torsion)
-    return ChristoffelTable(spec, _gaussian(3, *gamma), _gaussian(3, *low))
+        torsion = ((spec.eps, t_form), (spec.rho, c_form))
+    low, gamma = _christoffel_core(alg.c, h.g, h.g_inv, torsion)
+    return ChristoffelTable(spec, gamma, low)
 
 
 @dataclass(frozen=True)
@@ -316,9 +290,8 @@ def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> C
 
     R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K).
     """
-    rop = _operator(_ints(gamma.gamma.data), _ints(alg.c.data))
-    r = _times_matrix(rop, _negated(_ints(h.g.data)))
-    return CurvatureTensor(gamma.spec, _gaussian(4, *r))
+    r = _times_matrix(_operator(gamma.gamma, alg.c), -h.g)
+    return CurvatureTensor(gamma.spec, r.reduced())
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -343,16 +316,15 @@ class RicciData:
 
 
 def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
-    r, g_inv = _ints(curv.tensor.data), _ints(h.g_inv.data)
+    r, g_inv = curv.tensor, h.g_inv
     # holomorphic trace pairs (k, lbar), weighted by g^{lbar k}
     hol = [(k, l, 6 * l + k) for k in UNBARRED for l in BARRED]
     ric1 = _trace(r, 36, [(6 * k + l, w) for k, l, w in hol], g_inv)
     ric2 = _trace(r, 1, [(216 * k + 36 * l, w) for k, l, w in hol], g_inv)
     ric_lc = _trace(r, 6, [(216 * a + l, 6 * a + l) for a in INDICES for l in INDICES],
-                    _negated(g_inv))
-    scal = _trace(ric1, 0, [(6 * k + l, w) for k, l, w in hol], g_inv, size=1)
-    return RicciData(_gaussian(2, *ric1), _gaussian(2, *ric2), _gaussian(2, *ric_lc),
-                     _gaussian(0, *scal).data[0])
+                    -g_inv)
+    scal = _trace(ric1, 0, [(6 * k + l, w) for k, l, w in hol], g_inv, rank=0)
+    return RicciData(ric1, ric2, ric_lc, scal[()])
 
 
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
@@ -365,13 +337,15 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     are fully skew in (x, y, z), so sorted triples are evaluated.
     """
     table = christoffel(spec, h, alg)
-    gamma, c = _common(_ints(table.gamma.data), _ints(alg.c.data))
-    (gre, gim, den), (cre, cim, _) = gamma, c
+    gamma, c = _common(table.gamma, alg.c)
+    gre, gim, cre, cim, den = gamma.re, gamma.im, c.re, c.im, gamma.den
     swap = [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]  # the flat offset of (H, I, K)
-    torsion = ([gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
-               [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
+    torsion = MultiTensor.from_numerators(
+        3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
+        [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
 
-    rre, rim, _ = _operator(gamma, c)
+    rop = _operator(gamma, c)
+    rre, rim = rop.re, rop.im
     trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
     dre = [0] * DIM ** 4
     dim = [0] * DIM ** 4
@@ -396,38 +370,55 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
             for a in INDICES:
                 dre[base + a], dim[base + a] = s * ar[a], s * ai[a]
 
-    return _gaussian(3, *torsion), _gaussian(4, dre, dim, den * den)
+    return torsion, MultiTensor.from_numerators(4, dre, dim, den * den)
 
 
 # -- structural invariants ---------------------------------------------------
+#
+# The checks compare numerators over the tensor's one denominator: entry m is
+# minus entry n exactly when re[m] == -re[n] and im[m] == -im[n].
+
+def _nonzero_offsets(t):
+    """(flat offset, index tuple) of every nonzero entry, lexicographically; builds no values."""
+    return [(n, idx) for n, idx in enumerate(all_indices(t.rank)) if t.re[n] or t.im[n]]
+
 
 def curvature_symmetry_failures(curv: CurvatureTensor, check_symm: bool = False):
     """Violations of skewness in (I,H) and (K,L), reality, and optionally (Symm)."""
     r = curv.tensor
+    re, im = r.re, r.im
     bad = []
-    for idx, v in r.nonzero():
+    for n, idx in _nonzero_offsets(r):
         i, hh, k, l = idx
-        if r[hh, i, k, l] != -v:
+        a, b = re[n], im[n]
+        m = 216 * hh + 36 * i + 6 * k + l
+        if re[m] != -a or im[m] != -b:
             bad.append(("skew12", idx))
-        if r[i, hh, l, k] != -v:
+        m = 216 * i + 36 * hh + 6 * l + k
+        if re[m] != -a or im[m] != -b:
             bad.append(("skew34", idx))
-        if r[bar(i), bar(hh), bar(k), bar(l)] != v.conjugate():
+        m = 216 * bar(i) + 36 * bar(hh) + 6 * bar(k) + bar(l)
+        if re[m] != a or im[m] != -b:
             bad.append(("reality", idx))
-        if check_symm and r[k, l, i, hh] != v:
-            bad.append(("symm", idx))
+        if check_symm:
+            m = 216 * k + 36 * l + 6 * i + hh
+            if re[m] != a or im[m] != b:
+                bad.append(("symm", idx))
     return bad
 
 
 def nabla_g_failures(table: ChristoffelTable):
     """Metric compatibility: the lowered symbols must be skew in the last two slots."""
     low = table.lowered
-    return [idx for idx, v in low.nonzero()
-            if low[idx[0], idx[2], idx[1]] != -v]
+    re, im = low.re, low.im
+    return [idx for n, idx in _nonzero_offsets(low)
+            if re[36 * idx[0] + 6 * idx[2] + idx[1]] != -re[n]
+            or im[36 * idx[0] + 6 * idx[2] + idx[1]] != -im[n]]
 
 
 def nabla_j_failures(table: ChristoffelTable):
     """Type preservation: Gamma_{IH}^K with mixed types in (H, K) must vanish."""
-    return [idx for idx, v in table.gamma.nonzero()
+    return [idx for _, idx in _nonzero_offsets(table.gamma)
             if is_barred(idx[1]) != is_barred(idx[2])]
 
 
@@ -441,14 +432,3 @@ def curvature_to_json(curv: CurvatureTensor) -> str:
     ]
     doc = {"spec": curv.spec.as_dict(), "components": components}
     return json.dumps(doc, separators=(",", ":"))
-
-
-def curvature_from_json(text: str) -> CurvatureTensor:
-    doc = json.loads(text)
-    sp = doc["spec"]
-    spec = ConnectionSpec(rat_from_str(sp["eps"]), rat_from_str(sp["rho"]), sp.get("name"))
-    t = MultiTensor(4)
-    for rec in doc["components"]:
-        idx = tuple(parse_index(rec[key]) for key in ("i", "h", "k", "l"))
-        t[idx] = gr(rec["value"])
-    return CurvatureTensor(spec, t)

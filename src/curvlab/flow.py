@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebraCx
-from .connection import _christoffel_core, _gaussian, _ints, _operator, _trace
+from .connection import _christoffel_core, _operator, _trace
 from .metric import HermitianData
-from .scalars import GaussianRational, ZERO
-from .tensors import DIM, INDICES, bar, index_name
+from .scalars import ONE, GaussianRational
+from .tensors import DIM, INDICES, MultiTensor, bar, index_name, inverse
 
 __all__ = [
     "FlowState",
@@ -32,34 +32,12 @@ __all__ = [
     "ricci_rhs",
     "hermitian_deviation",
     "integrate_flow",
+    "step_count",
     "flow_state_from_hermitian",
     "trace_to_csv",
 ]
 
 # -- exact path ----------------------------------------------------------------
-
-def _invert6_exact(g):
-    """Gauss-Jordan inverse of a 6x6 GaussianRational matrix."""
-    a = [row[:] for row in g]
-    inv = [[GaussianRational(1) if i == j else ZERO for j in range(DIM)] for i in range(DIM)]
-    for col in range(DIM):
-        pivot = next((r for r in range(col, DIM) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular metric matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        # zero entries are skipped: an invariant metric has many of them
-        a[col] = [x / scale if x else x for x in a[col]]
-        inv[col] = [x / scale if x else x for x in inv[col]]
-        for r in range(DIM):
-            if r == col or a[r][col].is_zero():
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y if y else x for x, y in zip(inv[r], inv[col])]
-    return inv
-
 
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
@@ -68,13 +46,12 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     the trace sum_A R(A,H)K^A of the connection kernel's curvature operator;
     the trace needs no metric, so only the Christoffel raise uses g^{-1}.
     """
-    c = _ints(alg.c.data)
-    _, gamma = _christoffel_core(c, _ints([v for row in g6 for v in row]),
-                                 _ints([v for row in _invert6_exact(g6) for v in row]))
+    g = MultiTensor(2, [v for row in g6 for v in row])
+    _, gamma = _christoffel_core(alg.c, g, inverse(g))
     # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A; unit weights
-    ric = _gaussian(2, *_trace(_operator(gamma, c), 6, [(217 * a, 0) for a in INDICES],
-                               ([1], [0], 1))).data
-    return [ric[DIM * h:DIM * (h + 1)] for h in INDICES]
+    ric = _trace(_operator(gamma, alg.c), 6, [(217 * a, 0) for a in INDICES],
+                 MultiTensor(0, [ONE]))
+    return [[ric[h, k] for k in INDICES] for h in INDICES]
 
 
 # -- float path ----------------------------------------------------------------
@@ -203,11 +180,10 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     out) supports the integrator-order tests.  The trace records every
     accepted step with its Hermitian deviation and the Frobenius norm of
     the Ricci term; it truncates with a halt reason if positivity fails.
-    horizon/step must be a whole number of steps (to a relative 1e-9).  A step
+    horizon/step must be a whole number of steps (see step_count).  A step
     costs four evaluations: the field at an accepted point also starts the next.
     """
-    if step <= 0 or horizon <= 0:
-        raise ValueError("horizon and step must be positive")
+    n_steps = step_count(horizon, step)
     g0.validate()
     c = _structure_array(g0.structure)
     default_field = rhs is None
@@ -221,11 +197,6 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
         conj = np.array([[np.conj(m[bar(i), bar(j)]) for j in INDICES] for i in INDICES])
         return 0.5 * (m + conj)
 
-    ratio = horizon / step
-    n_steps = round(ratio)
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
-        raise ValueError(f"horizon/step must be a positive whole number of steps, "
-                         f"got {horizon:g}/{step:g} = {ratio:g}")
     m = g0.as_float_matrix()
     trace = FlowTrace()
     k1 = rhs(m)
@@ -253,6 +224,21 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
         trace.samples.append(FlowSample(t, m.copy(), hermitian_deviation(m),
                                         float(np.linalg.norm(k1))))
     return trace
+
+
+def step_count(horizon: float, step: float) -> int:
+    """The number of steps horizon/step; ValueError unless it is a positive whole number.
+
+    The ratio must be within a relative 1e-9 of that number.
+    """
+    if step <= 0 or horizon <= 0:
+        raise ValueError("horizon and step must be positive")
+    ratio = horizon / step
+    n_steps = round(ratio)
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
+        raise ValueError(f"horizon/step must be a positive whole number of steps, "
+                         f"got {horizon:g}/{step:g} = {ratio:g}")
+    return n_steps
 
 
 def trace_to_csv(trace: FlowTrace) -> str:

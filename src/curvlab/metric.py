@@ -16,7 +16,6 @@ which is positive-definite exactly when the stated inequalities hold.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .algebra import (
@@ -28,7 +27,7 @@ from .algebra import (
     wedge_component,
 )
 from .scalars import I, GaussianRational, Rat, gr, rat_from_str
-from .tensors import BARRED, INDICES, MultiTensor, UNBARRED, is_barred
+from .tensors import BARRED, INDICES, MultiTensor, UNBARRED, all_indices, inverse, is_barred
 
 __all__ = [
     "MetricParams",
@@ -39,8 +38,6 @@ __all__ = [
     "MetricClassification",
     "classify_metric",
     "j_factor",
-    "metric_params_to_json",
-    "metric_params_from_json",
 ]
 
 _HALF = Rat(1, 2)
@@ -128,22 +125,6 @@ def _omega_matrix(p: MetricParams):
     ]
 
 
-def _invert3(m):
-    """Exact inverse of a 3x3 GaussianRational matrix via the adjugate."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det.is_zero():
-        raise ZeroDivisionError("singular 3x3 matrix")
-    cof = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[cof[r][s] / det for s in range(3)] for r in range(3)]
-
-
 @dataclass(frozen=True)
 class HermitianData:
     """A validated invariant Hermitian structure: g, its inverse, and omega."""
@@ -178,20 +159,13 @@ def build_metric(p: MetricParams) -> HermitianData:
             gv = _MINUS_I * w  # omega(x, y) = g(x, Jy) with J phi_a = -i phi_a
             g[a, b + 3] = gv
             g[b + 3, a] = gv
+    return HermitianData(p, g, inverse(g), omega, determinant_scaled(p))
 
-    # block inverse: if g = [[0, G], [G^T, 0]] then g^{-1} = [[0, (G^{-1})^T], [G^{-1}, 0]]
-    gblock = [[g[a, b + 3] for b in range(3)] for a in range(3)]
-    ginv_block = _invert3(gblock)
-    g_inv = MultiTensor(2)
-    for a in range(3):
-        for b in range(3):
-            w = ginv_block[a][b]
-            if w.is_zero():
-                continue
-            g_inv[a + 3, b] = w
-            g_inv[b, a + 3] = w
 
-    return HermitianData(p, g, g_inv, omega, determinant_scaled(p))
+# the sign s in T = s i d(omega) and in C = s i d(omega), per flat offset (i0, i1, i2)
+_T_SIGNS = [1 if is_barred(i0) ^ is_barred(i1) ^ is_barred(i2) else -1
+            for i0, i1, i2 in all_indices(3)]
+_C_SIGNS = [1 if is_barred(i0) else -1 for i0, _, _ in all_indices(3)]
 
 
 def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
@@ -203,14 +177,10 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
     T = s_0 s_1 s_2 * i d(omega) and C = s_0 * i d(omega): a swap of parts, up to sign.
     """
     domega = exterior_d(h.omega, alg)
-    t = MultiTensor(3)
-    c = MultiTensor(3)
-    for idx, w in domega.nonzero():
-        i0, i1, i2 = idx
-        iw = GaussianRational(-w.im, w.re)
-        t[idx] = iw if is_barred(i0) ^ is_barred(i1) ^ is_barred(i2) else -iw
-        c[idx] = iw if is_barred(i0) else -iw
-    return t, c
+    # s i (a + b i) = -s b + s a i on the numerators, with the sign s of each entry
+    return tuple(MultiTensor.from_numerators(3, [-s * b for s, b in zip(signs, domega.im)],
+                                             [s * a for s, a in zip(signs, domega.re)], domega.den)
+                 for signs in (_T_SIGNS, _C_SIGNS))
 
 
 @dataclass(frozen=True)
@@ -257,18 +227,3 @@ def balanced_via_omega_squared(h: HermitianData, alg: LieAlgebraCx) -> bool:
         d_component(omega2, alg, idx).is_zero()
         for idx in itertools.combinations(INDICES, 5)
     )
-
-
-# -- JSON wire format -------------------------------------------------------
-
-def metric_params_to_json(p: MetricParams) -> str:
-    rec = {
-        "r2": str(p.r2), "s2": str(p.s2), "t2": str(p.t2),
-        "u": str(p.u), "v": str(p.v), "z": str(p.z),
-    }
-    return json.dumps(rec, separators=(",", ":"))
-
-
-def metric_params_from_json(text: str) -> MetricParams:
-    rec = json.loads(text)
-    return MetricParams.make(**rec)

@@ -15,7 +15,7 @@ try:
 except ImportError:  # the stdlib fallback; the test suite must pass on both backends
     from fractions import Fraction as Rat
 
-__all__ = ["Rat", "GaussianRational", "gr", "rat_from_str", "rat_to_str", "ZERO", "ONE", "I"]
+__all__ = ["Rat", "GaussianRational", "gr", "rat_from_str", "ZERO", "ONE", "I"]
 
 
 _RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
@@ -42,10 +42,6 @@ def rat_from_str(s):
     if m is None:
         raise ValueError(f"bad rational literal {s!r}; expected p or p/q")
     return _rat(m.group(1), m.group(2), s)
-
-
-def rat_to_str(q) -> str:
-    return str(q)
 
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?(\*i)?|(i))")

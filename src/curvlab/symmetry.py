@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 
 from .connection import CurvatureTensor
-from .scalars import GaussianRational, gr
-from .tensors import INDICES, UNBARRED, index_name, parse_index
+from .scalars import GaussianRational
+from .tensors import INDICES, UNBARRED, index_name
 
 __all__ = [
     "BTensor",
@@ -28,7 +28,6 @@ __all__ = [
     "flatness_check",
     "gray_check_lc",
     "report_to_json",
-    "report_from_json",
 ]
 
 DEFAULT_WITNESS_CAP = 8
@@ -179,22 +178,3 @@ def report_to_json(report: KahlerLikeReport) -> str:
         "n_bianchi_nonzero": report.n_bianchi_nonzero,
     }
     return json.dumps(doc, separators=(",", ":"))
-
-
-def report_from_json(text: str) -> KahlerLikeReport:
-    doc = json.loads(text)
-
-    def records(key):
-        out = []
-        for rec in doc[key]:
-            idx = tuple(parse_index(rec[x]) for x in ("i", "h", "k", "l"))
-            out.append((idx, gr(rec["value"])))
-        return tuple(out)
-
-    return KahlerLikeReport(
-        verdict=doc["verdict"],
-        type_residues=records("type_residues"),
-        bianchi_residues=records("bianchi_residues"),
-        n_type_nonzero=doc["n_type_nonzero"],
-        n_bianchi_nonzero=doc["n_bianchi_nonzero"],
-    )

@@ -1,17 +1,21 @@
 """Dense multi-index tensors over the six-element complexified frame.
 
 Frame indices run over {1, 2, 3, 1b, 2b, 3b}, encoded internally as 0..5
-with bar(i) = (i + 3) % 6.  Tensors of rank k are stored as flat lists of
-6**k GaussianRational entries.  Values are treated as immutable once built:
-the constructors hand out fresh storage and no public operation mutates its
-arguments.
+with bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the
+format of the exact kernel: Gaussian-integer numerators over one positive
+common denominator (see MultiTensor); GaussianRational values appear only
+when entries are read.  This is the one module that turns GaussianRational
+values into numerators, and it holds the one exact matrix inverse.  Values
+are treated as immutable once built: the constructors hand out fresh storage
+and no public operation mutates its arguments.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd, lcm
 
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, Rat
 
 DIM = 6
 INDICES = tuple(range(DIM))
@@ -52,18 +56,36 @@ def all_indices(rank: int):
 
 
 class MultiTensor:
-    """Dense tensor of the given rank with GaussianRational entries."""
+    """Dense tensor of the given rank with Gaussian-rational entries.
 
-    __slots__ = ("rank", "data")
+    The storage is the exact kernel's format: flat lists ``re`` and ``im`` of
+    Python-int numerators over one positive common denominator ``den``, so the
+    entry at flat offset n (the index tuple read in base 6) is
+    (re[n] + im[n] i) / den.  The GaussianRational values are built once,
+    through Rat(num, den), on the first ``[]`` or ``nonzero()`` read.
+    """
+
+    __slots__ = ("rank", "re", "im", "den", "_values")
 
     def __init__(self, rank: int, data=None):
-        self.rank = rank
+        size = DIM ** rank
         if data is None:
-            self.data = [ZERO] * (DIM ** rank)
+            re, im, den = [0] * size, [0] * size, 1
         else:
-            if len(data) != DIM ** rank:
-                raise ValueError(f"rank-{rank} tensor needs {DIM ** rank} entries, got {len(data)}")
-            self.data = list(data)
+            data = list(data)
+            if len(data) != size:
+                raise ValueError(f"rank-{rank} tensor needs {size} entries, got {len(data)}")
+            den = lcm(1, *(int(q.denominator) for v in data for q in (v.re, v.im)))
+            re = [int(v.re.numerator) * (den // int(v.re.denominator)) for v in data]
+            im = [int(v.im.numerator) * (den // int(v.im.denominator)) for v in data]
+        self.rank, self.re, self.im, self.den, self._values = rank, re, im, den, None
+
+    @classmethod
+    def from_numerators(cls, rank: int, re: list, im: list, den: int) -> "MultiTensor":
+        """The tensor of entries (re[n] + im[n] i) / den; it takes ownership of the lists."""
+        t = cls.__new__(cls)
+        t.rank, t.re, t.im, t.den, t._values = rank, re, im, den, None
+        return t
 
     def _offset(self, idx) -> int:
         if len(idx) != self.rank:
@@ -75,52 +97,81 @@ class MultiTensor:
             off = off * DIM + i
         return off
 
+    def _entries(self) -> list:
+        if self._values is None:
+            den = self.den
+            self._values = [GaussianRational(Rat(a, den), Rat(b, den)) if a or b else ZERO
+                            for a, b in zip(self.re, self.im)]
+        return self._values
+
     def __getitem__(self, idx) -> GaussianRational:
         if isinstance(idx, int):
             idx = (idx,)
-        return self.data[self._offset(idx)]
+        return self._entries()[self._offset(idx)]
 
     def __setitem__(self, idx, value: GaussianRational):
+        """Store one entry; the common denominator grows to the lcm with the value's."""
         if isinstance(idx, int):
             idx = (idx,)
-        self.data[self._offset(idx)] = value
+        off = self._offset(idx)
+        dr, di = int(value.re.denominator), int(value.im.denominator)
+        den = lcm(self.den, dr, di)
+        if den != self.den:
+            f = den // self.den
+            self.re = [f * a for a in self.re]
+            self.im = [f * b for b in self.im]
+            self.den = den
+        self.re[off] = int(value.re.numerator) * (den // dr)
+        self.im[off] = int(value.im.numerator) * (den // di)
+        if self._values is not None:
+            self._values[off] = value
+
+    def reduced(self) -> "MultiTensor":
+        """The same tensor with the common content of numerators and denominator divided out."""
+        g = gcd(self.den, *self.re, *self.im)
+        return MultiTensor.from_numerators(self.rank, [a // g for a in self.re],
+                                           [b // g for b in self.im], self.den // g)
 
     def copy(self) -> "MultiTensor":
-        return MultiTensor(self.rank, self.data)
+        return MultiTensor.from_numerators(self.rank, self.re[:], self.im[:], self.den)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.data)
+        return not any(self.re) and not any(self.im)
 
     def nonzero(self):
         """Yield (index_tuple, value) for every nonzero entry, lexicographically."""
-        for idx in all_indices(self.rank):
-            v = self.data[self._offset(idx)]
-            if not v.is_zero():
-                yield idx, v
+        values = self._entries()
+        for n, idx in enumerate(all_indices(self.rank)):
+            if self.re[n] or self.im[n]:
+                yield idx, values[n]
 
     def __eq__(self, other):
         if not isinstance(other, MultiTensor):
             return NotImplemented
-        return self.rank == other.rank and all(a == b for a, b in zip(self.data, other.data))
+        s, o = other.den, self.den
+        return (self.rank == other.rank
+                and all(a * s == b * o for a, b in zip(self.re, other.re))
+                and all(a * s == b * o for a, b in zip(self.im, other.im)))
 
     def __add__(self, other: "MultiTensor") -> "MultiTensor":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return MultiTensor(self.rank, [a + b for a, b in zip(self.data, other.data)])
+        return MultiTensor(self.rank, [a + b for a, b in zip(self._entries(), other._entries())])
 
     def __sub__(self, other: "MultiTensor") -> "MultiTensor":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return MultiTensor(self.rank, [a - b for a, b in zip(self.data, other.data)])
+        return MultiTensor(self.rank, [a - b for a, b in zip(self._entries(), other._entries())])
 
     def __neg__(self) -> "MultiTensor":
-        return MultiTensor(self.rank, [-a for a in self.data])
+        return MultiTensor.from_numerators(self.rank, [-a for a in self.re],
+                                           [-b for b in self.im], self.den)
 
     def scale(self, s: GaussianRational) -> "MultiTensor":
-        return MultiTensor(self.rank, [s * a for a in self.data])
+        return MultiTensor(self.rank, [s * a for a in self._entries()])
 
     def __repr__(self):
-        nz = sum(1 for v in self.data if not v.is_zero())
+        nz = sum(1 for a, b in zip(self.re, self.im) if a or b)
         return f"<MultiTensor rank={self.rank} nonzero={nz}>"
 
 
@@ -131,6 +182,43 @@ def identity_tensor() -> MultiTensor:
     for i in INDICES:
         t[i, i] = one
     return t
+
+
+def inverse(m: MultiTensor) -> MultiTensor:
+    """Exact inverse of a rank-2 tensor by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+    With m = N / den for a Gaussian-integer matrix N, the rows of [N | den I]
+    are reduced over Z[i]: every update (p a - f b) / prev divides exactly by
+    the previous pivot (E. H. Bareiss, Math. Comp. 22, 1968), and the left
+    block ends as d I with d = +-det N, so the right block is d m^{-1}.
+    Raises ZeroDivisionError on a singular matrix.
+    """
+    rows = [[(m.re[DIM * r + c], m.im[DIM * r + c]) for c in INDICES]
+            + [(m.den if r == c else 0, 0) for c in INDICES] for r in INDICES]
+    prev = (1, 0)
+    for k in INDICES:
+        p = next((r for r in range(k, DIM) if rows[r][k] != (0, 0)), None)
+        if p is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[k], rows[p] = rows[p], rows[k]
+        (pr, pi), (qr, qi) = rows[k][k], prev
+        q2 = qr * qr + qi * qi
+        for r in INDICES:
+            if r == k:
+                continue
+            fr, fi = rows[r][k]
+            row = []
+            for (ar, ai), (br, bi) in zip(rows[r], rows[k]):
+                xr = pr * ar - pi * ai - fr * br + fi * bi
+                xi = pr * ai + pi * ar - fr * bi - fi * br
+                # the exact quotient x / prev = x conj(prev) / |prev|^2
+                row.append(((xr * qr + xi * qi) // q2, (xi * qr - xr * qi) // q2))
+            rows[r] = row
+        prev = rows[k][k]
+    dr, di = prev  # m^{-1} = X / d = X conj(d) / |d|^2 for the right block X
+    return MultiTensor.from_numerators(2, [a * dr + b * di for row in rows for a, b in row[DIM:]],
+                                       [b * dr - a * di for row in rows for a, b in row[DIM:]],
+                                       dr * dr + di * di).reduced()
 
 
 def tensor_conjugate(t: MultiTensor) -> MultiTensor:

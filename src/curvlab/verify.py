@@ -570,9 +570,10 @@ def _evaluate_case_by_index(args):
 
 
 def _threads_from_env() -> int:
+    """CURVLAB_THREADS, clamped to the cores and to one worker per theorem case."""
     raw = os.environ.get("CURVLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1, len(THEOREM_CASES)))
     except ValueError:
         return 1
 

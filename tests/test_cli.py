@@ -1,8 +1,9 @@
 import json
 
+import pytest
+
+from curvlab import cli
 from curvlab.cli import main
-from curvlab.connection import curvature_from_json
-from curvlab.symmetry import report_from_json
 
 
 def run(capsys, *argv):
@@ -46,9 +47,9 @@ def test_check_kl_json_round_trip(capsys):
                        "--metric", "r2=1,s2=1,t2=1", "--spec", "bismut",
                        "--format", "json")
     assert code == 0
-    report = report_from_json(out)
-    assert not report.verdict
-    assert report.n_bianchi_nonzero > 0
+    report = json.loads(out)
+    assert report["verdict"] is False
+    assert report["n_bianchi_nonzero"] > 0
 
 
 def test_classify_example(capsys):
@@ -76,8 +77,8 @@ def test_curvature_json_reparses(capsys):
                        "--metric", "r2=1,s2=1,t2=2", "--spec", "bismut",
                        "--format", "json")
     assert code == 0
-    curv = curvature_from_json(out)
-    assert curv.component(0, 3, 0, 3) == 2
+    components = json.loads(out)["components"]
+    assert {"i": "1", "h": "1b", "k": "1", "l": "1b", "value": "2"} in components
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -124,6 +125,22 @@ def test_usage_errors(capsys, tmp_path):
         for argv in (("verify", sub, "--points", "0"), ("--config", str(cfg), "verify", sub)):
             code, out, err = run(capsys, *argv)
             assert code == 2 and "--points must be at least 1" in err and not out
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "kahler_like_check", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["check-kl", "--family", "Np", "--set", "rho=1", "--metric", "r2=1,s2=1,t2=1"])
+
+
+def test_config_integer_key_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "curvlab.cfg"
+    cfg.write_text("seed=seven\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "theorems")
+    assert code == 2 and "'seed' needs an integer" in err and not out
 
 
 def test_verify_theorems_deterministic(capsys, tmp_path):
@@ -181,4 +198,4 @@ def test_out_flag_writes_file(capsys, tmp_path):
                        "--metric", "r2=1,s2=1,t2=1", "--spec", "chern",
                        "--format", "json", "--out", str(path))
     assert code == 0
-    assert report_from_json(path.read_text()).verdict
+    assert json.loads(path.read_text())["verdict"] is True

@@ -8,10 +8,8 @@ from curvlab.connection import (
     ConnectionSpec,
     christoffel,
     curvature,
-    curvature_from_json,
     curvature_of,
     curvature_symmetry_failures,
-    curvature_to_json,
     nabla_g_failures,
     nabla_j_failures,
     ricci_and_scalar,
@@ -231,6 +229,26 @@ def test_bianchi_sides_oracle(rng):
         assert cyc == dnabla_t(i, hh, k, a)
 
 
+def test_symmetry_check_names_exactly_the_corrupted_pairs(rng):
+    """1/7 added to one entry of a generic curvature breaks exactly the skew and
+    reality pairs that entry belongs to, in lexicographic order."""
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    h = build_metric(rand_metric(rng))
+    curv = curvature_of(ConnectionSpec.preset("chern"), h, alg)
+    e, swap12, swap34, conj = (0, 3, 1, 4), (3, 0, 1, 4), (0, 3, 4, 1), (3, 0, 4, 1)
+    assert all(not curv.tensor[idx].is_zero() for idx in (e, swap12, swap34, conj))
+    assert not curvature_symmetry_failures(curv)
+
+    tensor = curv.tensor.copy()
+    assert curv.tensor.den % 7  # so the write below rescales every other entry
+    tensor[e] = tensor[e] + GaussianRational(Rat(1, 7))
+    bad = curvature_symmetry_failures(connection.CurvatureTensor(curv.spec, tensor))
+    assert bad == [("skew12", e), ("skew34", e), ("reality", e), ("skew34", swap34),
+                   ("skew12", swap12), ("reality", conj)]
+    tensor[e] = curv.tensor[e]
+    assert tensor == curv.tensor
+
+
 def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     """The Bianchi defect and the goldens both fail on an operator whose
     c_{IH}^B Gamma_{BK}^A term has the wrong sign."""
@@ -246,8 +264,7 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     operator = connection._operator
 
     def flipped(gamma, c):
-        re, im, den = c
-        return operator(gamma, ([-a for a in re], [-b for b in im], den))
+        return operator(gamma, -c)
 
     monkeypatch.setattr(connection, "_operator", flipped)
     assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
@@ -304,13 +321,3 @@ def test_closed_form_pins_other_families():
     h = build_metric(p)
     r = curvature_of(ConnectionSpec.preset("bismut"), h, alg)
     assert r.tensor[0, 1, 2, 3] == GaussianRational(-(p.r2 * p.s2 - p.u.abs2()) / (4 * p.t2))
-
-
-def test_curvature_json_round_trip():
-    alg = ni(0, 0, "i")
-    h = build_metric(MetricParams.make(r2=1, s2=1, t2=2))
-    curv = curvature_of(ConnectionSpec.preset("bismut"), h, alg)
-    text = curvature_to_json(curv)
-    back = curvature_from_json(text)
-    assert back.tensor == curv.tensor
-    assert (back.spec.eps, back.spec.rho) == (curv.spec.eps, curv.spec.rho)

@@ -10,8 +10,6 @@ from curvlab.metric import (
     classify_metric,
     determinant_scaled,
     j_factor,
-    metric_params_from_json,
-    metric_params_to_json,
     torsion_forms,
 )
 from curvlab.scalars import I, gr
@@ -156,8 +154,3 @@ def test_classification_lattice_over_catalog(rng):
                 assert not (flags.balanced and flags.pluriclosed)
             # two balanced implementations agree
             assert balanced_via_omega_squared(h, alg) == flags.balanced
-
-
-def test_json_round_trip(rng):
-    p = rand_metric(rng)
-    assert metric_params_from_json(metric_params_to_json(p)) == p

@@ -10,8 +10,6 @@ from curvlab.symmetry import (
     flatness_check,
     gray_check_lc,
     kahler_like_check,
-    report_from_json,
-    report_to_json,
 )
 
 from conftest import rand_metric
@@ -157,12 +155,3 @@ def test_witness_cap_and_order(rng):
     # lexicographic order of the witness indices
     idxs = [idx for idx, _ in full.bianchi_residues]
     assert idxs == sorted(idxs)
-
-
-def test_report_json_round_trip(rng):
-    h = build_metric(rand_metric(rng))
-    report = kahler_like_check(curvature_of(ConnectionSpec.preset("bismut"), h, IWASAWA))
-    back = report_from_json(report_to_json(report))
-    assert back.verdict == report.verdict
-    assert back.bianchi_residues == report.bianchi_residues
-    assert back.n_bianchi_nonzero == report.n_bianchi_nonzero

@@ -9,6 +9,7 @@ from curvlab.tensors import (
     contract,
     identity_tensor,
     index_name,
+    inverse,
     is_fully_skew,
     parse_index,
     tensor_conjugate,
@@ -92,6 +93,25 @@ def test_contract_matches_direct_sum(rng):
         for m in range(6):
             s = s + a[i, m] * b[m, k, l]
         assert out[idx] == s
+
+
+def test_inverse_is_exact_and_rejects_a_singular_matrix(rng):
+    # a dense matrix, and the Hermitian block shape [[0, G], [G^T, 0]] whose zero
+    # diagonal forces row exchanges
+    _, _, h = hermitian_point("Ni", {"rho": 1, "lambda": "1/2", "D": "1/3+1/4*i"},
+                              dict(r2=2, s2=1, t2="3/2", u="1/4+1/5*i", v="1/5", z="1/6*i"))
+    dense = MultiTensor(2)
+    for idx in all_indices(2):
+        dense[idx] = rand_gauss(rng)
+    for m in (dense, h.g):
+        inv = inverse(m)
+        assert contract(m, inv, 1, 0) == identity_tensor()
+        assert contract(inv, m, 1, 0) == identity_tensor()
+    singular = dense.copy()
+    for j in range(6):
+        singular[5, j] = singular[0, j] * gr("2-i")
+    with pytest.raises(ZeroDivisionError):
+        inverse(singular)
 
 
 def test_antisymmetrize():

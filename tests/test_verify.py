@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import pytest
 
 from curvlab.scalars import GaussianRational, gr
@@ -86,6 +89,13 @@ def test_scoreboard_determinism():
     assert c.to_json() != a.to_json()  # witnesses move with the seed
 
 
+def test_scoreboard_bytes_are_pinned():
+    # the byte-identical scoreboard for a fixed seed, on either rational backend
+    board = theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
+    digest = hashlib.sha256(board.to_json().encode()).hexdigest()
+    assert digest == "b7cb2e61f27ac48c0e9e1b980d371899a02c7eb58a388380c9146c6b5b1ed45a"
+
+
 def test_scoreboard_enumerates_every_case():
     board = theorem_suite(SamplePlan(seed=0, points_per_case=1))
     assert {c.case_id for c in board.cases} == {c.case_id for c in THEOREM_CASES}
@@ -114,7 +124,10 @@ def test_threads_env(monkeypatch):
     from curvlab.verify import _threads_from_env
 
     monkeypatch.setenv("CURVLAB_THREADS", "3")
-    assert _threads_from_env() == 3
+    assert _threads_from_env() == min(3, os.cpu_count() or 1)
+    # clamped to the cores and to one worker per case; no pool is started here
+    monkeypatch.setenv("CURVLAB_THREADS", "100000")
+    assert _threads_from_env() == min(os.cpu_count() or 1, len(THEOREM_CASES))
     monkeypatch.setenv("CURVLAB_THREADS", "junk")
     assert _threads_from_env() == 1
     monkeypatch.delenv("CURVLAB_THREADS")
