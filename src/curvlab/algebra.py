@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 from .scalars import ZERO, GaussianRational, gr
 from .tensors import (
+    DIM,
     INDICES,
     MultiTensor,
     all_indices,
     bar,
     barred_count,
+    flat_offset,
+    numerator_value,
 )
 
 __all__ = [
@@ -38,8 +41,8 @@ __all__ = [
 class LieAlgebraCx:
     """Structure constants of a six-dimensional complexified Lie algebra.
 
-    The bracket rows are cached as sparse lists so that the differential and
-    the Christoffel assembly can skip zero terms.
+    The bracket rows are cached as sparse lists of numerators over c.den so
+    that the differential and the Jacobi check can skip zero terms.
     """
 
     __slots__ = ("c", "rows")
@@ -48,10 +51,10 @@ class LieAlgebraCx:
         if c.rank != 3:
             raise ValueError("structure constants must form a rank-3 tensor")
         self.c = c
-        # rows[I][H] = [(K, c_{IH}^K), ...] restricted to nonzero values
+        # rows[I][H] = [(K, re, im), ...]: the nonzero c_{IH}^K = (re + im i) / c.den
         self.rows = [[[] for _ in INDICES] for _ in INDICES]
-        for (i, h, k), v in c.nonzero():
-            self.rows[i][h].append((k, v))
+        for n, (i, h, k) in c.nonzero_offsets():
+            self.rows[i][h].append((k, c.re[n], c.im[n]))
 
     @classmethod
     def from_structure_constants(cls, entries: dict) -> "LieAlgebraCx":
@@ -84,9 +87,6 @@ class LieAlgebraCx:
                     entries[(i, j, k)] = -v
         return cls.from_structure_constants(entries)
 
-    def bracket_row(self, i: int, h: int):
-        return self.rows[i][h]
-
     def is_abelian(self) -> bool:
         return self.c.is_zero()
 
@@ -117,50 +117,72 @@ class ValidationReport:
 
 
 def validate_lie_algebra(alg: LieAlgebraCx) -> ValidationReport:
-    """Report skewness, reality, and Jacobi, each with a witness on failure."""
+    """Report skewness, reality, and Jacobi, each with a witness on failure.
+
+    The checks test numerators; a residue value is built only for a witness.
+    """
     c = alg.c
+    re, im, den = c.re, c.im, c.den
     checks = []
 
-    witness = None
-    residue = None
-    for (i, h, k), v in c.nonzero():
-        r = c[h, i, k] + v
-        if not r.is_zero():
-            witness, residue = (i, h, k), r
+    witness = residue = None
+    for n, (i, h, k) in c.nonzero_offsets():
+        m = 36 * h + 6 * i + k
+        if re[m] != -re[n] or im[m] != -im[n]:
+            witness, residue = (i, h, k), numerator_value(re[m] + re[n], im[m] + im[n], den)
             break
     checks.append(ValidationCheck("skew", witness is None, witness, residue))
 
-    witness = None
-    residue = None
-    for idx in all_indices(3):
-        i, h, k = idx
-        r = c[bar(i), bar(h), bar(k)] - c[i, h, k].conjugate()
-        if not r.is_zero():
-            witness, residue = idx, r
+    witness = residue = None
+    for n, (i, h, k) in enumerate(all_indices(3)):
+        m = 36 * bar(i) + 6 * bar(h) + bar(k)
+        if re[m] != re[n] or im[m] != -im[n]:
+            witness, residue = (i, h, k), numerator_value(re[m] - re[n], im[m] + im[n], den)
             break
     checks.append(ValidationCheck("reality", witness is None, witness, residue))
 
     # the Jacobiator of a skew bracket is fully skew, so its first failure is at a
     # strictly increasing triple; without skewness every triple is scanned
-    witness = None
-    residue = None
+    witness = residue = None
     triples = itertools.combinations(INDICES, 3) if checks[0].passed else all_indices(3)
     for i, h, k in triples:
         if witness is not None:
             break
         for b in INDICES:
-            r = ZERO
+            xr = xi = 0
             for (x, y, z) in ((i, h, k), (h, k, i), (k, i, h)):
-                for a, v in alg.bracket_row(x, y):
-                    w = c[a, z, b]
-                    if not w.is_zero():
-                        r = r + v * w
-            if not r.is_zero():
-                witness, residue = (i, h, k, b), r
+                for a, vr, vi in alg.rows[x][y]:
+                    wr, wi = re[36 * a + 6 * z + b], im[36 * a + 6 * z + b]
+                    xr += vr * wr - vi * wi
+                    xi += vr * wi + vi * wr
+            if xr or xi:
+                witness, residue = (i, h, k, b), numerator_value(xr, xi, den * den)
                 break
     checks.append(ValidationCheck("jacobi", witness is None, witness, residue))
 
     return ValidationReport(tuple(checks))
+
+
+def _d_numerators(alpha: MultiTensor, alg: LieAlgebraCx, idx: tuple):
+    """(re, im) of d(alpha) at the (rank+1)-tuple idx, over alpha.den * alg.c.den.
+
+    The one routine behind exterior_d, d_component and d_is_zero (formula at exterior_d).
+    """
+    k = alpha.rank
+    are, aim, stride = alpha.re, alpha.im, DIM ** k // DIM  # (a, rest) is at a * stride + rest
+    xr = xi = 0
+    for p in range(k + 1):
+        for q in range(p + 1, k + 1):
+            row = alg.rows[idx[p]][idx[q]]
+            if not row:
+                continue
+            rest = flat_offset(idx[:p] + idx[p + 1:q] + idx[q + 1:])
+            s = -1 if (p + q) % 2 else 1
+            for a, cr, ci in row:
+                ar, ai = are[a * stride + rest], aim[a * stride + rest]
+                xr += s * (cr * ar - ci * ai)
+                xi += s * (cr * ai + ci * ar)
+    return xr, xi
 
 
 def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
@@ -169,50 +191,32 @@ def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
     d(alpha)(x_0, ..., x_k) = sum over i < j of
     (-1)^(i+j) alpha([x_i, x_j], x_0, ..., without x_i, x_j, ..., x_k).
     For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).  The result is skew,
-    so only sorted index tuples are evaluated; the other entries follow by the
-    sign of the permutation.
+    so only sorted index tuples are evaluated, on numerators; the other entries
+    follow by the sign of the permutation.
     """
     n = alpha.rank + 1
     perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
-    out = MultiTensor(n)
+    re, im = [0] * DIM ** n, [0] * DIM ** n
     for idx in itertools.combinations(INDICES, n):
-        v = d_component(alpha, alg, idx)
-        if not v.is_zero():
-            neg = -v
+        xr, xi = _d_numerators(alpha, alg, idx)
+        if xr or xi:
             for p, sign in perms:
-                out[tuple(idx[q] for q in p)] = v if sign > 0 else neg
-    return out
+                off = flat_offset([idx[q] for q in p])
+                re[off], im[off] = sign * xr, sign * xi
+    return MultiTensor.from_numerators(n, re, im, alpha.den * alg.c.den).reduced()
 
 
 def d_component(alpha: MultiTensor, alg: LieAlgebraCx, idx: tuple) -> GaussianRational:
     """Single component of exterior_d(alpha) at the given (rank+1)-tuple."""
-    k = alpha.rank
-    if len(idx) != k + 1:
-        raise ValueError(f"expected a {k + 1}-tuple, got {idx}")
-    total = ZERO
-    for p in range(k + 1):
-        for q in range(p + 1, k + 1):
-            row = alg.bracket_row(idx[p], idx[q])
-            if not row:
-                continue
-            rest = idx[:p] + idx[p + 1:q] + idx[q + 1:]
-            acc = ZERO
-            for a, v in row:
-                w = alpha[(a,) + rest]
-                if not w.is_zero():
-                    acc = acc + v * w
-            if not acc.is_zero():
-                # the bracket term carries sign (-1)^(p+q)
-                total = total + acc if (p + q) % 2 == 0 else total - acc
-    return total
+    if len(idx) != alpha.rank + 1 or not all(0 <= i < DIM for i in idx):
+        raise ValueError(f"expected a {alpha.rank + 1}-tuple of frame indices, got {idx}")
+    return numerator_value(*_d_numerators(alpha, alg, idx), alpha.den * alg.c.den)
 
 
 def d_is_zero(alpha: MultiTensor, alg: LieAlgebraCx) -> bool:
     """Whether d(alpha) vanishes; checks only sorted index tuples (enough by skewness)."""
-    for idx in itertools.combinations(INDICES, alpha.rank + 1):
-        if not d_component(alpha, alg, idx).is_zero():
-            return False
-    return True
+    return not any(any(_d_numerators(alpha, alg, idx))
+                   for idx in itertools.combinations(INDICES, alpha.rank + 1))
 
 
 def wedge_component(a: MultiTensor, b: MultiTensor, idx: tuple) -> GaussianRational:

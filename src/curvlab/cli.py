@@ -247,7 +247,7 @@ def cmd_verify_appendix(args) -> int:
                 run(OracleCase("Ni", st, m, eps), f"Ni[rho={rho},lam={lam},D={d}]")
 
     si_draws = ("1", "i", "3/5+4/5*i", "-3/5+4/5*i")
-    for a in si_draws[:max(1, args.draws)]:
+    for a in si_draws[:args.draws]:
         st = FamilySpec.make("Si", A=a)
         for _ in range(args.points):
             m = sample_metric(rng, shape="u-only")
@@ -492,8 +492,10 @@ def main(argv=None) -> int:
     try:
         ap = build_parser(_load_config_defaults(argv))
         args = ap.parse_args(argv)
-        if getattr(args, "points", 1) < 1:
-            raise CliError(f"--points must be at least 1, got {args.points}")
+        for flag, least in (("points", 1), ("draws", 1), ("witness_cap", 0)):
+            if getattr(args, flag, least) < least:
+                raise CliError(f"--{flag.replace('_', '-')} must be at least {least}, "
+                               f"got {getattr(args, flag)}")
         return args.handler(args)
     except (CliError, FamilyDomainError, MetricValidationError) as exc:
         # only usage and domain errors; an internal ValueError propagates

@@ -378,17 +378,12 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
 # The checks compare numerators over the tensor's one denominator: entry m is
 # minus entry n exactly when re[m] == -re[n] and im[m] == -im[n].
 
-def _nonzero_offsets(t):
-    """(flat offset, index tuple) of every nonzero entry, lexicographically; builds no values."""
-    return [(n, idx) for n, idx in enumerate(all_indices(t.rank)) if t.re[n] or t.im[n]]
-
-
 def curvature_symmetry_failures(curv: CurvatureTensor, check_symm: bool = False):
     """Violations of skewness in (I,H) and (K,L), reality, and optionally (Symm)."""
     r = curv.tensor
     re, im = r.re, r.im
     bad = []
-    for n, idx in _nonzero_offsets(r):
+    for n, idx in r.nonzero_offsets():
         i, hh, k, l = idx
         a, b = re[n], im[n]
         m = 216 * hh + 36 * i + 6 * k + l
@@ -411,14 +406,14 @@ def nabla_g_failures(table: ChristoffelTable):
     """Metric compatibility: the lowered symbols must be skew in the last two slots."""
     low = table.lowered
     re, im = low.re, low.im
-    return [idx for n, idx in _nonzero_offsets(low)
+    return [idx for n, idx in low.nonzero_offsets()
             if re[36 * idx[0] + 6 * idx[2] + idx[1]] != -re[n]
             or im[36 * idx[0] + 6 * idx[2] + idx[1]] != -im[n]]
 
 
 def nabla_j_failures(table: ChristoffelTable):
     """Type preservation: Gamma_{IH}^K with mixed types in (H, K) must vanish."""
-    return [idx for _, idx in _nonzero_offsets(table.gamma)
+    return [idx for _, idx in table.gamma.nonzero_offsets()
             if is_barred(idx[1]) != is_barred(idx[2])]
 
 

@@ -8,17 +8,20 @@ A metric connection is Kahler-like when its curvature satisfies both
     B_{i jb k lb} = R_{i jb k lb} - R_{k jb i lb} = 0.
 
 Both checks enumerate components exhaustively; they are the statements
-under test, not bookkeeping shortcuts.
+under test, not bookkeeping shortcuts.  Every check is a zero test on the
+Gaussian-integer numerators the curvature stores (see tensors.MultiTensor),
+so a GaussianRational value is built only for an entry that is reported.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 from .connection import CurvatureTensor
 from .scalars import GaussianRational
-from .tensors import INDICES, UNBARRED, index_name
+from .tensors import BARRED, INDICES, UNBARRED, all_indices, index_name, numerator_value
 
 __all__ = [
     "BTensor",
@@ -34,34 +37,50 @@ DEFAULT_WITNESS_CAP = 8
 
 
 class BTensor:
-    """B_{i jb k lb} over unbarred (i, j, k, l); skew under i <-> k by construction."""
+    """B_{i jb k lb} over unbarred (i, j, k, l); skew under i <-> k by construction.
 
-    __slots__ = ("data",)
+    The entries are numerator differences re[p] - re[q], im[p] - im[q] of the
+    curvature at the offsets p of R_{i jb k lb} and q of R_{k jb i lb}, over
+    the curvature's denominator; entry m is (i, j, k, l) read in base 3.
+    """
+
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, curv: CurvatureTensor):
         r = curv.tensor
-        self.data = [
-            r[i, j + 3, k, l + 3] - r[k, j + 3, i, l + 3]
-            for i in range(3) for j in range(3) for k in range(3) for l in range(3)
-        ]
+        self.re = [r.re[p] - r.re[q] for p, q in _B_OFFSETS]
+        self.im = [r.im[p] - r.im[q] for p, q in _B_OFFSETS]
+        self.den = r.den
 
     def component(self, i: int, j: int, k: int, l: int) -> GaussianRational:
         """Entry at zero-based unbarred indices (i, j, k, l)."""
-        return self.data[((i * 3 + j) * 3 + k) * 3 + l]
+        m = ((i * 3 + j) * 3 + k) * 3 + l
+        return numerator_value(self.re[m], self.im[m], self.den)
+
+    def nonzero_offsets(self):
+        """Yield (m, (i, j, k, l)) for every nonzero entry, lexicographically."""
+        for m, idx in enumerate(_B_INDICES):
+            if self.re[m] or self.im[m]:
+                yield m, idx
 
     def nonzero(self):
-        n = 0
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        v = self.data[n]
-                        n += 1
-                        if not v.is_zero():
-                            yield (i, j, k, l), v
+        for m, idx in self.nonzero_offsets():
+            yield idx, numerator_value(self.re[m], self.im[m], self.den)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.data)
+        return not any(self.re) and not any(self.im)
+
+
+_B_INDICES = tuple(itertools.product(UNBARRED, repeat=4))
+# the curvature offsets of R_{i jb k lb} and R_{k jb i lb} (jb = j + 3, lb = l + 3)
+_B_OFFSETS = tuple((216 * i + 36 * j + 6 * k + l + 111, 216 * k + 36 * j + 6 * i + l + 111)
+                   for i, j, k, l in _B_INDICES)
+# the type condition's offsets: first or last index pair of pure (unbarred) type
+_TYPE_CONDITION = tuple((n, idx) for n, idx in enumerate(all_indices(4))
+                        if (idx[0] < 3 and idx[1] < 3) or (idx[2] < 3 and idx[3] < 3))
+# the Gray condition's offsets of R(X, Y, Zb, Wb) and R(X, Y, Z, Wb)
+_GRAY_OFFSETS = tuple(216 * i + 36 * j + 6 * k + l for i in UNBARRED for j in UNBARRED
+                      for k in INDICES for l in BARRED)
 
 
 @dataclass(frozen=True)
@@ -86,25 +105,26 @@ def kahler_like_check(curv: CurvatureTensor, witness_cap: int = DEFAULT_WITNESS_
     Type residues collect nonzero R_{ij..} (first pair unbarred) and
     R_{..kl} (last pair unbarred); by the reality of R this also covers the
     conjugate blocks.  Bianchi residues collect nonzero B_{i jb k lb}.
+    Both are zero tests on numerators; values are built for witnesses only.
     """
     r = curv.tensor
+    re, im = r.re, r.im
     type_res = []
     n_type = 0
-    for idx in _type_condition_indices():
-        v = r[idx]
-        if not v.is_zero():
+    # lexicographic enumeration keeps witness lists reproducible
+    for n, idx in _TYPE_CONDITION:
+        if re[n] or im[n]:
             n_type += 1
             if len(type_res) < witness_cap:
-                type_res.append((idx, v))
-    # lexicographic enumeration keeps witness lists reproducible
+                type_res.append((idx, numerator_value(re[n], im[n], r.den)))
 
     b = BTensor(curv)
     bianchi_res = []
     n_bianchi = 0
-    for (i, j, k, l), v in b.nonzero():
+    for m, (i, j, k, l) in b.nonzero_offsets():
         n_bianchi += 1
         if len(bianchi_res) < witness_cap:
-            bianchi_res.append(((i, j + 3, k, l + 3), v))
+            bianchi_res.append(((i, j + 3, k, l + 3), numerator_value(b.re[m], b.im[m], b.den)))
 
     return KahlerLikeReport(
         verdict=(n_type == 0 and n_bianchi == 0),
@@ -116,17 +136,6 @@ def kahler_like_check(curv: CurvatureTensor, witness_cap: int = DEFAULT_WITNESS_
     )
 
 
-def _type_condition_indices():
-    # the union of the two blocks, in lexicographic order
-    for i in INDICES:
-        for j in INDICES:
-            first_pure = i < 3 and j < 3
-            for k in INDICES:
-                for l in INDICES:
-                    if first_pure or (k < 3 and l < 3):
-                        yield (i, j, k, l)
-
-
 @dataclass(frozen=True)
 class FlatnessResult:
     flat: bool
@@ -135,8 +144,9 @@ class FlatnessResult:
 
 def flatness_check(curv: CurvatureTensor) -> FlatnessResult:
     """True when every curvature component vanishes; else the first nonzero entry."""
-    for idx, v in curv.tensor.nonzero():
-        return FlatnessResult(False, (idx, v))
+    r = curv.tensor
+    for n, idx in r.nonzero_offsets():
+        return FlatnessResult(False, (idx, numerator_value(r.re[n], r.im[n], r.den)))
     return FlatnessResult(True, None)
 
 
@@ -149,16 +159,8 @@ def gray_check_lc(curv: CurvatureTensor) -> bool:
     spec = curv.spec
     if not (spec.eps == 0 and spec.rho == 0):
         raise ValueError(f"gray check applies to the Levi-Civita connection, got {spec.label()}")
-    r = curv.tensor
-    for i in UNBARRED:
-        for j in UNBARRED:
-            for k in UNBARRED:
-                for l in UNBARRED:
-                    if not r[i, j, k + 3, l + 3].is_zero():
-                        return False
-                    if not r[i, j, k, l + 3].is_zero():
-                        return False
-    return True
+    re, im = curv.tensor.re, curv.tensor.im
+    return not any(re[n] or im[n] for n in _GRAY_OFFSETS)
 
 
 # -- JSON wire format ---------------------------------------------------------

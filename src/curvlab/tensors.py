@@ -5,9 +5,10 @@ with bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the
 format of the exact kernel: Gaussian-integer numerators over one positive
 common denominator (see MultiTensor); GaussianRational values appear only
 when entries are read.  This is the one module that turns GaussianRational
-values into numerators, and it holds the one exact matrix inverse.  Values
-are treated as immutable once built: the constructors hand out fresh storage
-and no public operation mutates its arguments.
+values into numerators and back (numerator_value reads one entry), and it
+holds the one exact matrix inverse.  Values are treated as immutable once
+built: the constructors hand out fresh storage and no public operation
+mutates its arguments.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def all_indices(rank: int):
     return itertools.product(INDICES, repeat=rank)
 
 
+def numerator_value(a: int, b: int, den: int) -> GaussianRational:
+    """The value (a + b i) / den of one pair of Gaussian-integer numerators."""
+    return GaussianRational(Rat(a, den), Rat(b, den)) if a or b else ZERO
+
+
 class MultiTensor:
     """Dense tensor of the given rank with Gaussian-rational entries.
 
@@ -90,18 +96,13 @@ class MultiTensor:
     def _offset(self, idx) -> int:
         if len(idx) != self.rank:
             raise ValueError(f"index {idx} has wrong length for rank {self.rank}")
-        off = 0
-        for i in idx:
-            if not 0 <= i < DIM:
-                raise ValueError(f"frame index out of range in {idx}")
-            off = off * DIM + i
-        return off
+        if not all(0 <= i < DIM for i in idx):
+            raise ValueError(f"frame index out of range in {idx}")
+        return flat_offset(idx)
 
     def _entries(self) -> list:
         if self._values is None:
-            den = self.den
-            self._values = [GaussianRational(Rat(a, den), Rat(b, den)) if a or b else ZERO
-                            for a, b in zip(self.re, self.im)]
+            self._values = [numerator_value(a, b, self.den) for a, b in zip(self.re, self.im)]
         return self._values
 
     def __getitem__(self, idx) -> GaussianRational:
@@ -138,12 +139,18 @@ class MultiTensor:
     def is_zero(self) -> bool:
         return not any(self.re) and not any(self.im)
 
+    def nonzero_offsets(self):
+        """Yield (flat offset, index tuple) for every nonzero entry, lexicographically; no values."""
+        re, im = self.re, self.im
+        for n, idx in enumerate(all_indices(self.rank)):
+            if re[n] or im[n]:
+                yield n, idx
+
     def nonzero(self):
         """Yield (index_tuple, value) for every nonzero entry, lexicographically."""
         values = self._entries()
-        for n, idx in enumerate(all_indices(self.rank)):
-            if self.re[n] or self.im[n]:
-                yield idx, values[n]
+        for n, idx in self.nonzero_offsets():
+            yield idx, values[n]
 
     def __eq__(self, other):
         if not isinstance(other, MultiTensor):
@@ -241,19 +248,28 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
         raise ValueError(f"slot {slot_t} out of range for rank-{t.rank} tensor")
     if not 0 <= slot_a < a.rank:
         raise ValueError(f"slot {slot_a} out of range for rank-{a.rank} tensor")
-    out = MultiTensor(t.rank + a.rank - 2)
-    # bucket the entries of `a` by the value of the contracted slot
+    size = DIM ** (t.rank + a.rank - 2)
+    re, im = [0] * size, [0] * size
+    # bucket the entries of `a` by the contracted slot; products sum over t.den * a.den
     buckets = [[] for _ in range(DIM)]
-    for idx, v in a.nonzero():
-        rest = idx[:slot_a] + idx[slot_a + 1:]
-        buckets[idx[slot_a]].append((rest, v))
-    for idx, v in t.nonzero():
-        shared = idx[slot_t]
-        rest_t = idx[:slot_t] + idx[slot_t + 1:]
-        for rest_a, w in buckets[shared]:
-            o = rest_t + rest_a
-            out[o] = out[o] + v * w
-    return out
+    for n, idx in a.nonzero_offsets():
+        rest = flat_offset(idx[:slot_a] + idx[slot_a + 1:])
+        buckets[idx[slot_a]].append((rest, a.re[n], a.im[n]))
+    stride = DIM ** (a.rank - 1)
+    for n, idx in t.nonzero_offsets():
+        base, x, y = stride * flat_offset(idx[:slot_t] + idx[slot_t + 1:]), t.re[n], t.im[n]
+        for o, c, d in buckets[idx[slot_t]]:
+            re[base + o] += x * c - y * d
+            im[base + o] += x * d + y * c
+    return MultiTensor.from_numerators(t.rank + a.rank - 2, re, im, t.den * a.den).reduced()
+
+
+def flat_offset(idx) -> int:
+    """The flat offset of an index tuple: the tuple read in base 6."""
+    off = 0
+    for i in idx:
+        off = off * DIM + i
+    return off
 
 
 def antisymmetrize(t: MultiTensor, slots: tuple) -> MultiTensor:

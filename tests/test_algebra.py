@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from curvlab.algebra import (
     LieAlgebraCx,
     d_component,
@@ -11,10 +13,11 @@ from curvlab.algebra import (
     wedge_component,
 )
 from curvlab.catalog import FamilySpec, instantiate
+from curvlab.metric import build_metric
 from curvlab.scalars import ONE, ZERO, gr
-from curvlab.tensors import MultiTensor, all_indices
+from curvlab.tensors import MultiTensor, all_indices, bar
 
-from conftest import rand_gauss
+from conftest import rand_gauss, rand_metric
 
 
 TORUS = LieAlgebraCx.from_dphi({})
@@ -32,6 +35,26 @@ def brute_force_jacobi(alg):
         if not total.is_zero():
             return (i, h, k, b)
     return None
+
+
+def brute_force_d(alpha, alg, idx):
+    """Independent oracle: d(alpha) at one tuple in GaussianRational arithmetic, no row caching.
+
+    d(alpha)(x_0, ..., x_k) = sum over p < q of
+    (-1)^(p+q) alpha([x_p, x_q], x_0, ..., without x_p, x_q, ..., x_k).
+    """
+    k = alpha.rank
+    total = ZERO
+    for p in range(k + 1):
+        for q in range(p + 1, k + 1):
+            rest = idx[:p] + idx[p + 1:q] + idx[q + 1:]
+            acc = ZERO
+            for a in range(6):
+                v = alg.c[idx[p], idx[q], a]
+                if not v.is_zero():
+                    acc = acc + v * alpha[(a,) + rest]
+            total = total + acc if (p + q) % 2 == 0 else total - acc
+    return total
 
 
 def test_validate_torus():
@@ -58,7 +81,8 @@ def test_validate_skew_failure_witness():
     assert "skew" in failing
     skew = next(ch for ch in rep.failures() if ch.name == "skew")
     assert skew.witness in ((0, 1, 2), (1, 0, 2))
-    assert not skew.residue.is_zero()
+    i, h, k = skew.witness
+    assert skew.residue == c[h, i, k] + c[i, h, k] == gr(2)
 
 
 def test_validate_jacobi_failure():
@@ -69,6 +93,13 @@ def test_validate_jacobi_failure():
     jacobi = next(ch for ch in rep.failures() if ch.name == "jacobi")
     assert brute_force_jacobi(alg) is not None
     assert jacobi.witness == brute_force_jacobi(alg)
+    i, h, k, b = jacobi.witness
+    c = alg.c
+    expected = ZERO
+    for (x, y, z) in ((i, h, k), (h, k, i), (k, i, h)):
+        for a in range(6):
+            expected = expected + c[x, y, a] * c[a, z, b]
+    assert jacobi.residue == expected
 
 
 def test_reality_check_catches_missing_conjugate():
@@ -76,7 +107,11 @@ def test_reality_check_catches_missing_conjugate():
     c[0, 1, 2] = ONE
     c[1, 0, 2] = -ONE  # skew but no barred counterpart
     rep = validate_lie_algebra(LieAlgebraCx(c))
-    assert any(ch.name == "reality" and not ch.passed for ch in rep.checks)
+    reality = next(ch for ch in rep.checks if ch.name == "reality")
+    assert not reality.passed
+    i, h, k = reality.witness
+    assert reality.residue == c[bar(i), bar(h), bar(k)] - c[i, h, k].conjugate()
+    assert not reality.residue.is_zero()
 
 
 def one_form(i):
@@ -149,23 +184,38 @@ def test_d_component_matches_full():
     full = exterior_d(alpha, alg)
     for idx in itertools.combinations(range(6), 3):
         assert d_component(alpha, alg, idx) == full[idx]
+    # a negative index would otherwise be read from the end of the numerator lists
+    for bad in ((0, 1), (0, 1, -1), (0, 1, 6)):
+        with pytest.raises(ValueError):
+            d_component(alpha, alg, bad)
 
 
 def test_exterior_d_matches_full_enumeration(rng):
-    # exterior_d evaluates sorted tuples only; d_component over every 6^(k+1)
-    # tuple is the reference, for a generic 2-form and a 3-form
-    alg = instantiate(FamilySpec.make("Sv"))
-    two = MultiTensor(2)
-    for i, j in itertools.combinations(range(6), 2):
-        v = rand_gauss(rng)
-        two[i, j] = v
-        two[j, i] = -v
-    three = wedge(one_form(0), two)
-    for alpha in (two, three):
-        d = exterior_d(alpha, alg)
-        assert not d.is_zero()
-        for idx in all_indices(alpha.rank + 1):
-            assert d[idx] == d_component(alpha, alg, idx)
+    # exterior_d evaluates sorted tuples only and shares one numerator routine with
+    # d_component and d_is_zero; brute_force_d over every 6^(k+1) tuple is the
+    # reference, for omega, a generic 2-form, a 3-form and a closed 3-form
+    structures = (FamilySpec.make("Sv"), FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"),
+                  FamilySpec.make("sl2c"))
+    for spec in structures:
+        alg = instantiate(spec)
+        two = MultiTensor(2)
+        for i, j in itertools.combinations(range(6), 2):
+            v = rand_gauss(rng)
+            two[i, j] = v
+            two[j, i] = -v
+        omega = build_metric(rand_metric(rng)).omega
+        forms = (omega, two, wedge(one_form(0), two), exterior_d(two, alg))
+        for alpha in forms:
+            d = exterior_d(alpha, alg)
+            expected = {idx: brute_force_d(alpha, alg, idx)
+                        for idx in all_indices(alpha.rank + 1)}
+            for idx, value in expected.items():
+                assert d[idx] == value
+                assert d_component(alpha, alg, idx) == value
+            assert d_is_zero(alpha, alg) == all(v.is_zero() for v in expected.values())
+            assert d.is_zero() == d_is_zero(alpha, alg)
+        # a generic 2-form is not closed, a d-exact form is
+        assert not d_is_zero(two, alg) and d_is_zero(forms[3], alg)
 
 
 def test_wedge_determinant_convention():

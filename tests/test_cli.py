@@ -126,6 +126,15 @@ def test_usage_errors(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert code == 2 and "--points must be at least 1" in err and not out
 
+    kl = ("check-kl", "--family", "Np", "--set", "rho=1", "--metric", "r2=1,s2=1,t2=1")
+    cases = (("witness_cap=-1", kl, ("--witness-cap", "-1"), "--witness-cap must be at least 0"),
+             ("draws=0", ("verify", "appendix"), ("--draws", "0"), "--draws must be at least 1"))
+    for line, argv, flag, message in cases:
+        cfg.write_text(line + "\n")
+        for full in (argv + flag, ("--config", str(cfg)) + argv):
+            code, out, err = run(capsys, *full)
+            assert code == 2 and message in err and not out
+
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
-from curvlab.connection import ConnectionSpec, curvature_of
+from curvlab.connection import ConnectionSpec, CurvatureTensor, curvature_of
 from curvlab.metric import MetricParams, build_metric, determinant_scaled
 from curvlab.scalars import GaussianRational, Rat, gr
 from curvlab.symmetry import (
@@ -11,6 +13,7 @@ from curvlab.symmetry import (
     gray_check_lc,
     kahler_like_check,
 )
+from curvlab.tensors import all_indices
 
 from conftest import rand_metric
 
@@ -155,3 +158,48 @@ def test_witness_cap_and_order(rng):
     # lexicographic order of the witness indices
     idxs = [idx for idx, _ in full.bianchi_residues]
     assert idxs == sorted(idxs)
+
+
+def test_corrupted_kahler_like_curvature_names_exactly_the_writes(rng):
+    # Chern on Iwasawa is Kahler-like; one write at a type-condition entry and one
+    # at R_{i jb k lb} (which enters B(i,j,k,l) and B(k,j,i,l)) must be reported
+    # exactly, with their values and counts
+    h = build_metric(rand_metric(rng))
+    curv = curvature_of(ConnectionSpec.preset("chern"), h, IWASAWA)
+    assert kahler_like_check(curv).verdict
+    r = curv.tensor.copy()
+    seventh = gr("1/7")
+    type_idx, b_idx = (0, 1, 3, 4), (0, 4, 2, 3)  # R[1,2,1b,2b] and R[1,2b,3,1b]
+    for idx in (type_idx, b_idx):
+        r[idx] = r[idx] + seventh
+    bad = CurvatureTensor(curv.spec, r)
+    report = kahler_like_check(bad)
+    assert not report.verdict
+    assert report.n_type_nonzero == 1 and report.n_bianchi_nonzero == 2
+    assert report.type_residues == ((type_idx, seventh),)
+    assert report.bianchi_residues == (((0, 4, 2, 3), seventh), ((2, 4, 0, 3), -seventh))
+    first = min(idx for idx, v in r.nonzero())
+    assert flatness_check(bad).witness == (first, r[first])
+
+
+def test_verdicts_build_values_only_for_witnesses(rng):
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    h = build_metric(rand_metric(rng))
+    curv = curvature_of(ConnectionSpec.preset("lc"), h, alg)
+    report = kahler_like_check(curv, witness_cap=100)
+    flat = flatness_check(curv)
+    gray = gray_check_lc(curv)
+    assert curv.tensor._values is None  # no full value list was built
+    assert not report.verdict and not flat.flat and not gray
+    # the numerator tests agree with tests on the values themselves
+    r = curv.tensor
+    type_res = [(idx, r[idx]) for idx in all_indices(4)
+                if ((idx[0] < 3 and idx[1] < 3) or (idx[2] < 3 and idx[3] < 3))
+                and not r[idx].is_zero()]
+    b_res = [((i, j + 3, k, l + 3), r[i, j + 3, k, l + 3] - r[k, j + 3, i, l + 3])
+             for i, j, k, l in itertools.product(range(3), repeat=4)]
+    b_res = [(idx, v) for idx, v in b_res if not v.is_zero()]
+    assert report.type_residues == tuple(type_res[:100])
+    assert report.bianchi_residues == tuple(b_res[:100])
+    assert (report.n_type_nonzero, report.n_bianchi_nonzero) == (len(type_res), len(b_res))
+    assert flat.witness == next(iter(r.nonzero()))
