@@ -19,7 +19,6 @@ from .tensors import (
     MultiTensor,
     all_indices,
     bar,
-    barred_count,
     flat_offset,
     numerator_value,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "d_is_zero",
     "wedge",
     "wedge_component",
-    "form_type_project",
 ]
 
 
@@ -86,9 +84,6 @@ class LieAlgebraCx:
                 if not v.is_zero():
                     entries[(i, j, k)] = -v
         return cls.from_structure_constants(entries)
-
-    def is_abelian(self) -> bool:
-        return self.c.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebraCx):
@@ -263,14 +258,5 @@ def wedge(a: MultiTensor, b: MultiTensor) -> MultiTensor:
     for idx in all_indices(a.rank + b.rank):
         v = wedge_component(a, b, idx)
         if not v.is_zero():
-            out[idx] = v
-    return out
-
-
-def form_type_project(alpha: MultiTensor, n_barred: int) -> MultiTensor:
-    """Keep only components whose index tuple carries the given number of barred slots."""
-    out = MultiTensor(alpha.rank)
-    for idx, v in alpha.nonzero():
-        if barred_count(idx) == n_barred:
             out[idx] = v
     return out

@@ -36,6 +36,7 @@ from .tensors import (
     INDICES,
     MultiTensor,
     UNBARRED,
+    _trace,
     all_indices,
     bar,
     index_name,
@@ -183,20 +184,6 @@ def _times_matrix(t, m):
                 re[base + k] += a * c - b * d
                 im[base + k] += a * d + b * c
     return MultiTensor.from_numerators(t.rank, re, im, t.den * m.den)
-
-
-def _trace(t, stride, pairs, g, rank=2):
-    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < 6**rank."""
-    pairs = [(o, g.re[w], g.im[w]) for o, w in pairs if g.re[w] or g.im[w]]
-    tre, tim = t.re, t.im
-    re = [0] * DIM ** rank
-    im = [0] * DIM ** rank
-    for n in range(DIM ** rank):
-        for o, c, d in pairs:
-            a, b = tre[stride * n + o], tim[stride * n + o]
-            re[n] += a * c - b * d
-            im[n] += a * d + b * c
-    return MultiTensor.from_numerators(rank, re, im, t.den * g.den)
 
 
 def _christoffel_core(c, g, g_inv, torsion=()):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebraCx
-from .connection import _christoffel_core, _operator, _trace
+from .connection import _christoffel_core, _operator
 from .metric import HermitianData
 from .scalars import ONE, GaussianRational
-from .tensors import DIM, INDICES, MultiTensor, bar, index_name, inverse
+from .tensors import DIM, INDICES, MultiTensor, _trace, bar, index_name, inverse
 
 __all__ = [
     "FlowState",

@@ -27,7 +27,6 @@ __all__ = [
     "ORACLE_FAMILIES",
     "OracleDomainError",
     "appendix_oracle",
-    "pipeline_components",
     "compare_components",
 ]
 
@@ -209,11 +208,8 @@ def _validate(case: OracleCase) -> HermitianData:
     return build_metric(m)
 
 
-def appendix_oracle(case: OracleCase) -> dict:
-    """Evaluate every closed-form component of the table at the given point.
-
-    Returns {label: expected value} with labels like 'R[1,2,1,1b]'.
-    """
+def _evaluate(case: OracleCase):
+    """The validated metric and the table as {(kind, i, j, k, l): expected value}."""
     h = _validate(case)
     m = case.metric
     if case.family_key == "Ni":
@@ -224,31 +220,28 @@ def appendix_oracle(case: OracleCase) -> dict:
         raw = _family_si_b0_table(m.r2, m.s2, m.u)
     else:
         raw = _family_g20_table(m.r2, m.s2, m.t2, m.v, m.z, case.eps, h.det_scaled)
-    return {_label(kind, i, j, k, l): v for (kind, i, j, k, l), v in raw.items()}
+    return h, raw
 
 
-def pipeline_components(case: OracleCase) -> dict:
-    """The same labeled components, read off the full tensor pipeline."""
-    h = _validate(case)
-    alg = instantiate(case.structure)
-    curv = curvature_of(ConnectionSpec.gauduchon(case.eps), h, alg)
-    b = BTensor(curv)
-    keys = appendix_oracle(case).keys()
-    out = {}
-    for key in keys:
-        kind = key[0]
-        nums = [int(ch) - 1 for ch in key if ch.isdigit()]
-        i, j, k, l = nums
-        if kind == "R":
-            out[key] = curv.tensor[i, j, k, l + 3]
-        else:
-            out[key] = b.component(i, j, k, l)
-    return out
+def appendix_oracle(case: OracleCase) -> dict:
+    """Evaluate every closed-form component of the table at the given point.
+
+    Returns {label: expected value} with labels like 'R[1,2,1,1b]'.
+    """
+    return {_label(*key): v for key, v in _evaluate(case)[1].items()}
 
 
 def compare_components(case: OracleCase):
-    """[(label, expected, got, equal)] sorted by label; exact equality per component."""
-    expected = appendix_oracle(case)
-    got = pipeline_components(case)
-    return [(key, expected[key], got[key], expected[key] == got[key])
-            for key in sorted(expected)]
+    """[(label, expected, got, equal)] sorted by label; exact equality per component.
+
+    The table is evaluated once and the pipeline is read at its raw keys:
+    R[i,j,k,lb] from the curvature, B[i,jb,k,lb] from the Bianchi tensor.
+    """
+    h, raw = _evaluate(case)
+    curv = curvature_of(ConnectionSpec.gauduchon(case.eps), h, instantiate(case.structure))
+    b = BTensor(curv)
+    rows = []
+    for (kind, i, j, k, l), expected in raw.items():
+        got = curv.tensor[i, j, k, l + 3] if kind == "R" else b.component(i, j, k, l)
+        rows.append((_label(kind, i, j, k, l), expected, got, expected == got))
+    return sorted(rows, key=lambda row: row[0])

@@ -6,9 +6,10 @@ format of the exact kernel: Gaussian-integer numerators over one positive
 common denominator (see MultiTensor); GaussianRational values appear only
 when entries are read.  This is the one module that turns GaussianRational
 values into numerators and back (numerator_value reads one entry), and it
-holds the one exact matrix inverse.  Values are treated as immutable once
-built: the constructors hand out fresh storage and no public operation
-mutates its arguments.
+holds the one exact matrix inverse and the one trace loop (_trace, shared by
+the Ricci traces, the flow's exact Ricci and the Lee form of the metric).
+Values are treated as immutable once built: the constructors hand out fresh
+storage and no public operation mutates its arguments.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ UNBARRED = (0, 1, 2)
 BARRED = (3, 4, 5)
 
 INDEX_NAMES = ("1", "2", "3", "1b", "2b", "3b")
-_NAME_TO_INDEX = {name: k for k, name in enumerate(INDEX_NAMES)}
 
 
 def bar(i: int) -> int:
@@ -38,17 +38,6 @@ def is_barred(i: int) -> bool:
 
 def index_name(i: int) -> str:
     return INDEX_NAMES[i]
-
-
-def parse_index(name: str) -> int:
-    try:
-        return _NAME_TO_INDEX[name.strip()]
-    except KeyError:
-        raise ValueError(f"unknown frame index {name!r}; expected one of {INDEX_NAMES}") from None
-
-
-def barred_count(idx: tuple) -> int:
-    return sum(1 for i in idx if i >= 3)
 
 
 def all_indices(rank: int):
@@ -264,6 +253,20 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
     return MultiTensor.from_numerators(t.rank + a.rank - 2, re, im, t.den * a.den).reduced()
 
 
+def _trace(t, stride, pairs, g, rank=2):
+    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < 6**rank."""
+    pairs = [(o, g.re[w], g.im[w]) for o, w in pairs if g.re[w] or g.im[w]]
+    tre, tim = t.re, t.im
+    re = [0] * DIM ** rank
+    im = [0] * DIM ** rank
+    for n in range(DIM ** rank):
+        for o, c, d in pairs:
+            a, b = tre[stride * n + o], tim[stride * n + o]
+            re[n] += a * c - b * d
+            im[n] += a * d + b * c
+    return MultiTensor.from_numerators(rank, re, im, t.den * g.den)
+
+
 def flat_offset(idx) -> int:
     """The flat offset of an index tuple: the tuple read in base 6."""
     off = 0
@@ -286,20 +289,3 @@ def antisymmetrize(t: MultiTensor, slots: tuple) -> MultiTensor:
         if not v.is_zero():
             out[idx] = half * v
     return out
-
-
-def is_skew_in(t: MultiTensor, p: int, q: int) -> bool:
-    """Check skewness of a tensor in the given pair of slots."""
-    for idx, v in t.nonzero():
-        swapped = list(idx)
-        swapped[p], swapped[q] = swapped[q], swapped[p]
-        if t[tuple(swapped)] != -v:
-            return False
-    return True
-
-
-def is_fully_skew(t: MultiTensor) -> bool:
-    for p in range(t.rank - 1):
-        if not is_skew_in(t, p, p + 1):
-            return False
-    return True

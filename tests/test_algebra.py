@@ -7,7 +7,6 @@ from curvlab.algebra import (
     d_component,
     d_is_zero,
     exterior_d,
-    form_type_project,
     validate_lie_algebra,
     wedge,
     wedge_component,
@@ -242,15 +241,3 @@ def test_wedge_component_matches_full(rng):
     full = wedge(a, b)
     for idx in itertools.combinations(range(6), 4):
         assert wedge_component(a, b, idx) == full[idx]
-
-
-def test_form_type_project():
-    om = MultiTensor(2)
-    om[0, 1] = ONE
-    om[1, 0] = -ONE
-    om[0, 4] = gr(2)
-    om[4, 0] = gr(-2)
-    pure = form_type_project(om, 0)
-    mixed = form_type_project(om, 1)
-    assert pure[0, 1] == ONE and pure[0, 4].is_zero()
-    assert mixed[0, 4] == gr(2) and mixed[0, 1].is_zero()

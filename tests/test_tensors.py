@@ -10,8 +10,6 @@ from curvlab.tensors import (
     identity_tensor,
     index_name,
     inverse,
-    is_fully_skew,
-    parse_index,
     tensor_conjugate,
 )
 
@@ -26,10 +24,6 @@ def test_bar_involution():
 
 def test_index_names():
     assert [index_name(i) for i in range(6)] == ["1", "2", "3", "1b", "2b", "3b"]
-    for i in range(6):
-        assert parse_index(index_name(i)) == i
-    with pytest.raises(ValueError):
-        parse_index("4")
 
 
 def rand_tensor(rng, rank):
@@ -151,15 +145,3 @@ def test_tensor_arithmetic(rng):
     assert (a - a).is_zero()
     assert (-a + a).is_zero()
     assert a.scale(gr(0)).is_zero()
-
-
-def test_is_fully_skew():
-    t = MultiTensor(3)
-    t[0, 1, 2] = ONE
-    assert not is_fully_skew(t)
-    perms = [((0, 1, 2), 1), ((1, 0, 2), -1), ((1, 2, 0), 1),
-             ((2, 1, 0), -1), ((2, 0, 1), 1), ((0, 2, 1), -1)]
-    t = MultiTensor(3)
-    for idx, sign in perms:
-        t[idx] = gr(sign)
-    assert is_fully_skew(t)
