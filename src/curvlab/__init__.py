@@ -4,7 +4,7 @@ six-dimensional Lie algebras with invariant complex structures."""
 __version__ = "0.1.0"
 
 from .scalars import GaussianRational, Rat, gr
-from .tensors import MultiTensor, antisymmetrize, contract, tensor_conjugate
+from .tensors import MultiTensor, contract
 from .algebra import LieAlgebraCx, exterior_d, validate_lie_algebra
 from .metric import (
     HermitianData,

@@ -416,6 +416,7 @@ def _loci_siv3(p):
 @dataclass(frozen=True)
 class _FamilyDef:
     id: str
+    params: tuple  # the names of the structure parameters the family takes
     param_doc: str
     algebras: str
     dphi: Callable
@@ -426,52 +427,52 @@ class _FamilyDef:
 
 _FAMILIES = {
     "Np": _FamilyDef(
-        "Np", "rho in {0,1}", "h1 (rho=0), h5 (rho=1)",
+        "Np", ("rho",), "rho in {0,1}", "h1 (rho=0), h5 (rho=1)",
         _dphi_np, _check_np, _loci_np, _label_np),
     "Ni": _FamilyDef(
-        "Ni", "rho in {0,1}; lambda real >= 0; D complex, Im D >= 0",
+        "Ni", ("rho", "lambda", "D"), "rho in {0,1}; lambda real >= 0; D complex, Im D >= 0",
         "h2, h3, h4, h5, h6, h8",
         _dphi_ni, _check_ni, _loci_ni, _label_ni),
     "Nii": _FamilyDef(
-        "Nii", "rho in {0,1}; B complex; c real >= 0; (rho,B,c) != (0,0,0)",
+        "Nii", ("rho", "B", "c"), "rho in {0,1}; B complex; c real >= 0; (rho,B,c) != (0,0,0)",
         "h7, h9..h16",
         _dphi_nii, _check_nii, _loci_never("Nii")),
     "Niii": _FamilyDef(
-        "Niii", "rho in {0,1}; sign in {+1,-1}", "h19- (rho=0), h26+ (rho=1)",
+        "Niii", ("rho", "sign"), "rho in {0,1}; sign in {+1,-1}", "h19- (rho=0), h26+ (rho=1)",
         _dphi_niii, _check_niii, _loci_niii),
     "Si": _FamilyDef(
-        "Si", "A with |A| = 1, Im A >= 0, A != -1",
+        "Si", ("A",), "A with |A| = 1, Im A >= 0, A != -1",
         "g1 (A=1), g2^alpha (alpha = Re A / Im A)",
         _dphi_si, _check_si, _loci_si, _label_si),
     "Sii": _FamilyDef(
-        "Sii", "x real > 0", "g3",
+        "Sii", ("x",), "x real > 0", "g3",
         _dphi_sii, _check_sii, _loci_sii),
     "Siii1": _FamilyDef(
-        "Siii1", "sign in {+1,-1}", "g4",
+        "Siii1", ("sign",), "sign in {+1,-1}", "g4",
         _dphi_siii1, _check_sign_only("Siii1"), _loci_siii1),
     "Siii2": _FamilyDef(
-        "Siii2", "none", "g5",
+        "Siii2", (), "none", "g5",
         _dphi_siii2, _check_none, _loci_siii2),
     "Siii3": _FamilyDef(
-        "Siii3", "none", "g6",
+        "Siii3", (), "none", "g6",
         _dphi_siii3, _check_none, _loci_never("Siii3")),
     "Siii4": _FamilyDef(
-        "Siii4", "sign in {+1,-1}", "g7",
+        "Siii4", ("sign",), "sign in {+1,-1}", "g7",
         _dphi_siii4, _check_sign_only("Siii4"), _loci_siii4),
     "Siv1": _FamilyDef(
-        "Siv1", "none", "g8",
+        "Siv1", (), "none", "g8",
         _dphi_siv1, _check_none, _loci_siv1),
     "Siv2": _FamilyDef(
-        "Siv2", "x in {0,1}", "g8",
+        "Siv2", ("x",), "x in {0,1}", "g8",
         _dphi_siv2, _check_siv2, _loci_never("Siv2")),
     "Siv3": _FamilyDef(
-        "Siv3", "A complex with |A| != 1", "g8",
+        "Siv3", ("A",), "A complex with |A| != 1", "g8",
         _dphi_siv3, _check_siv3, _loci_siv3),
     "Sv": _FamilyDef(
-        "Sv", "none", "g9",
+        "Sv", (), "none", "g9",
         _dphi_sv, _check_none, _loci_never("Sv")),
     "sl2c": _FamilyDef(
-        "sl2c", "none", "sl(2,C)",
+        "sl2c", (), "none", "sl(2,C)",
         _dphi_sl2c, _check_none, None),
 }
 
@@ -483,20 +484,29 @@ def family_info(family_id: str) -> _FamilyDef:
         raise FamilyDomainError(family_id, f"unknown family; known: {FAMILY_IDS}") from None
 
 
+def _validated(f: FamilySpec) -> _FamilyDef:
+    """The family of f, after rejecting parameters it does not take and out-of-domain values."""
+    fam = family_info(f.id)
+    unknown = sorted(set(f.params) - set(fam.params))
+    if unknown:
+        raise FamilyDomainError(f.id, f"unknown parameter(s) {', '.join(unknown)}; "
+                                      f"accepted: {', '.join(fam.params) or 'none'}")
+    fam.check(f)
+    return fam
+
+
 def instantiate(f: FamilySpec) -> LieAlgebraCx:
     """Build the complexified structure constants of a catalog family point.
 
-    Rejects out-of-domain parameters with the violated constraint named.
+    Rejects unknown and out-of-domain parameters with the violated constraint named.
     """
-    fam = family_info(f.id)
-    fam.check(f)
+    fam = _validated(f)
     return LieAlgebraCx.from_dphi(fam.dphi(f))
 
 
 def special_metric_loci(f: FamilySpec):
     """The special-metric loci for one family point; empty for families not covered."""
-    fam = family_info(f.id)
-    fam.check(f)
+    fam = _validated(f)
     if fam.loci is None:
         return []  # no special-metric classification is recorded for this family
     return fam.loci(f)

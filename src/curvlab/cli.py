@@ -456,13 +456,16 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
 
 def _load_config_defaults(argv):
-    # --config FILE provides defaults in flat key=value form, e.g. "format=json"
-    if "--config" not in argv:
+    # --config FILE provides defaults in flat key=value form, e.g. "format=json";
+    # a pre-parser finds it in every spelling argparse accepts (--config=FILE, --conf FILE)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        raise CliError("--config needs a file path") from None
+    if path is None:
         return None
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise CliError("--config needs a file path")
-    path = argv[idx + 1]
     try:
         with open(path) as fh:
             raw = fh.read()

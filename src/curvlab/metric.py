@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import LieAlgebraCx, d_component, d_is_zero, exterior_d, wedge
 from .scalars import I, GaussianRational, Rat, gr, rat_from_str
@@ -45,7 +46,6 @@ __all__ = [
     "j_factor",
 ]
 
-_HALF = Rat(1, 2)
 _MINUS_I = GaussianRational(0, -1)
 
 
@@ -88,46 +88,45 @@ class MetricParams:
         return cls(as_rat(r2), as_rat(s2), as_rat(t2), gr(u), gr(v), gr(z))
 
     def constraint_failures(self):
-        """Names of the positivity constraints this parameter set violates."""
-        r2, s2, t2, u, v, z = self.r2, self.s2, self.t2, self.u, self.v, self.z
-        bad = []
-        if not r2 > 0:
-            bad.append("r2 > 0")
-        if not s2 > 0:
-            bad.append("s2 > 0")
-        if not t2 > 0:
-            bad.append("t2 > 0")
-        if not r2 * s2 > u.abs2():
-            bad.append("r2*s2 > |u|^2")
-        if not r2 * t2 > z.abs2():
-            bad.append("r2*t2 > |z|^2")
-        if not s2 * t2 > v.abs2():
-            bad.append("s2*t2 > |v|^2")
-        if not determinant_scaled(self).re > 0:
-            bad.append("r2*s2*t2 + 2*Re(i*conj(u)*conj(v)*z) > t2*|u|^2 + r2*|v|^2 + s2*|z|^2")
-        return bad
+        """Names of the positivity constraints this parameter set violates, in order.
+
+        Sign tests on the parameters cleared to integers: each inequality is
+        homogeneous of degree 1, 2 or 3, so multiplying it by a power of d > 0
+        keeps it.
+        """
+        c = _cleared(self)[1]
+        r, s, t, ur, ui, vr, vi, zr, zi = c
+        tests = (
+            (r > 0, "r2 > 0"),
+            (s > 0, "s2 > 0"),
+            (t > 0, "t2 > 0"),
+            (r * s > ur * ur + ui * ui, "r2*s2 > |u|^2"),
+            (r * t > zr * zr + zi * zi, "r2*t2 > |z|^2"),
+            (s * t > vr * vr + vi * vi, "s2*t2 > |v|^2"),
+            (_determinant(c) > 0,
+             "r2*s2*t2 + 2*Re(i*conj(u)*conj(v)*z) > t2*|u|^2 + r2*|v|^2 + s2*|z|^2"),
+        )
+        return [name for ok, name in tests if not ok]
 
 
-def determinant_scaled(p: MetricParams) -> GaussianRational:
-    """8*i*det(Omega) = r2 s2 t2 - r2|v|^2 - s2|z|^2 - t2|u|^2 + 2 Re(i conj(u) conj(v) z)."""
-    triple = I * p.u.conjugate() * p.v.conjugate() * p.z
-    value = (p.r2 * p.s2 * p.t2
-             - p.r2 * p.v.abs2()
-             - p.s2 * p.z.abs2()
-             - p.t2 * p.u.abs2()
-             + 2 * triple.re)
-    return GaussianRational(value)
+def _cleared(p: MetricParams):
+    """d = lcm of the nine denominators of (r2, s2, t2, u, v, z), and d times each part.
+
+    The parts come as Python ints in the order r2, s2, t2, Re u, Im u, Re v,
+    Im v, Re z, Im z.
+    """
+    parts = (p.r2, p.s2, p.t2, p.u.re, p.u.im, p.v.re, p.v.im, p.z.re, p.z.im)
+    d = lcm(*(int(q.denominator) for q in parts))
+    return d, [int(q.numerator) * (d // int(q.denominator)) for q in parts]
 
 
-def _omega_matrix(p: MetricParams):
-    """The 3x3 coefficient matrix Omega with omega(phi_a, phi_bbar) = Omega[a][b]."""
-    ih = GaussianRational(0, _HALF)
-    half = GaussianRational(_HALF)
-    return [
-        [ih * gr(p.r2), half * p.u, half * p.z],
-        [-half * p.u.conjugate(), ih * gr(p.s2), half * p.v],
-        [-half * p.z.conjugate(), -half * p.v.conjugate(), ih * gr(p.t2)],
-    ]
+def _determinant(c) -> int:
+    """d^3 det_scaled = rst - r|v|^2 - s|z|^2 - t|u|^2 + 2 Re(i conj(u) conj(v) z), cleared."""
+    r, s, t, ur, ui, vr, vi, zr, zi = c
+    # w = u v, and Re(i conj(w) z) = Im(w) Re(z) - Re(w) Im(z)
+    wr, wi = ur * vr - ui * vi, ur * vi + ui * vr
+    return (r * s * t - r * (vr * vr + vi * vi) - s * (zr * zr + zi * zi) - t * (ur * ur + ui * ui)
+            + 2 * (wi * zr - wr * zi))
 
 
 @dataclass(frozen=True)
@@ -144,27 +143,31 @@ class HermitianData:
 def build_metric(p: MetricParams) -> HermitianData:
     """Validate the positivity constraints and assemble g, g^{-1}, and omega.
 
-    Raises MetricValidationError naming the first violated inequality.
+    Raises MetricValidationError naming the first violated inequality.  With
+    the parameters cleared to integers over d, 2d Omega is a Gaussian-integer
+    matrix, so omega and g = -i Omega (omega(x, y) = g(x, Jy) with
+    J phi_a = -i phi_a) are written as numerators over 2d.
     """
     bad = p.constraint_failures()
     if bad:
         raise MetricValidationError(bad[0])
 
-    om = _omega_matrix(p)
-
-    omega = MultiTensor(2)
-    g = MultiTensor(2)
+    d, c = _cleared(p)
+    r, s, t, ur, ui, vr, vi, zr, zi = c
+    om = (((0, r), (ur, ui), (zr, zi)),  # 2d Omega[a][b] as (re, im)
+          ((-ur, ui), (0, s), (vr, vi)),
+          ((-zr, zi), (-vr, vi), (0, t)))
+    ore, oim, gre, gim = [0] * 36, [0] * 36, [0] * 36, [0] * 36
     for a in range(3):
         for b in range(3):
-            w = om[a][b]
-            if w.is_zero():
-                continue
-            omega[a, b + 3] = w
-            omega[b + 3, a] = -w
-            gv = _MINUS_I * w  # omega(x, y) = g(x, Jy) with J phi_a = -i phi_a
-            g[a, b + 3] = gv
-            g[b + 3, a] = gv
-    return HermitianData(p, g, inverse(g), omega, determinant_scaled(p))
+            x, y = om[a][b]
+            n, m = 6 * a + b + 3, 6 * (b + 3) + a  # (a, bbar) and (bbar, a)
+            ore[n], oim[n], ore[m], oim[m] = x, y, -x, -y
+            gre[n] = gre[m] = y  # -i (x + y i) = y - x i
+            gim[n] = gim[m] = -x
+    omega = MultiTensor.from_numerators(2, ore, oim, 2 * d).reduced()
+    g = MultiTensor.from_numerators(2, gre, gim, 2 * d).reduced()
+    return HermitianData(p, g, inverse(g), omega, GaussianRational(Rat(_determinant(c), d ** 3)))
 
 
 # the sign s in T = s i d(omega) and in C = s i d(omega), per flat offset (i0, i1, i2)

@@ -149,22 +149,9 @@ class MultiTensor:
                 and all(a * s == b * o for a, b in zip(self.re, other.re))
                 and all(a * s == b * o for a, b in zip(self.im, other.im)))
 
-    def __add__(self, other: "MultiTensor") -> "MultiTensor":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return MultiTensor(self.rank, [a + b for a, b in zip(self._entries(), other._entries())])
-
-    def __sub__(self, other: "MultiTensor") -> "MultiTensor":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return MultiTensor(self.rank, [a - b for a, b in zip(self._entries(), other._entries())])
-
     def __neg__(self) -> "MultiTensor":
         return MultiTensor.from_numerators(self.rank, [-a for a in self.re],
                                            [-b for b in self.im], self.den)
-
-    def scale(self, s: GaussianRational) -> "MultiTensor":
-        return MultiTensor(self.rank, [s * a for a in self._entries()])
 
     def __repr__(self):
         nz = sum(1 for a, b in zip(self.re, self.im) if a or b)
@@ -217,16 +204,6 @@ def inverse(m: MultiTensor) -> MultiTensor:
                                        dr * dr + di * di).reduced()
 
 
-def tensor_conjugate(t: MultiTensor) -> MultiTensor:
-    """Componentwise conjugation with all indices barred: out[I...] = conj(t[bar(I)...])."""
-    out = MultiTensor(t.rank)
-    for idx in all_indices(t.rank):
-        v = t[tuple(bar(i) for i in idx)]
-        if not v.is_zero():
-            out[idx] = v.conjugate()
-    return out
-
-
 def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiTensor:
     """Sum over a shared frame index: Einstein contraction of slot_t of t with slot_a of a.
 
@@ -274,18 +251,3 @@ def flat_offset(idx) -> int:
         off = off * DIM + i
     return off
 
-
-def antisymmetrize(t: MultiTensor, slots: tuple) -> MultiTensor:
-    """(t - t with the two slots swapped) / 2; idempotent on skew tensors."""
-    p, q = slots
-    if t.rank < 2 or not (0 <= p < t.rank and 0 <= q < t.rank) or p == q:
-        raise ValueError(f"bad slot pair {slots} for rank-{t.rank} tensor")
-    half = GaussianRational("1/2")
-    out = MultiTensor(t.rank)
-    for idx in all_indices(t.rank):
-        swapped = list(idx)
-        swapped[p], swapped[q] = swapped[q], swapped[p]
-        v = t[idx] - t[tuple(swapped)]
-        if not v.is_zero():
-            out[idx] = half * v
-    return out

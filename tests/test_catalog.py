@@ -104,11 +104,16 @@ def test_domain_rejections():
         ("Siv2", {"x": 2}, "x in {0, 1}"),
         ("Siv3", {"A": "3/5+4/5*i"}, "|A| != 1"),
         ("Ni", {"rho": 0}, "lambda"),  # missing parameter
+        ("Np", {"rho": 1, "lambda": 2}, "unknown parameter(s) lambda; accepted: rho"),
+        ("sl2c", {"A": 5}, "unknown parameter(s) A; accepted: none"),
+        ("Nii", {"rho": 1, "B": 0, "c": 1, "b": 0, "C": 0},
+         "unknown parameter(s) C, b; accepted: rho, B, c"),
     ]
     for fid, params, fragment in cases:
-        with pytest.raises(FamilyDomainError) as err:
-            instantiate(FamilySpec.make(fid, **params))
-        assert fragment in str(err.value)
+        for query in (instantiate, special_metric_loci):
+            with pytest.raises(FamilyDomainError) as err:
+                query(FamilySpec.make(fid, **params))
+            assert fragment in str(err.value)
 
 
 def test_unknown_family():

@@ -119,10 +119,16 @@ def test_usage_errors(capsys, tmp_path):
                              "--metric", "r2=1,s2=1,t2=1", "--horizon", horizon, "--step", step)
         assert code == 2 and "whole number of steps" in err and not out
 
+    for family, params in (("Np", "rho=1,lambda=2"), ("sl2c", "A=5")):
+        code, out, err = run(capsys, "classify", "--family", family, "--set", params,
+                             "--metric", "r2=1")
+        assert code == 2 and "unknown parameter(s)" in err and not out
+
     cfg = tmp_path / "curvlab.cfg"
     cfg.write_text("points=0\n")
     for sub in ("theorems", "appendix"):
-        for argv in (("verify", sub, "--points", "0"), ("--config", str(cfg), "verify", sub)):
+        for argv in (("verify", sub, "--points", "0"), ("--config", str(cfg), "verify", sub),
+                     (f"--config={cfg}", "verify", sub), ("--conf", str(cfg), "verify", sub)):
             code, out, err = run(capsys, *argv)
             assert code == 2 and "--points must be at least 1" in err and not out
 
@@ -194,6 +200,9 @@ def test_config_file_defaults(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(cfg), "catalog", "list")
     assert code == 0
     assert json.loads(out)  # format=json applied from the config file
+    for spelling in ((f"--config={cfg}",), ("--conf", str(cfg))):
+        code, out_other, _ = run(capsys, *spelling, "catalog", "list")
+        assert code == 0 and out_other == out
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("frobnicate=1\n")

@@ -277,8 +277,6 @@ def test_closed_form_pins_other_families():
     These guard the structure-equation transcriptions of (Nii), (Siv2),
     and (Sv) against independently derived closed forms.
     """
-    from curvlab.metric import determinant_scaled
-
     def b_comp(r, i, j, k, l):
         return r.tensor[i - 1, j + 2, k - 1, l + 2] - r.tensor[k - 1, j + 2, i - 1, l + 2]
 
@@ -287,7 +285,7 @@ def test_closed_form_pins_other_families():
         alg = instantiate(FamilySpec.make("Nii", rho=rho, B=b_par, c=c_par))
         p = MetricParams.make(r2=2, s2=1, t2="3/2", u="1/5", v="1/6*i", z="1/7")
         h = build_metric(p)
-        det2 = GaussianRational(determinant_scaled(p).re / 2)
+        det2 = GaussianRational(h.det_scaled.re / 2)
         b2 = gr(b_par).abs2()
         pref = GaussianRational(p.t2 * p.t2 * (p.s2 * p.t2 - p.v.abs2()))
         for eps in (Rat(1, 6), Rat(1, 4), Rat(1, 2)):
@@ -305,7 +303,7 @@ def test_closed_form_pins_other_families():
         alg = instantiate(FamilySpec.make("Siv2", x=x))
         p = MetricParams.make(r2=2, s2=1, t2="3/2", u="1/4+1/5*i", v="1/6", z="1/7*i")
         h = build_metric(p)
-        two_det = GaussianRational(0, Rat(-1, 4)) * GaussianRational(determinant_scaled(p).re)
+        two_det = GaussianRational(0, Rat(-1, 4)) * h.det_scaled
         u2 = p.u.abs2()
         rs = p.r2 * p.s2
         for eps in (Rat(1, 6), Rat(1, 2)):

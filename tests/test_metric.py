@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,11 +11,10 @@ from curvlab.metric import (
     balanced_via_omega_squared,
     build_metric,
     classify_metric,
-    determinant_scaled,
     j_factor,
     torsion_forms,
 )
-from curvlab.scalars import I, gr
+from curvlab.scalars import I, GaussianRational, Rat, gr
 from curvlab.tensors import (
     BARRED,
     UNBARRED,
@@ -22,6 +22,7 @@ from curvlab.tensors import (
     all_indices,
     contract,
     identity_tensor,
+    inverse,
     is_barred,
 )
 
@@ -52,9 +53,7 @@ def test_rejections_name_the_inequality():
 
 def test_det_scaled_direct_substitution():
     # frozen: 1 - 3/4 + 2 Re(i/8) = 1/4 at u = v = z = 1/2
-    p = MetricParams.make(u="1/2", v="1/2", z="1/2")
-    assert determinant_scaled(p) == gr("1/4")
-    h = build_metric(p)
+    h = build_metric(MetricParams.make(u="1/2", v="1/2", z="1/2"))
     assert h.det_scaled == gr("1/4")
 
 
@@ -62,13 +61,108 @@ def test_det_scaled_matches_matrix_determinant(rng):
     # oracle: 8i det(Omega) computed from the explicit 3x3 determinant
     for _ in range(10):
         p = rand_metric(rng)
-        om = [[I * gr(p.r2) * gr("1/2"), p.u * gr("1/2"), p.z * gr("1/2")],
-              [-p.u.conjugate() * gr("1/2"), I * gr(p.s2) * gr("1/2"), p.v * gr("1/2")],
-              [-p.z.conjugate() * gr("1/2"), -p.v.conjugate() * gr("1/2"), I * gr(p.t2) * gr("1/2")]]
+        om = ref_omega_matrix(p)
         det = (om[0][0] * (om[1][1] * om[2][2] - om[1][2] * om[2][1])
                - om[0][1] * (om[1][0] * om[2][2] - om[1][2] * om[2][0])
                + om[0][2] * (om[1][0] * om[2][1] - om[1][1] * om[2][0]))
-        assert determinant_scaled(p) == gr(8) * I * det
+        assert build_metric(p).det_scaled == gr(8) * I * det
+        assert ref_determinant_scaled(p) == gr(8) * I * det
+
+
+# The value route: Omega, det_scaled and the positivity tests in GaussianRational
+# arithmetic, written independently of the integer construction in curvlab.metric.
+_HALF = GaussianRational(Rat(1, 2))
+_DET_NAME = "r2*s2*t2 + 2*Re(i*conj(u)*conj(v)*z) > t2*|u|^2 + r2*|v|^2 + s2*|z|^2"
+
+
+def ref_omega_matrix(p):
+    """The 3x3 coefficient matrix Omega with omega(phi_a, phi_bbar) = Omega[a][b]."""
+    ih = I * _HALF
+    return [
+        [ih * gr(p.r2), _HALF * p.u, _HALF * p.z],
+        [-_HALF * p.u.conjugate(), ih * gr(p.s2), _HALF * p.v],
+        [-_HALF * p.z.conjugate(), -_HALF * p.v.conjugate(), ih * gr(p.t2)],
+    ]
+
+
+def ref_determinant_scaled(p):
+    """8 i det(Omega) = r2 s2 t2 - r2|v|^2 - s2|z|^2 - t2|u|^2 + 2 Re(i conj(u) conj(v) z)."""
+    triple = I * p.u.conjugate() * p.v.conjugate() * p.z
+    return GaussianRational(p.r2 * p.s2 * p.t2 - p.r2 * p.v.abs2() - p.s2 * p.z.abs2()
+                            - p.t2 * p.u.abs2() + 2 * triple.re)
+
+
+def ref_constraint_failures(p):
+    checks = ((p.r2 > 0, "r2 > 0"), (p.s2 > 0, "s2 > 0"), (p.t2 > 0, "t2 > 0"),
+              (p.r2 * p.s2 > p.u.abs2(), "r2*s2 > |u|^2"),
+              (p.r2 * p.t2 > p.z.abs2(), "r2*t2 > |z|^2"),
+              (p.s2 * p.t2 > p.v.abs2(), "s2*t2 > |v|^2"),
+              (ref_determinant_scaled(p).re > 0, _DET_NAME))
+    return [name for ok, name in checks if not ok]
+
+
+def ref_metric(p):
+    """(g, omega) written entry by entry from Omega, with g(phi_a, phi_bbar) = -i Omega[a][b]."""
+    om = ref_omega_matrix(p)
+    g, omega = MultiTensor(2), MultiTensor(2)
+    for a in range(3):
+        for b in range(3):
+            w = om[a][b]
+            if w.is_zero():
+                continue
+            omega[a, b + 3] = w
+            omega[b + 3, a] = -w
+            g[a, b + 3] = g[b + 3, a] = -I * w
+    return g, omega
+
+
+def assert_matches_reference(p):
+    bad = ref_constraint_failures(p)
+    assert p.constraint_failures() == bad
+    if bad:
+        with pytest.raises(MetricValidationError) as err:
+            build_metric(p)
+        assert err.value.constraint == bad[0]
+        return False
+    h = build_metric(p)
+    g, omega = ref_metric(p)
+    for got, want in ((h.g, g), (h.g_inv, inverse(g)), (h.omega, omega)):
+        assert got == want
+        assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
+    assert type(h.det_scaled) is GaussianRational
+    assert h.det_scaled == ref_determinant_scaled(p)
+    return True
+
+
+def test_integer_construction_matches_value_reference():
+    rng = random.Random(31)
+    dens = (1, 2, 3, 4, 5, 6, 7, 9, 11, 13)
+
+    def q(lo, hi):
+        return Rat(rng.randint(lo, hi), rng.choice(dens))
+
+    def c():
+        return GaussianRational(q(-2, 2), q(-2, 2)) if rng.random() < 0.8 else GaussianRational(0)
+
+    valid = sum(assert_matches_reference(MetricParams(q(0, 9), q(0, 9), q(0, 9), c(), c(), c()))
+                for _ in range(1200))
+    assert valid > 300 and 1200 - valid > 300  # both sides of the positivity boundary
+
+
+@pytest.mark.parametrize("kwargs, bad", [
+    # det_scaled = 1 - 3/4 - 1/4 = 0 exactly while every 2x2 minor is 3/4
+    (dict(u="1/2", v="1/2", z="1/2*i"), [_DET_NAME]),
+    # the triple-product term flips sign with z: 1 - 3/4 + 1/4 = 1/2
+    (dict(u="1/2", v="1/2", z="-1/2*i"), []),
+    # r2 s2 = |u|^2 holds with equality, so the strict inequalities fail
+    (dict(r2=1, s2=1, u=1), ["r2*s2 > |u|^2", _DET_NAME]),
+    (dict(r2=-1), ["r2 > 0", "r2*s2 > |u|^2", "r2*t2 > |z|^2", _DET_NAME]),
+    (dict(r2="2/7", s2="3/11", t2="5/13", u="1/13-1/7*i", v="1/7*i", z="1/11+1/13*i"), []),
+])
+def test_reference_boundary_cases(kwargs, bad):
+    p = MetricParams.make(**kwargs)
+    assert p.constraint_failures() == bad
+    assert assert_matches_reference(p) == (not bad)
 
 
 def test_metric_structure(rng):

@@ -5,7 +5,7 @@ import pytest
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import ConnectionSpec, CurvatureTensor, curvature_of
-from curvlab.metric import MetricParams, build_metric, determinant_scaled
+from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import GaussianRational, Rat, gr
 from curvlab.symmetry import (
     BTensor,
@@ -65,7 +65,7 @@ def test_iwasawa_gauduchon_witness_closed_form(rng):
     for _ in range(3):
         p = rand_metric(rng)
         h = build_metric(p)
-        det = determinant_scaled(p)
+        det = h.det_scaled
         for eps in (Rat(1, 6), Rat(1, 4), Rat(1, 2), Rat(2, 3)):
             curv = curvature_of(ConnectionSpec.gauduchon(eps), h, IWASAWA)
             report = kahler_like_check(curv)

@@ -1,16 +1,14 @@
 import pytest
 
-from curvlab.scalars import I, ONE, ZERO, gr
+from curvlab.scalars import ZERO, gr
 from curvlab.tensors import (
     MultiTensor,
     all_indices,
-    antisymmetrize,
     bar,
     contract,
     identity_tensor,
     index_name,
     inverse,
-    tensor_conjugate,
 )
 
 from conftest import hermitian_point, rand_gauss
@@ -32,23 +30,6 @@ def rand_tensor(rng, rank):
         idx = tuple(rng.randrange(6) for _ in range(rank))
         t[idx] = rand_gauss(rng)
     return t
-
-
-def test_conjugate_involution_random(rng):
-    for rank in (1, 2, 3, 4):
-        t = rand_tensor(rng, rank)
-        assert tensor_conjugate(tensor_conjugate(t)) == t
-
-
-def test_conjugate_examples():
-    zero = MultiTensor(2)
-    assert tensor_conjugate(zero).is_zero()
-
-    t = MultiTensor(1)
-    t[0] = I
-    out = tensor_conjugate(t)
-    assert out[3] == -I
-    assert sum(1 for _, _v in out.nonzero()) == 1
 
 
 def test_contract_identity(rng):
@@ -106,42 +87,3 @@ def test_inverse_is_exact_and_rejects_a_singular_matrix(rng):
         singular[5, j] = singular[0, j] * gr("2-i")
     with pytest.raises(ZeroDivisionError):
         inverse(singular)
-
-
-def test_antisymmetrize():
-    # e^1 (x) e^2 -> (e^1 (x) e^2 - e^2 (x) e^1) / 2
-    t = MultiTensor(2)
-    t[0, 1] = ONE
-    out = antisymmetrize(t, (0, 1))
-    assert out[0, 1] == gr("1/2")
-    assert out[1, 0] == gr("-1/2")
-
-    sym = MultiTensor(2)
-    sym[0, 1] = sym[1, 0] = ONE
-    assert antisymmetrize(sym, (0, 1)).is_zero()
-
-    skew = MultiTensor(2)
-    skew[2, 4] = ONE
-    skew[4, 2] = -ONE
-    assert antisymmetrize(skew, (0, 1)) == skew
-    # idempotent
-    assert antisymmetrize(antisymmetrize(t, (0, 1)), (0, 1)) == antisymmetrize(t, (0, 1))
-
-
-def test_antisymmetrize_slot_errors():
-    t = MultiTensor(1)
-    with pytest.raises(ValueError):
-        antisymmetrize(t, (0, 1))
-    t2 = MultiTensor(2)
-    with pytest.raises(ValueError):
-        antisymmetrize(t2, (0, 0))
-
-
-def test_tensor_arithmetic(rng):
-    a, b = rand_tensor(rng, 2), rand_tensor(rng, 2)
-    s = a + b
-    for idx in all_indices(2):
-        assert s[idx] == a[idx] + b[idx]
-    assert (a - a).is_zero()
-    assert (-a + a).is_zero()
-    assert a.scale(gr(0)).is_zero()
