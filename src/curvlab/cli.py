@@ -448,6 +448,12 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         for parser in parsers:
             known = {a.dest for a in parser._actions}
             all_dests |= known
+            for action in parser._actions:
+                value = config_defaults.get(action.dest)
+                if action.choices is not None and value is not None \
+                        and value not in action.choices:
+                    raise CliError(f"config key {action.dest!r}: invalid choice {value!r} "
+                                   f"(choose from {', '.join(map(repr, action.choices))})")
             parser.set_defaults(**{k: v for k, v in config_defaults.items() if k in known})
         unknown = set(config_defaults) - all_dests
         if unknown:
@@ -479,7 +485,10 @@ def _load_config_defaults(argv):
         key, sep, val = line.partition("=")
         if not sep:
             raise CliError(f"bad config line {line!r}; expected key=value")
-        defaults[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key in defaults:
+            raise CliError(f"repeated config key {key!r}")
+        defaults[key] = val.strip()
     for key in ("seed", "points", "draws", "witness_cap"):
         if key in defaults:
             try:

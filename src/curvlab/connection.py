@@ -13,11 +13,14 @@ The curvature operator R(x, y) = [nabla_x, nabla_y] - nabla_[x,y] has raised
 components R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A
 - c_{IH}^B Gamma_{BK}^A.  The stored (4,0)-tensor is the lowered operator
 R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K), the
-component orientation of the golden tables (see docs/conventions.md); the
-Bianchi defect is built on the same operator, and the flow's exact Ricci is
-its trace.  The Riemannian Ricci ric_lc keeps the standard orientation, so
-the Ricci flow has its usual sign.  All of it runs on one Gaussian-integer
-kernel (below) that reads and writes the numerators MultiTensor stores.
+component orientation of the golden tables (see docs/conventions.md).  Lowering
+acts only on the A slot, and Gamma_{IB}^A g_{AL} = Gamma_{IB,L}, so
+R_{IHKL} = -(Gamma_{HK}^B Gamma_{IB,L} - Gamma_{IK}^B Gamma_{HB,L} - c_{IH}^B Gamma_{BK,L})
+needs no metric contraction.  The Bianchi defect is built on the raised
+operator, and the flow's exact Ricci is its trace.  The Riemannian Ricci
+ric_lc keeps the standard orientation, so the Ricci flow has its usual sign.
+All of it runs on one Gaussian-integer kernel (below) that reads and writes
+the numerators MultiTensor stores.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .tensors import (
     _trace,
     all_indices,
     bar,
+    contract,
     index_name,
     is_barred,
 )
@@ -172,20 +176,6 @@ def _rows(t):
     return rows
 
 
-def _times_matrix(t, m):
-    """out[..., K] = sum_L t[..., L] m[L, K]: the last slot of t contracted with a 6x6 matrix."""
-    mrows = _rows(m)
-    re = [0] * len(t.re)
-    im = [0] * len(re)
-    for p, row in enumerate(_rows(t)):
-        base = p * DIM
-        for l, a, b in row:
-            for k, c, d in mrows[l]:
-                re[base + k] += a * c - b * d
-                im[base + k] += a * d + b * c
-    return MultiTensor.from_numerators(t.rank, re, im, t.den * m.den)
-
-
 def _christoffel_core(c, g, g_inv, torsion=()):
     """Lowered and raised symbols of Gamma^LC + sum q t over the (q, t) pairs in torsion.
 
@@ -206,18 +196,21 @@ def _christoffel_core(c, g, g_inv, torsion=()):
                     re[off] += s * tr
                     im[off] += s * ti
     low = _combine([(_HALF, MultiTensor.from_numerators(3, re, im, c.den * g.den)), *torsion])
-    return low, _times_matrix(low, g_inv).reduced()
+    return low, contract(low, g_inv, 2, 0)
 
 
-def _operator(gamma, c):
-    """The raised curvature operator R(I,H)K^A as a rank-4 tensor over (I, H, K, A).
+def _operator(gamma, c, x):
+    """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} over (I, H, K, X).
 
-    R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A - c_{IH}^B Gamma_{BK}^A,
-    evaluated for I < H and filled in by skewness in (I, H); its denominator
-    is the square of the lcm of gamma's and c's.
+    Bilinear in the symbols gamma and a rank-3 table x whose last slot is the
+    output slot: x = gamma gives the raised operator R(I,H)K^A, and x = the
+    lowered symbols Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  Evaluated for
+    I < H and filled in by skewness in (I, H), over the denominator of the
+    (gamma, c) pair times x's.
     """
     gamma, c = _common(gamma, c)
-    rows = _rows(gamma)  # rows[6 I + B] = nonzero (A, Gamma_{IB}^A)
+    rows = _rows(gamma)  # rows[6 H + K] = nonzero (B, Gamma_{HK}^B)
+    xrows = _rows(x)  # xrows[6 I + B] = nonzero (L, X_{IB,L})
     crows = _rows(c)
     re = [0] * DIM ** 4
     im = [0] * DIM ** 4
@@ -228,11 +221,11 @@ def _operator(gamma, c):
                 ar, ai = [0] * DIM, [0] * DIM
                 for first, second, s in ((6 * hh + k, 6 * i, 1), (6 * i + k, 6 * hh, -1)):
                     for b, xr, xi in rows[first]:
-                        for a, yr, yi in rows[second + b]:
+                        for a, yr, yi in xrows[second + b]:
                             ar[a] += s * (xr * yr - xi * yi)
                             ai[a] += s * (xr * yi + xi * yr)
                 for b, xr, xi in crow:
-                    for a, yr, yi in rows[6 * b + k]:
+                    for a, yr, yi in xrows[6 * b + k]:
                         ar[a] -= xr * yr - xi * yi
                         ai[a] -= xr * yi + xi * yr
                 up = 216 * i + 36 * hh + 6 * k
@@ -240,7 +233,7 @@ def _operator(gamma, c):
                 for a in INDICES:
                     re[up + a], im[up + a] = ar[a], ai[a]
                     re[down + a], im[down + a] = -ar[a], -ai[a]
-    return MultiTensor.from_numerators(4, re, im, gamma.den * gamma.den)
+    return MultiTensor.from_numerators(4, re, im, gamma.den * x.den)
 
 
 @dataclass(frozen=True)
@@ -275,9 +268,11 @@ class CurvatureTensor:
 def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
     """The (4,0)-curvature in the pinned component orientation: the lowered operator
 
-    R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K).
+    R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K),
+
+    read off the lowered symbols gamma.lowered; h is not read.
     """
-    r = _times_matrix(_operator(gamma.gamma, alg.c), -h.g)
+    r = -_operator(gamma.gamma, alg.c, gamma.lowered)
     return CurvatureTensor(gamma.spec, r.reduced())
 
 
@@ -319,7 +314,7 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
 
     The defect is (cyclic sum of R(x,y)z) - (d^nabla T)(x,y,z), a vector-valued
     3-tensor that must vanish identically for every metric connection.  Its
-    curvature side is the operator the stored curvature lowers, so it is the
+    curvature side is the raised form of the stored curvature's operator, so it is the
     structural oracle for the whole Christoffel/curvature pipeline.  Both sides
     are fully skew in (x, y, z), so sorted triples are evaluated.
     """
@@ -331,7 +326,7 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
         3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
         [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
 
-    rop = _operator(gamma, c)
+    rop = _operator(gamma, c, gamma)
     rre, rim = rop.re, rop.im
     trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
     dre = [0] * DIM ** 4

@@ -49,7 +49,7 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     g = MultiTensor(2, [v for row in g6 for v in row])
     _, gamma = _christoffel_core(alg.c, g, inverse(g))
     # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A; unit weights
-    ric = _trace(_operator(gamma, alg.c), 6, [(217 * a, 0) for a in INDICES],
+    ric = _trace(_operator(gamma, alg.c, gamma), 6, [(217 * a, 0) for a in INDICES],
                  MultiTensor(0, [ONE]))
     return [[ric[h, k] for k in INDICES] for h in INDICES]
 

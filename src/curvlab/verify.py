@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import random
 from dataclasses import dataclass, field
 
-from .algebra import d_is_zero, exterior_d, validate_lie_algebra
+from .algebra import d_component, exterior_d, validate_lie_algebra
 from .catalog import FamilySpec, instantiate
 from .connection import (
     ConnectionSpec,
@@ -36,7 +37,7 @@ from .connection import (
 from .metric import MetricParams, build_metric, classify_metric
 from .scalars import GaussianRational, Rat, gr
 from .symmetry import flatness_check, gray_check_lc, kahler_like_check
-from .tensors import contract, identity_tensor, index_name
+from .tensors import INDICES, all_indices, contract, index_name, numerator_value
 
 __all__ = [
     "SamplePlan",
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS_SET = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2), Rat(2, 3))
+RANDOM_EPS_COUNT = 1  # seeded random eps off {0, 1/2} added to DEFAULT_EPS_SET per case
+EPS_HEIGHT = 10  # the random eps are a/b with |a| <= 2 EPS_HEIGHT, 1 <= b <= EPS_HEIGHT
 
 
 class SamplingError(RuntimeError):
@@ -63,23 +66,20 @@ class SamplePlan:
 
     seed: int = 0
     points_per_case: int = 5
-    identity_points: int = 7
-    height: int = 10
-    eps_set: tuple = DEFAULT_EPS_SET
-    random_eps_count: int = 1
 
     def rng_for(self, tag: str) -> random.Random:
         # per-tag streams keep results independent of evaluation order
         return random.Random(f"{self.seed}:{tag}")
 
-    def gauduchon_eps(self, rng: random.Random):
-        """The named eps values plus seeded random rationals off {0, 1/2}."""
-        eps = list(self.eps_set)
-        while len(eps) < len(self.eps_set) + self.random_eps_count:
-            e = Rat(rng.randint(-2 * self.height, 2 * self.height), rng.randint(1, self.height))
-            if e != 0 and e != Rat(1, 2) and e not in eps:
-                eps.append(e)
-        return eps
+
+def _gauduchon_eps(rng: random.Random):
+    """The named eps values plus seeded random rationals off {0, 1/2}."""
+    eps = list(DEFAULT_EPS_SET)
+    while len(eps) < len(DEFAULT_EPS_SET) + RANDOM_EPS_COUNT:
+        e = Rat(rng.randint(-2 * EPS_HEIGHT, 2 * EPS_HEIGHT), rng.randint(1, EPS_HEIGHT))
+        if e != 0 and e != Rat(1, 2) and e not in eps:
+            eps.append(e)
+    return eps
 
 
 def _rand_pos(rng, height):
@@ -340,7 +340,7 @@ def _structure_for(case: TheoremCase, rng) -> FamilySpec:
     return FamilySpec.make(case.family, **{k: gr(v) for k, v in params.items()})
 
 
-def _specs_for(case: TheoremCase, plan: SamplePlan, rng):
+def _specs_for(case: TheoremCase, rng):
     token = case.specs
     if token == "chern":
         return [ConnectionSpec.preset("chern")]
@@ -348,7 +348,7 @@ def _specs_for(case: TheoremCase, plan: SamplePlan, rng):
         return [ConnectionSpec.preset("bismut")]
     if token == "lc":
         return [ConnectionSpec.preset("lc")]
-    eps = plan.gauduchon_eps(rng)
+    eps = _gauduchon_eps(rng)
     if token == "gauduchon-all":
         chosen = eps
     elif token == "gauduchon-nonchern":
@@ -436,7 +436,7 @@ def _witness_str(report) -> str:
 def evaluate_case(case: TheoremCase, plan: SamplePlan):
     """Run one theorem case; returns (per-spec CaseResults, conjecture log rows)."""
     rng = plan.rng_for(case.case_id)
-    specs = _specs_for(case, plan, rng)
+    specs = _specs_for(case, rng)
     expected = _expected_str(case)
 
     observations = {spec.label(): [] for spec in specs}
@@ -595,6 +595,27 @@ _SWEEP_STRUCTURES = (
 )
 
 
+def _identity_witness(prod):
+    """The first entry where a 6x6 matrix differs from the Kronecker delta, labelled,
+    with the difference, or None for the identity; only a witness builds a value."""
+    for n, (i, j) in enumerate(all_indices(2)):
+        re, im = prod.re[n] - (prod.den if i == j else 0), prod.im[n]
+        if re or im:
+            label = f"(g*g_inv - id)[{index_name(i)},{index_name(j)}]"
+            return label, numerator_value(re, im, prod.den)
+    return None
+
+
+def _d_witness(domega, alg):
+    """The first nonzero component of d(d omega) over sorted index tuples, labelled,
+    or None when d(d omega) = 0; a zero component builds no value."""
+    for idx in itertools.combinations(INDICES, domega.rank + 1):
+        value = d_component(domega, alg, idx)
+        if not value.is_zero():
+            return f"d(d omega)[{','.join(index_name(i) for i in idx)}]", value
+    return None
+
+
 def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int = 2,
                      random_gauduchon: int = 3):
     """Exact structural identities over the catalog.
@@ -607,7 +628,6 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
     """
     plan = plan or SamplePlan()
     results = []
-    ident = identity_tensor()
 
     for family_id, params in _SWEEP_STRUCTURES:
         rng = plan.rng_for(f"sweep:{family_id}:{sorted(params.items())!r}")
@@ -630,14 +650,10 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
             h = build_metric(metric)
             point = f"{tag} metric#{m_index}"
 
-            prod = contract(h.g, h.g_inv, 1, 0)
-            results.append(IdentityResult(
-                f"g-ginv-identity[{point}]", prod == ident, 1,
-                None if prod == ident else (point, "g*g_inv", gr(0))))
-
-            d2 = d_is_zero(exterior_d(h.omega, alg), alg)
-            results.append(IdentityResult(f"d-squared[{point}]", d2, 1,
-                                          None if d2 else (point, "d(d omega)", gr(0))))
+            for name, wit in (("g-ginv-identity", _identity_witness(contract(h.g, h.g_inv, 1, 0))),
+                              ("d-squared", _d_witness(exterior_d(h.omega, alg), alg))):
+                results.append(IdentityResult(f"{name}[{point}]", wit is None, 1,
+                                              None if wit is None else (point, *wit)))
 
             for spec in specs:
                 sp = f"{point} {spec.label()}"

@@ -141,6 +141,18 @@ def test_usage_errors(capsys, tmp_path):
             code, out, err = run(capsys, *full)
             assert code == 2 and message in err and not out
 
+    classify = ("classify", "--family", "Np", "--set", "rho=1", "--metric", "r2=1,s2=1,t2=1")
+    with pytest.raises(SystemExit) as exc:  # argparse's own exit for a flag
+        main([*classify, "--format", "xml"])
+    assert exc.value.code == 2 and "invalid choice: 'xml'" in capsys.readouterr().err
+    cfg.write_text("format=xml\n")
+    code, out, err = run(capsys, "--config", str(cfg), *classify)
+    assert code == 2 and "'format': invalid choice 'xml'" in err and not out
+
+    cfg.write_text("points=0\npoints=1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "theorems")
+    assert code == 2 and "repeated config key 'points'" in err and not out
+
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from curvlab import connection, goldens
+from curvlab import connection, goldens, verify
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
@@ -17,7 +19,7 @@ from curvlab.connection import (
 )
 from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import GaussianRational, Rat, ZERO, gr
-from curvlab.tensors import all_indices
+from curvlab.tensors import all_indices, contract
 
 from conftest import rand_metric
 
@@ -263,11 +265,58 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
 
     operator = connection._operator
 
-    def flipped(gamma, c):
-        return operator(gamma, -c)
+    def flipped(gamma, c, x):
+        return operator(gamma, -c, x)
 
     monkeypatch.setattr(connection, "_operator", flipped)
     assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
+    assert not all(ok for *_, ok in goldens.compare_components(case))
+
+
+def _raise_then_lower(table, h, alg):
+    """The stored curvature by the raised route: the raised operator lowered with -g."""
+    raised = connection._operator(table.gamma, alg.c, table.gamma)
+    return (-contract(raised, h.g, 3, 0)).reduced()
+
+
+def test_curvature_matches_raise_then_lower_reference():
+    """Read off the lowered symbols, the stored curvature has exactly the numerators
+    and denominator of the raised operator lowered by -g, over the sweep's 21
+    structures x (6 presets + 2 seeded Gauduchon eps) x 2 seeded metrics."""
+    checked = 0
+    for family_id, params in verify._SWEEP_STRUCTURES:
+        rng = random.Random(f"reference:{family_id}:{sorted(params.items())!r}")
+        alg = instantiate(FamilySpec.make(family_id, **params))
+        specs = [ConnectionSpec.preset(name) for name in PRESETS]
+        specs += [ConnectionSpec.gauduchon(Rat(rng.randint(-12, 12), rng.randint(1, 8)))
+                  for _ in range(2)]
+        for _ in range(2):
+            h = build_metric(verify.sample_metric(rng))
+            for spec in specs:
+                table = christoffel(spec, h, alg)
+                got, want = curvature(table, h, alg).tensor, _raise_then_lower(table, h, alg)
+                assert (got.re, got.im, got.den) == (want.re, want.im, want.den), \
+                    (family_id, params, spec.label())
+                checked += 1
+    assert checked == 21 * 8 * 2
+
+
+def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):
+    """Curvature built on the raised symbols where the lowered ones belong fails
+    both the goldens and the raise-then-lower reference."""
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    h = build_metric(rand_metric(rng))
+    table = christoffel(ConnectionSpec.preset("chern"), h, alg)
+    case = goldens.OracleCase(
+        "Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
+        MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), Rat(1, 4))
+    operator = connection._operator
+
+    def raised(gamma, c, x):
+        return operator(gamma, c, gamma)
+
+    monkeypatch.setattr(connection, "_operator", raised)
+    assert curvature(table, h, alg).tensor != _raise_then_lower(table, h, alg)
     assert not all(ok for *_, ok in goldens.compare_components(case))
 
 

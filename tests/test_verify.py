@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import os
 
 import pytest
 
-from curvlab.scalars import GaussianRational, gr
+from curvlab import verify
+from curvlab.algebra import d_component
+from curvlab.scalars import GaussianRational, Rat, gr
+from curvlab.tensors import index_name
 from curvlab.verify import (
     THEOREM_CASES,
     SamplePlan,
@@ -143,3 +147,45 @@ def test_structural_sweep_small():
     names = {r.name.split("[")[0] for r in results}
     assert names >= {"lie-algebra", "g-ginv-identity", "d-squared",
                      "curvature-symmetries", "nabla-g", "nabla-j", "bianchi-defect"}
+
+
+def test_structural_failures_name_a_nonzero_entry(monkeypatch):
+    """A FAIL of g*g_inv = id or of d o d = 0 carries the first offending entry
+    and its exact nonzero value: 1/7 added to one entry of g*g_inv, or to one
+    entry of d(omega), is reported where it lands."""
+    contract, exterior_d = verify.contract, verify.exterior_d
+
+    def bumped(t, idx):
+        t = t.copy()
+        t[idx] = t[idx] + GaussianRational(Rat(1, 7))
+        return t
+
+    def failures():
+        results = structural_sweep(SamplePlan(seed=0), metrics_per_structure=1,
+                                   random_gauduchon=0)
+        return [r for r in results if not r.passed]
+
+    monkeypatch.setattr(verify, "_SWEEP_STRUCTURES", (("sl2c", {}),))
+    monkeypatch.setattr(verify, "contract", lambda *args: bumped(contract(*args), (1, 4)))
+    (bad,) = failures()
+    assert bad.name.startswith("g-ginv-identity[")
+    assert bad.describe().startswith(
+        "FAIL g-ginv-identity[sl2c{} metric#0]: (g*g_inv - id)[2,2b] = 1/7 at ")
+
+    monkeypatch.setattr(verify, "contract", contract)
+    seen = []
+
+    def bumped_d(alpha, alg):
+        seen.append((bumped(exterior_d(alpha, alg), (2, 3, 4)), alg))
+        return seen[-1][0]
+
+    monkeypatch.setattr(verify, "exterior_d", bumped_d)
+    (bad,) = failures()
+    assert bad.name.startswith("d-squared[")
+    (domega, alg), = seen
+    idx, value = next((idx, v) for idx in itertools.combinations(range(6), 4)
+                      if not (v := d_component(domega, alg, idx)).is_zero())
+    assert {3, 4} <= set(idx)  # only tuples holding the bumped entry's last two slots
+    names = ",".join(index_name(i) for i in idx)
+    assert bad.describe().startswith(
+        f"FAIL d-squared[sl2c{{}} metric#0]: d(d omega)[{names}] = {value} at ")
