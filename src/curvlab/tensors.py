@@ -218,16 +218,27 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
     re, im = [0] * size, [0] * size
     # bucket the entries of `a` by the contracted slot; products sum over t.den * a.den
     buckets = [[] for _ in range(DIM)]
-    for n, idx in a.nonzero_offsets():
-        rest = flat_offset(idx[:slot_a] + idx[slot_a + 1:])
-        buckets[idx[slot_a]].append((rest, a.re[n], a.im[n]))
+    for n, i, rest in _split_slot(a, slot_a):
+        buckets[i].append((rest, a.re[n], a.im[n]))
     stride = DIM ** (a.rank - 1)
-    for n, idx in t.nonzero_offsets():
-        base, x, y = stride * flat_offset(idx[:slot_t] + idx[slot_t + 1:]), t.re[n], t.im[n]
-        for o, c, d in buckets[idx[slot_t]]:
+    for n, i, rest in _split_slot(t, slot_t):
+        base, x, y = stride * rest, t.re[n], t.im[n]
+        for o, c, d in buckets[i]:
             re[base + o] += x * c - y * d
             im[base + o] += x * d + y * c
     return MultiTensor.from_numerators(t.rank + a.rank - 2, re, im, t.den * a.den).reduced()
+
+
+def _split_slot(t: MultiTensor, slot: int):
+    """Yield (n, i, rest) per nonzero entry: its flat offset, its index in `slot`, and
+    the flat offset of its other indices (the entry's offset with that digit removed)."""
+    low = DIM ** (t.rank - 1 - slot)
+    re, im = t.re, t.im
+    for n in range(len(re)):
+        if re[n] or im[n]:
+            high, lo = divmod(n, low)
+            high, i = divmod(high, DIM)
+            yield n, i, high * low + lo
 
 
 def _trace(t, stride, pairs, g, rank=2):

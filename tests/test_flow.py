@@ -17,8 +17,42 @@ from curvlab.flow import (
 from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import gr
 from curvlab.tensors import INDICES
+from curvlab.verify import _SWEEP_STRUCTURES
 
 from conftest import rand_metric
+
+# every nilpotent family and a spread of solvable ones, with sl2c as the one
+# non-solvable algebra
+FLOW_STRUCTURES = (
+    ("Np", {"rho": 1}),
+    ("Ni", {"rho": 1, "lambda": "1/2", "D": "1/3+2/5*i"}),
+    ("Nii", {"rho": 1, "B": "1/2-1/3*i", "c": "2/3"}),
+    ("Niii", {"rho": 0, "sign": 1}),
+    ("Si", {"A": "i"}),
+    ("Sii", {"x": "1/2"}),
+    ("Siii1", {"sign": 1}),
+    ("Siv3", {"A": 2}),
+    ("Sv", {}),
+    ("sl2c", {}),
+)
+
+
+def ref_float_lc_ricci(g6, c):
+    """Reference: the rank-4 operator R(I,H)K^A built in full, then traced over I = A."""
+    ginv = np.linalg.inv(g6)
+    low = 0.5 * (np.einsum("ihb,bl->ihl", c, g6)
+                 - np.einsum("hlb,bi->ihl", c, g6)
+                 - np.einsum("ilb,bh->ihl", c, g6))
+    gm = np.einsum("ihl,lk->ihk", low, ginv)
+    rop = (np.einsum("hkb,iba->ihka", gm, gm)
+           - np.einsum("ikb,hba->ihka", gm, gm)
+           - np.einsum("ihb,bka->ihka", c, gm))
+    return np.einsum("ahka->hk", rop)
+
+
+def _rel_err(a, b):
+    # relative to the larger entry, or absolute where both sides vanish
+    return np.abs(a - b).max() / max(np.abs(a).max(), np.abs(b).max(), 1.0)
 
 
 def _real_frame_ricci(alg, g6_float):
@@ -64,17 +98,51 @@ def test_exact_matches_float_and_real_frame_oracle(rng):
     assert np.allclose(ric_real, (basis @ ric_float @ basis.T).real, atol=1e-9)
 
 
-def test_oracle_on_non_hermitian_state():
+def _non_hermitian_sii_state():
     alg = instantiate(FamilySpec.make("Sii", x="1/2"))
     state = flow_state_from_hermitian(build_metric(MetricParams.make(r2=2, s2=1, t2=1)), alg)
     g6 = [row[:] for row in state.g6]
     g6[0][0] = g6[0][0] + gr("1/10")
     g6[3][3] = g6[3][3] + gr("1/10")  # conjugation-real partner
-    st = FlowState(0.0, g6, alg)
+    return FlowState(0.0, g6, alg)
+
+
+def test_oracle_on_non_hermitian_state():
+    st = _non_hermitian_sii_state()
     st.validate()
-    ric_exact = _to_float(exact_lc_ricci(g6, alg))
-    ric_real, basis = _real_frame_ricci(alg, st.as_float_matrix())
+    ric_exact = _to_float(exact_lc_ricci(st.g6, st.structure))
+    ric_real, basis = _real_frame_ricci(st.structure, st.as_float_matrix())
     assert np.allclose(ric_real, (basis @ ric_exact @ basis.T).real, atol=1e-9)
+
+
+def test_float_field_matches_exact_and_operator_reference(rng):
+    states = [_non_hermitian_sii_state()]
+    for family, params in _SWEEP_STRUCTURES:
+        alg = instantiate(FamilySpec.make(family, **params))
+        states += [flow_state_from_hermitian(build_metric(rand_metric(rng)), alg)
+                   for _ in range(2)]
+    assert len(states) == 1 + 2 * 21
+    for st in states:
+        m, c = st.as_float_matrix(), _structure_array(st.structure)
+        ric = float_lc_ricci(m, c)
+        assert _rel_err(ric, _to_float(exact_lc_ricci(st.g6, st.structure))) <= 1e-12
+        assert _rel_err(ric, ref_float_lc_ricci(m, c)) <= 1e-12
+
+
+def test_flow_traces_match_the_operator_reference_field(rng):
+    for family, params in FLOW_STRUCTURES:
+        alg = instantiate(FamilySpec.make(family, **params))
+        state = flow_state_from_hermitian(build_metric(rand_metric(rng)), alg)
+        c = _structure_array(alg)
+        got = integrate_flow(state, horizon=0.4, step=0.01)
+        ref = integrate_flow(state, horizon=0.4, step=0.01,
+                             rhs=lambda m: -ref_float_lc_ricci(m, c))
+        assert got.completed and ref.completed and len(got.samples) == 41
+        for a, b in zip(got.samples, ref.samples):
+            assert _rel_err(a.g6, b.g6) <= 1e-12
+            assert abs(a.deviation - b.deviation) <= 1e-12 * max(abs(a.g6).max(), 1.0)
+        for a, b in zip(got.samples[1:], ref.samples[1:]):
+            assert abs(a.ricci_norm - b.ricci_norm) <= 1e-12 * max(b.ricci_norm, 1.0)
 
 
 def test_ric_lc_consistency_with_connection_module(rng):
@@ -126,6 +194,25 @@ def test_state_validation():
     # pure-type identity has zero mixed block: not positive definite as a real metric
     with pytest.raises(ValueError):
         FlowState(0.0, sym, alg).validate()
+
+
+def test_state_validation_tolerance_is_absolute():
+    # 1e-6 is far above the stated 1e-12, whatever the size of the entries
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    good = flow_state_from_hermitian(build_metric(MetricParams.make(
+        r2=2, s2=3, t2=5, u="1/2+1/3*i", v="-1/4+1/5*i", z="1/7-2/9*i")), alg).as_float_matrix()
+    FlowState(0.0, good, alg).validate()
+    asym = good.copy()
+    asym[0, 4] += 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        FlowState(0.0, asym, alg).validate()
+    unreal = good.copy()
+    unreal[0, 4] += 1e-6
+    unreal[4, 0] += 1e-6  # symmetric, but its conjugate partner (1b, 2) is untouched
+    with pytest.raises(ValueError, match="conjugation-real"):
+        FlowState(0.0, unreal, alg).validate()
+    with pytest.raises(ValueError, match="symmetric"):
+        integrate_flow(FlowState(0.0, asym, alg), horizon=0.1, step=0.01)
 
 
 def test_torus_flow_constant(rng):

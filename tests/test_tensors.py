@@ -24,9 +24,9 @@ def test_index_names():
     assert [index_name(i) for i in range(6)] == ["1", "2", "3", "1b", "2b", "3b"]
 
 
-def rand_tensor(rng, rank):
+def rand_tensor(rng, rank, entries=10):
     t = MultiTensor(rank)
-    for _ in range(10):
+    for _ in range(entries):
         idx = tuple(rng.randrange(6) for _ in range(rank))
         t[idx] = rand_gauss(rng)
     return t
@@ -57,17 +57,21 @@ def test_contract_slot_errors(rng):
 
 
 def test_contract_matches_direct_sum(rng):
-    # oracle: naive full double loop
-    a = rand_tensor(rng, 2)
-    b = rand_tensor(rng, 3)
-    out = contract(a, b, 1, 0)
-    assert out.rank == 3
-    for idx in all_indices(3):
-        i, k, l = idx
-        s = ZERO
-        for m in range(6):
-            s = s + a[i, m] * b[m, k, l]
-        assert out[idx] == s
+    # oracle: naive full double loop, for every pair of contracted slots
+    for rank_t, rank_a in ((2, 3), (3, 2), (3, 3)):
+        t = rand_tensor(rng, rank_t, entries=30)
+        a = rand_tensor(rng, rank_a, entries=30)
+        for slot_t in range(rank_t):
+            for slot_a in range(rank_a):
+                out = contract(t, a, slot_t, slot_a)
+                assert out.rank == rank_t + rank_a - 2 and not out.is_zero()
+                for idx in all_indices(out.rank):
+                    rest_t, rest_a = idx[:rank_t - 1], idx[rank_t - 1:]
+                    s = ZERO
+                    for m in range(6):
+                        s = s + (t[rest_t[:slot_t] + (m,) + rest_t[slot_t:]]
+                                 * a[rest_a[:slot_a] + (m,) + rest_a[slot_a:]])
+                    assert out[idx] == s, (rank_t, rank_a, slot_t, slot_a, idx)
 
 
 def test_inverse_is_exact_and_rejects_a_singular_matrix(rng):
