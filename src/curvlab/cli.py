@@ -357,8 +357,13 @@ def _add_config_args(p):
     p.add_argument("--metric", help="metric parameters, e.g. r2=1,s2=1,t2=1,u=1/2")
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+_ALL_FORMATS = ("text", "json", "csv")
+_NO_CSV = ("text", "json")
+
+
+def _add_common(p, formats):
+    """--format with the formats the subcommand writes, and --out."""
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
@@ -382,7 +387,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p = with_defaults(sub.add_parser("catalog", help="catalog queries"))
     csub = p.add_subparsers(dest="subcommand", required=True)
     pl = with_defaults(csub.add_parser("list", help="list families, domains, and algebra labels"))
-    _add_common(pl)
+    _add_common(pl, _ALL_FORMATS)
     pl.set_defaults(handler=cmd_catalog)
 
     p = with_defaults(sub.add_parser("curvature", help="dump the full curvature tensor"))
@@ -390,25 +395,25 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--spec", default="chern",
                    help="connection: lc|chern|bismut|anti-bismut|first-canonical|"
                         "minimal-gauduchon or eps=a/b,rho=c/d")
-    _add_common(p)
+    _add_common(p, _ALL_FORMATS)
     p.set_defaults(handler=cmd_curvature)
 
     p = with_defaults(sub.add_parser("check-kl", help="Kahler-like verdict with witnesses"))
     _add_config_args(p)
     p.add_argument("--spec", default="chern")
     p.add_argument("--witness-cap", type=int, default=8)
-    _add_common(p)
+    _add_common(p, _NO_CSV)
     p.set_defaults(handler=cmd_check_kl)
 
     p = with_defaults(sub.add_parser("check-flat", help="flatness verdict"))
     _add_config_args(p)
     p.add_argument("--spec", default="chern")
-    _add_common(p)
+    _add_common(p, _NO_CSV)
     p.set_defaults(handler=cmd_check_flat)
 
     p = with_defaults(sub.add_parser("classify", help="Kahler / balanced / pluriclosed flags"))
     _add_config_args(p)
-    _add_common(p)
+    _add_common(p, _NO_CSV)
     p.set_defaults(handler=cmd_classify)
 
     p = with_defaults(sub.add_parser("verify", help="verification suites"))
@@ -419,19 +424,19 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     pa.add_argument("--points", type=int, default=5, help="metric points per table draw")
     pa.add_argument("--draws", type=int, default=3, help="structure draws per table")
     pa.add_argument("--full", action="store_true", help="print every comparison")
-    _add_common(pa)
+    _add_common(pa, _ALL_FORMATS)
     pa.set_defaults(handler=cmd_verify_appendix)
 
     pt = with_defaults(vsub.add_parser("theorems", help="classification scoreboard"))
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--points", type=int, default=5, help="points per case")
-    _add_common(pt)
+    _add_common(pt, _ALL_FORMATS)
     pt.set_defaults(handler=cmd_verify_theorems)
 
     ps = with_defaults(vsub.add_parser("structural", help="exact structural identity sweep"))
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--full", action="store_true", help="print every check")
-    _add_common(ps)
+    _add_common(ps, _NO_CSV)
     ps.set_defaults(handler=cmd_verify_structural)
 
     p = with_defaults(sub.add_parser("flow", help="invariant Ricci flow"))
@@ -448,13 +453,16 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         for parser in parsers:
             known = {a.dest for a in parser._actions}
             all_dests |= known
+            parser.set_defaults(**{k: v for k, v in config_defaults.items() if k in known})
             for action in parser._actions:
                 value = config_defaults.get(action.dest)
                 if action.choices is not None and value is not None \
                         and value not in action.choices:
-                    raise CliError(f"config key {action.dest!r}: invalid choice {value!r} "
-                                   f"(choose from {', '.join(map(repr, action.choices))})")
-            parser.set_defaults(**{k: v for k, v in config_defaults.items() if k in known})
+                    # reported by main only when this parser's command runs, since
+                    # one value (format=csv) suits some commands and not others
+                    parser.set_defaults(config_error=(
+                        f"config key {action.dest!r}: invalid choice {value!r} "
+                        f"(choose from {', '.join(map(repr, action.choices))})"))
         unknown = set(config_defaults) - all_dests
         if unknown:
             raise CliError(f"unknown config keys {sorted(unknown)}")
@@ -504,6 +512,8 @@ def main(argv=None) -> int:
     try:
         ap = build_parser(_load_config_defaults(argv))
         args = ap.parse_args(argv)
+        if getattr(args, "config_error", None):
+            raise CliError(args.config_error)
         for flag, least in (("points", 1), ("draws", 1), ("witness_cap", 0)):
             if getattr(args, flag, least) < least:
                 raise CliError(f"--{flag.replace('_', '-')} must be at least {least}, "

@@ -9,6 +9,16 @@ with the Levi-Civita symbols
     Gamma^{LC}_{IH}^K = 1/2 c_{IH}^K - 1/2 g^{KA} g_{BI} c_{HA}^B - 1/2 g^{KA} g_{BH} c_{IA}^B.
 
 The Hermitian (Gauduchon) connections sit on the line eps + rho = 1/2.
+Lowered, the symbols are affine in (eps, rho):
+
+    Gamma^{eps,rho}_{IH,L} = 1/2 lc_{IHL} + eps T_{IHL} + rho C_{IHL},
+    lc_{IHL} = c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH},
+
+and the three tables depend on the point (structure, metric) alone.  A
+ConnectionPlane holds them: the scoreboard and the structural sweep build it
+once per point and share it between classify_metric, which reads (T, C), and
+every connection they evaluate there.  christoffel without a plane builds
+the tables its spec needs, and the Levi-Civita connection needs no (T, C).
 The curvature operator R(x, y) = [nabla_x, nabla_y] - nabla_[x,y] has raised
 components R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A
 - c_{IH}^B Gamma_{BK}^A.  The stored (4,0)-tensor is the lowered operator
@@ -51,6 +61,8 @@ __all__ = [
     "ConnectionSpec",
     "PRESETS",
     "ChristoffelTable",
+    "ConnectionPlane",
+    "connection_plane",
     "christoffel",
     "CurvatureTensor",
     "curvature",
@@ -176,12 +188,8 @@ def _rows(t):
     return rows
 
 
-def _christoffel_core(c, g, g_inv, torsion=()):
-    """Lowered and raised symbols of Gamma^LC + sum q t over the (q, t) pairs in torsion.
-
-    Gamma_{IH,L} = 1/2 (c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}) + sum q t_{IHL}
-    and Gamma_{IH}^K = Gamma_{IH,L} g^{LK}, for any nondegenerate invariant (g, g^{-1}).
-    """
+def _lc_sum(c, g):
+    """c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}: twice Gamma^LC_{IH,L}, over c.den g.den."""
     grows = _rows(g)
     re = [0] * DIM ** 3
     im = [0] * DIM ** 3
@@ -195,8 +203,22 @@ def _christoffel_core(c, g, g_inv, torsion=()):
                                (36 * x + 6 * l + y, -1)):
                     re[off] += s * tr
                     im[off] += s * ti
-    low = _combine([(_HALF, MultiTensor.from_numerators(3, re, im, c.den * g.den)), *torsion])
+    return MultiTensor.from_numerators(3, re, im, c.den * g.den)
+
+
+def _symbols(lc, g_inv, torsion=()):
+    """Lowered and raised symbols of 1/2 lc + sum q t over the (q, t) pairs in torsion."""
+    low = _combine([(_HALF, lc), *torsion])
     return low, contract(low, g_inv, 2, 0)
+
+
+def _christoffel_core(c, g, g_inv, torsion=()):
+    """Lowered and raised symbols of Gamma^LC + sum q t over the (q, t) pairs in torsion.
+
+    Gamma_{IH,L} = 1/2 (c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}) + sum q t_{IHL}
+    and Gamma_{IH}^K = Gamma_{IH,L} g^{LK}, for any nondegenerate invariant (g, g^{-1}).
+    """
+    return _symbols(_lc_sum(c, g), g_inv, torsion)
 
 
 def _operator(gamma, c, x):
@@ -245,12 +267,29 @@ class ChristoffelTable:
     lowered: MultiTensor
 
 
-def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> ChristoffelTable:
+@dataclass(frozen=True)
+class ConnectionPlane:
+    """One point's tables lc = _lc_sum(c, g) and forms = (T, C) = torsion_forms(h, alg),
+    which every connection of the plane combines (see the module docstring)."""
+
+    lc: MultiTensor
+    forms: tuple
+
+
+def connection_plane(h: HermitianData, alg: LieAlgebraCx) -> ConnectionPlane:
+    return ConnectionPlane(_lc_sum(alg.c, h.g), torsion_forms(h, alg))
+
+
+def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx,
+                plane: ConnectionPlane | None = None) -> ChristoffelTable:
+    """The symbols of spec at (h, alg), combined from plane's tables when it is given
+    (built from the same h and alg) and from tables built here otherwise."""
+    lc = plane.lc if plane else _lc_sum(alg.c, h.g)
     torsion = ()
-    if spec.eps != 0 or spec.rho != 0:
-        t_form, c_form = torsion_forms(h, alg)
-        torsion = ((spec.eps, t_form), (spec.rho, c_form))
-    low, gamma = _christoffel_core(alg.c, h.g, h.g_inv, torsion)
+    if not spec.is_lc:
+        forms = plane.forms if plane else torsion_forms(h, alg)
+        torsion = tuple(zip((spec.eps, spec.rho), forms))
+    low, gamma = _symbols(lc, h.g_inv, torsion)
     return ChristoffelTable(spec, gamma, low)
 
 
@@ -316,7 +355,8 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     3-tensor that must vanish identically for every metric connection.  Its
     curvature side is the raised form of the stored curvature's operator, so it is the
     structural oracle for the whole Christoffel/curvature pipeline.  Both sides
-    are fully skew in (x, y, z), so sorted triples are evaluated.
+    are fully skew in (x, y, z), so sorted triples are evaluated.  The symbols are
+    rebuilt here without a plane, so the defect shares no table with the caller's.
     """
     table = christoffel(spec, h, alg)
     gamma, c = _common(table.gamma, alg.c)

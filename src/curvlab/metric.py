@@ -205,16 +205,17 @@ class MetricClassification:
         return {"kahler": self.kahler, "balanced": self.balanced, "pluriclosed": self.pluriclosed}
 
 
-def classify_metric(h: HermitianData, alg: LieAlgebraCx) -> MetricClassification:
+def classify_metric(h: HermitianData, alg: LieAlgebraCx, forms=None) -> MetricClassification:
     """Kahler (C = 0), balanced (sum_{a,b} g^{ab} C_{bak} = 0), pluriclosed (dT = 0).
 
-    Zero tests on the numerators of (T, C) = torsion_forms(h, alg): C is i d(omega)
+    Zero tests on the numerators of (T, C) = forms, torsion_forms(h, alg) when
+    forms is not given (a caller that holds them passes them): C is i d(omega)
     up to sign per entry, the trace is the Lee form up to a factor (Michelsohn
     1982), and on an integrable structure (c_{ij}^{kb} = 0 for unbarred i, j, k)
     dT = -2i del delbar omega for the Bismut torsion T (Bismut 1989); the module
     docstring gives the full references.
     """
-    t, c = torsion_forms(h, alg)
+    t, c = forms or torsion_forms(h, alg)
     if c.is_zero():
         return MetricClassification(True, True, True)
     lee = _trace(c, 1, _LEE_PAIRS, h.g_inv, rank=1)

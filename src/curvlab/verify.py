@@ -28,6 +28,7 @@ from .connection import (
     ConnectionSpec,
     PRESETS,
     christoffel,
+    connection_plane,
     curvature,
     curvature_symmetry_failures,
     nabla_g_failures,
@@ -450,9 +451,10 @@ def evaluate_case(case: TheoremCase, plan: SamplePlan):
             metric = _metric_for(case, rng)
         alg = instantiate(struct)
         h = build_metric(metric)
-        flags = classify_metric(h, alg)
+        plane = connection_plane(h, alg)
+        flags = classify_metric(h, alg, plane.forms)
         for spec in specs:
-            curv = curvature(christoffel(spec, h, alg), h, alg)
+            curv = curvature(christoffel(spec, h, alg, plane), h, alg)
             report = kahler_like_check(curv)
             flat = flatness_check(curv)
             gray = gray_check_lc(curv) if spec.is_lc else None
@@ -648,6 +650,7 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
         for m_index in range(metrics_per_structure):
             metric = sample_metric(rng, shape="any")
             h = build_metric(metric)
+            plane = connection_plane(h, alg)
             point = f"{tag} metric#{m_index}"
 
             for name, wit in (("g-ginv-identity", _identity_witness(contract(h.g, h.g_inv, 1, 0))),
@@ -657,7 +660,7 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
 
             for spec in specs:
                 sp = f"{point} {spec.label()}"
-                table = christoffel(spec, h, alg)
+                table = christoffel(spec, h, alg, plane)
                 curv = curvature(table, h, alg)
 
                 bad = curvature_symmetry_failures(curv, check_symm=spec.is_lc)

@@ -149,6 +149,16 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "--config", str(cfg), *classify)
     assert code == 2 and "'format': invalid choice 'xml'" in err and not out
 
+    # the commands that write no csv refuse it as a flag and from a config file
+    for argv in (classify, kl, ("check-flat", *kl[1:]), ("verify", "structural")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "invalid choice: 'csv' (choose from 'text', 'json')" in err
+        cfg.write_text("format=csv\n")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and "'format': invalid choice 'csv'" in err and not out
+
     cfg.write_text("points=0\npoints=1\n")
     code, out, err = run(capsys, "--config", str(cfg), "verify", "theorems")
     assert code == 2 and "repeated config key 'points'" in err and not out
@@ -215,6 +225,11 @@ def test_config_file_defaults(capsys, tmp_path):
     for spelling in ((f"--config={cfg}",), ("--conf", str(cfg))):
         code, out_other, _ = run(capsys, *spelling, "catalog", "list")
         assert code == 0 and out_other == out
+
+    # a format one command writes and another does not is checked per command
+    cfg.write_text("format=csv\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "catalog", "list")
+    assert code == 0 and out.startswith("id,parameters,algebras\n")
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("frobnicate=1\n")

@@ -17,7 +17,7 @@ from curvlab.connection import (
     ricci_and_scalar,
     torsion_and_bianchi_defect,
 )
-from curvlab.metric import MetricParams, build_metric
+from curvlab.metric import MetricParams, build_metric, classify_metric
 from curvlab.scalars import GaussianRational, Rat, ZERO, gr
 from curvlab.tensors import all_indices, contract
 
@@ -368,3 +368,58 @@ def test_closed_form_pins_other_families():
     h = build_metric(p)
     r = curvature_of(ConnectionSpec.preset("bismut"), h, alg)
     assert r.tensor[0, 1, 2, 3] == GaussianRational(-(p.r2 * p.s2 - p.u.abs2()) / (4 * p.t2))
+
+
+def _shared_route_mismatches(make_plane):
+    """Where the tables built on one make_plane(h, alg) per point differ from
+    christoffel(spec, h, alg), in gamma or lowered, or classify_metric given the
+    plane's forms differs from classify_metric(h, alg): over the sweep's 21
+    structures x (6 presets + 3 seeded Gauduchon eps) x 2 seeded metrics."""
+    bad, checked = [], 0
+    for family_id, params in verify._SWEEP_STRUCTURES:
+        rng = random.Random(f"plane:{family_id}:{sorted(params.items())!r}")
+        alg = instantiate(FamilySpec.make(family_id, **params))
+        specs = [ConnectionSpec.preset(name) for name in PRESETS]
+        specs += [ConnectionSpec.gauduchon(Rat(rng.randint(-12, 12), rng.randint(1, 8)))
+                  for _ in range(3)]
+        for m in range(2):
+            h = build_metric(verify.sample_metric(rng))
+            plane = make_plane(h, alg)
+            point = (family_id, tuple(sorted(params.items())), m)
+            if classify_metric(h, alg, plane.forms) != classify_metric(h, alg):
+                bad.append((point, "classify"))
+            for spec in specs:
+                shared, single = christoffel(spec, h, alg, plane), christoffel(spec, h, alg)
+                for name in ("gamma", "lowered"):
+                    got, want = getattr(shared, name), getattr(single, name)
+                    if (got.re, got.im, got.den) != (want.re, want.im, want.den):
+                        bad.append((point, spec.label(), name))
+                checked += 1
+    assert checked == 21 * 9 * 2
+    return bad
+
+
+def test_shared_plane_matches_the_single_call():
+    """Every connection built on the point's one plane has the numerators and
+    denominator of the connection built alone, and classification agrees."""
+    assert _shared_route_mismatches(connection.connection_plane) == []
+
+
+def _negated_t_plane(h, alg):
+    plane = connection.connection_plane(h, alg)
+    t, c = plane.forms
+    return connection.ConnectionPlane(plane.lc, (-t, c))
+
+
+def test_oracles_catch_a_negated_torsion_form_in_the_plane(monkeypatch):
+    """A plane whose T is negated fails the single-call equality, moves the
+    scoreboard bytes and fails the sweep's type-preservation check.  The
+    scoreboard's verdicts alone do not catch it."""
+    assert _shared_route_mismatches(_negated_t_plane)
+    plan = verify.SamplePlan(seed=0, points_per_case=1)
+    board = verify.theorem_suite(plan, threads=1).to_json()
+    monkeypatch.setattr(verify, "connection_plane", _negated_t_plane)
+    assert verify.theorem_suite(plan, threads=1).to_json() != board
+    failed = {r.name.split("[")[0] for r in verify.structural_sweep(
+        plan, metrics_per_structure=1, random_gauduchon=0) if not r.passed}
+    assert "nabla-j" in failed

@@ -1,10 +1,11 @@
+import collections
 import hashlib
 import itertools
 import os
 
 import pytest
 
-from curvlab import verify
+from curvlab import connection, metric, verify
 from curvlab.algebra import d_component
 from curvlab.scalars import GaussianRational, Rat, gr
 from curvlab.tensors import index_name
@@ -189,3 +190,42 @@ def test_structural_failures_name_a_nonzero_entry(monkeypatch):
     names = ",".join(index_name(i) for i in idx)
     assert bad.describe().startswith(
         f"FAIL d-squared[sl2c{{}} metric#0]: d(d omega)[{names}] = {value} at ")
+
+
+def test_each_point_builds_its_connection_plane_once(monkeypatch):
+    """The scoreboard and the sweep build T, C and the c.g table once per point for
+    classify_metric and every christoffel there; the Bianchi defect, counted apart,
+    still rebuilds its connection on each call."""
+    counts = collections.Counter()
+    in_defect = [False]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name, in_defect[0]] += 1
+            return fn(*args)
+        return wrapper
+
+    forms, defect = metric.torsion_forms, verify.torsion_and_bianchi_defect
+    monkeypatch.setattr(metric, "torsion_forms", counted("forms", forms))
+    monkeypatch.setattr(connection, "torsion_forms", counted("forms", forms))
+    monkeypatch.setattr(connection, "_lc_sum", counted("lc", connection._lc_sum))
+
+    theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
+    points = len(THEOREM_CASES)
+    assert points == 50
+    assert counts == {("forms", False): points, ("lc", False): points}
+
+    def flagged(*args):
+        in_defect[0] = True
+        try:
+            return defect(*args)
+        finally:
+            in_defect[0] = False
+
+    monkeypatch.setattr(verify, "torsion_and_bianchi_defect", flagged)
+    counts.clear()
+    structural_sweep(SamplePlan(seed=0), metrics_per_structure=1, random_gauduchon=1)
+    points, specs = len(verify._SWEEP_STRUCTURES), len(connection.PRESETS) + 1
+    # one defect per connection, and every connection but the Levi-Civita needs (T, C)
+    assert counts == {("forms", False): points, ("lc", False): points,
+                      ("lc", True): points * specs, ("forms", True): points * (specs - 1)}
