@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import ZERO, GaussianRational, gr
+from .scalars import GaussianRational, gr
 from .tensors import (
     DIM,
     INDICES,
@@ -31,8 +31,6 @@ __all__ = [
     "exterior_d",
     "d_component",
     "d_is_zero",
-    "wedge",
-    "wedge_component",
 ]
 
 
@@ -214,26 +212,6 @@ def d_is_zero(alpha: MultiTensor, alg: LieAlgebraCx) -> bool:
                    for idx in itertools.combinations(INDICES, alpha.rank + 1))
 
 
-def wedge_component(a: MultiTensor, b: MultiTensor, idx: tuple) -> GaussianRational:
-    """(a ^ b) evaluated at one index tuple, via the shuffle sum."""
-    p, q = a.rank, b.rank
-    if len(idx) != p + q:
-        raise ValueError(f"expected a {p + q}-tuple, got {idx}")
-    total = ZERO
-    positions = range(p + q)
-    for chosen in itertools.combinations(positions, p):
-        rest = tuple(x for x in positions if x not in chosen)
-        va = a[tuple(idx[x] for x in chosen)]
-        if va.is_zero():
-            continue
-        vb = b[tuple(idx[x] for x in rest)]
-        if vb.is_zero():
-            continue
-        term = va * vb
-        total = total + term if _perm_sign(chosen + rest) > 0 else total - term
-    return total
-
-
 def _perm_sign(perm) -> int:
     """Sign of a permutation of range(len(perm)), from its cycle lengths."""
     sign = 1
@@ -250,13 +228,3 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def wedge(a: MultiTensor, b: MultiTensor) -> MultiTensor:
-    """Full wedge product under the determinant convention."""
-    out = MultiTensor(a.rank + b.rank)
-    for idx in all_indices(a.rank + b.rank):
-        v = wedge_component(a, b, idx)
-        if not v.is_zero():
-            out[idx] = v
-    return out

@@ -26,11 +26,15 @@ R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K), the
 component orientation of the golden tables (see docs/conventions.md).  Lowering
 acts only on the A slot, and Gamma_{IB}^A g_{AL} = Gamma_{IB,L}, so
 R_{IHKL} = -(Gamma_{HK}^B Gamma_{IB,L} - Gamma_{IK}^B Gamma_{HB,L} - c_{IH}^B Gamma_{BK,L})
-needs no metric contraction.  The Bianchi defect is built on the raised
-operator, and the flow's exact Ricci is its trace.  The Riemannian Ricci
-ric_lc keeps the standard orientation, so the Ricci flow has its usual sign.
-All of it runs on one Gaussian-integer kernel (below) that reads and writes
-the numerators MultiTensor stores.
+needs no metric contraction.  The operator is skew in (I, H), so the kernel
+(_operator) evaluates its I < H half once, 540 of the 1296 entries, and each
+consumer reads that half: the stored tensor negates it, divides out its
+content and expands it by one table lookup (_EXPAND), and the Bianchi defect
+reads its cyclic rows off the raised operator's half, R(k,i)h = -R(i,k)h.
+The flow's exact Ricci traces the symbols directly and builds no operator.
+The Riemannian Ricci ric_lc keeps the standard orientation, so the Ricci flow
+has its usual sign.  All of it runs on one Gaussian-integer kernel (below)
+that reads and writes the numerators MultiTensor stores.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import LieAlgebraCx
 from .metric import HermitianData, torsion_forms
@@ -207,55 +211,69 @@ def _lc_sum(c, g):
 
 
 def _symbols(lc, g_inv, torsion=()):
-    """Lowered and raised symbols of 1/2 lc + sum q t over the (q, t) pairs in torsion."""
+    """Lowered and raised symbols of 1/2 lc + sum q t over the (q, t) pairs in torsion:
+    Gamma^LC + sum q t for lc = _lc_sum(c, g) and any nondegenerate invariant (g, g^{-1})."""
     low = _combine([(_HALF, lc), *torsion])
     return low, contract(low, g_inv, 2, 0)
 
 
-def _christoffel_core(c, g, g_inv, torsion=()):
-    """Lowered and raised symbols of Gamma^LC + sum q t over the (q, t) pairs in torsion.
+# The I < H half of an operator: the 15 pairs (I, H) in combinations order,
+# each a block of 36 entries (K, X), 540 in all; _PAIR[I, H] numbers the pair.
+_PAIRS = tuple(itertools.combinations(INDICES, 2))
+_PAIR = {pair: p for p, pair in enumerate(_PAIRS)}
 
-    Gamma_{IH,L} = 1/2 (c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}) + sum q t_{IHL}
-    and Gamma_{IH}^K = Gamma_{IH,L} g^{LK}, for any nondegenerate invariant (g, g^{-1}).
-    """
-    return _symbols(_lc_sum(c, g), g_inv, torsion)
+# _EXPAND[6 I + H] is where the stored entries -R(I,H)K^L start in [-half] + half
+# + [0] * 36: the negated copy of pair (I, H) for I < H, the plain copy of pair
+# (H, I) for I > H (-R(I,H) = R(H,I)), and the zeros for I = H; 36 (K, L) each.
+_EXPAND = [36 * _PAIR[i, hh] if i < hh else 540 + 36 * _PAIR[hh, i] if hh < i else 1080
+           for i, hh in itertools.product(INDICES, repeat=2)]
 
 
 def _operator(gamma, c, x):
-    """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} over (I, H, K, X).
+    """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} for I < H.
 
     Bilinear in the symbols gamma and a rank-3 table x whose last slot is the
     output slot: x = gamma gives the raised operator R(I,H)K^A, and x = the
-    lowered symbols Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  Evaluated for
-    I < H and filled in by skewness in (I, H), over the denominator of the
-    (gamma, c) pair times x's.
+    lowered symbols Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  The operator is
+    skew in (I, H), so only the I < H half is evaluated, once: it returns the
+    (re, im, den) numerator lists of the 540 entries, entry 36 _PAIR[I, H] +
+    6 K + X, over the unreduced denominator of the (gamma, c) pair times x's.
+    curvature expands them to the stored tensor through _EXPAND, and the
+    Bianchi defect reads its cyclic rows from them directly.
     """
     gamma, c = _common(gamma, c)
     rows = _rows(gamma)  # rows[6 H + K] = nonzero (B, Gamma_{HK}^B)
     xrows = _rows(x)  # xrows[6 I + B] = nonzero (L, X_{IB,L})
     crows = _rows(c)
-    re = [0] * DIM ** 4
-    im = [0] * DIM ** 4
-    for i in INDICES:
-        for hh in range(i + 1, DIM):
-            crow = crows[6 * i + hh]
-            for k in INDICES:
-                ar, ai = [0] * DIM, [0] * DIM
-                for first, second, s in ((6 * hh + k, 6 * i, 1), (6 * i + k, 6 * hh, -1)):
-                    for b, xr, xi in rows[first]:
-                        for a, yr, yi in xrows[second + b]:
-                            ar[a] += s * (xr * yr - xi * yi)
-                            ai[a] += s * (xr * yi + xi * yr)
-                for b, xr, xi in crow:
-                    for a, yr, yi in xrows[6 * b + k]:
-                        ar[a] -= xr * yr - xi * yi
-                        ai[a] -= xr * yi + xi * yr
-                up = 216 * i + 36 * hh + 6 * k
-                down = 216 * hh + 36 * i + 6 * k
-                for a in INDICES:
-                    re[up + a], im[up + a] = ar[a], ai[a]
-                    re[down + a], im[down + a] = -ar[a], -ai[a]
-    return MultiTensor.from_numerators(4, re, im, gamma.den * x.den)
+    re, im = [], []
+    for i, hh in _PAIRS:
+        crow = crows[6 * i + hh]
+        for k in INDICES:
+            ar, ai = [0] * DIM, [0] * DIM
+            for b, xr, xi in rows[6 * hh + k]:
+                for a, yr, yi in xrows[6 * i + b]:
+                    ar[a] += xr * yr - xi * yi
+                    ai[a] += xr * yi + xi * yr
+            for b, xr, xi in rows[6 * i + k]:
+                for a, yr, yi in xrows[6 * hh + b]:
+                    ar[a] -= xr * yr - xi * yi
+                    ai[a] -= xr * yi + xi * yr
+            for b, xr, xi in crow:
+                for a, yr, yi in xrows[6 * b + k]:
+                    ar[a] -= xr * yr - xi * yi
+                    ai[a] -= xr * yi + xi * yr
+            re += ar
+            im += ai
+    return re, im, gamma.den * x.den
+
+
+def _stored(half):
+    """The 1296 numerators of -R(I,H)K^L from the 540 of the I < H half, through _EXPAND."""
+    src = [-a for a in half] + half + [0] * 36
+    out = []
+    for j in _EXPAND:
+        out += src[j:j + 36]
+    return out
 
 
 @dataclass(frozen=True)
@@ -309,10 +327,15 @@ def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> C
 
     R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K),
 
-    read off the lowered symbols gamma.lowered; h is not read.
+    read off the lowered symbols gamma.lowered; h is not read.  The I < H half has
+    the whole tensor's content (the rest is its negation and zeros), so it is
+    reduced before the one expansion.
     """
-    r = -_operator(gamma.gamma, alg.c, gamma.lowered)
-    return CurvatureTensor(gamma.spec, r.reduced())
+    re, im, den = _operator(gamma.gamma, alg.c, gamma.lowered)
+    g = gcd(den, *re, *im)
+    re, im, den = [a // g for a in re], [b // g for b in im], den // g
+    return CurvatureTensor(gamma.spec,
+                           MultiTensor.from_numerators(4, _stored(re), _stored(im), den))
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -355,7 +378,8 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     3-tensor that must vanish identically for every metric connection.  Its
     curvature side is the raised form of the stored curvature's operator, so it is the
     structural oracle for the whole Christoffel/curvature pipeline.  Both sides
-    are fully skew in (x, y, z), so sorted triples are evaluated.  The symbols are
+    are fully skew in (x, y, z), so sorted triples are evaluated, each from three
+    rows of the kernel's I < H half (60 rows in all, no rank-4 tensor).  The symbols are
     rebuilt here without a plane, so the defect shares no table with the caller's.
     """
     table = christoffel(spec, h, alg)
@@ -366,18 +390,16 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
         3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
         [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
 
-    rop = _operator(gamma, c, gamma)
-    rre, rim = rop.re, rop.im
+    rre, rim, _ = _operator(gamma, c, gamma)
     trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
     dre = [0] * DIM ** 4
     dim = [0] * DIM ** 4
     for i, hh, k in itertools.combinations(INDICES, 3):
-        ar, ai = [0] * DIM, [0] * DIM
+        # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
+        p, q, r = 36 * _PAIR[i, hh] + 6 * k, 36 * _PAIR[hh, k] + 6 * i, 36 * _PAIR[i, k] + 6 * hh
+        ar = [rre[p + a] + rre[q + a] - rre[r + a] for a in INDICES]
+        ai = [rim[p + a] + rim[q + a] - rim[r + a] for a in INDICES]
         for x, y, zz in ((i, hh, k), (hh, k, i), (k, i, hh)):
-            base = 216 * x + 36 * y + 6 * zz
-            for a in INDICES:
-                ar[a] += rre[base + a]
-                ai[a] += rim[base + a]
             # d^nabla T cyclic part: nabla_x (T(y,z)) - T([x,y], z)
             for m, tr, ti in trows[6 * y + zz]:
                 for a, gr_, gi in grows[6 * x + m]:

@@ -13,9 +13,9 @@ connection with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y]:
     Ric_{HK} = Gamma_{HK}^B Gamma_{AB}^A - Gamma_{AK}^B Gamma_{HB}^A
                - c_{AH}^B Gamma_{BK}^A.
 
-The exact path traces the connection kernel's rank-4 operator; the float
-path (float_lc_ricci) evaluates the three traced terms directly, as one
-matrix-vector and two matrix products, and builds no rank-4 array.
+Neither path builds the rank-4 operator: exact_lc_ricci sums the three terms
+on Gaussian-integer numerators, and float_lc_ricci evaluates them as one
+matrix-vector and two matrix products.
 
 hermitian_deviation monitors max |g_{ij}| over the pure-type block; for
 initial data whose Levi-Civita connection is Kahler-like the flow must keep
@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebraCx
-from .connection import _christoffel_core, _operator
+from .connection import _common, _lc_sum, _rows, _symbols
 from .metric import HermitianData
-from .scalars import ONE
-from .tensors import DIM, INDICES, MultiTensor, _trace, bar, index_name, inverse
+from .tensors import DIM, INDICES, MultiTensor, bar, index_name, inverse
 
 __all__ = [
     "FlowState",
@@ -52,15 +51,34 @@ __all__ = [
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
 
-    Ric(y, z) = tr(x -> R(x, y) z) with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y],
-    the trace sum_A R(A,H)K^A of the connection kernel's curvature operator;
-    the trace needs no metric, so only the Christoffel raise uses g^{-1}.
+    The trace of the module docstring, taken term by term on the numerators of
+    the raised symbols and c over their common denominator D, so every term sits
+    over D^2.  The trace needs no metric, so only the raise uses g^{-1}.
     """
     g = MultiTensor(2, [v for row in g6 for v in row])
-    _, gamma = _christoffel_core(alg.c, g, inverse(g))
-    # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A; unit weights
-    ric = _trace(_operator(gamma, alg.c, gamma), 6, [(217 * a, 0) for a in INDICES],
-                 MultiTensor(0, [ONE]))
+    gamma, c = _common(_symbols(_lc_sum(alg.c, g), inverse(g))[1], alg.c)
+    gre, gim, rows, crows = gamma.re, gamma.im, _rows(gamma), _rows(c)
+    # rows[6 H + K] = nonzero (B, Gamma_{HK}^B); the trace Gamma_{AB}^A sums 37 A + 6 B
+    tre = [sum(gre[37 * a + 6 * b] for a in INDICES) for b in INDICES]
+    tim = [sum(gim[37 * a + 6 * b] for a in INDICES) for b in INDICES]
+    re, im = [0] * DIM ** 2, [0] * DIM ** 2
+    for hh in INDICES:
+        for k in INDICES:
+            xr = xi = 0
+            for b, pr, pi in rows[6 * hh + k]:
+                xr += pr * tre[b] - pi * tim[b]
+                xi += pr * tim[b] + pi * tre[b]
+            for a in INDICES:
+                for b, pr, pi in rows[6 * a + k]:
+                    qr, qi = gre[36 * hh + 6 * b + a], gim[36 * hh + 6 * b + a]
+                    xr -= pr * qr - pi * qi
+                    xi -= pr * qi + pi * qr
+                for b, pr, pi in crows[6 * a + hh]:
+                    qr, qi = gre[36 * b + 6 * k + a], gim[36 * b + 6 * k + a]
+                    xr -= pr * qr - pi * qi
+                    xi -= pr * qi + pi * qr
+            re[6 * hh + k], im[6 * hh + k] = xr, xi
+    ric = MultiTensor.from_numerators(2, re, im, gamma.den ** 2)
     return [[ric[h, k] for k in INDICES] for h in INDICES]
 
 
@@ -77,11 +95,10 @@ def float_lc_ricci(g6: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Riemannian Ricci of the float metric g6, as the trace taken term by term.
 
     Ric_{HK} = Gamma_{HK}^B Gamma_{AB}^A - Gamma_{AK}^B Gamma_{HB}^A - c_{AH}^B Gamma_{BK}^A,
-    the trace sum_A R(A,H)K^A that exact_lc_ricci takes of the kernel's
-    operator, without building the rank-4 operator: with x = c g6 the lowered
-    table is (x_{IHL} - x_{HLI} - x_{ILH}) / 2, raised by one product with
-    g6^{-1}; the first term is a matrix-vector product with the trace
-    Gamma_{AB}^A, the other two are 6 x 36 by 36 x 6 matrix products.
+    the trace sum_A R(A,H)K^A that exact_lc_ricci takes on numerators: with
+    x = c g6 the lowered table is (x_{IHL} - x_{HLI} - x_{ILH}) / 2, raised by
+    one product with g6^{-1}; the first term is a matrix-vector product with the
+    trace Gamma_{AB}^A, the other two are 6 x 36 by 36 x 6 matrix products.
     """
     x = (c.reshape(36, 6) @ g6).reshape(6, 6, 6)
     low = 0.5 * (x - x.transpose(2, 0, 1) - x.transpose(0, 2, 1))

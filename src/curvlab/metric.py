@@ -27,11 +27,10 @@ T = i(del omega - delbar omega) and dT = -2i del delbar omega.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import LieAlgebraCx, d_component, d_is_zero, exterior_d, wedge
+from .algebra import LieAlgebraCx, d_is_zero, exterior_d
 from .scalars import I, GaussianRational, Rat, gr, rat_from_str
 from .tensors import INDICES, MultiTensor, _trace, all_indices, inverse, is_barred
 
@@ -220,12 +219,3 @@ def classify_metric(h: HermitianData, alg: LieAlgebraCx, forms=None) -> MetricCl
         return MetricClassification(True, True, True)
     lee = _trace(c, 1, _LEE_PAIRS, h.g_inv, rank=1)
     return MetricClassification(False, lee.is_zero(), d_is_zero(t, alg))
-
-
-def balanced_via_omega_squared(h: HermitianData, alg: LieAlgebraCx) -> bool:
-    """Independent balanced test: d(omega ^ omega) = 0."""
-    omega2 = wedge(h.omega, h.omega)
-    return all(
-        d_component(omega2, alg, idx).is_zero()
-        for idx in itertools.combinations(INDICES, 5)
-    )

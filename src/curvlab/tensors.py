@@ -7,7 +7,7 @@ common denominator (see MultiTensor); GaussianRational values appear only
 when entries are read.  This is the one module that turns GaussianRational
 values into numerators and back (numerator_value reads one entry), and it
 holds the one exact matrix inverse and the one trace loop (_trace, shared by
-the Ricci traces, the flow's exact Ricci and the Lee form of the metric).
+the Ricci traces of the stored curvature and the Lee form of the metric).
 Values are treated as immutable once built: the constructors hand out fresh
 storage and no public operation mutates its arguments.
 """

@@ -8,8 +8,6 @@ from curvlab.algebra import (
     d_is_zero,
     exterior_d,
     validate_lie_algebra,
-    wedge,
-    wedge_component,
 )
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.metric import build_metric
@@ -17,6 +15,7 @@ from curvlab.scalars import ONE, ZERO, gr
 from curvlab.tensors import MultiTensor, all_indices, bar
 
 from conftest import rand_gauss, rand_metric
+from wedge_forms import wedge, wedge_component
 
 
 TORUS = LieAlgebraCx.from_dphi({})

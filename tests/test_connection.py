@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from curvlab import connection, goldens, verify
+from curvlab import connection, flow, goldens, verify
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
@@ -19,7 +20,7 @@ from curvlab.connection import (
 )
 from curvlab.metric import MetricParams, build_metric, classify_metric
 from curvlab.scalars import GaussianRational, Rat, ZERO, gr
-from curvlab.tensors import all_indices, contract
+from curvlab.tensors import MultiTensor, all_indices, contract
 
 from conftest import rand_metric
 
@@ -273,9 +274,96 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     assert not all(ok for *_, ok in goldens.compare_components(case))
 
 
+def ref_operator(gamma, c, x):
+    """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} over (I, H, K, X).
+
+    The full rank-4 operator as a reference for the kernel's I < H half:
+    evaluated for I < H and every entry of the 1296 filled in by skewness in
+    (I, H), over the denominator of the (gamma, c) pair times x's.
+    """
+    gamma, c = connection._common(gamma, c)
+    rows = connection._rows(gamma)
+    xrows = connection._rows(x)
+    crows = connection._rows(c)
+    re = [0] * 6 ** 4
+    im = [0] * 6 ** 4
+    for i in range(6):
+        for hh in range(i + 1, 6):
+            crow = crows[6 * i + hh]
+            for k in range(6):
+                ar, ai = [0] * 6, [0] * 6
+                for first, second, s in ((6 * hh + k, 6 * i, 1), (6 * i + k, 6 * hh, -1)):
+                    for b, xr, xi in rows[first]:
+                        for a, yr, yi in xrows[second + b]:
+                            ar[a] += s * (xr * yr - xi * yi)
+                            ai[a] += s * (xr * yi + xi * yr)
+                for b, xr, xi in crow:
+                    for a, yr, yi in xrows[6 * b + k]:
+                        ar[a] -= xr * yr - xi * yi
+                        ai[a] -= xr * yi + xi * yr
+                up = 216 * i + 36 * hh + 6 * k
+                down = 216 * hh + 36 * i + 6 * k
+                for a in range(6):
+                    re[up + a], im[up + a] = ar[a], ai[a]
+                    re[down + a], im[down + a] = -ar[a], -ai[a]
+    return MultiTensor.from_numerators(4, re, im, gamma.den * x.den)
+
+
+def ref_defect(spec, h, alg):
+    """The torsion and the Bianchi defect, with the curvature side read off ref_operator."""
+    table = christoffel(spec, h, alg)
+    gamma, c = connection._common(table.gamma, alg.c)
+    gre, gim, cre, cim, den = gamma.re, gamma.im, c.re, c.im, gamma.den
+    swap = [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]
+    torsion = MultiTensor.from_numerators(
+        3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
+        [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
+    rop = ref_operator(gamma, c, gamma)
+    trows, grows, crows = connection._rows(torsion), connection._rows(gamma), connection._rows(c)
+    dre = [0] * 6 ** 4
+    dim = [0] * 6 ** 4
+    for i, hh, k in itertools.combinations(range(6), 3):
+        ar, ai = [0] * 6, [0] * 6
+        for x, y, zz in ((i, hh, k), (hh, k, i), (k, i, hh)):
+            base = 216 * x + 36 * y + 6 * zz
+            for a in range(6):
+                ar[a] += rop.re[base + a]
+                ai[a] += rop.im[base + a]
+            for m, tr, ti in trows[6 * y + zz]:
+                for a, gr_, gi in grows[6 * x + m]:
+                    ar[a] -= tr * gr_ - ti * gi
+                    ai[a] -= tr * gi + ti * gr_
+            for m, cr, ci in crows[6 * x + y]:
+                for a, tr, ti in trows[6 * m + zz]:
+                    ar[a] += cr * tr - ci * ti
+                    ai[a] += cr * ti + ci * tr
+        for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1)):
+            base = 216 * x + 36 * y + 6 * zz
+            for a in range(6):
+                dre[base + a], dim[base + a] = s * ar[a], s * ai[a]
+    return torsion, MultiTensor.from_numerators(4, dre, dim, den * den)
+
+
+def reference_grid(tag):
+    """(label, alg, h, specs) over the sweep's 21 structures x 2 seeded metrics, with
+    specs the 6 presets + 2 seeded Gauduchon eps of the structure; tag seeds the draws."""
+    for family_id, params in verify._SWEEP_STRUCTURES:
+        rng = random.Random(f"{tag}:{family_id}:{sorted(params.items())!r}")
+        alg = instantiate(FamilySpec.make(family_id, **params))
+        specs = [ConnectionSpec.preset(name) for name in PRESETS]
+        specs += [ConnectionSpec.gauduchon(Rat(rng.randint(-12, 12), rng.randint(1, 8)))
+                  for _ in range(2)]
+        for _ in range(2):
+            yield (family_id, params), alg, build_metric(verify.sample_metric(rng)), specs
+
+
+def _numerators(t):
+    return t.re, t.im, t.den
+
+
 def _raise_then_lower(table, h, alg):
     """The stored curvature by the raised route: the raised operator lowered with -g."""
-    raised = connection._operator(table.gamma, alg.c, table.gamma)
+    raised = ref_operator(table.gamma, alg.c, table.gamma)
     return (-contract(raised, h.g, 3, 0)).reduced()
 
 
@@ -284,21 +372,92 @@ def test_curvature_matches_raise_then_lower_reference():
     and denominator of the raised operator lowered by -g, over the sweep's 21
     structures x (6 presets + 2 seeded Gauduchon eps) x 2 seeded metrics."""
     checked = 0
-    for family_id, params in verify._SWEEP_STRUCTURES:
-        rng = random.Random(f"reference:{family_id}:{sorted(params.items())!r}")
-        alg = instantiate(FamilySpec.make(family_id, **params))
-        specs = [ConnectionSpec.preset(name) for name in PRESETS]
-        specs += [ConnectionSpec.gauduchon(Rat(rng.randint(-12, 12), rng.randint(1, 8)))
-                  for _ in range(2)]
-        for _ in range(2):
-            h = build_metric(verify.sample_metric(rng))
-            for spec in specs:
-                table = christoffel(spec, h, alg)
-                got, want = curvature(table, h, alg).tensor, _raise_then_lower(table, h, alg)
-                assert (got.re, got.im, got.den) == (want.re, want.im, want.den), \
-                    (family_id, params, spec.label())
-                checked += 1
+    for label, alg, h, specs in reference_grid("reference"):
+        for spec in specs:
+            table = christoffel(spec, h, alg)
+            got, want = curvature(table, h, alg).tensor, _raise_then_lower(table, h, alg)
+            assert _numerators(got) == _numerators(want), (label, spec.label())
+            checked += 1
     assert checked == 21 * 8 * 2
+
+
+def test_operator_half_expands_to_the_full_reference():
+    """The kernel's I < H half, expanded through the stored tensor's table, is the
+    negated full reference operator entry for entry, over the same denominator,
+    for x = the lowered and x = the raised symbols on the reference grid."""
+    checked = 0
+    for label, alg, h, specs in reference_grid("operator"):
+        for spec in specs:
+            table = christoffel(spec, h, alg)
+            for x in (table.lowered, table.gamma):
+                re, im, den = connection._operator(table.gamma, alg.c, x)
+                assert len(re) == len(im) == 15 * 36
+                want = ref_operator(table.gamma, alg.c, x)
+                got = ([-a for a in connection._stored(re)],
+                       [-b for b in connection._stored(im)], den)
+                assert got == _numerators(want), (label, spec.label())
+                checked += 1
+    assert checked == 21 * 8 * 2 * 2
+
+
+def _non_jacobi_bracket(rng):
+    """A skew, conjugation-real bracket with random entries: no Lie algebra, so the
+    torsion Bianchi defect of its connections is not zero."""
+    return LieAlgebraCx.from_structure_constants(
+        {(i, hh, k): GaussianRational(Rat(rng.randint(-5, 5), rng.randint(1, 4)),
+                                      Rat(rng.randint(-5, 5), rng.randint(1, 4)))
+         for i, hh, k in [(0, 1, 2), (0, 2, 4), (1, 3, 0), (2, 5, 1)]})
+
+
+def test_bianchi_defect_matches_the_reference():
+    """torsion_and_bianchi_defect, read off the kernel's half rows, equals the defect
+    built on ref_operator in numerators and denominator: on the reference grid, where
+    it vanishes, and on brackets that fail Jacobi, where it does not."""
+    checked = 0
+    for label, alg, h, specs in reference_grid("defect"):
+        for spec in specs:
+            got, want = torsion_and_bianchi_defect(spec, h, alg), ref_defect(spec, h, alg)
+            assert [_numerators(t) for t in got] == [_numerators(t) for t in want], \
+                (label, spec.label())
+            checked += 1
+    assert checked == 21 * 8 * 2
+    rng = random.Random("defect:non-jacobi")
+    for _ in range(3):
+        alg, h = _non_jacobi_bracket(rng), build_metric(verify.sample_metric(rng))
+        for name in PRESETS:
+            spec = ConnectionSpec.preset(name)
+            got, want = torsion_and_bianchi_defect(spec, h, alg), ref_defect(spec, h, alg)
+            assert not want[1].is_zero()
+            assert [_numerators(t) for t in got] == [_numerators(t) for t in want], name
+
+
+def test_oracles_catch_a_lower_half_block_read_with_the_wrong_sign(monkeypatch, rng):
+    """One lower-half (I > H) entry of the expansion table read from the negated copy
+    fails the skew12 check and the sweep's curvature-symmetry rows, and moves the
+    Levi-Civita ric_lc off the flow's exact trace.  The scoreboard bytes do not move:
+    its verdicts are zero tests and its witnesses are lexicographically first, so
+    they read only I < H blocks."""
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    h = build_metric(rand_metric(rng))
+    lc = ConnectionSpec.preset("lc")
+    g6 = flow.flow_state_from_hermitian(h, alg).g6
+
+    def ric_lc_off_the_exact_trace():
+        ric = ricci_and_scalar(curvature_of(lc, h, alg), h).ric_lc
+        exact = flow.exact_lc_ricci(g6, alg)
+        return any(ric[i, j] != exact[i][j] for i, j in all_indices(2))
+
+    assert not curvature_symmetry_failures(curvature_of(lc, h, alg))
+    assert not ric_lc_off_the_exact_trace()
+    one_bar, one = 3, 0  # the block (1b, 1) read like the block (1, 1b)
+    table = connection._EXPAND[:]
+    table[6 * one_bar + one] = table[6 * one + one_bar]
+    monkeypatch.setattr(connection, "_EXPAND", table)
+    assert ("skew12", (one, one_bar, 0, 3)) in curvature_symmetry_failures(curvature_of(lc, h, alg))
+    assert ric_lc_off_the_exact_trace()
+    failed = {r.name.split("[")[0] for r in verify.structural_sweep(
+        verify.SamplePlan(seed=0), metrics_per_structure=1, random_gauduchon=0) if not r.passed}
+    assert failed == {"curvature-symmetries"}
 
 
 def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):

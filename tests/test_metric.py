@@ -8,7 +8,6 @@ from curvlab.catalog import FamilySpec, instantiate
 from curvlab.metric import (
     MetricParams,
     MetricValidationError,
-    balanced_via_omega_squared,
     build_metric,
     classify_metric,
     j_factor,
@@ -27,6 +26,7 @@ from curvlab.tensors import (
 )
 
 from conftest import rand_metric
+from wedge_forms import balanced_via_omega_squared
 
 TORUS = LieAlgebraCx.from_dphi({})
 IWASAWA = LieAlgebraCx.from_dphi({2: {(0, 1): gr(1)}})
