@@ -5,8 +5,10 @@ Families (Np), (Ni), (Nii), (Niii) live on nilpotent algebras; (Si) through
 canonical bundle; sl2c is the complex special linear algebra.  Each family
 carries its parameter domain, the structure equations for d(phi^k), the
 underlying real Lie algebra labels (metadata only), and the known loci of
-special metrics (Kahler / balanced / pluriclosed) as exact predicates on
-the metric and structure parameters.
+special metrics (Kahler / balanced / pluriclosed).  Every locus is a linear
+subspace of the nine real metric coordinates, recorded as homogeneous linear
+equations whose coefficients may depend on the structure parameters; the
+zero test runs on the metric parameters cleared to integers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .algebra import LieAlgebraCx
-from .metric import MetricParams
+from .metric import MetricParams, _cleared
 from .scalars import GaussianRational, I, gr
 
 __all__ = [
@@ -62,17 +64,25 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class MetricLocus:
-    """A special-metric locus: a predicate on MetricParams for one family point.
+    """A special-metric locus of one family point: homogeneous linear equations.
 
-    ``iff`` records whether the predicate characterizes the metric class
-    exactly (both directions testable) or is only a sufficient normal form.
+    Each equation is a tuple of nine rational coefficients on the cleared metric
+    coordinates (r2, s2, t2, Re u, Im u, Re v, Im v, Re z, Im z); the empty
+    system is every metric.  ``iff`` records whether the locus characterizes the
+    metric class exactly (both directions testable) or is only a sufficient
+    normal form.
     """
 
     family: str
     kind: str  # kahler | balanced | pluriclosed
     description: str
-    predicate: Callable[[MetricParams], bool]
+    equations: tuple
     iff: bool = True
+
+    def contains(self, m: MetricParams) -> bool:
+        """Whether m solves every equation; a zero test on m's parameters cleared to integers."""
+        c = _cleared(m)[1]
+        return all(sum(a * x for a, x in zip(row, c)) == 0 for row in self.equations)
 
 
 def _is_choice(v: GaussianRational, *choices) -> bool:
@@ -276,141 +286,52 @@ def _label_si(p):
     return f"g2^alpha, alpha={GaussianRational(a.re) / GaussianRational(a.im)}"
 
 
-_TORUS_ALL = "any metric"
+# -- special-metric loci ------------------------------------------------------
+# A locus is a system of homogeneous linear equations over Q in the cleared
+# metric coordinates (r2, s2, t2, Re u, Im u, Re v, Im v, Re z, Im z), the order
+# of metric._cleared; each equation is its tuple of nine coefficients.  "Any
+# metric" is the empty system and "none" is r2 = 0, which no positive metric
+# satisfies.  An entry is (description, equations) or (description, equations,
+# iff) for each of kahler, balanced and pluriclosed, in that order; a family
+# whose loci depend on its structure parameters maps them to the entries.
+
+_E = [tuple(int(j == k) for j in range(9)) for k in range(9)]
+_U, _V, _Z = tuple(_E[3:5]), tuple(_E[5:7]), tuple(_E[7:9])
+_ANY = ("any metric", ())
+_NONE = ("none", (_E[0],))
+_NEVER = (_NONE, _NONE, _NONE)
+_VZ = ("v = z = 0", _V + _Z)
 
 
-def _loci_np(p):
-    rho = p.param("rho")
-    if rho.is_zero():
-        always = lambda m: True
-        return [
-            MetricLocus("Np", "kahler", _TORUS_ALL, always),
-            MetricLocus("Np", "balanced", _TORUS_ALL, always),
-            MetricLocus("Np", "pluriclosed", _TORUS_ALL, always),
-        ]
-    return [
-        MetricLocus("Np", "kahler", "none", lambda m: False),
-        MetricLocus("Np", "balanced", _TORUS_ALL, lambda m: True),
-        MetricLocus("Np", "pluriclosed", "none", lambda m: False),
-    ]
+def _ni_entries(p):
+    rho, lam, d = p.param("rho"), p.param("lambda").re, p.param("D")
+    # s2 + D r2 = i conj(u) lambda, by real and imaginary parts
+    balanced = _V + _Z + ((d.re, 1, 0, 0, -lam, 0, 0, 0, 0), (d.im, 0, 0, -lam, 0, 0, 0, 0, 0))
+    pluriclosed = (rho + lam * lam - (d + d.conjugate())).is_zero()
+    return (_NONE, ("v = z = 0 and s2 + D r2 = i conj(u) lambda", balanced),
+            ("any metric iff rho + lambda^2 - 2 Re D = 0", () if pluriclosed else _NONE[1]))
 
 
-def _loci_ni(p):
-    rho, lam, d = p.param("rho"), p.param("lambda"), p.param("D")
-
-    def balanced(m):
-        # scale-covariant form of: r2 = 1, v = z = 0, s2 + D = i conj(u) lambda
-        if not (m.v.is_zero() and m.z.is_zero()):
-            return False
-        lhs = GaussianRational(m.s2) + d * GaussianRational(m.r2)
-        return lhs == I * m.u.conjugate() * lam
-
-    def pluriclosed(m):
-        # structure-level condition rho + lambda^2 - (D + conj(D)) = 0
-        return (rho + lam * lam - (d + d.conjugate())).is_zero()
-
-    return [
-        MetricLocus("Ni", "kahler", "none", lambda m: False),
-        MetricLocus("Ni", "balanced",
-                    "v = z = 0 and s2 + D r2 = i conj(u) lambda", balanced),
-        MetricLocus("Ni", "pluriclosed",
-                    "any metric iff rho + lambda^2 - 2 Re D = 0", pluriclosed),
-    ]
-
-
-def _loci_never(family):
-    def loci(p):
-        return [
-            MetricLocus(family, "kahler", "none", lambda m: False),
-            MetricLocus(family, "balanced", "none", lambda m: False),
-            MetricLocus(family, "pluriclosed", "none", lambda m: False),
-        ]
-    return loci
-
-
-def _loci_niii(p):
-    rho = p.param("rho")
-
-    def balanced(m):
-        # normal form of the balanced class (v is free); the exact pointwise
-        # variety is larger (e.g. purely imaginary u with v = 0), so this
-        # locus is recorded as sufficient-only
-        return rho.is_zero() and m.u.is_zero() and m.z.is_zero()
-
-    return [
-        MetricLocus("Niii", "kahler", "none", lambda m: False),
-        MetricLocus("Niii", "balanced", "rho = 0 and u = z = 0 (normal form)",
-                    balanced, iff=False),
-        MetricLocus("Niii", "pluriclosed", "none", lambda m: False),
-    ]
-
-
-def _loci_si(p):
-    a = p.param("A")
-    diagonal = lambda m: m.u.is_zero() and m.v.is_zero() and m.z.is_zero()
-    loci = [
-        MetricLocus("Si", "balanced", "v = z = 0",
-                    lambda m: m.v.is_zero() and m.z.is_zero()),
-    ]
-    if a == I:  # g2^0
-        loci.insert(0, MetricLocus("Si", "kahler", "u = v = z = 0", diagonal))
-        loci.append(MetricLocus("Si", "pluriclosed", "u = 0", lambda m: m.u.is_zero()))
-    else:
-        loci.insert(0, MetricLocus("Si", "kahler", "none", lambda m: False))
-        loci.append(MetricLocus("Si", "pluriclosed", "none", lambda m: False))
-    return loci
-
-
-def _loci_sii(p):
-    return [
-        MetricLocus("Sii", "kahler", "none", lambda m: False),
-        MetricLocus("Sii", "balanced", "u = z = 0",
-                    lambda m: m.u.is_zero() and m.z.is_zero()),
-        MetricLocus("Sii", "pluriclosed", "none", lambda m: False),
-    ]
-
-
-def _loci_siii1(p):
-    return [
-        MetricLocus("Siii1", "kahler", "none", lambda m: False),
-        MetricLocus("Siii1", "balanced", "none", lambda m: False),
-        MetricLocus("Siii1", "pluriclosed", "u = 0", lambda m: m.u.is_zero()),
-    ]
-
-
-def _loci_siii2(p):
-    return [
-        MetricLocus("Siii2", "kahler", "none", lambda m: False),
-        MetricLocus("Siii2", "balanced", "v = z = 0 and u real",
-                    lambda m: m.v.is_zero() and m.z.is_zero() and m.u.im == 0),
-        MetricLocus("Siii2", "pluriclosed", "none", lambda m: False),
-    ]
-
-
-def _loci_siii4(p):
-    return [
-        MetricLocus("Siii4", "kahler", "none", lambda m: False),
-        MetricLocus("Siii4", "balanced", "v = z = 0 and r2 = s2",
-                    lambda m: m.v.is_zero() and m.z.is_zero() and m.r2 == m.s2),
-        MetricLocus("Siii4", "pluriclosed", "none", lambda m: False),
-    ]
-
-
-def _loci_siv1(p):
-    return [
-        MetricLocus("Siv1", "kahler", "none", lambda m: False),
-        MetricLocus("Siv1", "balanced", _TORUS_ALL, lambda m: True),
-        MetricLocus("Siv1", "pluriclosed", "none", lambda m: False),
-    ]
-
-
-def _loci_siv3(p):
-    return [
-        MetricLocus("Siv3", "kahler", "none", lambda m: False),
-        MetricLocus("Siv3", "balanced", "v = z = 0",
-                    lambda m: m.v.is_zero() and m.z.is_zero()),
-        MetricLocus("Siv3", "pluriclosed", "none", lambda m: False),
-    ]
+_LOCI = {
+    "Np": lambda p: (_ANY,) * 3 if p.param("rho").is_zero() else (_NONE, _ANY, _NONE),
+    "Ni": _ni_entries,
+    "Nii": _NEVER,
+    # the normal form of the balanced class (v is free); the exact pointwise variety
+    # is larger (e.g. purely imaginary u with v = 0), so it is sufficient-only
+    "Niii": lambda p: (_NONE, ("rho = 0 and u = z = 0 (normal form)",
+                               _U + _Z if p.param("rho").is_zero() else _NONE[1], False), _NONE),
+    "Si": lambda p: ((("u = v = z = 0", _U + _V + _Z), _VZ, ("u = 0", _U)) if p.param("A") == I
+                     else (_NONE, _VZ, _NONE)),
+    "Sii": (_NONE, ("u = z = 0", _U + _Z), _NONE),
+    "Siii1": (_NONE, _NONE, ("u = 0", _U)),
+    "Siii2": (_NONE, ("v = z = 0 and u real", _V + _Z + (_E[4],)), _NONE),
+    "Siii3": _NEVER,
+    "Siii4": (_NONE, ("v = z = 0 and r2 = s2", _V + _Z + ((1, -1, 0, 0, 0, 0, 0, 0, 0),)), _NONE),
+    "Siv1": (_NONE, _ANY, _NONE),
+    "Siv2": _NEVER,
+    "Siv3": (_NONE, _VZ, _NONE),
+    "Sv": _NEVER,
+}
 
 
 @dataclass(frozen=True)
@@ -421,59 +342,58 @@ class _FamilyDef:
     algebras: str
     dphi: Callable
     check: Callable
-    loci: Callable | None
     label: Callable | None = None
 
 
 _FAMILIES = {
     "Np": _FamilyDef(
         "Np", ("rho",), "rho in {0,1}", "h1 (rho=0), h5 (rho=1)",
-        _dphi_np, _check_np, _loci_np, _label_np),
+        _dphi_np, _check_np, _label_np),
     "Ni": _FamilyDef(
         "Ni", ("rho", "lambda", "D"), "rho in {0,1}; lambda real >= 0; D complex, Im D >= 0",
         "h2, h3, h4, h5, h6, h8",
-        _dphi_ni, _check_ni, _loci_ni, _label_ni),
+        _dphi_ni, _check_ni, _label_ni),
     "Nii": _FamilyDef(
         "Nii", ("rho", "B", "c"), "rho in {0,1}; B complex; c real >= 0; (rho,B,c) != (0,0,0)",
         "h7, h9..h16",
-        _dphi_nii, _check_nii, _loci_never("Nii")),
+        _dphi_nii, _check_nii),
     "Niii": _FamilyDef(
         "Niii", ("rho", "sign"), "rho in {0,1}; sign in {+1,-1}", "h19- (rho=0), h26+ (rho=1)",
-        _dphi_niii, _check_niii, _loci_niii),
+        _dphi_niii, _check_niii),
     "Si": _FamilyDef(
         "Si", ("A",), "A with |A| = 1, Im A >= 0, A != -1",
         "g1 (A=1), g2^alpha (alpha = Re A / Im A)",
-        _dphi_si, _check_si, _loci_si, _label_si),
+        _dphi_si, _check_si, _label_si),
     "Sii": _FamilyDef(
         "Sii", ("x",), "x real > 0", "g3",
-        _dphi_sii, _check_sii, _loci_sii),
+        _dphi_sii, _check_sii),
     "Siii1": _FamilyDef(
         "Siii1", ("sign",), "sign in {+1,-1}", "g4",
-        _dphi_siii1, _check_sign_only("Siii1"), _loci_siii1),
+        _dphi_siii1, _check_sign_only("Siii1")),
     "Siii2": _FamilyDef(
         "Siii2", (), "none", "g5",
-        _dphi_siii2, _check_none, _loci_siii2),
+        _dphi_siii2, _check_none),
     "Siii3": _FamilyDef(
         "Siii3", (), "none", "g6",
-        _dphi_siii3, _check_none, _loci_never("Siii3")),
+        _dphi_siii3, _check_none),
     "Siii4": _FamilyDef(
         "Siii4", ("sign",), "sign in {+1,-1}", "g7",
-        _dphi_siii4, _check_sign_only("Siii4"), _loci_siii4),
+        _dphi_siii4, _check_sign_only("Siii4")),
     "Siv1": _FamilyDef(
         "Siv1", (), "none", "g8",
-        _dphi_siv1, _check_none, _loci_siv1),
+        _dphi_siv1, _check_none),
     "Siv2": _FamilyDef(
         "Siv2", ("x",), "x in {0,1}", "g8",
-        _dphi_siv2, _check_siv2, _loci_never("Siv2")),
+        _dphi_siv2, _check_siv2),
     "Siv3": _FamilyDef(
         "Siv3", ("A",), "A complex with |A| != 1", "g8",
-        _dphi_siv3, _check_siv3, _loci_siv3),
+        _dphi_siv3, _check_siv3),
     "Sv": _FamilyDef(
         "Sv", (), "none", "g9",
-        _dphi_sv, _check_none, _loci_never("Sv")),
+        _dphi_sv, _check_none),
     "sl2c": _FamilyDef(
         "sl2c", (), "none", "sl(2,C)",
-        _dphi_sl2c, _check_none, None),
+        _dphi_sl2c, _check_none),
 }
 
 
@@ -506,10 +426,12 @@ def instantiate(f: FamilySpec) -> LieAlgebraCx:
 
 def special_metric_loci(f: FamilySpec):
     """The special-metric loci for one family point; empty for families not covered."""
-    fam = _validated(f)
-    if fam.loci is None:
-        return []  # no special-metric classification is recorded for this family
-    return fam.loci(f)
+    _validated(f)
+    entries = _LOCI.get(f.id, ())  # none recorded for sl2c
+    if callable(entries):
+        entries = entries(f)
+    return [MetricLocus(f.id, kind, *entry)
+            for kind, entry in zip(("kahler", "balanced", "pluriclosed"), entries)]
 
 
 def algebra_label(f: FamilySpec) -> str:

@@ -32,12 +32,7 @@ from .catalog import (
     instantiate,
     special_metric_loci,
 )
-from .connection import (
-    ConnectionSpec,
-    christoffel,
-    curvature,
-    curvature_to_json,
-)
+from .connection import ConnectionSpec, curvature_of, curvature_to_json
 from .goldens import OracleCase, compare_components
 from .metric import MetricParams, MetricValidationError, build_metric, classify_metric
 from .scalars import Rat, gr, rat_from_str
@@ -137,7 +132,7 @@ def _setup_configuration(args):
 def cmd_curvature(args) -> int:
     fam, alg, metric, h = _setup_configuration(args)
     spec = _spec_from_args(args)
-    curv = curvature(christoffel(spec, h, alg), h, alg)
+    curv = curvature_of(spec, h, alg)
     if args.format == "json":
         _emit(args, curvature_to_json(curv))
     elif args.format == "csv":
@@ -159,7 +154,7 @@ def cmd_curvature(args) -> int:
 def cmd_check_kl(args) -> int:
     fam, alg, metric, h = _setup_configuration(args)
     spec = _spec_from_args(args)
-    curv = curvature(christoffel(spec, h, alg), h, alg)
+    curv = curvature_of(spec, h, alg)
     report = kahler_like_check(curv, witness_cap=args.witness_cap)
     if args.format == "json":
         _emit(args, report_to_json(report))
@@ -182,7 +177,7 @@ def cmd_check_kl(args) -> int:
 def cmd_check_flat(args) -> int:
     fam, alg, metric, h = _setup_configuration(args)
     spec = _spec_from_args(args)
-    curv = curvature(christoffel(spec, h, alg), h, alg)
+    curv = curvature_of(spec, h, alg)
     res = flatness_check(curv)
     if args.format == "json":
         doc = {"flat": res.flat}
@@ -208,7 +203,7 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         doc = dict(flags.as_dict())
         doc["loci"] = [{"kind": l.kind, "description": l.description,
-                        "on_locus": l.predicate(metric)} for l in loci]
+                        "on_locus": l.contains(metric)} for l in loci]
         _emit(args, json.dumps(doc, indent=2))
     else:
         lines = [f"family {fam.id} ({algebra_label(fam)}): "
@@ -217,7 +212,7 @@ def cmd_classify(args) -> int:
                  f"pluriclosed={str(flags.pluriclosed).lower()}"]
         for l in loci:
             lines.append(f"  {l.kind} locus [{l.description}]: "
-                         f"on_locus={str(l.predicate(metric)).lower()}")
+                         f"on_locus={str(l.contains(metric)).lower()}")
         _emit(args, "\n".join(lines))
     return 0
 
@@ -504,6 +499,10 @@ def _load_config_defaults(argv):
             except ValueError:
                 raise CliError(f"config key {key!r} needs an integer, "
                                f"got {defaults[key]!r}") from None
+    if "full" in defaults:  # the one store_true flag
+        if defaults["full"] not in ("true", "false"):
+            raise CliError(f"config key 'full' needs true or false, got {defaults['full']!r}")
+        defaults["full"] = defaults["full"] == "true"
     return defaults
 
 

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from curvlab.algebra import validate_lie_algebra
+from curvlab.algebra import exterior_d, validate_lie_algebra
 from curvlab.catalog import (
     FAMILY_IDS,
     FamilyDomainError,
@@ -12,9 +13,8 @@ from curvlab.catalog import (
     instantiate,
     special_metric_loci,
 )
-from curvlab.metric import MetricParams, build_metric, classify_metric
+from curvlab.metric import MetricParams, build_metric, classify_metric, torsion_forms
 from curvlab.scalars import GaussianRational, Rat, gr
-
 
 
 def draw_params(fid, rng):
@@ -137,37 +137,6 @@ def test_catalog_rows_cover_all_families():
     assert all(len(r) == 3 for r in rows)
 
 
-def on_locus_points(locus, fam, rng, n=5):
-    """Sample n valid metric points satisfying the locus predicate."""
-    out = []
-    guard = 0
-    while len(out) < n:
-        guard += 1
-        assert guard < 4000, f"cannot sample on-locus points for {locus.kind}"
-        p = _shaped_point(locus, fam, rng)
-        if p is None:
-            continue
-        if not p.constraint_failures() and locus.predicate(p):
-            out.append(p)
-    return out
-
-
-def _shaped_point(locus, fam, rng):
-    # draw from shapes likely to satisfy or violate each predicate
-    r2, s2, t2 = (Rat(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(3))
-    pick = rng.randrange(4)
-    small = lambda: GaussianRational(Rat(rng.randint(-2, 2), 5), Rat(rng.randint(-2, 2), 5))
-    if pick == 0:
-        return MetricParams(r2, s2, t2, GaussianRational(0), GaussianRational(0),
-                            GaussianRational(0))
-    if pick == 1:
-        return MetricParams(r2, s2, t2, small(), GaussianRational(0), GaussianRational(0))
-    if pick == 2:
-        return MetricParams(r2, s2, s2, GaussianRational(Rat(rng.randint(-2, 2), 5)),
-                            GaussianRational(0), GaussianRational(0))
-    return MetricParams(r2, s2, t2, small(), small(), small())
-
-
 LOCUS_CASES = [
     ("Np", {"rho": 0}),
     ("Np", {"rho": 1}),
@@ -186,34 +155,139 @@ LOCUS_CASES = [
     ("Siv2", {"x": 1}),
     ("Siv3", {"A": "2"}),
     ("Sv", {}),
+    # non-empty balanced loci: s2 = 2 r2, and rows that carry lambda and D
+    ("Ni", {"rho": 1, "lambda": 0, "D": "-2"}),
+    ("Ni", {"rho": 0, "lambda": 2, "D": "-1+1/10*i"}),
 ]
+
+# the base metric (r2, s2, t2) = (30, 31, 33), u = v = z = 0, in the cleared
+# coordinates (r2, s2, t2, Re u, Im u, Re v, Im v, Re z, Im z) of the loci
+BASE = (30, 31, 33, 0, 0, 0, 0, 0, 0)
+
+
+def _q(a):
+    return Fraction(int(a.numerator), int(a.denominator))
+
+
+def _params(x):
+    r2, s2, t2, ur, ui, vr, vi, zr, zi = (Rat(q.numerator, q.denominator) for q in x)
+    return MetricParams(r2, s2, t2, GaussianRational(ur, ui), GaussianRational(vr, vi),
+                        GaussianRational(zr, zi))
+
+
+def _rref(rows):
+    """The reduced row echelon form of rational rows, zero rows dropped; canonical for
+    the row space, so two systems have one solution space iff their forms are equal.
+
+    Pivots are taken from the last column back, so r2, s2 and t2 stay free where
+    they can and _draw solves for the off-diagonal coordinates.
+    """
+    rows = list({tuple(_q(a) for a in row) for row in rows})
+    out = []
+    for col in reversed(range(len(BASE))):
+        k = next((k for k, row in enumerate(rows) if row[col]), None)
+        if k is None:
+            continue
+        pivot = rows.pop(k)
+        pivot = [a / pivot[col] for a in pivot]
+        rows = [[a - row[col] * b for a, b in zip(row, pivot)] for row in rows]
+        out = [[a - row[col] * b for a, b in zip(row, pivot)] for row in out] + [pivot]
+    return [tuple(row) for row in out]
+
+
+def _misses_the_cone(eqs):
+    """Whether a reduced equation reads a r2 + b s2 + c t2 = 0 with a, b, c >= 0, not all 0.
+
+    No positive metric solves such a system, since r2, s2, t2 > 0 there.
+    """
+    return any(not any(row[3:]) and min(row[:3]) >= 0 for row in eqs)
+
+
+def _pivot(row):
+    """The pivot column of a reduced row: its last nonzero entry, 1, and 0 in every other row."""
+    return max(k for k, a in enumerate(row) if a)
+
+
+def _draw(eqs, rng):
+    """A point of the solution space of the reduced system eqs: the free coordinates are
+    BASE's plus a small random step, and each pivot coordinate is solved from them."""
+    x = [b + Fraction(rng.randint(-3, 3), 7) for b in BASE]
+    for row in eqs:
+        p = _pivot(row)
+        x[p] = -sum(a * x[k] for k, a in enumerate(row) if k != p)
+    return x
+
+
+def _c_and_dt(x, alg):
+    """The numerators of C and of dT at the metric x, real parts then imaginary, each
+    with its denominator."""
+    t, c = torsion_forms(build_metric(_params(x)), alg)
+    return [(f.re + f.im, f.den) for f in (c, exterior_d(t, alg))]
+
+
+@pytest.mark.parametrize("fid,params", LOCUS_CASES)
+def test_kahler_and_pluriclosed_loci_are_the_kernels_of_c_and_dt(fid, params):
+    """The declared Kahler and pluriclosed loci are ker C and ker dT on the positive cone.
+
+    C and dT are homogeneous-linear in the nine metric coordinates: omega is linear
+    in them, and d and the torsion forms are linear in omega.  So each map is read
+    off the base metric and base + e_k; its kernel is the solution space of its
+    rows.  A declared locus must have the same solution space, or, where it is
+    "none" (no positive solution), so must the kernel.
+    """
+    fam = FamilySpec.make(fid, **params)
+    alg = instantiate(fam)
+    loci = special_metric_loci(fam)
+    points = [BASE] + [[b + (j == k) for j, b in enumerate(BASE)] for k in range(len(BASE))]
+    values = [_c_and_dt(x, alg) for x in points]
+    for which, locus in enumerate((loci[0], loci[2])):
+        # an entry that is zero at all ten points is zero on the whole map
+        nums = [v[which] for v in values]
+        support = [n for n in range(len(nums[0][0])) if any(num[n] for num, _ in nums)]
+        at_base, *shifted = [[Fraction(num[n], den) for n in support] for num, den in nums]
+        cols = [[a - b for a, b in zip(col, at_base)] for col in shifted]
+        # homogeneous: the map at the base is the combination of its columns
+        assert at_base == [sum(b * col[n] for b, col in zip(BASE, cols))
+                           for n in range(len(support))]
+        kernel = _rref(zip(*cols))
+        declared = _rref(locus.equations)
+        if _misses_the_cone(declared):
+            assert _misses_the_cone(kernel), (fid, locus.kind, "declared none, kernel", kernel)
+        else:
+            assert declared == kernel, (fid, locus.kind, locus.description, kernel)
 
 
 @pytest.mark.parametrize("fid,params", LOCUS_CASES)
 def test_locus_classifier_agreement(fid, params):
-    """On-locus points classify positively; off-locus points negatively (iff loci)."""
+    """Points drawn on and off the balanced locus classify as it says.
+
+    At each drawn point every locus that holds there, and every iff locus, agrees
+    with the classifier too.  A draw is never rejected: a drawn point that is not
+    a positive metric fails the test.
+    """
     rng = random.Random(f"locus:{fid}:{sorted(params.items())!r}")
     fam = FamilySpec.make(fid, **params)
     alg = instantiate(fam)
     loci = special_metric_loci(fam)
-    assert {l.kind for l in loci} == {"kahler", "balanced", "pluriclosed"}
-    for locus in loci:
-        on, off = [], []
-        guard = 0
-        while (len(on) < 5 or len(off) < 5) and guard < 6000:
-            guard += 1
-            p = _shaped_point(locus, fam, rng)
-            if p.constraint_failures():
-                continue
-            (on if locus.predicate(p) else off).append(p)
-        for p in on[:5]:
+    assert [l.kind for l in loci] == ["kahler", "balanced", "pluriclosed"]
+    balanced = loci[1]
+    eqs = _rref(balanced.equations)
+    empty = _misses_the_cone(eqs)
+    on = [] if empty else [_params(_draw(eqs, rng)) for _ in range(5)]
+    off = []
+    for n in range(5 if balanced.iff and eqs else 0):
+        # just off the locus, by one moved pivot coordinate; anywhere if it is empty
+        x = _draw([] if empty else eqs, rng)
+        if not empty:
+            x[_pivot(eqs[n % len(eqs)])] += Fraction(rng.choice((-1, 1)), 5)
+        off.append(_params(x))
+    for points, inside in ((on, True), (off, False)):
+        for p in points:
+            assert not p.constraint_failures() and balanced.contains(p) == inside, (fid, p)
             flags = classify_metric(build_metric(p), alg)
-            assert getattr(flags, locus.kind), (fid, locus.kind, "on-locus point misclassified")
-        if locus.iff:
-            for p in off[:5]:
-                flags = classify_metric(build_metric(p), alg)
-                assert not getattr(flags, locus.kind), (fid, locus.kind,
-                                                        "off-locus point misclassified")
+            for locus in loci:
+                if locus.iff or locus.contains(p):
+                    assert getattr(flags, locus.kind) == locus.contains(p), (fid, locus.kind, p)
 
 
 def test_sl2c_has_no_recorded_loci():

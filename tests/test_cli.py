@@ -180,6 +180,27 @@ def test_config_integer_key_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and "'seed' needs an integer" in err and not out
 
 
+def test_config_boolean_key(capsys, tmp_path):
+    # a store_true flag takes true or false from a config file, never any non-empty string
+    cfg = tmp_path / "curvlab.cfg"
+    appendix = ("verify", "appendix", "--seed", "0", "--points", "1", "--draws", "1")
+    _, brief, _ = run(capsys, *appendix)
+    _, full, _ = run(capsys, *appendix, "--full")
+    assert len(brief.splitlines()) == 1 < len(full.splitlines())
+    for line, expected in (("full=false", brief), ("full=true", full)):
+        cfg.write_text(line + "\n")
+        code, out, _ = run(capsys, "--config", str(cfg), *appendix)
+        assert code == 0 and out == expected
+    cfg.write_text("full=false\n")  # the flag overrides the file
+    code, out, _ = run(capsys, "--config", str(cfg), *appendix, "--full")
+    assert code == 0 and out == full
+    for value in ("False", "yes", "1", ""):
+        cfg.write_text(f"full={value}\n")
+        code, out, err = run(capsys, "--config", str(cfg), *appendix)
+        assert code == 2 and not out
+        assert f"config key 'full' needs true or false, got {value!r}" in err
+
+
 def test_verify_theorems_deterministic(capsys, tmp_path):
     args = ["verify", "theorems", "--seed", "7", "--points", "1", "--format", "json"]
     code1, out1, _ = run(capsys, *args)
