@@ -417,7 +417,9 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     pa = with_defaults(vsub.add_parser("appendix", help="closed-form tables vs the pipeline"))
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--points", type=int, default=5, help="metric points per table draw")
-    pa.add_argument("--draws", type=int, default=3, help="structure draws per table")
+    pa.add_argument("--draws", type=int, default=3,
+                    help="Ni structure draws, and Si-B0 structures up to 4; "
+                         "Si-g20 always uses one structure")
     pa.add_argument("--full", action="store_true", help="print every comparison")
     _add_common(pa, _ALL_FORMATS)
     pa.set_defaults(handler=cmd_verify_appendix)

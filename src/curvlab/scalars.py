@@ -63,6 +63,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; the default slot restore would setattr
+        return GaussianRational, (self.re, self.im)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

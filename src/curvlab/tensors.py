@@ -56,11 +56,11 @@ class MultiTensor:
     The storage is the exact kernel's format: flat lists ``re`` and ``im`` of
     Python-int numerators over one positive common denominator ``den``, so the
     entry at flat offset n (the index tuple read in base 6) is
-    (re[n] + im[n] i) / den.  The GaussianRational values are built once,
-    through Rat(num, den), on the first ``[]`` or ``nonzero()`` read.
+    (re[n] + im[n] i) / den.  A GaussianRational value is built, through
+    Rat(num, den), only for an entry that ``[]`` or ``nonzero()`` returns.
     """
 
-    __slots__ = ("rank", "re", "im", "den", "_values")
+    __slots__ = ("rank", "re", "im", "den")
 
     def __init__(self, rank: int, data=None):
         size = DIM ** rank
@@ -73,13 +73,13 @@ class MultiTensor:
             den = lcm(1, *(int(q.denominator) for v in data for q in (v.re, v.im)))
             re = [int(v.re.numerator) * (den // int(v.re.denominator)) for v in data]
             im = [int(v.im.numerator) * (den // int(v.im.denominator)) for v in data]
-        self.rank, self.re, self.im, self.den, self._values = rank, re, im, den, None
+        self.rank, self.re, self.im, self.den = rank, re, im, den
 
     @classmethod
     def from_numerators(cls, rank: int, re: list, im: list, den: int) -> "MultiTensor":
         """The tensor of entries (re[n] + im[n] i) / den; it takes ownership of the lists."""
         t = cls.__new__(cls)
-        t.rank, t.re, t.im, t.den, t._values = rank, re, im, den, None
+        t.rank, t.re, t.im, t.den = rank, re, im, den
         return t
 
     def _offset(self, idx) -> int:
@@ -89,15 +89,11 @@ class MultiTensor:
             raise ValueError(f"frame index out of range in {idx}")
         return flat_offset(idx)
 
-    def _entries(self) -> list:
-        if self._values is None:
-            self._values = [numerator_value(a, b, self.den) for a, b in zip(self.re, self.im)]
-        return self._values
-
     def __getitem__(self, idx) -> GaussianRational:
         if isinstance(idx, int):
             idx = (idx,)
-        return self._entries()[self._offset(idx)]
+        off = self._offset(idx)
+        return numerator_value(self.re[off], self.im[off], self.den)
 
     def __setitem__(self, idx, value: GaussianRational):
         """Store one entry; the common denominator grows to the lcm with the value's."""
@@ -113,8 +109,6 @@ class MultiTensor:
             self.den = den
         self.re[off] = int(value.re.numerator) * (den // dr)
         self.im[off] = int(value.im.numerator) * (den // di)
-        if self._values is not None:
-            self._values[off] = value
 
     def reduced(self) -> "MultiTensor":
         """The same tensor with the common content of numerators and denominator divided out."""
@@ -137,9 +131,8 @@ class MultiTensor:
 
     def nonzero(self):
         """Yield (index_tuple, value) for every nonzero entry, lexicographically."""
-        values = self._entries()
         for n, idx in self.nonzero_offsets():
-            yield idx, values[n]
+            yield idx, numerator_value(self.re[n], self.im[n], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, MultiTensor):

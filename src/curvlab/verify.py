@@ -1,15 +1,18 @@
-"""Sampling-based exact verification: identity testing and the theorem scoreboard.
+"""Sampling-based exact verification: the structural sweep and the theorem scoreboard.
 
-PASS semantics: an identity asserted to vanish is evaluated exactly at many
-random rational points; exact vanishing everywhere is strong evidence of
-identical vanishing (the residues are fixed rational functions of bounded
-degree).  A FAIL is a proof: it carries an exact nonzero counterexample.
+Every row is a set of exact zero tests at seeded random rational points.  A
+structural sweep row checks one identity at one (structure, metric,
+connection) point; a scoreboard case row checks one connection of a case at
+each of its ``points_per_case`` sampled points.  A PASS is sampled evidence,
+not a proof: the residues are fixed rational functions of bounded degree, so
+exact vanishing at random points makes identical vanishing very likely.  A
+FAIL is a proof: it carries an exact nonzero counterexample.
 
 The theorem scoreboard reproduces the classification results case by case:
 positive cases must come out Kahler-like at every sampled in-locus point,
 negative cases must fail with a nonzero witness at every sampled point.
-Conjecture-level implications are re-checked on every configuration the
-sweep touches.
+Conjecture-level implications are re-checked on every (point, connection)
+the scoreboard evaluates.
 """
 
 from __future__ import annotations
@@ -35,9 +38,15 @@ from .connection import (
     nabla_j_failures,
     torsion_and_bianchi_defect,
 )
-from .metric import MetricParams, build_metric, classify_metric
+from .metric import MetricClassification, MetricParams, build_metric, classify_metric
 from .scalars import GaussianRational, Rat, gr
-from .symmetry import flatness_check, gray_check_lc, kahler_like_check
+from .symmetry import (
+    FlatnessResult,
+    KahlerLikeReport,
+    flatness_check,
+    gray_check_lc,
+    kahler_like_check,
+)
 from .tensors import INDICES, all_indices, contract, index_name, numerator_value
 
 __all__ = [
@@ -312,7 +321,7 @@ THEOREM_CASES = (
     _case("N26-sv", "Sv", {}, "any", "gauduchon-all", False),
     # Levi-Civita is Kahler-like only at Kahler points
     _case("L01-h5-lc", "Np", {"rho": 1}, "any", "lc", False),
-    _case("L02-ni-balanced-lc", "Ni", {"rho": 1, "lambda": 0, "D": "-2"},
+    _case("L02-ni-balanced-lc", "Ni", {"rho": 1, "lambda": 0},  # D is drawn with the metric
           "ni-balanced", "lc", False,
           note="balanced non-Kahler point; Gray condition fails"),
     _case("L03-sii-balanced-lc", "Sii", "sii", "diag", "lc", False),
@@ -324,31 +333,25 @@ THEOREM_CASES = (
 )
 
 
-def _metric_for(case: TheoremCase, rng) -> MetricParams:
+def _point_for(case: TheoremCase, rng) -> tuple[FamilySpec, MetricParams]:
+    """One sampled (structure, metric) of the case."""
     if case.metric == "ni-balanced":
-        # r2 = 1, v = z = 0, s2 + D = i conj(u) lambda; here lambda = 0, D = -s2
-        s2 = _rand_pos(rng, 6)
-        return MetricParams(Rat(1), s2, _rand_pos(rng, 6),
-                            GaussianRational(0), GaussianRational(0), GaussianRational(0))
-    return sample_metric(rng, shape=case.metric)
-
-
-def _structure_for(case: TheoremCase, rng) -> FamilySpec:
-    if isinstance(case.structure, str):
-        params = _STRUCT_DRAWS[case.structure](rng)
+        # r2 = 1, u = v = z = 0, s2 + D = i conj(u) lambda; here lambda = 0, D = -s2
+        s2, t2 = _rand_pos(rng, 6), _rand_pos(rng, 6)
+        params = {**case.structure, "D": -s2}
+        metric = MetricParams(Rat(1), s2, t2, *[GaussianRational(0)] * 3)
     else:
         params = case.structure
-    return FamilySpec.make(case.family, **{k: gr(v) for k, v in params.items()})
+        if isinstance(params, str):
+            params = _STRUCT_DRAWS[params](rng)
+        metric = sample_metric(rng, shape=case.metric)
+    return FamilySpec.make(case.family, **params), metric
 
 
 def _specs_for(case: TheoremCase, rng):
     token = case.specs
-    if token == "chern":
-        return [ConnectionSpec.preset("chern")]
-    if token == "bismut":
-        return [ConnectionSpec.preset("bismut")]
-    if token == "lc":
-        return [ConnectionSpec.preset("lc")]
+    if token in PRESETS:
+        return [ConnectionSpec.preset(token)]
     eps = _gauduchon_eps(rng)
     if token == "gauduchon-all":
         chosen = eps
@@ -424,145 +427,138 @@ def _expected_str(case: TheoremCase) -> str:
     return ",".join(parts)
 
 
-def _witness_str(report) -> str:
+def _entry_str(kind: str, idx, value) -> str:
+    return f"{kind}[{','.join(index_name(i) for i in idx)}]={value}"
+
+
+def _witness_str(report: KahlerLikeReport) -> str:
     if report.type_residues:
-        kind, (idx, v) = "R", report.type_residues[0]
-    elif report.bianchi_residues:
-        kind, (idx, v) = "B", report.bianchi_residues[0]
-    else:
-        return ""
-    return f"{kind}[{','.join(index_name(i) for i in idx)}]={v}"
+        return _entry_str("R", *report.type_residues[0])
+    if report.bianchi_residues:
+        return _entry_str("B", *report.bianchi_residues[0])
+    return ""
+
+
+def _joined(values) -> str:
+    return "/".join(sorted(str(v).lower() for v in values))
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One evaluated (point, connection) of a theorem case; gray is set for Levi-Civita."""
+
+    case_id: str
+    spec: ConnectionSpec
+    report: KahlerLikeReport
+    flat: FlatnessResult
+    flags: MetricClassification
+    gray: bool | None
 
 
 def evaluate_case(case: TheoremCase, plan: SamplePlan):
-    """Run one theorem case; returns (per-spec CaseResults, conjecture log rows)."""
+    """Run one theorem case; returns (per-spec CaseResults, one Observation per
+    (point, connection), point-major)."""
     rng = plan.rng_for(case.case_id)
     specs = _specs_for(case, rng)
-    expected = _expected_str(case)
 
-    observations = {spec.label(): [] for spec in specs}
-    log = []
+    observations = []
     for _ in range(plan.points_per_case):
-        if case.case_id == "L02-ni-balanced-lc":
-            metric = _metric_for(case, rng)
-            struct = FamilySpec.make("Ni", rho=1, **{"lambda": 0}, D=GaussianRational(-metric.s2))
-        else:
-            struct = _structure_for(case, rng)
-            metric = _metric_for(case, rng)
+        struct, metric = _point_for(case, rng)
         alg = instantiate(struct)
         h = build_metric(metric)
         plane = connection_plane(h, alg)
         flags = classify_metric(h, alg, plane.forms)
         for spec in specs:
             curv = curvature(christoffel(spec, h, alg, plane), h, alg)
-            report = kahler_like_check(curv)
-            flat = flatness_check(curv)
-            gray = gray_check_lc(curv) if spec.is_lc else None
-            observations[spec.label()].append((report, flat, flags, gray))
-            log.append({
-                "case_id": case.case_id,
-                "family": case.family,
-                "spec": spec,
-                "klike": report.verdict,
-                "flat": flat.flat,
-                "gray": gray,
-                "kahler": flags.kahler,
-                "balanced": flags.balanced,
-                "pluriclosed": flags.pluriclosed,
-            })
+            observations.append(Observation(case.case_id, spec, kahler_like_check(curv),
+                                            flatness_check(curv), flags,
+                                            gray_check_lc(curv) if spec.is_lc else None))
+    results = [_case_result(case, spec, observations[k::len(specs)])
+               for k, spec in enumerate(specs)]
+    return results, observations
 
-    results = []
-    for spec in specs:
-        rows = observations[spec.label()]
-        observed_bits = []
-        witness = ""
-        verdicts = {r.verdict for r, _, _, _ in rows}
-        ok = verdicts == {case.expect_klike}
-        observed_bits.append("klike=" + "/".join(sorted(str(v).lower() for v in verdicts)))
-        if case.expect_klike is False:
-            # soundness: a nonzero residue must witness every point
-            for r, _, _, _ in rows:
-                if r.n_type_nonzero + r.n_bianchi_nonzero == 0:
-                    ok = False
-            witness = _witness_str(rows[0][0])
-        if case.expect_flat is not None:
-            flats = {f.flat for _, f, _, _ in rows}
-            observed_bits.append("flat=" + "/".join(sorted(str(v).lower() for v in flats)))
-            if flats != {case.expect_flat}:
-                ok = False
-            if case.expect_flat is False and rows[0][1].witness:
-                idx, v = rows[0][1].witness
-                witness = f"R[{','.join(index_name(i) for i in idx)}]={v}"
-        for key, want in sorted(case.expect_flags.items()):
-            got = {getattr(fl, key) for _, _, fl, _ in rows}
-            observed_bits.append(f"{key}=" + "/".join(sorted(str(v).lower() for v in got)))
-            if got != {want}:
-                ok = False
-        # the Gray test must agree with the Kahler-like verdict for LC
-        for r, _, _, gray in rows:
-            if gray is not None and gray != r.verdict:
-                ok = False
-                observed_bits.append("gray-mismatch")
-        results.append(CaseResult(case.case_id, case.family, spec.label(), expected,
-                                  ",".join(observed_bits), witness, ok))
-    return results, log
+
+def _case_result(case: TheoremCase, spec: ConnectionSpec, obs: list) -> CaseResult:
+    """The scoreboard row of one connection of the case, from its observations."""
+    verdicts = {o.report.verdict for o in obs}
+    ok = verdicts == {case.expect_klike}
+    observed = ["klike=" + _joined(verdicts)]
+    witness = ""
+    if case.expect_klike is False:
+        # soundness: a nonzero residue must witness every point
+        ok = ok and all(o.report.n_type_nonzero + o.report.n_bianchi_nonzero for o in obs)
+        witness = _witness_str(obs[0].report)
+    if case.expect_flat is not None:
+        flats = {o.flat.flat for o in obs}
+        observed.append("flat=" + _joined(flats))
+        ok = ok and flats == {case.expect_flat}
+        if case.expect_flat is False and obs[0].flat.witness:
+            witness = _entry_str("R", *obs[0].flat.witness)
+    for key, want in sorted(case.expect_flags.items()):
+        got = {getattr(o.flags, key) for o in obs}
+        observed.append(f"{key}=" + _joined(got))
+        ok = ok and got == {want}
+    # the Gray test must agree with the Kahler-like verdict for LC
+    for o in obs:
+        if o.gray is not None and o.gray != o.report.verdict:
+            ok = False
+            observed.append("gray-mismatch")
+    return CaseResult(case.case_id, case.family, spec.label(), _expected_str(case),
+                      ",".join(observed), witness, ok)
+
+
+def _is_bismut(spec: ConnectionSpec) -> bool:
+    return spec.is_gauduchon and spec.eps == Rat(1, 2)
 
 
 _CONJECTURES = (
     ("conj-a", "Bismut Kahler-like implies pluriclosed",
-     lambda row: row["spec"].eps == Rat(1, 2) and row["spec"].is_gauduchon and row["klike"],
-     lambda row: row["pluriclosed"]),
+     lambda o: _is_bismut(o.spec) and o.report.verdict,
+     lambda o: o.flags.pluriclosed),
     ("conj-b", "Gauduchon Kahler-like off {0, 1/2} implies Kahler",
-     lambda row: row["spec"].is_gauduchon and row["spec"].eps not in (Rat(0), Rat(1, 2))
-     and row["klike"],
-     lambda row: row["kahler"]),
+     lambda o: o.spec.is_gauduchon and o.spec.eps not in (Rat(0), Rat(1, 2))
+     and o.report.verdict,
+     lambda o: o.flags.kahler),
     ("conj-c", "Chern or Levi-Civita Kahler-like implies balanced",
-     lambda row: (row["spec"].is_lc or (row["spec"].is_gauduchon and row["spec"].eps == 0))
-     and row["klike"],
-     lambda row: row["balanced"]),
+     lambda o: (o.spec.is_lc or (o.spec.is_gauduchon and o.spec.eps == 0))
+     and o.report.verdict,
+     lambda o: o.flags.balanced),
     ("conj-d", "Levi-Civita Kahler-like iff Kahler",
-     lambda row: row["spec"].is_lc,
-     lambda row: row["klike"] == row["kahler"]),
+     lambda o: o.spec.is_lc,
+     lambda o: o.report.verdict == o.flags.kahler),
     # may be exercised only by the Kahler cases; vacuity would be a coverage bug
     ("conj-e", "Bismut-flat implies pluriclosed",
-     lambda row: row["spec"].eps == Rat(1, 2) and row["spec"].is_gauduchon and row["flat"],
-     lambda row: row["pluriclosed"]),
+     lambda o: _is_bismut(o.spec) and o.flat.flat,
+     lambda o: o.flags.pluriclosed),
 )
 
 
 def theorem_suite(plan: SamplePlan | None = None, threads: int | None = None) -> Scoreboard:
-    """Run every theorem case and the conjecture implications over the sweep."""
+    """Run every theorem case, then check each conjecture on every observation."""
     plan = plan or SamplePlan()
-    if threads is None:
-        threads = _threads_from_env()
+    # the pool starts every worker at once: at most one per core and per case
+    workers = min(_threads_from_env() if threads is None else threads,
+                  os.cpu_count() or 1, len(THEOREM_CASES))
 
-    if threads > 1:
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_evaluate_case_by_index,
                                     [(i, plan) for i in range(len(THEOREM_CASES))]))
     else:
         outputs = [evaluate_case(case, plan) for case in THEOREM_CASES]
 
-    cases = []
-    log = []
-    for results, rows in outputs:
-        cases.extend(results)
-        log.extend(rows)
-    cases.sort(key=lambda c: (c.case_id, c.spec))
+    cases = sorted((c for results, _ in outputs for c in results),
+                   key=lambda c: (c.case_id, c.spec))
+    observations = [o for _, obs in outputs for o in obs]
 
     conjectures = []
     for conj_id, statement, applies, holds in _CONJECTURES:
-        checked = 0
-        violations = []
-        for row in log:
-            if applies(row):
-                checked += 1
-                if not holds(row):
-                    violations.append(f"{row['case_id']}:{row['spec'].label()}")
-        conjectures.append(ConjectureResult(conj_id, statement, checked,
-                                            tuple(sorted(set(violations))), not violations))
+        checked = [o for o in observations if applies(o)]
+        violations = sorted({f"{o.case_id}:{o.spec.label()}" for o in checked if not holds(o)})
+        conjectures.append(ConjectureResult(conj_id, statement, len(checked),
+                                            tuple(violations), not violations))
     return Scoreboard(plan.seed, plan.points_per_case, cases, conjectures)
 
 
@@ -572,10 +568,9 @@ def _evaluate_case_by_index(args):
 
 
 def _threads_from_env() -> int:
-    """CURVLAB_THREADS, clamped to the cores and to one worker per theorem case."""
-    raw = os.environ.get("CURVLAB_THREADS", "1")
+    """CURVLAB_THREADS as an integer, 1 when unset or malformed; theorem_suite clamps it."""
     try:
-        return max(1, min(int(raw), os.cpu_count() or 1, len(THEOREM_CASES)))
+        return int(os.environ.get("CURVLAB_THREADS", "1"))
     except ValueError:
         return 1
 
@@ -595,6 +590,13 @@ _SWEEP_STRUCTURES = (
     ("Siv1", {}), ("Siv2", {"x": 1}), ("Siv3", {"A": 2}),
     ("Sv", {}), ("sl2c", {}),
 )
+
+
+def _row(name: str, where: str, witness) -> IdentityResult:
+    """One sweep row at one point: PASS without a witness, else FAIL carrying
+    (where, label, value) from witness = (label, value)."""
+    return IdentityResult(f"{name}[{where}]", not witness, 1,
+                          (where, *witness) if witness else None)
 
 
 def _identity_witness(prod):
@@ -637,10 +639,8 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
         alg = instantiate(f)
         tag = f"{family_id}{params}"
 
-        rep = validate_lie_algebra(alg)
-        results.append(IdentityResult(f"lie-algebra[{tag}]", rep.passed, 1,
-                                      None if rep.passed else (tag, rep.failures()[0].name,
-                                                               rep.failures()[0].residue)))
+        bad = validate_lie_algebra(alg).failures()
+        results.append(_row("lie-algebra", tag, bad and (bad[0].name, bad[0].residue)))
 
         specs = [ConnectionSpec.preset(name) for name in PRESETS]
         for _ in range(random_gauduchon):
@@ -653,10 +653,9 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
             plane = connection_plane(h, alg)
             point = f"{tag} metric#{m_index}"
 
-            for name, wit in (("g-ginv-identity", _identity_witness(contract(h.g, h.g_inv, 1, 0))),
-                              ("d-squared", _d_witness(exterior_d(h.omega, alg), alg))):
-                results.append(IdentityResult(f"{name}[{point}]", wit is None, 1,
-                                              None if wit is None else (point, *wit)))
+            results.append(_row("g-ginv-identity", point,
+                                _identity_witness(contract(h.g, h.g_inv, 1, 0))))
+            results.append(_row("d-squared", point, _d_witness(exterior_d(h.omega, alg), alg)))
 
             for spec in specs:
                 sp = f"{point} {spec.label()}"
@@ -664,25 +663,14 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
                 curv = curvature(table, h, alg)
 
                 bad = curvature_symmetry_failures(curv, check_symm=spec.is_lc)
-                results.append(IdentityResult(
-                    f"curvature-symmetries[{sp}]", not bad, 1,
-                    None if not bad else (sp, bad[0][0], curv.tensor[bad[0][1]])))
-
-                ng = nabla_g_failures(table)
-                results.append(IdentityResult(
-                    f"nabla-g[{sp}]", not ng, 1,
-                    None if not ng else (sp, str(ng[0]), table.lowered[ng[0]])))
-
+                results.append(_row("curvature-symmetries", sp,
+                                    bad and (bad[0][0], curv.tensor[bad[0][1]])))
+                bad = nabla_g_failures(table)
+                results.append(_row("nabla-g", sp, bad and (str(bad[0]), table.lowered[bad[0]])))
                 if spec.is_gauduchon:
-                    nj = nabla_j_failures(table)
-                    results.append(IdentityResult(
-                        f"nabla-j[{sp}]", not nj, 1,
-                        None if not nj else (sp, str(nj[0]), table.gamma[nj[0]])))
-
+                    bad = nabla_j_failures(table)
+                    results.append(_row("nabla-j", sp, bad and (str(bad[0]), table.gamma[bad[0]])))
                 _, defect = torsion_and_bianchi_defect(spec, h, alg)
-                ok = defect.is_zero()
-                wit = None if ok else next(defect.nonzero())
-                results.append(IdentityResult(
-                    f"bianchi-defect[{sp}]", ok, 1,
-                    None if ok else (sp, str(wit[0]), wit[1])))
+                wit = next(defect.nonzero(), None)
+                results.append(_row("bianchi-defect", sp, wit and (str(wit[0]), wit[1])))
     return results

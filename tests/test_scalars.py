@@ -1,9 +1,15 @@
+import copy
 import fractions
+import pickle
 
 import pytest
 
 from curvlab import scalars
+from curvlab.catalog import FamilySpec, instantiate
+from curvlab.connection import ConnectionSpec, curvature_of
+from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import I, ONE, ZERO, GaussianRational, Rat, gr, rat_from_str
+from curvlab.symmetry import kahler_like_check
 
 from conftest import rand_gauss
 
@@ -119,3 +125,20 @@ def test_malformed_literal_message_is_backend_independent(backend):
         with pytest.raises(ValueError) as info:
             gr(bad)
         assert str(info.value) == f"bad scalar literal {bad!r}"
+
+
+def test_pickle_and_copy_round_trip(backend):
+    value = GaussianRational(backend(1, 2), backend(-3, 4))
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value
+        assert type(twin.re) is backend and type(twin.im) is backend
+        with pytest.raises(AttributeError):
+            twin.re = backend(0)
+
+
+def test_pickled_report_keeps_its_witnesses():
+    alg = instantiate(FamilySpec.make("Np", rho=1))
+    h = build_metric(MetricParams.make(r2=1, s2=2, t2=3, u="1/5*i"))
+    report = kahler_like_check(curvature_of(ConnectionSpec.preset("lc"), h, alg))
+    assert report.type_residues or report.bianchi_residues
+    assert pickle.loads(pickle.dumps(report)) == report

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from curvlab import symmetry, tensors
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import ConnectionSpec, CurvatureTensor, curvature_of
@@ -13,7 +14,7 @@ from curvlab.symmetry import (
     gray_check_lc,
     kahler_like_check,
 )
-from curvlab.tensors import all_indices
+from curvlab.tensors import all_indices, numerator_value
 
 from conftest import rand_metric
 
@@ -182,15 +183,24 @@ def test_corrupted_kahler_like_curvature_names_exactly_the_writes(rng):
     assert flatness_check(bad).witness == (first, r[first])
 
 
-def test_verdicts_build_values_only_for_witnesses(rng):
+def test_verdicts_build_values_only_for_witnesses(rng, monkeypatch):
     alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
     h = build_metric(rand_metric(rng))
     curv = curvature_of(ConnectionSpec.preset("lc"), h, alg)
+    built = [0]
+
+    def counted(a, b, den):
+        built[0] += 1
+        return numerator_value(a, b, den)
+
+    monkeypatch.setattr(symmetry, "numerator_value", counted)
+    monkeypatch.setattr(tensors, "numerator_value", counted)
     report = kahler_like_check(curv, witness_cap=100)
     flat = flatness_check(curv)
     gray = gray_check_lc(curv)
-    assert curv.tensor._values is None  # no full value list was built
     assert not report.verdict and not flat.flat and not gray
+    # one value per reported witness, and no full value list of R
+    assert built[0] == len(report.type_residues) + len(report.bianchi_residues) + 1
     # the numerator tests agree with tests on the values themselves
     r = curv.tensor
     type_res = [(idx, r[idx]) for idx in all_indices(4)

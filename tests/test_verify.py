@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import hashlib
 import itertools
 import os
@@ -79,10 +80,10 @@ def test_case_table_covers_catalog():
 def test_single_case_evaluation():
     plan = SamplePlan(seed=5, points_per_case=2)
     case = next(c for c in THEOREM_CASES if c.case_id == "P09-h2-bismut")
-    results, log = evaluate_case(case, plan)
+    results, observations = evaluate_case(case, plan)
     assert all(r.passed for r in results)
-    assert all(row["klike"] for row in log)
-    assert all(row["pluriclosed"] for row in log)
+    assert all(o.report.verdict for o in observations)
+    assert all(o.flags.pluriclosed for o in observations)
 
 
 def test_scoreboard_determinism():
@@ -129,14 +130,71 @@ def test_threads_env(monkeypatch):
     from curvlab.verify import _threads_from_env
 
     monkeypatch.setenv("CURVLAB_THREADS", "3")
-    assert _threads_from_env() == min(3, os.cpu_count() or 1)
-    # clamped to the cores and to one worker per case; no pool is started here
+    assert _threads_from_env() == 3
+    # only parsed here; theorem_suite clamps it, and no pool is started here
     monkeypatch.setenv("CURVLAB_THREADS", "100000")
-    assert _threads_from_env() == min(os.cpu_count() or 1, len(THEOREM_CASES))
+    assert _threads_from_env() == 100000
     monkeypatch.setenv("CURVLAB_THREADS", "junk")
     assert _threads_from_env() == 1
     monkeypatch.delenv("CURVLAB_THREADS")
     assert _threads_from_env() == 1
+
+
+def test_thread_count_is_clamped_where_the_pool_is_sized(monkeypatch):
+    """An explicit threads argument and CURVLAB_THREADS both size the pool to at most
+    one worker per core and per theorem case.  The pool is a stub that runs the
+    cases in this process, so no worker process is started."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    plan = SamplePlan(seed=2, points_per_case=1)
+    serial = theorem_suite(plan, threads=1).to_json()
+    assert asked == []
+    for cores in (8, 1000):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert theorem_suite(plan, threads=10**6).to_json() == serial
+        monkeypatch.setenv("CURVLAB_THREADS", str(10**6))
+        assert theorem_suite(plan).to_json() == serial
+        monkeypatch.delenv("CURVLAB_THREADS")
+    assert asked == [8, 8, len(THEOREM_CASES), len(THEOREM_CASES)]
+
+
+def _sweep_digest():
+    results = structural_sweep(SamplePlan(seed=0), metrics_per_structure=1,
+                               random_gauduchon=1)
+    return hashlib.sha256("\n".join(r.describe() for r in results).encode()).hexdigest()
+
+
+def test_sweep_rows_are_pinned():
+    # names, order, point labels and PASS/FAIL text of every sweep row
+    assert _sweep_digest() == "157495b7d8cbb5a9d1cc5f0d99d16a8bc4a6f35fd59bb083362dbcad72191cff"
+
+
+def test_sweep_failure_witnesses_are_pinned(monkeypatch):
+    """With T negated in every point's shared plane, the failing rows (the nabla-j
+    rows of the connections with torsion) and their exact witnesses are pinned too."""
+    plane = verify.connection_plane
+
+    def broken(h, alg):
+        p = plane(h, alg)
+        t, c = p.forms
+        return connection.ConnectionPlane(p.lc, (-t, c))
+
+    monkeypatch.setattr(verify, "connection_plane", broken)
+    assert _sweep_digest() == "d84bff320da51bb10c77c3e0373df5c0895770d370418b28e8975ef07bd9a8d8"
 
 
 def test_structural_sweep_small():
