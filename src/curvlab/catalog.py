@@ -5,10 +5,12 @@ Families (Np), (Ni), (Nii), (Niii) live on nilpotent algebras; (Si) through
 canonical bundle; sl2c is the complex special linear algebra.  Each family
 carries its parameter domain, the structure equations for d(phi^k), the
 underlying real Lie algebra labels (metadata only), and the known loci of
-special metrics (Kahler / balanced / pluriclosed).  Every locus is a linear
-subspace of the nine real metric coordinates, recorded as homogeneous linear
-equations whose coefficients may depend on the structure parameters; the
-zero test runs on the metric parameters cleared to integers.
+special metrics (Kahler / balanced / pluriclosed).  A domain is declared
+data, not code: the finite choices of a parameter (which the scoreboard also
+draws from) and the other rules, each with the text a violation reports.
+Every locus is a linear subspace of the nine real metric coordinates, recorded
+as homogeneous linear equations whose coefficients may depend on the structure
+parameters; the zero test runs on the metric parameters cleared to integers.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ __all__ = [
     "special_metric_loci",
     "catalog_rows",
 ]
-
-FAMILY_IDS = ("Np", "Ni", "Nii", "Niii", "Si", "Sii", "Siii1", "Siii2",
-              "Siii3", "Siii4", "Siv1", "Siv2", "Siv3", "Sv", "sl2c")
-
 
 class FamilyDomainError(ValueError):
     """Raised when family parameters fall outside the catalog domain."""
@@ -83,14 +81,6 @@ class MetricLocus:
         """Whether m solves every equation; a zero test on m's parameters cleared to integers."""
         c = _cleared(m)[1]
         return all(sum(a * x for a, x in zip(row, c)) == 0 for row in self.equations)
-
-
-def _is_choice(v: GaussianRational, *choices) -> bool:
-    return any(v == gr(c) for c in choices)
-
-
-def _real_nonneg(v: GaussianRational) -> bool:
-    return v.im == 0 and v.re >= 0
 
 
 # -- structure equations ------------------------------------------------------
@@ -190,74 +180,16 @@ def _dphi_sl2c(p):
             2: {(0, 1): gr(1)}}
 
 
-# -- domain validation --------------------------------------------------------
+# -- parameter domains ---------------------------------------------------------
+# Declared in _FAMILIES (choices, constraints); each text is what a violation
+# reports, and the scoreboard draws the choices in their declared order.
 
-def _check_np(p):
-    if not _is_choice(p.param("rho"), 0, 1):
-        raise FamilyDomainError("Np", "rho in {0, 1}")
-
-
-def _check_ni(p):
-    if not _is_choice(p.param("rho"), 0, 1):
-        raise FamilyDomainError("Ni", "rho in {0, 1}")
-    if not _real_nonneg(p.param("lambda")):
-        raise FamilyDomainError("Ni", "lambda real with lambda >= 0")
-    if not p.param("D").im >= 0:
-        raise FamilyDomainError("Ni", "Im D >= 0")
+_RHO = ("rho", (0, 1), "rho in {0, 1}")
+_SIGN = ("sign", (1, -1), "sign in {+1, -1}")
 
 
-def _check_nii(p):
-    rho, b, c = p.param("rho"), p.param("B"), p.param("c")
-    if not _is_choice(rho, 0, 1):
-        raise FamilyDomainError("Nii", "rho in {0, 1}")
-    if not _real_nonneg(c):
-        raise FamilyDomainError("Nii", "c real with c >= 0")
-    if rho.is_zero() and b.is_zero() and c.is_zero():
-        raise FamilyDomainError("Nii", "(rho, B, c) != (0, 0, 0)")
-
-
-def _check_niii(p):
-    if not _is_choice(p.param("rho"), 0, 1):
-        raise FamilyDomainError("Niii", "rho in {0, 1}")
-    if not _is_choice(p.param("sign"), 1, -1):
-        raise FamilyDomainError("Niii", "sign in {+1, -1}")
-
-
-def _check_si(p):
-    a = p.param("A")
-    if a.abs2() != 1:
-        raise FamilyDomainError("Si", "|A| = 1 (A = cos(theta) + i sin(theta))")
-    if a.im < 0:
-        raise FamilyDomainError("Si", "Im A >= 0 (theta in [0, pi))")
-    if a == gr(-1):
-        raise FamilyDomainError("Si", "A != -1 (theta in [0, pi))")
-
-
-def _check_sii(p):
-    x = p.param("x")
-    if not (x.im == 0 and x.re > 0):
-        raise FamilyDomainError("Sii", "x real with x > 0")
-
-
-def _check_sign_only(family):
-    def check(p):
-        if not _is_choice(p.param("sign"), 1, -1):
-            raise FamilyDomainError(family, "sign in {+1, -1}")
-    return check
-
-
-def _check_none(p):
-    pass
-
-
-def _check_siv2(p):
-    if not _is_choice(p.param("x"), 0, 1):
-        raise FamilyDomainError("Siv2", "x in {0, 1}")
-
-
-def _check_siv3(p):
-    if p.param("A").abs2() == 1:
-        raise FamilyDomainError("Siv3", "|A| != 1")
+def _real_nonneg(v: GaussianRational) -> bool:
+    return v.im == 0 and v.re >= 0
 
 
 # -- algebra labels (metadata only) -------------------------------------------
@@ -341,60 +273,74 @@ class _FamilyDef:
     param_doc: str
     algebras: str
     dphi: Callable
-    check: Callable
+    choices: tuple = ()  # (name, values, text) per finite-choice parameter, in draw order
+    constraints: tuple = ()  # (text, test) per other rule; test reads {name: value}
     label: Callable | None = None
 
 
 _FAMILIES = {
     "Np": _FamilyDef(
         "Np", ("rho",), "rho in {0,1}", "h1 (rho=0), h5 (rho=1)",
-        _dphi_np, _check_np, _label_np),
+        _dphi_np, choices=(_RHO,), label=_label_np),
     "Ni": _FamilyDef(
         "Ni", ("rho", "lambda", "D"), "rho in {0,1}; lambda real >= 0; D complex, Im D >= 0",
         "h2, h3, h4, h5, h6, h8",
-        _dphi_ni, _check_ni, _label_ni),
+        _dphi_ni, choices=(_RHO,),
+        constraints=(("lambda real with lambda >= 0", lambda v: _real_nonneg(v["lambda"])),
+                     ("Im D >= 0", lambda v: v["D"].im >= 0)),
+        label=_label_ni),
     "Nii": _FamilyDef(
         "Nii", ("rho", "B", "c"), "rho in {0,1}; B complex; c real >= 0; (rho,B,c) != (0,0,0)",
         "h7, h9..h16",
-        _dphi_nii, _check_nii),
+        _dphi_nii, choices=(_RHO,),
+        constraints=(("c real with c >= 0", lambda v: _real_nonneg(v["c"])),
+                     ("(rho, B, c) != (0, 0, 0)",
+                      lambda v: any(v[k] for k in ("rho", "B", "c"))))),
     "Niii": _FamilyDef(
         "Niii", ("rho", "sign"), "rho in {0,1}; sign in {+1,-1}", "h19- (rho=0), h26+ (rho=1)",
-        _dphi_niii, _check_niii),
+        _dphi_niii, choices=(_RHO, _SIGN)),
     "Si": _FamilyDef(
         "Si", ("A",), "A with |A| = 1, Im A >= 0, A != -1",
         "g1 (A=1), g2^alpha (alpha = Re A / Im A)",
-        _dphi_si, _check_si, _label_si),
+        _dphi_si,
+        constraints=(("|A| = 1 (A = cos(theta) + i sin(theta))", lambda v: v["A"].abs2() == 1),
+                     ("Im A >= 0 (theta in [0, pi))", lambda v: v["A"].im >= 0),
+                     ("A != -1 (theta in [0, pi))", lambda v: v["A"] != -1)),
+        label=_label_si),
     "Sii": _FamilyDef(
         "Sii", ("x",), "x real > 0", "g3",
-        _dphi_sii, _check_sii),
+        _dphi_sii,
+        constraints=(("x real with x > 0", lambda v: v["x"].im == 0 and v["x"].re > 0),)),
     "Siii1": _FamilyDef(
         "Siii1", ("sign",), "sign in {+1,-1}", "g4",
-        _dphi_siii1, _check_sign_only("Siii1")),
+        _dphi_siii1, choices=(_SIGN,)),
     "Siii2": _FamilyDef(
         "Siii2", (), "none", "g5",
-        _dphi_siii2, _check_none),
+        _dphi_siii2),
     "Siii3": _FamilyDef(
         "Siii3", (), "none", "g6",
-        _dphi_siii3, _check_none),
+        _dphi_siii3),
     "Siii4": _FamilyDef(
         "Siii4", ("sign",), "sign in {+1,-1}", "g7",
-        _dphi_siii4, _check_sign_only("Siii4")),
+        _dphi_siii4, choices=(_SIGN,)),
     "Siv1": _FamilyDef(
         "Siv1", (), "none", "g8",
-        _dphi_siv1, _check_none),
+        _dphi_siv1),
     "Siv2": _FamilyDef(
         "Siv2", ("x",), "x in {0,1}", "g8",
-        _dphi_siv2, _check_siv2),
+        _dphi_siv2, choices=(("x", (0, 1), "x in {0, 1}"),)),
     "Siv3": _FamilyDef(
         "Siv3", ("A",), "A complex with |A| != 1", "g8",
-        _dphi_siv3, _check_siv3),
+        _dphi_siv3, constraints=(("|A| != 1", lambda v: v["A"].abs2() != 1),)),
     "Sv": _FamilyDef(
         "Sv", (), "none", "g9",
-        _dphi_sv, _check_none),
+        _dphi_sv),
     "sl2c": _FamilyDef(
         "sl2c", (), "none", "sl(2,C)",
-        _dphi_sl2c, _check_none),
+        _dphi_sl2c),
 }
+
+FAMILY_IDS = tuple(_FAMILIES)
 
 
 def family_info(family_id: str) -> _FamilyDef:
@@ -405,13 +351,23 @@ def family_info(family_id: str) -> _FamilyDef:
 
 
 def _validated(f: FamilySpec) -> _FamilyDef:
-    """The family of f, after rejecting parameters it does not take and out-of-domain values."""
+    """The family of f, after rejecting unknown, missing and out-of-domain parameters.
+
+    Every declared parameter must be present (checked in declared order); then the
+    choices and then the constraints are tested, and the first violation is raised.
+    """
     fam = family_info(f.id)
     unknown = sorted(set(f.params) - set(fam.params))
     if unknown:
         raise FamilyDomainError(f.id, f"unknown parameter(s) {', '.join(unknown)}; "
                                       f"accepted: {', '.join(fam.params) or 'none'}")
-    fam.check(f)
+    values = {name: f.param(name) for name in fam.params}
+    for name, choices, text in fam.choices:
+        if not any(values[name] == c for c in choices):
+            raise FamilyDomainError(f.id, text)
+    for text, test in fam.constraints:
+        if not test(values):
+            raise FamilyDomainError(f.id, text)
     return fam
 
 

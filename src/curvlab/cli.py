@@ -362,6 +362,13 @@ def _add_common(p, formats):
     p.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+def _add_spec(p):
+    p.add_argument("--spec", default="chern",
+                   help="connection: a preset (lc, chern, bismut, anti-bismut, first-canonical, "
+                        "minimal-gauduchon), eps=a/b,rho=c/d, or eps=a/b alone for the "
+                        "Gauduchon connection (rho = 1/2 - eps)")
+
+
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
     parsers = []
 
@@ -387,22 +394,22 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = with_defaults(sub.add_parser("curvature", help="dump the full curvature tensor"))
     _add_config_args(p)
-    p.add_argument("--spec", default="chern",
-                   help="connection: lc|chern|bismut|anti-bismut|first-canonical|"
-                        "minimal-gauduchon or eps=a/b,rho=c/d")
+    _add_spec(p)
     _add_common(p, _ALL_FORMATS)
     p.set_defaults(handler=cmd_curvature)
 
     p = with_defaults(sub.add_parser("check-kl", help="Kahler-like verdict with witnesses"))
     _add_config_args(p)
-    p.add_argument("--spec", default="chern")
-    p.add_argument("--witness-cap", type=int, default=8)
+    _add_spec(p)
+    p.add_argument("--witness-cap", type=int, default=8,
+                   help="list at most this many type and this many Bianchi residues; "
+                        "the verdict and the nonzero counts cover every entry")
     _add_common(p, _NO_CSV)
     p.set_defaults(handler=cmd_check_kl)
 
     p = with_defaults(sub.add_parser("check-flat", help="flatness verdict"))
     _add_config_args(p)
-    p.add_argument("--spec", default="chern")
+    _add_spec(p)
     _add_common(p, _NO_CSV)
     p.set_defaults(handler=cmd_check_flat)
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import d_component, exterior_d, validate_lie_algebra
-from .catalog import FamilySpec, instantiate
+from .catalog import FamilySpec, family_info, instantiate
 from .connection import (
     ConnectionSpec,
     PRESETS,
@@ -39,7 +39,7 @@ from .connection import (
     torsion_and_bianchi_defect,
 )
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
-from .scalars import GaussianRational, Rat, gr
+from .scalars import ZERO, GaussianRational, Rat, gr
 from .symmetry import (
     FlatnessResult,
     KahlerLikeReport,
@@ -64,6 +64,7 @@ __all__ = [
 DEFAULT_EPS_SET = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2), Rat(2, 3))
 RANDOM_EPS_COUNT = 1  # seeded random eps off {0, 1/2} added to DEFAULT_EPS_SET per case
 EPS_HEIGHT = 10  # the random eps are a/b with |a| <= 2 EPS_HEIGHT, 1 <= b <= EPS_HEIGHT
+METRIC_HEIGHT = 10  # r2, s2, t2 are a/b with 1 <= a <= METRIC_HEIGHT, 1 <= b <= METRIC_HEIGHT // 2
 
 
 class SamplingError(RuntimeError):
@@ -100,38 +101,34 @@ def _rand_small_gauss(rng, den=5):
     return GaussianRational(Rat(rng.randint(-2, 2), den), Rat(rng.randint(-2, 2), den))
 
 
-def sample_metric(rng, height=10, shape="any", attempts=200) -> MetricParams:
-    """Draw metric parameters of the requested shape until the positivity holds.
+# shape -> (r2 fixed at 1, which of u, v, z are drawn, must the drawn ones be not all zero)
+_SHAPES = {
+    "any": (False, "uvz", False),
+    "diag": (False, "", False),
+    "diag-r1": (True, "", False),
+    "offu-r1": (True, "u", True),
+    "u-only": (False, "u", True),
+    "vz-only": (False, "vz", True),
+}
 
-    Shapes: 'any' (generic), 'diag' (u=v=z=0), 'diag-r1' (r2=1, u=v=z=0),
-    'offu-r1' (r2=1, v=z=0, u != 0), 'u-only' (v=z=0, u != 0),
-    'vz-only' (u=0, v and z not both 0).
+
+def sample_metric(rng, shape="any", attempts=200) -> MetricParams:
+    """Draw metric parameters of a _SHAPES shape until the positivity holds.
+
+    r2, s2 and t2 are always drawn, then the shape's parts in u, v, z order;
+    the parts not drawn are 0.
     """
+    try:
+        unit_r2, drawn, nonzero = _SHAPES[shape]
+    except KeyError:
+        raise ValueError(f"unknown metric shape {shape!r}") from None
     for _ in range(attempts):
-        r2, s2, t2 = (_rand_pos(rng, height) for _ in range(3))
-        u = v = z = GaussianRational(0)
-        if shape == "any":
-            u, v, z = (_rand_small_gauss(rng) for _ in range(3))
-        elif shape == "diag":
-            pass
-        elif shape == "diag-r1":
-            r2 = Rat(1)
-        elif shape == "offu-r1":
-            r2 = Rat(1)
-            u = _rand_small_gauss(rng)
-            if u.is_zero():
-                continue
-        elif shape == "u-only":
-            u = _rand_small_gauss(rng)
-            if u.is_zero():
-                continue
-        elif shape == "vz-only":
-            v, z = (_rand_small_gauss(rng) for _ in range(2))
-            if v.is_zero() and z.is_zero():
-                continue
-        else:
-            raise ValueError(f"unknown metric shape {shape!r}")
-        p = MetricParams(r2, s2, t2, u, v, z)
+        r2, s2, t2 = (_rand_pos(rng, METRIC_HEIGHT) for _ in range(3))
+        parts = {name: _rand_small_gauss(rng) for name in drawn}
+        if nonzero and all(x.is_zero() for x in parts.values()):
+            continue
+        p = MetricParams(Rat(1) if unit_r2 else r2, s2, t2,
+                         *(parts.get(name, ZERO) for name in "uvz"))
         if not p.constraint_failures():
             return p
     raise SamplingError(f"no valid metric of shape {shape!r} in {attempts} attempts")
@@ -198,10 +195,6 @@ def _draw_nii(rng):
             return {"rho": gr(rho), "B": b, "c": gr(c)}
 
 
-def _draw_niii(rng):
-    return {"rho": gr(rng.choice((0, 1))), "sign": gr(rng.choice((1, -1)))}
-
-
 def _draw_si_any(rng):
     return {"A": gr(rng.choice(("1", "i") + _PYTH_UNIT))}
 
@@ -214,14 +207,6 @@ def _draw_sii(rng):
     return {"x": gr(Rat(rng.randint(1, 8), rng.randint(1, 4)))}
 
 
-def _draw_siii1(rng):
-    return {"sign": gr(rng.choice((1, -1)))}
-
-
-def _draw_siv2(rng):
-    return {"x": gr(rng.choice((0, 1)))}
-
-
 def _draw_siv3(rng):
     return {"A": gr(rng.choice(_NONUNIT_A))}
 
@@ -230,14 +215,13 @@ _STRUCT_DRAWS = {
     "ni-rho1": _draw_ni_rho1,
     "ni-lam1": _draw_ni_lam1,
     "nii": _draw_nii,
-    "niii": _draw_niii,
     "si-any": _draw_si_any,
     "si-nonkahler": _draw_si_nonkahler,
     "sii": _draw_sii,
-    "siii1": _draw_siii1,
-    "siv2": _draw_siv2,
     "siv3": _draw_siv3,
 }
+_CHOICES = "choices"  # draw each of the family's declared finite choices (catalog)
+
 
 @dataclass(frozen=True)
 class TheoremCase:
@@ -245,7 +229,7 @@ class TheoremCase:
 
     case_id: str
     family: str
-    structure: object  # params dict or a draw key in _STRUCT_DRAWS
+    structure: object  # params dict, a draw key in _STRUCT_DRAWS, or _CHOICES
     metric: str
     specs: str
     expect_klike: bool
@@ -281,7 +265,7 @@ THEOREM_CASES = (
           True, flat=False, flags={"pluriclosed": True}),
     _case("P10-h8-bismut", "Ni", {"rho": 0, "lambda": 0, "D": 0}, "any", "bismut",
           True, flat=False, flags={"pluriclosed": True}),
-    _case("P11-g4-bismut", "Siii1", "siii1", "diag", "bismut", True, flat=False,
+    _case("P11-g4-bismut", "Siii1", _CHOICES, "diag", "bismut", True, flat=False,
           flags={"pluriclosed": True}),
     _case("P12-torus-bismut", "Np", {"rho": 0}, "any", "bismut", True, flat=True),
     _case("P13-g20-bismut", "Si", {"A": "i"}, "diag", "bismut", True, flat=True),
@@ -301,7 +285,7 @@ THEOREM_CASES = (
           "gauduchon-mid", False),
     _case("N07-h8-chern", "Ni", {"rho": 0, "lambda": 0, "D": 0}, "any", "chern", False),
     _case("N08-nii", "Nii", "nii", "any", "gauduchon-all", False),
-    _case("N09-niii", "Niii", "niii", "any", "gauduchon-all", False),
+    _case("N09-niii", "Niii", _CHOICES, "any", "gauduchon-all", False),
     _case("N10-si-offdiag-chern", "Si", "si-any", "u-only", "chern", False),
     _case("N11-si-vz-chern", "Si", "si-any", "vz-only", "chern", False),
     _case("N12-g20-vz-nonchern", "Si", {"A": "i"}, "vz-only", "gauduchon-nonchern", False),
@@ -311,11 +295,11 @@ THEOREM_CASES = (
     _case("N16-g6", "Siii3", {}, "any", "gauduchon-all", False),
     _case("N17-g7", "Siii4", {"sign": 1}, "any", "gauduchon-all", False),
     _case("N18-g7-neg", "Siii4", {"sign": -1}, "any", "gauduchon-all", False),
-    _case("N19-g4-chern", "Siii1", "siii1", "any", "chern", False),
-    _case("N20-g4-wrong-eps", "Siii1", "siii1", "diag", "gauduchon-mid", False),
-    _case("N21-g4-off-locus", "Siii1", "siii1", "u-only", "bismut", False),
+    _case("N19-g4-chern", "Siii1", _CHOICES, "any", "chern", False),
+    _case("N20-g4-wrong-eps", "Siii1", _CHOICES, "diag", "gauduchon-mid", False),
+    _case("N21-g4-off-locus", "Siii1", _CHOICES, "u-only", "bismut", False),
     _case("N22-siv1-nonchern", "Siv1", {}, "any", "gauduchon-nonchern", False),
-    _case("N23-siv2", "Siv2", "siv2", "any", "gauduchon-all", False),
+    _case("N23-siv2", "Siv2", _CHOICES, "any", "gauduchon-all", False),
     _case("N24-siv3-nonchern", "Siv3", "siv3", "any", "gauduchon-nonchern", False),
     _case("N25-siv3-offdiag-chern", "Siv3", "siv3", "u-only", "chern", False),
     _case("N26-sv", "Sv", {}, "any", "gauduchon-all", False),
@@ -329,7 +313,7 @@ THEOREM_CASES = (
           note="Chern-flat balanced metric, still not LC Kahler-like"),
     _case("L05-niii-balanced-lc", "Niii", {"rho": 0, "sign": 1}, "diag", "lc", False),
     _case("L06-g8-lc", "Siv1", {}, "any", "lc", False),
-    _case("L07-g4-diag-lc", "Siii1", "siii1", "diag", "lc", False),
+    _case("L07-g4-diag-lc", "Siii1", _CHOICES, "diag", "lc", False),
 )
 
 
@@ -342,7 +326,10 @@ def _point_for(case: TheoremCase, rng) -> tuple[FamilySpec, MetricParams]:
         metric = MetricParams(Rat(1), s2, t2, *[GaussianRational(0)] * 3)
     else:
         params = case.structure
-        if isinstance(params, str):
+        if params == _CHOICES:
+            params = {name: rng.choice(values)
+                      for name, values, _ in family_info(case.family).choices}
+        elif isinstance(params, str):
             params = _STRUCT_DRAWS[params](rng)
         metric = sample_metric(rng, shape=case.metric)
     return FamilySpec.make(case.family, **params), metric

@@ -10,6 +10,7 @@ from curvlab.catalog import (
     FamilySpec,
     algebra_label,
     catalog_rows,
+    family_info,
     instantiate,
     special_metric_loci,
 )
@@ -114,6 +115,40 @@ def test_domain_rejections():
             with pytest.raises(FamilyDomainError) as err:
                 query(FamilySpec.make(fid, **params))
             assert fragment in str(err.value)
+
+
+# one in-domain point of every family that takes parameters
+_IN_DOMAIN = {
+    "Np": {"rho": 1},
+    "Ni": {"rho": 1, "lambda": 1, "D": "i"},
+    "Nii": {"rho": 1, "B": "1/2", "c": 1},
+    "Niii": {"rho": 1, "sign": -1},
+    "Si": {"A": "i"},
+    "Sii": {"x": 2},
+    "Siii1": {"sign": 1},
+    "Siii4": {"sign": -1},
+    "Siv2": {"x": 1},
+    "Siv3": {"A": 2},
+}
+
+
+def test_in_domain_points_cover_every_parametrized_family():
+    assert set(_IN_DOMAIN) == {fid for fid in FAMILY_IDS if family_info(fid).params}
+    for fid, params in _IN_DOMAIN.items():
+        assert set(params) == set(family_info(fid).params)
+        instantiate(FamilySpec.make(fid, **params))
+        special_metric_loci(FamilySpec.make(fid, **params))
+
+
+@pytest.mark.parametrize("fid, name", [(fid, name) for fid, params in _IN_DOMAIN.items()
+                                       for name in params])
+def test_every_declared_parameter_is_required(fid, name):
+    # a missing parameter is named even where another rule could already decide
+    params = {k: v for k, v in _IN_DOMAIN[fid].items() if k != name}
+    for query in (instantiate, special_metric_loci):
+        with pytest.raises(FamilyDomainError) as err:
+            query(FamilySpec.make(fid, **params))
+        assert f"missing parameter {name!r}" in str(err.value)
 
 
 def test_unknown_family():

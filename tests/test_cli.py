@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -223,6 +224,16 @@ def test_verify_appendix(capsys):
                        "--points", "1", "--draws", "1")
     assert code == 0
     assert "0 mismatches" in out and "PASS" in out
+
+
+def test_verify_appendix_bytes_are_pinned(capsys):
+    # every comparison row for a fixed seed, on either rational backend; the metric
+    # draws come from verify.sample_metric
+    code, out, _ = run(capsys, "verify", "appendix", "--seed", "0", "--points", "1",
+                       "--draws", "2", "--format", "json", "--full")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "30321c548a2f1b15c549bd7e5a8f36065b21dafa5dfc5285cf43969d2df8fa3b"
 
 
 def test_flow_run_writes_csv(capsys, tmp_path):
