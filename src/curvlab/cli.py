@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import __version__
@@ -33,12 +32,11 @@ from .catalog import (
     special_metric_loci,
 )
 from .connection import ConnectionSpec, curvature_of, curvature_to_json
-from .goldens import OracleCase, compare_components
 from .metric import MetricParams, MetricValidationError, build_metric, classify_metric
-from .scalars import Rat, gr, rat_from_str
+from .scalars import rat_from_str
 from .symmetry import flatness_check, kahler_like_check, report_to_json
 from .tensors import index_name
-from .verify import SamplePlan, sample_metric, structural_sweep, theorem_suite
+from .verify import SamplePlan, appendix_suite, structural_sweep, theorem_suite
 from .flow import flow_state_from_hermitian, integrate_flow, step_count, trace_to_csv
 
 USAGE_ERROR = 2
@@ -218,42 +216,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
-    rng = random.Random(args.seed)
-    rows = []
-    failures = 0
-
-    def run(case, note):
-        nonlocal failures
-        for label, expected, got, ok in compare_components(case):
-            rows.append((note, case.eps, label, expected, got, ok))
-            if not ok:
-                failures += 1
-
-    eps_values = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2))
-    for draw in range(args.draws):
-        rho = rng.choice((0, 1))
-        lam = Rat(rng.randint(0, 3), rng.randint(1, 3))
-        d = gr(f"{Rat(rng.randint(-3, 3), rng.randint(1, 3))}") + gr("i") * gr(
-            f"{Rat(rng.randint(0, 3), rng.randint(1, 3))}")
-        st = FamilySpec.make("Ni", rho=rho, **{"lambda": lam}, D=d)
-        for _ in range(args.points):
-            m = sample_metric(rng, shape="offu-r1")
-            for eps in eps_values:
-                run(OracleCase("Ni", st, m, eps), f"Ni[rho={rho},lam={lam},D={d}]")
-
-    si_draws = ("1", "i", "3/5+4/5*i", "-3/5+4/5*i")
-    for a in si_draws[:args.draws]:
-        st = FamilySpec.make("Si", A=a)
-        for _ in range(args.points):
-            m = sample_metric(rng, shape="u-only")
-            run(OracleCase("Si-B0", st, m, Rat(0)), f"Si-B0[A={a}]")
-
-    st = FamilySpec.make("Si", A="i")
-    for _ in range(args.points):
-        m = sample_metric(rng, shape="vz-only")
-        for eps in eps_values:
-            run(OracleCase("Si-g20", st, m, eps), "Si-g20")
-
+    rows = appendix_suite(SamplePlan(seed=args.seed, points_per_case=args.points), args.draws)
+    failures = sum(not ok for *_, ok in rows)
     if args.format == "json":
         doc = {
             "seed": args.seed,

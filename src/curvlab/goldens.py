@@ -11,6 +11,9 @@ Three tables are available, keyed by family:
 
 Every entry is a closed-form expression evaluated exactly at a point; the
 comparison against the tensor pipeline is componentwise exact equality.
+_TABLES declares each key's domain rules and table function.  A row of
+compare_components is one (point, eps, component): a point's tables are built
+once for all its eps, whose connections read one connection plane.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import FamilySpec, instantiate
-from .connection import ConnectionSpec, curvature_of
+from .connection import ConnectionSpec, christoffel, connection_plane, curvature
 from .metric import HermitianData, MetricParams, build_metric
 from .scalars import GaussianRational, I, Rat, gr
 from .symmetry import BTensor
@@ -30,25 +33,22 @@ __all__ = [
     "compare_components",
 ]
 
-ORACLE_FAMILIES = ("Ni", "Si-B0", "Si-g20")
-
-
 class OracleDomainError(ValueError):
     """The requested point is outside the normalization the table assumes."""
 
 
 def _label(kind: str, i: int, j: int, k: int, l: int) -> str:
     # barred slots are fixed by the table shapes: R[i,j,k,lb], B[i,jb,k,lb]
-    names = ("1", "2", "3")
     if kind == "R":
-        return f"R[{names[i]},{names[j]},{names[k]},{names[l]}b]"
-    return f"B[{names[i]},{names[j]}b,{names[k]},{names[l]}b]"
+        return f"R[{i + 1},{j + 1},{k + 1},{l + 1}b]"
+    return f"B[{i + 1},{j + 1}b,{k + 1},{l + 1}b]"
 
 
-def _family_ni_table(rho, lam, d, s2, t2, u, eps):
+def _family_ni_table(s: FamilySpec, m: MetricParams, h: HermitianData, eps):
     """Gauduchon-family components on (Ni) with r2 = 1, v = z = 0."""
     e = GaussianRational(eps)
-    rho, lam, d, u = gr(rho), gr(lam), gr(d), gr(u)
+    rho, lam, d, u = s.param("rho"), s.param("lambda"), s.param("D"), m.u
+    s2, t2 = m.s2, m.t2
     db = d.conjugate()
     ub = u.conjugate()
     t2g = GaussianRational(t2)
@@ -105,9 +105,9 @@ def _family_ni_table(rho, lam, d, s2, t2, u, eps):
     return table
 
 
-def _family_si_b0_table(r2, s2, u):
+def _family_si_b0_table(s: FamilySpec, m: MetricParams, h: HermitianData, eps):
     """Chern-connection Bianchi components on (Si) with v = z = 0; independent of A."""
-    u = gr(u)
+    r2, s2, u = m.r2, m.s2, m.u
     denom = GaussianRational(r2 * s2 - u.abs2())
     b_1332 = gr(-2) * I * GaussianRational(r2 * s2) * u / denom
     return {
@@ -118,18 +118,17 @@ def _family_si_b0_table(r2, s2, u):
     }
 
 
-def _family_g20_table(r2, s2, t2, v, z, eps, det_scaled):
+def _family_g20_table(s: FamilySpec, m: MetricParams, h: HermitianData, eps):
     """Gauduchon-family components on the A = i point of (Si) with u = 0.
 
-    det_scaled is 8i det(Omega); the table's 1/(8 det) and 1/(16 det)
+    h.det_scaled is 8i det(Omega); the table's 1/(8 det) and 1/(16 det)
     prefactors become i/det_scaled and i/(2 det_scaled).
     """
     e = GaussianRational(eps)
-    v, z = gr(v), gr(z)
+    r2, s2, t2, v, z, det = m.r2, m.s2, m.t2, m.v, m.z, h.det_scaled
     vb, zb = v.conjugate(), z.conjugate()
     rs = GaussianRational(r2 * s2)
     rst = GaussianRational(r2 * s2 * t2)
-    det = det_scaled
     one, two = gr(1), gr(2)
     e21 = two * e - one
     e41 = gr(4) * e - one
@@ -183,44 +182,37 @@ class OracleCase:
     eps: Rat
 
 
-def _validate(case: OracleCase) -> HermitianData:
-    m = case.metric
-    key = case.family_key
-    if key == "Ni":
-        if case.structure.id != "Ni":
-            raise OracleDomainError("the Ni table needs a family (Ni) structure")
-        if m.r2 != 1 or not (m.v.is_zero() and m.z.is_zero()):
-            raise OracleDomainError("the Ni table assumes r2 = 1 and v = z = 0")
-    elif key == "Si-B0":
-        if case.structure.id != "Si":
-            raise OracleDomainError("the Si-B0 table needs a family (Si) structure")
-        if not (m.v.is_zero() and m.z.is_zero()):
-            raise OracleDomainError("the Si-B0 table assumes v = z = 0")
-        if case.eps != 0:
-            raise OracleDomainError("the Si-B0 table is for the Chern connection (eps = 0)")
-    elif key == "Si-g20":
-        if case.structure.id != "Si" or case.structure.param("A") != I:
-            raise OracleDomainError("the Si-g20 table needs family (Si) with A = i")
-        if not m.u.is_zero():
-            raise OracleDomainError("the Si-g20 table assumes u = 0")
-    else:
+# key -> (rules, table): the (text, test(structure, metric, eps)) rules in check order,
+# the first naming the structure the table is written for, and the table function
+# (structure, metric, h, eps) -> {(kind, i, j, k, l): expected value}
+_TABLES = {
+    "Ni": ((("the Ni table needs a family (Ni) structure", lambda s, m, e: s.id == "Ni"),
+            ("the Ni table assumes r2 = 1 and v = z = 0",
+             lambda s, m, e: m.r2 == 1 and m.v.is_zero() and m.z.is_zero())),
+           _family_ni_table),
+    "Si-B0": ((("the Si-B0 table needs a family (Si) structure", lambda s, m, e: s.id == "Si"),
+               ("the Si-B0 table assumes v = z = 0",
+                lambda s, m, e: m.v.is_zero() and m.z.is_zero()),
+               ("the Si-B0 table is for the Chern connection (eps = 0)", lambda s, m, e: e == 0)),
+              _family_si_b0_table),
+    "Si-g20": ((("the Si-g20 table needs family (Si) with A = i",
+                 lambda s, m, e: s.id == "Si" and s.param("A") == I),
+                ("the Si-g20 table assumes u = 0", lambda s, m, e: m.u.is_zero())),
+               _family_g20_table),
+}
+ORACLE_FAMILIES = tuple(_TABLES)
+
+
+def _checked_table(key: str, structure: FamilySpec, metric: MetricParams, eps_values):
+    """The table function of key, after raising the first rule the point breaks at any eps."""
+    if key not in _TABLES:
         raise OracleDomainError(f"unknown oracle family {key!r}; known: {ORACLE_FAMILIES}")
-    return build_metric(m)
-
-
-def _evaluate(case: OracleCase):
-    """The validated metric and the table as {(kind, i, j, k, l): expected value}."""
-    h = _validate(case)
-    m = case.metric
-    if case.family_key == "Ni":
-        s = case.structure
-        raw = _family_ni_table(s.param("rho"), s.param("lambda"), s.param("D"),
-                               m.s2, m.t2, m.u, case.eps)
-    elif case.family_key == "Si-B0":
-        raw = _family_si_b0_table(m.r2, m.s2, m.u)
-    else:
-        raw = _family_g20_table(m.r2, m.s2, m.t2, m.v, m.z, case.eps, h.det_scaled)
-    return h, raw
+    rules, table = _TABLES[key]
+    for eps in eps_values:
+        for text, test in rules:
+            if not test(structure, metric, eps):
+                raise OracleDomainError(text)
+    return table
 
 
 def appendix_oracle(case: OracleCase) -> dict:
@@ -228,20 +220,29 @@ def appendix_oracle(case: OracleCase) -> dict:
 
     Returns {label: expected value} with labels like 'R[1,2,1,1b]'.
     """
-    return {_label(*key): v for key, v in _evaluate(case)[1].items()}
+    table = _checked_table(case.family_key, case.structure, case.metric, (case.eps,))
+    raw = table(case.structure, case.metric, build_metric(case.metric), case.eps)
+    return {_label(*key): v for key, v in raw.items()}
 
 
-def compare_components(case: OracleCase):
-    """[(label, expected, got, equal)] sorted by label; exact equality per component.
+def compare_components(family_key: str, structure: FamilySpec, metric: MetricParams,
+                       eps_values):
+    """[(eps, label, expected, got, equal)], eps-major and sorted by label within each eps.
 
-    The table is evaluated once and the pipeline is read at its raw keys:
+    The rules are checked at every eps first; then the point and its connection plane
+    are built once for every eps, and the pipeline is read at the table's raw keys:
     R[i,j,k,lb] from the curvature, B[i,jb,k,lb] from the Bianchi tensor.
     """
-    h, raw = _evaluate(case)
-    curv = curvature_of(ConnectionSpec.gauduchon(case.eps), h, instantiate(case.structure))
-    b = BTensor(curv)
+    table = _checked_table(family_key, structure, metric, eps_values)
+    h = build_metric(metric)
+    alg = instantiate(structure)
+    plane = connection_plane(h, alg)
     rows = []
-    for (kind, i, j, k, l), expected in raw.items():
-        got = curv.tensor[i, j, k, l + 3] if kind == "R" else b.component(i, j, k, l)
-        rows.append((_label(kind, i, j, k, l), expected, got, expected == got))
-    return sorted(rows, key=lambda row: row[0])
+    for eps in eps_values:
+        curv = curvature(christoffel(ConnectionSpec.gauduchon(eps), h, alg, plane), h, alg)
+        b = BTensor(curv)
+        raw = sorted((_label(*key), key, v) for key, v in table(structure, metric, h, eps).items())
+        for label, (kind, i, j, k, l), expected in raw:
+            got = curv.tensor[i, j, k, l + 3] if kind == "R" else b.component(i, j, k, l)
+            rows.append((eps, label, expected, got, expected == got))
+    return rows

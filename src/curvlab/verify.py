@@ -1,4 +1,4 @@
-"""Sampling-based exact verification: the structural sweep and the theorem scoreboard.
+"""Sampling-based exact verification: structural sweep, theorem scoreboard, appendix oracle.
 
 Every row is a set of exact zero tests at seeded random rational points.  A
 structural sweep row checks one identity at one (structure, metric,
@@ -12,7 +12,8 @@ The theorem scoreboard reproduces the classification results case by case:
 positive cases must come out Kahler-like at every sampled in-locus point,
 negative cases must fail with a nonzero witness at every sampled point.
 Conjecture-level implications are re-checked on every (point, connection)
-the scoreboard evaluates.
+the scoreboard evaluates.  An appendix row compares one closed-form golden
+component with the pipeline at one (point, eps).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .connection import (
     nabla_j_failures,
     torsion_and_bianchi_defect,
 )
+from .goldens import compare_components
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
 from .scalars import ZERO, GaussianRational, Rat, gr
 from .symmetry import (
@@ -58,10 +60,12 @@ __all__ = [
     "THEOREM_CASES",
     "theorem_suite",
     "structural_sweep",
+    "appendix_suite",
     "Scoreboard",
 ]
 
-DEFAULT_EPS_SET = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2), Rat(2, 3))
+TABLE_EPS = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2))  # the golden tables' eps
+DEFAULT_EPS_SET = TABLE_EPS + (Rat(2, 3),)
 RANDOM_EPS_COUNT = 1  # seeded random eps off {0, 1/2} added to DEFAULT_EPS_SET per case
 EPS_HEIGHT = 10  # the random eps are a/b with |a| <= 2 EPS_HEIGHT, 1 <= b <= EPS_HEIGHT
 METRIC_HEIGHT = 10  # r2, s2, t2 are a/b with 1 <= a <= METRIC_HEIGHT, 1 <= b <= METRIC_HEIGHT // 2
@@ -169,18 +173,20 @@ _PYTH_UNIT = ("3/5+4/5*i", "-3/5+4/5*i", "5/13+12/13*i")
 _NONUNIT_A = ("2", "1/2", "1/3*i", "1+i", "-3/2+1/2*i")
 
 
+def _draw_ni_d(rng) -> GaussianRational:
+    return GaussianRational(Rat(rng.randint(-3, 3), rng.randint(1, 3)),
+                            Rat(rng.randint(0, 3), rng.randint(1, 3)))
+
+
 def _draw_ni_rho1(rng):
     lam = Rat(rng.randint(0, 3), rng.randint(1, 3))
-    d = GaussianRational(Rat(rng.randint(-3, 3), rng.randint(1, 3)),
-                         Rat(rng.randint(0, 3), rng.randint(1, 3)))
-    return {"rho": gr(1), "lambda": gr(lam), "D": d}
+    return {"rho": gr(1), "lambda": gr(lam), "D": _draw_ni_d(rng)}
 
 
 def _draw_ni_lam1(rng):
     # rho = 0, lambda = 1, Re D != 1/2 so the structure is never pluriclosed
     while True:
-        d = GaussianRational(Rat(rng.randint(-3, 3), rng.randint(1, 3)),
-                             Rat(rng.randint(0, 3), rng.randint(1, 3)))
+        d = _draw_ni_d(rng)
         if d.re != Rat(1, 2):
             return {"rho": gr(0), "lambda": gr(1), "D": d}
 
@@ -661,3 +667,30 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
                 wit = next(defect.nonzero(), None)
                 results.append(_row("bianchi-defect", sp, wit and (str(wit[0]), wit[1])))
     return results
+
+
+# -- appendix oracle -------------------------------------------------------------
+
+def appendix_suite(plan: SamplePlan | None = None, draws: int = 3):
+    """Rows (table, eps, label, expected, got, equal) of the golden tables against the
+    pipeline, one per (point, eps, component): ``points_per_case`` metrics for each of
+    ``draws`` Ni structures, the first ``draws`` (at most 4) Si-B0 values of A, and
+    Si(A = i) for Si-g20; Si-B0 at eps = 0, the others at every TABLE_EPS."""
+    plan = plan or SamplePlan()
+    rng = random.Random(plan.seed)
+    rows = []
+
+    def compare(key, note, structure, shape, eps_values):
+        for _ in range(plan.points_per_case):
+            metric = sample_metric(rng, shape=shape)
+            rows.extend((note, *r) for r in compare_components(key, structure, metric, eps_values))
+
+    for _ in range(draws):
+        rho, lam = rng.choice((0, 1)), Rat(rng.randint(0, 3), rng.randint(1, 3))
+        d = _draw_ni_d(rng)
+        compare("Ni", f"Ni[rho={rho},lam={lam},D={d}]",
+                FamilySpec.make("Ni", rho=rho, **{"lambda": lam}, D=d), "offu-r1", TABLE_EPS)
+    for a in ("1", "i", "3/5+4/5*i", "-3/5+4/5*i")[:draws]:
+        compare("Si-B0", f"Si-B0[A={a}]", FamilySpec.make("Si", A=a), "u-only", (Rat(0),))
+    compare("Si-g20", "Si-g20", FamilySpec.make("Si", A="i"), "vz-only", TABLE_EPS)
+    return rows

@@ -21,7 +21,7 @@ from curvlab.flow import (
     flow_state_from_hermitian,
     integrate_flow,
 )
-from curvlab.goldens import OracleCase, compare_components
+from curvlab.goldens import compare_components
 from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import GaussianRational, Rat
 from curvlab.symmetry import kahler_like_check
@@ -58,11 +58,10 @@ def test_criterion_1_family_ni_table():
     for structure in _ni_draws(rng):
         for _ in range(5):
             metric = sample_metric(rng, shape="offu-r1")
-            for eps in eps_values:
-                rows = compare_components(OracleCase("Ni", structure, metric, eps))
-                comparisons += len(rows)
-                bad = [r for r in rows if not r[3]]
-                assert not bad, f"mismatch at eps={eps}: {bad[:3]}"
+            rows = compare_components("Ni", structure, metric, eps_values)
+            comparisons += len(rows)
+            bad = [r for r in rows if not r[-1]]
+            assert not bad, f"mismatch (eps, component, expected, got, equal): {bad[:3]}"
     elapsed = time.monotonic() - start
     _report(1, elapsed < 60.0, f"{comparisons} exact comparisons in {elapsed:.1f}s")
 
@@ -75,9 +74,9 @@ def test_criterion_2_si_tables():
         structure = FamilySpec.make("Si", A=a)
         for _ in range(5):
             metric = sample_metric(rng, shape="u-only")
-            rows = compare_components(OracleCase("Si-B0", structure, metric, Rat(0)))
+            rows = compare_components("Si-B0", structure, metric, (Rat(0),))
             comparisons += len(rows)
-            assert all(ok for _, _, _, ok in rows)
+            assert all(ok for *_, ok in rows)
 
     structure = FamilySpec.make("Si", A="i")
     eps_values = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2))
@@ -85,10 +84,9 @@ def test_criterion_2_si_tables():
     while points < 5:
         metric = sample_metric(rng, shape="vz-only")
         points += 1
-        for eps in eps_values:
-            rows = compare_components(OracleCase("Si-g20", structure, metric, eps))
-            comparisons += len(rows)
-            assert all(ok for _, _, _, ok in rows)
+        rows = compare_components("Si-g20", structure, metric, eps_values)
+        comparisons += len(rows)
+        assert all(ok for *_, ok in rows)
     _report(2, True, f"{comparisons} exact comparisons")
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from curvlab import cli
+from curvlab import cli, connection, goldens
 from curvlab.cli import main
 
 
@@ -234,6 +234,23 @@ def test_verify_appendix_bytes_are_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "30321c548a2f1b15c549bd7e5a8f36065b21dafa5dfc5285cf43969d2df8fa3b"
+
+
+def test_verify_appendix_fails_on_a_broken_shared_plane(capsys, monkeypatch):
+    # every eps of a point reads one connection plane, so a fault in the plane must
+    # show: with T negated, 145 of the 209 rows differ (the eps = 0 rows read no T)
+    plane = goldens.connection_plane
+
+    def broken(h, alg):
+        p = plane(h, alg)
+        t, c = p.forms
+        return connection.ConnectionPlane(p.lc, (-t, c))
+
+    monkeypatch.setattr(goldens, "connection_plane", broken)
+    code, out, _ = run(capsys, "verify", "appendix", "--seed", "0", "--points", "1",
+                       "--draws", "1")
+    assert code == 1
+    assert out == "appendix oracle: 209 comparisons, 145 mismatches -> FAIL\n"
 
 
 def test_flow_run_writes_csv(capsys, tmp_path):

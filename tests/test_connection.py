@@ -258,11 +258,10 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
     h = build_metric(rand_metric(rng))
     chern = ConnectionSpec.preset("chern")
-    case = goldens.OracleCase(
-        "Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
-        MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), Rat(1, 4))
+    case = ("Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
+            MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), (Rat(1, 4),))
     assert torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
-    assert all(ok for *_, ok in goldens.compare_components(case))
+    assert all(ok for *_, ok in goldens.compare_components(*case))
 
     operator = connection._operator
 
@@ -271,7 +270,7 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
 
     monkeypatch.setattr(connection, "_operator", flipped)
     assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
-    assert not all(ok for *_, ok in goldens.compare_components(case))
+    assert not all(ok for *_, ok in goldens.compare_components(*case))
 
 
 def ref_operator(gamma, c, x):
@@ -466,9 +465,8 @@ def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):
     alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
     h = build_metric(rand_metric(rng))
     table = christoffel(ConnectionSpec.preset("chern"), h, alg)
-    case = goldens.OracleCase(
-        "Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
-        MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), Rat(1, 4))
+    case = ("Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
+            MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), (Rat(1, 4),))
     operator = connection._operator
 
     def raised(gamma, c, x):
@@ -476,7 +474,7 @@ def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):
 
     monkeypatch.setattr(connection, "_operator", raised)
     assert curvature(table, h, alg).tensor != _raise_then_lower(table, h, alg)
-    assert not all(ok for *_, ok in goldens.compare_components(case))
+    assert not all(ok for *_, ok in goldens.compare_components(*case))
 
 
 def test_closed_form_pins_other_families():

@@ -19,7 +19,8 @@ NI_POINT = FamilySpec.make("Ni", rho=1, **{"lambda": 0}, D=0)
 
 def _got(case):
     """The pipeline's components, the `got` column of compare_components, by label."""
-    return {label: got for label, _, got, _ in compare_components(case)}
+    rows = compare_components(case.family_key, case.structure, case.metric, (case.eps,))
+    return {label: got for _, label, _, got, _ in rows}
 
 
 def test_table_shapes():
@@ -90,9 +91,8 @@ def test_ni_table_matches_pipeline():
             m = MetricParams.make(r2=1, s2=s2, t2=_rand_rat(rng), u=u)
             if m.constraint_failures():
                 continue
-            for eps in eps_values:
-                rows = compare_components(OracleCase("Ni", st, m, eps))
-                assert all(ok for _, _, _, ok in rows), [r for r in rows if not r[3]]
+            rows = compare_components("Ni", st, m, eps_values)
+            assert all(ok for *_, ok in rows), [r for r in rows if not r[-1]]
 
 
 def test_si_b0_table_matches_pipeline_all_a():
@@ -104,8 +104,8 @@ def test_si_b0_table_matches_pipeline_all_a():
                                   t2=_rand_rat(rng), u=_small(rng))
             if m.constraint_failures():
                 continue
-            rows = compare_components(OracleCase("Si-B0", st, m, Rat(0)))
-            assert all(ok for _, _, _, ok in rows)
+            rows = compare_components("Si-B0", st, m, (Rat(0),))
+            assert all(ok for *_, ok in rows)
 
 
 def test_g20_table_matches_pipeline():
@@ -116,9 +116,8 @@ def test_g20_table_matches_pipeline():
                               v=_small(rng, 6), z=_small(rng, 6))
         if m.constraint_failures():
             continue
-        for eps in (Rat(0), Rat(1, 4), Rat(1, 2)):
-            rows = compare_components(OracleCase("Si-g20", st, m, eps))
-            assert all(ok for _, _, _, ok in rows)
+        rows = compare_components("Si-g20", st, m, (Rat(0), Rat(1, 4), Rat(1, 2)))
+        assert all(ok for *_, ok in rows)
 
 
 def test_domain_rejections():
@@ -129,6 +128,10 @@ def test_domain_rejections():
     with pytest.raises(OracleDomainError):  # Si-B0 is Chern only
         appendix_oracle(OracleCase("Si-B0", FamilySpec.make("Si", A="1"),
                                    MetricParams.make(), Rat(1, 2)))
+    with pytest.raises(OracleDomainError,  # every eps given is checked
+                       match=r"^the Si-B0 table is for the Chern connection \(eps = 0\)$"):
+        compare_components("Si-B0", FamilySpec.make("Si", A="1"), MetricParams.make(),
+                           (Rat(0), Rat(1, 2)))
     with pytest.raises(OracleDomainError):  # g20 table needs A = i
         appendix_oracle(OracleCase("Si-g20", FamilySpec.make("Si", A="1"),
                                    MetricParams.make(), Rat(0)))

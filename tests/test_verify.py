@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from curvlab import connection, metric, verify
+from curvlab import connection, goldens, metric, verify
 from curvlab.algebra import d_component
 from curvlab.scalars import GaussianRational, Rat, gr
 from curvlab.tensors import index_name
@@ -287,3 +287,23 @@ def test_each_point_builds_its_connection_plane_once(monkeypatch):
     # one defect per connection, and every connection but the Levi-Civita needs (T, C)
     assert counts == {("forms", False): points, ("lc", False): points,
                       ("lc", True): points * specs, ("forms", True): points * (specs - 1)}
+
+
+def test_appendix_builds_each_point_once(monkeypatch):
+    """verify appendix --seed 0 --points 2 --draws 2 compares 10 points (4 Ni, 4 Si-B0,
+    2 Si-g20) at 34 connections (5 eps on Ni and Si-g20, Chern on Si-B0): one metric
+    and one pair of torsion forms per point, one curvature per (point, eps)."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((goldens, "build_metric"), (connection, "torsion_forms"),
+                         (goldens, "curvature")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rows = verify.appendix_suite(SamplePlan(seed=0, points_per_case=2), draws=2)
+    assert counts == {"build_metric": 10, "torsion_forms": 10, "curvature": 34}
+    assert rows and all(ok for *_, ok in rows)
