@@ -21,6 +21,7 @@ from .tensors import (
     bar,
     flat_offset,
     numerator_value,
+    offset_table,
 )
 
 __all__ = [
@@ -109,6 +110,10 @@ class ValidationReport:
         return [ch for ch in self.checks if not ch.passed]
 
 
+# the flat offset of (bar I, bar H, bar K) at the flat offset of (I, H, K)
+_CONJUGATE = offset_table(3, lambda *idx: map(bar, idx))
+
+
 def validate_lie_algebra(alg: LieAlgebraCx) -> ValidationReport:
     """Report skewness, reality, and Jacobi, each with a witness on failure.
 
@@ -127,10 +132,9 @@ def validate_lie_algebra(alg: LieAlgebraCx) -> ValidationReport:
     checks.append(ValidationCheck("skew", witness is None, witness, residue))
 
     witness = residue = None
-    for n, (i, h, k) in enumerate(all_indices(3)):
-        m = 36 * bar(i) + 6 * bar(h) + bar(k)
+    for n, (idx, m) in enumerate(zip(all_indices(3), _CONJUGATE)):
         if re[m] != re[n] or im[m] != -im[n]:
-            witness, residue = (i, h, k), numerator_value(re[m] - re[n], im[m] + im[n], den)
+            witness, residue = idx, numerator_value(re[m] - re[n], im[m] + im[n], den)
             break
     checks.append(ValidationCheck("reality", witness is None, witness, residue))
 
@@ -156,62 +160,6 @@ def validate_lie_algebra(alg: LieAlgebraCx) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def _d_numerators(alpha: MultiTensor, alg: LieAlgebraCx, idx: tuple):
-    """(re, im) of d(alpha) at the (rank+1)-tuple idx, over alpha.den * alg.c.den.
-
-    The one routine behind exterior_d, d_component and d_is_zero (formula at exterior_d).
-    """
-    k = alpha.rank
-    are, aim, stride = alpha.re, alpha.im, DIM ** k // DIM  # (a, rest) is at a * stride + rest
-    xr = xi = 0
-    for p in range(k + 1):
-        for q in range(p + 1, k + 1):
-            row = alg.rows[idx[p]][idx[q]]
-            if not row:
-                continue
-            rest = flat_offset(idx[:p] + idx[p + 1:q] + idx[q + 1:])
-            s = -1 if (p + q) % 2 else 1
-            for a, cr, ci in row:
-                ar, ai = are[a * stride + rest], aim[a * stride + rest]
-                xr += s * (cr * ar - ci * ai)
-                xi += s * (cr * ai + ci * ar)
-    return xr, xi
-
-
-def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
-    """Invariant (Chevalley-Eilenberg) differential of a skew rank-k tensor.
-
-    d(alpha)(x_0, ..., x_k) = sum over i < j of
-    (-1)^(i+j) alpha([x_i, x_j], x_0, ..., without x_i, x_j, ..., x_k).
-    For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).  The result is skew,
-    so only sorted index tuples are evaluated, on numerators; the other entries
-    follow by the sign of the permutation.
-    """
-    n = alpha.rank + 1
-    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
-    re, im = [0] * DIM ** n, [0] * DIM ** n
-    for idx in itertools.combinations(INDICES, n):
-        xr, xi = _d_numerators(alpha, alg, idx)
-        if xr or xi:
-            for p, sign in perms:
-                off = flat_offset([idx[q] for q in p])
-                re[off], im[off] = sign * xr, sign * xi
-    return MultiTensor.from_numerators(n, re, im, alpha.den * alg.c.den).reduced()
-
-
-def d_component(alpha: MultiTensor, alg: LieAlgebraCx, idx: tuple) -> GaussianRational:
-    """Single component of exterior_d(alpha) at the given (rank+1)-tuple."""
-    if len(idx) != alpha.rank + 1 or not all(0 <= i < DIM for i in idx):
-        raise ValueError(f"expected a {alpha.rank + 1}-tuple of frame indices, got {idx}")
-    return numerator_value(*_d_numerators(alpha, alg, idx), alpha.den * alg.c.den)
-
-
-def d_is_zero(alpha: MultiTensor, alg: LieAlgebraCx) -> bool:
-    """Whether d(alpha) vanishes; checks only sorted index tuples (enough by skewness)."""
-    return not any(any(_d_numerators(alpha, alg, idx))
-                   for idx in itertools.combinations(INDICES, alpha.rank + 1))
-
-
 def _perm_sign(perm) -> int:
     """Sign of a permutation of range(len(perm)), from its cycle lengths."""
     sign = 1
@@ -228,3 +176,81 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _d_terms(idx: tuple):
+    """The terms (x, y, rest, sign) of d(alpha) at the tuple idx, one per pair of slots
+    p < q: x = idx[p], y = idx[q], rest the flat offset of idx without slots p and q, and
+    sign = (-1)^(p+q) (formula at exterior_d).
+
+    The one term enumeration of d: d_component reads it for its tuple, and exterior_d and
+    d_is_zero read it from the per-rank plan _D_PLANS, built from it at import.
+    """
+    return tuple((idx[p], idx[q], flat_offset(idx[:p] + idx[p + 1:q] + idx[q + 1:]),
+                  -1 if (p + q) % 2 else 1)
+                 for p, q in itertools.combinations(range(len(idx)), 2))
+
+
+def _d_numerators(alpha: MultiTensor, alg: LieAlgebraCx, terms):
+    """(re, im) of d(alpha) at a tuple, from its _d_terms, over alpha.den * alg.c.den;
+    the one sum behind exterior_d, d_component and d_is_zero."""
+    are, aim, stride = alpha.re, alpha.im, DIM ** alpha.rank // DIM  # (a, rest) at a stride + rest
+    rows = alg.rows
+    xr = xi = 0
+    for x, y, rest, s in terms:
+        for a, cr, ci in rows[x][y]:
+            ar, ai = are[a * stride + rest], aim[a * stride + rest]
+            xr += s * (cr * ar - ci * ai)
+            xi += s * (cr * ai + ci * ar)
+    return xr, xi
+
+
+def _plan(n: int):
+    """One (terms, fills) per sorted n-tuple of distinct frame indices, in combinations
+    order: its d terms (_d_terms), and the (flat offset, sign) of each of its permutations,
+    where a skew n-form takes the sorted tuple's value times the sign."""
+    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
+    return tuple((_d_terms(idx), tuple((flat_offset([idx[q] for q in p]), sign)
+                                       for p, sign in perms))
+                 for idx in itertools.combinations(INDICES, n))
+
+
+# the plans of d(alpha) for alpha of rank 0-3; other ranks build theirs per call
+_D_PLANS = {n: _plan(n) for n in range(1, 5)}
+
+
+def _d_plan(n: int):
+    return _D_PLANS[n] if n in _D_PLANS else _plan(n)
+
+
+def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
+    """Invariant (Chevalley-Eilenberg) differential of a skew rank-k tensor.
+
+    d(alpha)(x_0, ..., x_k) = sum over i < j of
+    (-1)^(i+j) alpha([x_i, x_j], x_0, ..., without x_i, x_j, ..., x_k).
+    For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).  The result is skew,
+    so only sorted index tuples are evaluated, on numerators; the other entries
+    follow by the sign of the permutation.
+    """
+    n = alpha.rank + 1
+    re, im = [0] * DIM ** n, [0] * DIM ** n
+    for terms, fills in _d_plan(n):
+        xr, xi = _d_numerators(alpha, alg, terms)
+        if xr or xi:
+            for off, sign in fills:
+                re[off], im[off] = sign * xr, sign * xi
+    return MultiTensor.from_numerators(n, re, im, alpha.den * alg.c.den).reduced()
+
+
+def d_component(alpha: MultiTensor, alg: LieAlgebraCx, idx: tuple) -> GaussianRational:
+    """Single component of exterior_d(alpha) at the given (rank+1)-tuple."""
+    if len(idx) != alpha.rank + 1 or not all(0 <= i < DIM for i in idx):
+        raise ValueError(f"expected a {alpha.rank + 1}-tuple of frame indices, got {idx}")
+    return numerator_value(*_d_numerators(alpha, alg, _d_terms(tuple(idx))),
+                           alpha.den * alg.c.den)
+
+
+def d_is_zero(alpha: MultiTensor, alg: LieAlgebraCx) -> bool:
+    """Whether d(alpha) vanishes; checks only sorted index tuples (enough by skewness)."""
+    return not any(any(_d_numerators(alpha, alg, terms))
+                   for terms, _ in _d_plan(alpha.rank + 1))

@@ -8,12 +8,14 @@ Subcommands:
   classify                Kahler / balanced / pluriclosed flags
   verify appendix         closed-form component tables vs the pipeline
   verify theorems         the classification scoreboard and conjecture sweep
+  verify structural       exact structural identities over the catalog
   flow run                invariant Ricci flow trace to CSV
 
 Exit status: 0 on success, 1 when a verification reports FAIL, 2 on usage
 errors (including out-of-domain parameters, which are reported with the
 violated constraint named).  Scalar literals use the exact grammar of the
-engine: 'i', '-1/2', '3/5+4/5*i'.
+engine: 'i', '-1/2', '3/5+4/5*i'.  --version names the rational backend
+(gmpy2 or the fractions fallback).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .catalog import (
 )
 from .connection import ConnectionSpec, curvature_of, curvature_to_json
 from .metric import MetricParams, MetricValidationError, build_metric, classify_metric
-from .scalars import rat_from_str
+from .scalars import BACKEND, rat_from_str
 from .symmetry import flatness_check, kahler_like_check, report_to_json
 from .tensors import index_name
 from .verify import SamplePlan, appendix_suite, structural_sweep, theorem_suite
@@ -346,7 +348,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         prog="curvlab",
         description="Exact curvature of the Gauduchon connection family on "
                     "six-dimensional Lie algebras with invariant complex structures."))
-    ap.add_argument("--version", action="version", version=f"curvlab {__version__}")
+    ap.add_argument("--version", action="version", version=f"curvlab {__version__} ({BACKEND})")
     ap.add_argument("--config", help="flat key=value file providing flag defaults")
     sub = ap.add_subparsers(dest="command", required=True)
 

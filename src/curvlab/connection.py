@@ -59,6 +59,7 @@ from .tensors import (
     contract,
     index_name,
     is_barred,
+    offset_table,
 )
 
 __all__ = [
@@ -371,6 +372,19 @@ def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
     return RicciData(ric1, ric2, ric_lc, scal[()])
 
 
+# the flat offset of (H, I, K) at the flat offset of (I, H, K)
+_SWAP = offset_table(3, lambda i, hh, k: (hh, i, k))
+
+# per sorted triple (i, hh, k): the triple, the starts of its three rows R(i,hh)k,
+# R(hh,k)i and R(i,k)hh in the I < H half, and the (start, sign) of the defect's six
+# 6-entry blocks (x, y, z, .) over the permutations (x, y, z) of the triple
+_TRIPLES = tuple(
+    ((i, hh, k), (36 * _PAIR[i, hh] + 6 * k, 36 * _PAIR[hh, k] + 6 * i, 36 * _PAIR[i, k] + 6 * hh),
+     tuple((216 * x + 36 * y + 6 * zz, s)
+           for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1))))
+    for i, hh, k in itertools.combinations(INDICES, 3))
+
+
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
     """Connection torsion T(x,y) = nabla_x y - nabla_y x - [x,y] and the Bianchi defect.
 
@@ -379,24 +393,24 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     curvature side is the raised form of the stored curvature's operator, so it is the
     structural oracle for the whole Christoffel/curvature pipeline.  Both sides
     are fully skew in (x, y, z), so sorted triples are evaluated, each from three
-    rows of the kernel's I < H half (60 rows in all, no rank-4 tensor).  The symbols are
-    rebuilt here without a plane, so the defect shares no table with the caller's.
+    rows of the kernel's I < H half (60 rows in all, no rank-4 tensor), and written
+    to the dense 1296-entry defect by the six signed slice copies of _TRIPLES.  The
+    symbols are rebuilt here without a plane, so the defect shares no table with the
+    caller's.
     """
     table = christoffel(spec, h, alg)
     gamma, c = _common(table.gamma, alg.c)
     gre, gim, cre, cim, den = gamma.re, gamma.im, c.re, c.im, gamma.den
-    swap = [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]  # the flat offset of (H, I, K)
     torsion = MultiTensor.from_numerators(
-        3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
-        [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
+        3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(_SWAP)],
+        [gim[n] - gim[m] - cim[n] for n, m in enumerate(_SWAP)], den)
 
     rre, rim, _ = _operator(gamma, c, gamma)
     trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
     dre = [0] * DIM ** 4
     dim = [0] * DIM ** 4
-    for i, hh, k in itertools.combinations(INDICES, 3):
+    for (i, hh, k), (p, q, r), fills in _TRIPLES:
         # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
-        p, q, r = 36 * _PAIR[i, hh] + 6 * k, 36 * _PAIR[hh, k] + 6 * i, 36 * _PAIR[i, k] + 6 * hh
         ar = [rre[p + a] + rre[q + a] - rre[r + a] for a in INDICES]
         ai = [rim[p + a] + rim[q + a] - rim[r + a] for a in INDICES]
         for x, y, zz in ((i, hh, k), (hh, k, i), (k, i, hh)):
@@ -409,10 +423,9 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
                 for a, tr, ti in trows[6 * m + zz]:
                     ar[a] += cr * tr - ci * ti
                     ai[a] += cr * ti + ci * tr
-        for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1)):
-            base = 216 * x + 36 * y + 6 * zz
-            for a in INDICES:
-                dre[base + a], dim[base + a] = s * ar[a], s * ai[a]
+        nr, ni = [-a for a in ar], [-b for b in ai]
+        for base, s in fills:
+            dre[base:base + 6], dim[base:base + 6] = (ar, ai) if s > 0 else (nr, ni)
 
     return torsion, MultiTensor.from_numerators(4, dre, dim, den * den)
 
@@ -422,27 +435,34 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
 # The checks compare numerators over the tensor's one denominator: entry m is
 # minus entry n exactly when re[m] == -re[n] and im[m] == -im[n].
 
+# per flat offset n of (I, H, K, L): n, the index tuple, and the offsets of its partners
+# (H, I, K, L) for skew12, (I, H, L, K) for skew34, (bar I, bar H, bar K, bar L) for
+# reality and (K, L, I, H) for (Symm); n = 36 p + q for the pair offsets p of (I, H)
+# and q of (K, L), so each partner is composed from the pair tables of swap and bar
+_SWAP2 = offset_table(2, lambda i, hh: (hh, i))
+_BAR2 = offset_table(2, lambda *idx: map(bar, idx))
+_PARTNERS = tuple((36 * p + q, idx, 36 * _SWAP2[p] + q, 36 * p + _SWAP2[q],
+                   36 * _BAR2[p] + _BAR2[q], 36 * q + p)
+                  for (p, q), idx in zip(itertools.product(range(36), repeat=2), all_indices(4)))
+
+
 def curvature_symmetry_failures(curv: CurvatureTensor, check_symm: bool = False):
     """Violations of skewness in (I,H) and (K,L), reality, and optionally (Symm)."""
     r = curv.tensor
     re, im = r.re, r.im
     bad = []
-    for n, idx in r.nonzero_offsets():
-        i, hh, k, l = idx
+    for n, idx, m12, m34, mbar, msymm in _PARTNERS:
         a, b = re[n], im[n]
-        m = 216 * hh + 36 * i + 6 * k + l
-        if re[m] != -a or im[m] != -b:
+        if not (a or b):
+            continue
+        if re[m12] != -a or im[m12] != -b:
             bad.append(("skew12", idx))
-        m = 216 * i + 36 * hh + 6 * l + k
-        if re[m] != -a or im[m] != -b:
+        if re[m34] != -a or im[m34] != -b:
             bad.append(("skew34", idx))
-        m = 216 * bar(i) + 36 * bar(hh) + 6 * bar(k) + bar(l)
-        if re[m] != a or im[m] != -b:
+        if re[mbar] != a or im[mbar] != -b:
             bad.append(("reality", idx))
-        if check_symm:
-            m = 216 * k + 36 * l + 6 * i + hh
-            if re[m] != a or im[m] != b:
-                bad.append(("symm", idx))
+        if check_symm and (re[msymm] != a or im[msymm] != b):
+            bad.append(("symm", idx))
     return bad
 
 

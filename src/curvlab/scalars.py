@@ -12,10 +12,12 @@ import re
 
 try:
     from gmpy2 import mpq as Rat
+    BACKEND = "gmpy2"
 except ImportError:  # the stdlib fallback; the test suite must pass on both backends
     from fractions import Fraction as Rat
+    BACKEND = "fractions"
 
-__all__ = ["Rat", "GaussianRational", "gr", "rat_from_str", "ZERO", "ONE", "I"]
+__all__ = ["Rat", "BACKEND", "GaussianRational", "gr", "rat_from_str", "ZERO", "ONE", "I"]
 
 
 _RAT_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")

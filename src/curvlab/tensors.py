@@ -6,8 +6,13 @@ format of the exact kernel: Gaussian-integer numerators over one positive
 common denominator (see MultiTensor); GaussianRational values appear only
 when entries are read.  This is the one module that turns GaussianRational
 values into numerators and back (numerator_value reads one entry), and it
-holds the one exact matrix inverse and the one trace loop (_trace, shared by
-the Ricci traces of the stored curvature and the Lee form of the metric).
+holds the one exact matrix inverse (one fraction-free elimination, run on the
+3x3 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6
+matrix otherwise) and the one trace loop (_trace, shared by the Ricci traces
+of the stored curvature and the Lee form of the metric).  The index arithmetic
+of the hot loops is done once, at import: all_indices hands out one stored
+tuple per rank up to 4, and offset_table builds the tables of permuted and
+conjugated offsets the structural checks read.
 Values are treated as immutable once built: the constructors hand out fresh
 storage and no public operation mutates its arguments.
 """
@@ -40,9 +45,16 @@ def index_name(i: int) -> str:
     return INDEX_NAMES[i]
 
 
-def all_indices(rank: int):
-    """Iterate over all rank-tuples of frame indices in lexicographic order."""
-    return itertools.product(INDICES, repeat=rank)
+# the rank-tuples of frame indices for ranks 0-4, each tuple at its flat offset
+_INDEX_TUPLES = tuple(tuple(itertools.product(INDICES, repeat=r)) for r in range(5))
+
+
+def all_indices(rank: int) -> tuple:
+    """All rank-tuples of frame indices in lexicographic order, as a tuple whose n-th
+    entry is the index tuple at flat offset n; stored once for rank <= 4."""
+    if rank < len(_INDEX_TUPLES):
+        return _INDEX_TUPLES[rank]
+    return tuple(itertools.product(INDICES, repeat=rank))
 
 
 def numerator_value(a: int, b: int, den: int) -> GaussianRational:
@@ -160,26 +172,57 @@ def identity_tensor() -> MultiTensor:
     return t
 
 
+# (a, b, offset of (a, bbar), offset of (bbar, a)) over the block G of [[0, G], [G^T, 0]],
+# and the offsets of the pure-type entries (a, b) and (abar, bbar) that must be zero there
+_G_BLOCK = tuple((a, b, 6 * a + b + 3, 6 * (b + 3) + a) for a in UNBARRED for b in UNBARRED)
+_PURE_TYPE = tuple(6 * a + b for a in INDICES for b in INDICES if is_barred(a) == is_barred(b))
+
+
 def inverse(m: MultiTensor) -> MultiTensor:
     """Exact inverse of a rank-2 tensor by fraction-free (Bareiss) Gauss-Jordan elimination.
 
-    With m = N / den for a Gaussian-integer matrix N, the rows of [N | den I]
-    are reduced over Z[i]: every update (p a - f b) / prev divides exactly by
-    the previous pivot (E. H. Bareiss, Math. Comp. 22, 1968), and the left
-    block ends as d I with d = +-det N, so the right block is d m^{-1}.
+    A Hermitian matrix [[0, G], [G^T, 0]] (zero pure-type blocks, every metric
+    build_metric makes) has the inverse [[0, G^{-T}], [G^{-1}, 0]], so only its
+    3x3 block G is eliminated; any other matrix, such as the flow's
+    non-Hermitian states, is eliminated whole.  Both go through _bareiss.
     Raises ZeroDivisionError on a singular matrix.
     """
-    rows = [[(m.re[DIM * r + c], m.im[DIM * r + c]) for c in INDICES]
-            + [(m.den if r == c else 0, 0) for c in INDICES] for r in INDICES]
+    re, im = m.re, m.im
+    if (not any(re[n] or im[n] for n in _PURE_TYPE)
+            and all(re[p] == re[q] and im[p] == im[q] for _, _, p, q in _G_BLOCK)):
+        xre, xim, den = _bareiss([[(re[p], im[p]) for _, _, p, _ in _G_BLOCK[3 * a:3 * a + 3]]
+                                  for a in UNBARRED], m.den)
+        # (m^{-1})_{a bbar} = (m^{-1})_{bbar a} = (G^{-T})_{ab}, entry 3 b + a of G^{-1}
+        re, im = [0] * DIM * DIM, [0] * DIM * DIM
+        for a, b, p, q in _G_BLOCK:
+            re[p] = re[q] = xre[3 * b + a]
+            im[p] = im[q] = xim[3 * b + a]
+    else:
+        re, im, den = _bareiss([[(re[DIM * r + c], im[DIM * r + c]) for c in INDICES]
+                                for r in INDICES], m.den)
+    return MultiTensor.from_numerators(2, re, im, den).reduced()
+
+
+def _bareiss(rows, den):
+    """(re, im, d) of the inverse of N / den, row-major over d, for the square
+    Gaussian-integer matrix N given as rows of (re, im) pairs.
+
+    The rows of [N | den I] are reduced over Z[i]: every update (p a - f b) / prev
+    divides exactly by the previous pivot (E. H. Bareiss, Math. Comp. 22, 1968),
+    and the left block ends as d I with d = +-det N, so the right block is
+    d (N / den)^{-1}.  Raises ZeroDivisionError on a singular matrix.
+    """
+    size = len(rows)
+    rows = [row + [(den if r == c else 0, 0) for c in range(size)] for r, row in enumerate(rows)]
     prev = (1, 0)
-    for k in INDICES:
-        p = next((r for r in range(k, DIM) if rows[r][k] != (0, 0)), None)
+    for k in range(size):
+        p = next((r for r in range(k, size) if rows[r][k] != (0, 0)), None)
         if p is None:
             raise ZeroDivisionError("singular matrix")
         rows[k], rows[p] = rows[p], rows[k]
         (pr, pi), (qr, qi) = rows[k][k], prev
         q2 = qr * qr + qi * qi
-        for r in INDICES:
+        for r in range(size):
             if r == k:
                 continue
             fr, fi = rows[r][k]
@@ -191,10 +234,9 @@ def inverse(m: MultiTensor) -> MultiTensor:
                 row.append(((xr * qr + xi * qi) // q2, (xi * qr - xr * qi) // q2))
             rows[r] = row
         prev = rows[k][k]
-    dr, di = prev  # m^{-1} = X / d = X conj(d) / |d|^2 for the right block X
-    return MultiTensor.from_numerators(2, [a * dr + b * di for row in rows for a, b in row[DIM:]],
-                                       [b * dr - a * di for row in rows for a, b in row[DIM:]],
-                                       dr * dr + di * di).reduced()
+    dr, di = prev  # the inverse is X / d = X conj(d) / |d|^2 for the right block X
+    return ([a * dr + b * di for row in rows for a, b in row[size:]],
+            [b * dr - a * di for row in rows for a, b in row[size:]], dr * dr + di * di)
 
 
 def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiTensor:
@@ -255,3 +297,8 @@ def flat_offset(idx) -> int:
         off = off * DIM + i
     return off
 
+
+def offset_table(rank: int, f) -> tuple:
+    """The flat offset of f(*idx) for every rank-tuple idx, in flat-offset order: a
+    permutation or conjugation of the slots as an import-time table of offsets."""
+    return tuple(flat_offset(f(*idx)) for idx in all_indices(rank))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from curvlab import algebra
 from curvlab.algebra import (
     LieAlgebraCx,
     d_component,
@@ -12,7 +13,7 @@ from curvlab.algebra import (
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.metric import build_metric
 from curvlab.scalars import ONE, ZERO, gr
-from curvlab.tensors import MultiTensor, all_indices, bar
+from curvlab.tensors import MultiTensor, all_indices, bar, flat_offset, numerator_value
 
 from conftest import rand_gauss, rand_metric
 from wedge_forms import wedge, wedge_component
@@ -214,6 +215,47 @@ def test_exterior_d_matches_full_enumeration(rng):
             assert d.is_zero() == d_is_zero(alpha, alg)
         # a generic 2-form is not closed, a d-exact form is
         assert not d_is_zero(two, alg) and d_is_zero(forms[3], alg)
+
+
+def test_conjugate_table_matches_bar():
+    assert algebra._CONJUGATE == tuple(flat_offset((bar(i), bar(h), bar(k)))
+                                       for i, h, k in all_indices(3))
+
+
+def _rand_skew(rng, rank):
+    """A random skew rank-form: a value per sorted tuple, the others by the parity of
+    their inversions."""
+    t = MultiTensor(rank)
+    for idx in itertools.combinations(range(6), rank):
+        v = rand_gauss(rng)
+        for perm in itertools.permutations(idx):
+            odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            t[perm] = -v if odd else v
+    return t
+
+
+def test_d_plan_matches_brute_force_d_and_d_component(rng):
+    """Each sorted tuple's terms give brute_force_d there, and each of its fills writes
+    brute_force_d of the permuted tuple: the tuple at the fill's offset, whose value is
+    the sorted tuple's times the fill's sign."""
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    assert sorted(algebra._D_PLANS) == [1, 2, 3, 4]
+    for n, plan in algebra._D_PLANS.items():
+        alpha = _rand_skew(rng, n - 1)
+        sorted_tuples = list(itertools.combinations(range(6), n))
+        assert len(plan) == len(sorted_tuples)
+        values = []
+        for idx, (terms, fills) in zip(sorted_tuples, plan):
+            value = numerator_value(*algebra._d_numerators(alpha, alg, terms),
+                                    alpha.den * alg.c.den)
+            values.append(value)
+            assert value == brute_force_d(alpha, alg, idx) == d_component(alpha, alg, idx)
+            assert sorted(all_indices(n)[off] for off, _ in fills) == sorted(
+                itertools.permutations(idx))
+            for off, sign in fills:
+                assert brute_force_d(alpha, alg, all_indices(n)[off]) == sign * value
+        # d of a function is zero; d of a generic form of rank 1-3 is not
+        assert all(v.is_zero() for v in values) == (n == 1)
 
 
 def test_wedge_determinant_convention():

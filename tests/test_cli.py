@@ -3,14 +3,23 @@ import json
 
 import pytest
 
-from curvlab import cli, connection, goldens
+from curvlab import __version__, cli, connection, goldens
 from curvlab.cli import main
+from curvlab.scalars import BACKEND, Rat
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_version_names_the_rational_backend(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"curvlab {__version__} ({BACKEND})\n"
+    assert BACKEND == ("gmpy2" if Rat.__name__ == "mpq" else "fractions")
 
 
 def test_catalog_list(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from curvlab import connection, flow, goldens, verify
-from curvlab.algebra import LieAlgebraCx
+from curvlab.algebra import LieAlgebraCx, _perm_sign
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
     PRESETS,
@@ -20,7 +20,7 @@ from curvlab.connection import (
 )
 from curvlab.metric import MetricParams, build_metric, classify_metric
 from curvlab.scalars import GaussianRational, Rat, ZERO, gr
-from curvlab.tensors import MultiTensor, all_indices, contract
+from curvlab.tensors import MultiTensor, all_indices, bar, contract
 
 from conftest import rand_metric
 
@@ -250,6 +250,32 @@ def test_symmetry_check_names_exactly_the_corrupted_pairs(rng):
                    ("skew12", swap12), ("reality", conj)]
     tensor[e] = curv.tensor[e]
     assert tensor == curv.tensor
+
+
+def test_partner_table_matches_the_offset_arithmetic():
+    """Each flat offset's skew12, skew34, conjugate and (Symm) partners, as the checks
+    computed them per entry."""
+    expected = tuple(
+        (n, (i, hh, k, l), 216 * hh + 36 * i + 6 * k + l, 216 * i + 36 * hh + 6 * l + k,
+         216 * bar(i) + 36 * bar(hh) + 6 * bar(k) + bar(l), 216 * k + 36 * l + 6 * i + hh)
+        for n, (i, hh, k, l) in enumerate(itertools.product(range(6), repeat=4)))
+    assert connection._PARTNERS == expected
+
+
+def test_bianchi_tables_match_the_permutation_signs():
+    """The torsion swap, each sorted triple's three half rows and its six signed fills,
+    against the offset arithmetic, itertools.permutations and _perm_sign."""
+    assert connection._SWAP == tuple(36 * hh + 6 * i + k for i, hh, k in all_indices(3))
+    triples = list(itertools.combinations(range(6), 3))
+    assert [t for t, _, _ in connection._TRIPLES] == triples
+    pair = connection._PAIR
+    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(3))]
+    for t, rows, fills in connection._TRIPLES:
+        i, hh, k = t
+        assert rows == (36 * pair[i, hh] + 6 * k, 36 * pair[hh, k] + 6 * i,
+                        36 * pair[i, k] + 6 * hh)
+        assert fills == tuple((216 * t[a] + 36 * t[b] + 6 * t[c], sign)
+                              for (a, b, c), sign in perms)
 
 
 def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):

@@ -1,5 +1,10 @@
+import itertools
+import random
+
 import pytest
 
+from curvlab import tensors, verify
+from curvlab.metric import build_metric
 from curvlab.scalars import ZERO, gr
 from curvlab.tensors import (
     MultiTensor,
@@ -91,3 +96,84 @@ def test_inverse_is_exact_and_rejects_a_singular_matrix(rng):
         singular[5, j] = singular[0, j] * gr("2-i")
     with pytest.raises(ZeroDivisionError):
         inverse(singular)
+
+
+def _whole_inverse(m):
+    """The inverse through the 6x6 elimination, whatever the shape of m."""
+    rows = [[(m.re[6 * r + c], m.im[6 * r + c]) for c in range(6)] for r in range(6)]
+    return MultiTensor.from_numerators(2, *tensors._bareiss(rows, m.den)).reduced()
+
+
+def _elimination_sizes(monkeypatch):
+    """Record the size of every elimination inverse runs from here on."""
+    sizes, bareiss = [], tensors._bareiss
+
+    def recording(rows, den):
+        sizes.append(len(rows))
+        return bareiss(rows, den)
+
+    monkeypatch.setattr(tensors, "_bareiss", recording)
+    return sizes
+
+
+def test_block_inverse_equals_the_whole_elimination(monkeypatch):
+    """On 50 seeded metrics of every sampled shape, the 3x3 block path gives the
+    6x6 elimination's numerators and denominator exactly."""
+    rng = random.Random(16)
+    metrics = [build_metric(verify.sample_metric(rng, shape)).g
+               for shape in verify._SHAPES for _ in range(50)]
+    sizes = _elimination_sizes(monkeypatch)
+    for g in metrics:
+        inv, whole = inverse(g), _whole_inverse(g)
+        assert (inv.re, inv.im, inv.den) == (whole.re, whole.im, whole.den)
+    assert sizes == [3, 6] * len(metrics)
+
+
+def test_a_non_hermitian_matrix_takes_the_whole_elimination(monkeypatch):
+    """A nonzero pure-type block (the flow's non-Hermitian Sii state), or a lower block
+    that is not G^T, is eliminated whole, and g g^{-1} = id still holds."""
+    _, _, h = hermitian_point("Sii", {"x": "1/2"}, dict(r2=2, s2=1, t2=1))
+    pure = h.g.copy()
+    pure[0, 0] = gr("1/10")
+    pure[3, 3] = gr("1/10")
+    skewed = h.g.copy()
+    skewed[3, 1] = skewed[3, 1] + gr("1/5")
+    sizes = _elimination_sizes(monkeypatch)
+    for m in (pure, skewed):
+        assert contract(m, inverse(m), 1, 0) == identity_tensor()
+    assert sizes == [6, 6]
+
+
+def test_a_singular_block_raises(monkeypatch):
+    _, _, h = hermitian_point("Np", {"rho": 0}, dict(r2=2, s2=1, t2=1, u="1/3+1/5*i"))
+    g = h.g.copy()
+    for b in range(3):  # row 3 of G = (2 - i) row 1, and column 3 of G^T likewise
+        g[2, b + 3] = g[0, b + 3] * gr("2-i")
+        g[b + 3, 2] = g[2, b + 3]
+    sizes = _elimination_sizes(monkeypatch)
+    with pytest.raises(ZeroDivisionError):
+        inverse(g)
+    assert sizes == [3]
+
+
+def test_a_broken_block_inverse_fails_the_sweep_identity_rows(monkeypatch):
+    """One entry of G^{-1} moved by 1 / d fails every g-ginv-identity row of the sweep."""
+    bareiss = tensors._bareiss
+
+    def broken(rows, den):
+        re, im, d = bareiss(rows, den)
+        if len(rows) == 3:
+            re[0] += 1
+        return re, im, d
+
+    monkeypatch.setattr(tensors, "_bareiss", broken)
+    rows = [r for r in verify.structural_sweep(verify.SamplePlan(seed=0), metrics_per_structure=1,
+                                               random_gauduchon=0)
+            if r.name.startswith("g-ginv-identity[")]
+    assert len(rows) == len(verify._SWEEP_STRUCTURES)
+    assert not any(r.passed for r in rows)
+
+
+def test_stored_index_tuples_match_the_product():
+    for rank in range(6):
+        assert all_indices(rank) == tuple(itertools.product(range(6), repeat=rank))
