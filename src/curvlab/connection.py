@@ -33,8 +33,11 @@ content and expands it by one table lookup (_EXPAND), and the Bianchi defect
 reads its cyclic rows off the raised operator's half, R(k,i)h = -R(i,k)h.
 The flow's exact Ricci traces the symbols directly and builds no operator.
 The Riemannian Ricci ric_lc keeps the standard orientation, so the Ricci flow
-has its usual sign.  All of it runs on one Gaussian-integer kernel (below)
-that reads and writes the numerators MultiTensor stores.
+has its usual sign.  All of it runs on one Gaussian-integer kernel (below):
+it reads the numerators MultiTensor stores into numpy arrays, evaluates each
+stage as integer matrix products and index gathers, on int64 where the bit
+lengths of its inputs prove every sum exact and on Python ints (dtype object)
+otherwise, and writes Python-int numerators back.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import gcd, lcm
+
+import numpy as np
 
 from .algebra import LieAlgebraCx
 from .metric import HermitianData, torsion_forms
@@ -56,7 +61,6 @@ from .tensors import (
     _trace,
     all_indices,
     bar,
-    contract,
     index_name,
     is_barred,
     offset_table,
@@ -157,9 +161,78 @@ class ConnectionSpec:
 
 # -- the Gaussian-integer kernel ----------------------------------------------
 #
-# Every loop of the kernel runs on the numerators of MultiTensor (re[n] + im[n] i
-# over one positive den; see tensors.py) and returns MultiTensors in the same
-# format, so no stage converts values on the way in or out.
+# The kernel reads the numerators of MultiTensor (re[n] + im[n] i over one
+# positive den; see tensors.py) into numpy arrays z = [re, im] of shape
+# (2, 6, ..., 6), evaluates each stage as integer matrix products and index
+# gathers, and hands MultiTensors back through .tolist(), so every stored
+# numerator and den stays a Python int.  Each call picks one dtype for its
+# products (_dtype): np.int64 when the bit lengths of its inputs prove that no
+# sum can leave the int64 range, and object (numpy running the same
+# expressions on Python ints) otherwise.  Every output is exact either way,
+# so the two dtypes give the same numbers.
+
+# the bound: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
+# to spare, so a partial sum, its negation and the difference of two of them fit
+_INT64_BUDGET = 62
+
+
+def _dtype(product_bits, terms):
+    """np.int64 when every sum of at most `terms` real products, each below
+    2^product_bits in magnitude, stays below 2^62 (|sum| < terms 2^product_bits
+    <= 2^(product_bits + ceil(log2 terms))), and object otherwise."""
+    return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
+
+
+def _maxabs(z):
+    """The largest |entry| of the array z, as a Python int."""
+    return max(int(np.maximum.reduce(z, None)), -int(np.minimum.reduce(z, None)))
+
+
+def _arrays(t):
+    """(z, m): t's numerators as z = [re, im], int64 when they fit and object
+    otherwise, and m = _maxabs(z)."""
+    try:
+        z = np.array((t.re, t.im), np.int64)
+    except OverflowError:
+        z = np.array((t.re, t.im), object)
+    return z, _maxabs(z)
+
+
+def _scaled(z, f, dtype):
+    """f z in dtype (an all-zero z is returned as it is, so an f beyond int64
+    never meets an int64 array)."""
+    z = z.astype(dtype, copy=False)
+    return z * f if f != 1 and z.any() else z
+
+
+def _cmatmul(a, b):
+    """The Gaussian-integer matrix product a @ b of [re, im] stacks (numpy matmul
+    broadcasting on the axes between the first and the last two): 2k real
+    products per entry for k the contracted length."""
+    p = np.matmul(a[:, None], b[None])  # p[s, t] = a[s] @ b[t]
+    out = p[0]
+    out[0] -= p[1, 1]
+    out[1] += p[1, 0]
+    return out
+
+
+def _reduced(z, den):
+    """(z / g, den / g) for g = the gcd of den and every numerator in z."""
+    content = int(np.gcd.reduce(z.ravel()))
+    if not content:  # all zero
+        return z, 1
+    g = gcd(den, content)
+    return (z // g, den // g) if g != 1 else (z, den)
+
+
+def _tensor(rank, z, den):
+    """The MultiTensor of the numerators z = [re, im] over den, as Python ints."""
+    re, im = z.reshape(2, -1).tolist()
+    return MultiTensor.from_numerators(rank, re, im, den)
+
+
+# The flow's exact Ricci (flow.exact_lc_ricci) takes its trace on Python ints
+# through the next two helpers.
 
 def _common(s, t):
     """Two tensors rescaled to one denominator, the lcm of theirs."""
@@ -169,19 +242,6 @@ def _common(s, t):
                                         den),
             MultiTensor.from_numerators(t.rank, [ft * a for a in t.re], [ft * b for b in t.im],
                                         den))
-
-
-def _combine(terms):
-    """sum of q * t over the (rational q, tensor t) pairs, on one denominator."""
-    terms = [(int(q.numerator), int(q.denominator) * t.den, t) for q, t in terms if q]
-    den = lcm(*(d for _, d, _ in terms))
-    re = [0] * len(terms[0][2].re)
-    im = [0] * len(re)
-    for p, d, t in terms:
-        f = p * (den // d)
-        re = [x + f * a for x, a in zip(re, t.re)]
-        im = [x + f * b for x, b in zip(im, t.im)]
-    return MultiTensor.from_numerators(terms[0][2].rank, re, im, den).reduced()
 
 
 def _rows(t):
@@ -194,39 +254,52 @@ def _rows(t):
 
 
 def _lc_sum(c, g):
-    """c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}: twice Gamma^LC_{IH,L}, over c.den g.den."""
-    grows = _rows(g)
-    re = [0] * DIM ** 3
-    im = [0] * DIM ** 3
-    for n, row in enumerate(_rows(c)):
-        x, y = divmod(n, DIM)
-        for b, cr, ci in row:
-            for l, gr_, gi in grows[b]:
-                tr, ti = cr * gr_ - ci * gi, cr * gi + ci * gr_
-                # where c_{xy}^b g_{bl} enters +c_{IH}^B g_{BL}, -c_{HL}^B g_{BI}, -c_{IL}^B g_{BH}
-                for off, s in ((36 * x + 6 * y + l, 1), (36 * l + 6 * x + y, -1),
-                               (36 * x + 6 * l + y, -1)):
-                    re[off] += s * tr
-                    im[off] += s * ti
-    return MultiTensor.from_numerators(3, re, im, c.den * g.den)
+    """c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH}: twice Gamma^LC_{IH,L}, over c.den g.den.
+
+    With x_{IHL} = c_{IH}^B g_{BL}, one product, each entry is x_{IHL} - x_{HLI}
+    - x_{ILH}: 3 sums of 12 real products.
+    """
+    (zc, mc), (zg, mg) = _arrays(c), _arrays(g)
+    dtype = _dtype(mc.bit_length() + mg.bit_length(), 36)
+    x = _cmatmul(zc.astype(dtype).reshape(2, 36, DIM), zg.astype(dtype).reshape(2, DIM, DIM))
+    x = x.reshape(2, DIM, DIM, DIM)
+    return _tensor(3, x - x.transpose(0, 3, 1, 2) - x.transpose(0, 1, 3, 2), c.den * g.den)
 
 
 def _symbols(lc, g_inv, torsion=()):
     """Lowered and raised symbols of 1/2 lc + sum q t over the (q, t) pairs in torsion:
-    Gamma^LC + sum q t for lc = _lc_sum(c, g) and any nondegenerate invariant (g, g^{-1})."""
-    low = _combine([(_HALF, lc), *torsion])
-    return low, contract(low, g_inv, 2, 0)
+    Gamma^LC + sum q t for lc = _lc_sum(c, g) and any nondegenerate invariant (g, g^{-1}).
+
+    The lowered table sums one product q t per term over the lcm of the terms'
+    denominators; the raised one is its product with g^{-1} (12 real products
+    per entry).  Both are reduced.
+    """
+    terms = [(q, *_arrays(t), int(q.denominator) * t.den)
+             for q, t in ((_HALF, lc), *torsion) if q]
+    den = lcm(*(d for *_, d in terms))
+    scales = [(z, m, int(q.numerator) * (den // d)) for q, z, m, d in terms]
+    dtype = _dtype(max(abs(f) * m for _, m, f in scales).bit_length(), len(scales))
+    low = sum(_scaled(z, f, dtype) for z, _, f in scales)
+    low, den = _reduced(low, den)
+
+    zi, mi = _arrays(g_inv)
+    dtype = _dtype(_maxabs(low).bit_length() + mi.bit_length(), 12)
+    gamma = _cmatmul(low.astype(dtype).reshape(2, 36, DIM), zi.astype(dtype).reshape(2, DIM, DIM))
+    return _tensor(3, low, den), _tensor(3, *_reduced(gamma, den * g_inv.den))
 
 
 # The I < H half of an operator: the 15 pairs (I, H) in combinations order,
 # each a block of 36 entries (K, X), 540 in all; _PAIR[I, H] numbers the pair.
 _PAIRS = tuple(itertools.combinations(INDICES, 2))
 _PAIR = {pair: p for p, pair in enumerate(_PAIRS)}
+# the offsets 6 I + H and 6 H + I of the pairs, in pair order
+_IH = np.array([6 * i + hh for i, hh in _PAIRS])
+_HI = np.array([6 * hh + i for i, hh in _PAIRS])
 
-# _EXPAND[6 I + H] is where the stored entries -R(I,H)K^L start in [-half] + half
-# + [0] * 36: the negated copy of pair (I, H) for I < H, the plain copy of pair
-# (H, I) for I > H (-R(I,H) = R(H,I)), and the zeros for I = H; 36 (K, L) each.
-_EXPAND = [36 * _PAIR[i, hh] if i < hh else 540 + 36 * _PAIR[hh, i] if hh < i else 1080
+# _EXPAND[6 I + H] is the 36-entry block of [-half] + half + [0] * 36 that holds
+# the stored entries -R(I,H)K^L: the negated copy of pair (I, H) for I < H, the
+# plain copy of pair (H, I) for I > H (-R(I,H) = R(H,I)), and the zeros for I = H.
+_EXPAND = [_PAIR[i, hh] if i < hh else 15 + _PAIR[hh, i] if hh < i else 30
            for i, hh in itertools.product(INDICES, repeat=2)]
 
 
@@ -237,44 +310,32 @@ def _operator(gamma, c, x):
     output slot: x = gamma gives the raised operator R(I,H)K^A, and x = the
     lowered symbols Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  The operator is
     skew in (I, H), so only the I < H half is evaluated, once: it returns the
-    (re, im, den) numerator lists of the 540 entries, entry 36 _PAIR[I, H] +
-    6 K + X, over the unreduced denominator of the (gamma, c) pair times x's.
-    curvature expands them to the stored tensor through _EXPAND, and the
-    Bianchi defect reads its cyclic rows from them directly.
+    (re, im, den) numerator arrays of the 540 entries, entry 36 _PAIR[I, H] +
+    6 K + X, over lcm(gamma.den, c.den) x.den, unreduced.  The first two terms
+    are one product P[I, H, K, X] = Gamma_{HK}^B X_{IB} read at (I, H) and at
+    (H, I), the third one product over the 15 pairs' rows of c: 3 sums of 12
+    real products per entry.  curvature expands the half to the stored tensor
+    through _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.
     """
-    gamma, c = _common(gamma, c)
-    rows = _rows(gamma)  # rows[6 H + K] = nonzero (B, Gamma_{HK}^B)
-    xrows = _rows(x)  # xrows[6 I + B] = nonzero (L, X_{IB,L})
-    crows = _rows(c)
-    re, im = [], []
-    for i, hh in _PAIRS:
-        crow = crows[6 * i + hh]
-        for k in INDICES:
-            ar, ai = [0] * DIM, [0] * DIM
-            for b, xr, xi in rows[6 * hh + k]:
-                for a, yr, yi in xrows[6 * i + b]:
-                    ar[a] += xr * yr - xi * yi
-                    ai[a] += xr * yi + xi * yr
-            for b, xr, xi in rows[6 * i + k]:
-                for a, yr, yi in xrows[6 * hh + b]:
-                    ar[a] -= xr * yr - xi * yi
-                    ai[a] -= xr * yi + xi * yr
-            for b, xr, xi in crow:
-                for a, yr, yi in xrows[6 * b + k]:
-                    ar[a] -= xr * yr - xi * yi
-                    ai[a] -= xr * yi + xi * yr
-            re += ar
-            im += ai
-    return re, im, gamma.den * x.den
+    den = lcm(gamma.den, c.den)
+    fg, fc = den // gamma.den, den // c.den
+    (zg, mg), (zc, mc), (zx, mx) = _arrays(gamma), _arrays(c), _arrays(x)
+    dtype = _dtype(max(mg * fg, mc * fc).bit_length() + mx.bit_length(), 36)
+    zg = _scaled(zg, fg, dtype).reshape(2, 1, 36, DIM)
+    zc = _scaled(zc, fc, dtype).reshape(2, 36, DIM)
+    zx = zx.astype(dtype).reshape(2, DIM, DIM, DIM)
+    p = _cmatmul(zg, zx).reshape(2, 36, 36)  # p[:, 6 I + H, 6 K + X]
+    half = p[:, _IH] - p[:, _HI] - _cmatmul(zc[:, _IH], zx.reshape(2, DIM, 36))
+    re, im = half.reshape(2, 540)
+    return re, im, den * x.den
 
 
 def _stored(half):
-    """The 1296 numerators of -R(I,H)K^L from the 540 of the I < H half, through _EXPAND."""
-    src = [-a for a in half] + half + [0] * 36
-    out = []
-    for j in _EXPAND:
-        out += src[j:j + 36]
-    return out
+    """The numerators of -R(I,H)K^L, 1296 along the last axis, from the 540 of the
+    I < H half along the last axis of half, through _EXPAND."""
+    lead = half.shape[:-1]
+    src = np.concatenate((-half, half, np.zeros_like(half[..., :36])), axis=-1)
+    return src.reshape(*lead, 31, 36)[..., _EXPAND, :].reshape(*lead, DIM ** 4)
 
 
 @dataclass(frozen=True)
@@ -333,10 +394,8 @@ def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> C
     reduced before the one expansion.
     """
     re, im, den = _operator(gamma.gamma, alg.c, gamma.lowered)
-    g = gcd(den, *re, *im)
-    re, im, den = [a // g for a in re], [b // g for b in im], den // g
-    return CurvatureTensor(gamma.spec,
-                           MultiTensor.from_numerators(4, _stored(re), _stored(im), den))
+    half, den = _reduced(np.array((re, im)), den)
+    return CurvatureTensor(gamma.spec, _tensor(4, _stored(half), den))
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -384,6 +443,17 @@ _TRIPLES = tuple(
            for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1))))
     for i, hh, k in itertools.combinations(INDICES, 3))
 
+# The tables above as numpy gathers over 6-entry rows: _SWAP as an index array; per
+# triple its three rows among the 90 of the half and its three cyclic blocks (the
+# permutations of sign +1) among the 216 of a rank-4 table; and per block of the
+# defect the row it copies from [sums] + [-sums] + [0] (20 sums, one per triple).
+_SWAP_AT = np.array(_SWAP)
+_HALF_ROWS = np.array([[start // 6 for start in rows] for _, rows, _ in _TRIPLES])
+_CYCLIC = np.array([[base // 6 for base, s in fills if s > 0] for *_, fills in _TRIPLES])
+_FILL_ROW = {base // 6: t if s > 0 else 20 + t
+             for t, (*_, fills) in enumerate(_TRIPLES) for base, s in fills}
+_FILL = np.array([_FILL_ROW.get(n, 40) for n in range(216)])
+
 
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
     """Connection torsion T(x,y) = nabla_x y - nabla_y x - [x,y] and the Bianchi defect.
@@ -393,41 +463,34 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     curvature side is the raised form of the stored curvature's operator, so it is the
     structural oracle for the whole Christoffel/curvature pipeline.  Both sides
     are fully skew in (x, y, z), so sorted triples are evaluated, each from three
-    rows of the kernel's I < H half (60 rows in all, no rank-4 tensor), and written
-    to the dense 1296-entry defect by the six signed slice copies of _TRIPLES.  The
-    symbols are rebuilt here without a plane, so the defect shares no table with the
-    caller's.
+    rows of the kernel's I < H half (60 rows in all, no rank-4 operator), and
+    copied to the dense 1296-entry defect with the signs of _TRIPLES.  The
+    d^nabla T terms nabla_x (T(y,z)) - T([x,y], z) are two products, over every
+    (x, y, z), read at the cyclic blocks.  All of it sits over den^2 for den the
+    lcm of the symbols' and c's denominators.  The symbols are rebuilt here
+    without a plane, so the defect shares no table with the caller's.
     """
     table = christoffel(spec, h, alg)
-    gamma, c = _common(table.gamma, alg.c)
-    gre, gim, cre, cim, den = gamma.re, gamma.im, c.re, c.im, gamma.den
-    torsion = MultiTensor.from_numerators(
-        3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(_SWAP)],
-        [gim[n] - gim[m] - cim[n] for n, m in enumerate(_SWAP)], den)
+    den = lcm(table.gamma.den, alg.c.den)
+    fg, fc = den // table.gamma.den, den // alg.c.den
+    (zg, mg), (zc, mc) = _arrays(table.gamma), _arrays(alg.c)
+    # per entry: 3 half rows of 36 products below 2^(2b), and 3 x 24 products with
+    # one factor T, |T| < 3 2^b, each counted as 3 products below 2^(2b)
+    dtype = _dtype(2 * max(mg * fg, mc * fc).bit_length(), 3 * 36 + 3 * 3 * 24)
+    zg, zc = _scaled(zg, fg, dtype), _scaled(zc, fc, dtype)
+    zt = zg - zg[:, _SWAP_AT] - zc  # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
 
-    rre, rim, _ = _operator(gamma, c, gamma)
-    trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
-    dre = [0] * DIM ** 4
-    dim = [0] * DIM ** 4
-    for (i, hh, k), (p, q, r), fills in _TRIPLES:
-        # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
-        ar = [rre[p + a] + rre[q + a] - rre[r + a] for a in INDICES]
-        ai = [rim[p + a] + rim[q + a] - rim[r + a] for a in INDICES]
-        for x, y, zz in ((i, hh, k), (hh, k, i), (k, i, hh)):
-            # d^nabla T cyclic part: nabla_x (T(y,z)) - T([x,y], z)
-            for m, tr, ti in trows[6 * y + zz]:
-                for a, gr_, gi in grows[6 * x + m]:
-                    ar[a] -= tr * gr_ - ti * gi
-                    ai[a] -= tr * gi + ti * gr_
-            for m, cr, ci in crows[6 * x + y]:
-                for a, tr, ti in trows[6 * m + zz]:
-                    ar[a] += cr * tr - ci * ti
-                    ai[a] += cr * ti + ci * tr
-        nr, ni = [-a for a in ar], [-b for b in ai]
-        for base, s in fills:
-            dre[base:base + 6], dim[base:base + 6] = (ar, ai) if s > 0 else (nr, ni)
-
-    return torsion, MultiTensor.from_numerators(4, dre, dim, den * den)
+    re, im, _ = _operator(table.gamma, alg.c, table.gamma)  # over den gamma.den
+    half = _scaled(np.array((re, im)), fg, dtype).reshape(2, 90, DIM)[:, _HALF_ROWS]
+    # nabla_x (T(y,z))^a = T_{yz}^m Gamma_{xm}^a and T([x,y], z)^a = c_{xy}^m T_{mz}^a,
+    # each at block 36 x + 6 y + z
+    nabla_t = _cmatmul(zt.reshape(2, 1, 36, DIM), zg.reshape(2, DIM, DIM, DIM))
+    t_bracket = _cmatmul(zc.reshape(2, 36, DIM), zt.reshape(2, DIM, 36))
+    d_t = (nabla_t.reshape(2, 216, DIM) - t_bracket.reshape(2, 216, DIM))[:, _CYCLIC]
+    # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
+    sums = half[:, :, 0] + half[:, :, 1] - half[:, :, 2] - d_t.sum(axis=2)
+    rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :1])), axis=1)
+    return _tensor(3, zt, den), _tensor(4, rows[:, _FILL], den * den)
 
 
 # -- structural invariants ---------------------------------------------------

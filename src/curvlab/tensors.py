@@ -277,16 +277,19 @@ def _split_slot(t: MultiTensor, slot: int):
 
 
 def _trace(t, stride, pairs, g, rank=2):
-    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < 6**rank."""
+    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < 6**rank;
+    zero entries of t and of g are skipped."""
     pairs = [(o, g.re[w], g.im[w]) for o, w in pairs if g.re[w] or g.im[w]]
     tre, tim = t.re, t.im
     re = [0] * DIM ** rank
     im = [0] * DIM ** rank
     for n in range(DIM ** rank):
+        base = stride * n
         for o, c, d in pairs:
-            a, b = tre[stride * n + o], tim[stride * n + o]
-            re[n] += a * c - b * d
-            im[n] += a * d + b * c
+            a, b = tre[base + o], tim[base + o]
+            if a or b:
+                re[n] += a * c - b * d
+                im[n] += a * d + b * c
     return MultiTensor.from_numerators(rank, re, im, t.den * g.den)
 
 

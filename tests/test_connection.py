@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from curvlab import connection, flow, goldens, verify
@@ -454,6 +455,146 @@ def test_bianchi_defect_matches_the_reference():
             got, want = torsion_and_bianchi_defect(spec, h, alg), ref_defect(spec, h, alg)
             assert not want[1].is_zero()
             assert [_numerators(t) for t in got] == [_numerators(t) for t in want], name
+
+
+# -- the kernel's dtypes ------------------------------------------------------------
+
+
+@pytest.fixture
+def dtypes(monkeypatch):
+    """(terms, dtype) per dtype choice of a kernel stage, in call order; terms tells
+    the stages apart (36 for the operator half, 324 for the Bianchi defect)."""
+    chosen = []
+    choose = connection._dtype
+
+    def spy(product_bits, terms):
+        chosen.append((terms, choose(product_bits, terms)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr(connection, "_dtype", spy)
+    return chosen
+
+
+def _large_metric(rng):
+    """Metric parameters whose every coordinate (r2, s2, t2 and the parts of u, v, z)
+    has a numerator of at least 2^40, drawn until positivity holds."""
+    while True:
+        r2, s2, t2 = (Rat(rng.randint(2 ** 44, 2 ** 45), rng.randint(1, 7)) for _ in range(3))
+        u, v, z = (GaussianRational(Rat(rng.randint(2 ** 40, 2 ** 41), rng.randint(1, 7)),
+                                    Rat(-rng.randint(2 ** 40, 2 ** 41), rng.randint(1, 7)))
+                   for _ in range(3))
+        p = MetricParams(r2, s2, t2, u, v, z)
+        if not p.constraint_failures():
+            return p
+
+
+def large_grid():
+    """(label, alg, h, specs) over the sweep's 21 structures x 1 seeded large metric, with
+    specs Levi-Civita, Chern, Bismut and 1 seeded Gauduchon eps."""
+    for family_id, params in verify._SWEEP_STRUCTURES:
+        rng = random.Random(f"large:{family_id}:{sorted(params.items())!r}")
+        alg = instantiate(FamilySpec.make(family_id, **params))
+        specs = [ConnectionSpec.preset(name) for name in ("lc", "chern", "bismut")]
+        specs.append(ConnectionSpec.gauduchon(Rat(rng.randint(-12, 12), rng.randint(1, 8))))
+        yield (family_id, params), alg, build_metric(_large_metric(rng)), specs
+
+
+def test_large_coefficients_take_the_object_dtype_and_match_the_references(dtypes):
+    """Beyond the int64 bound the kernel runs on Python ints: on metrics with 2^40-high
+    coordinates the curvature, its operator half and the Bianchi defect of every
+    connection with nonzero curvature choose object, and all of them equal the
+    references entry for entry.  The zero curvatures are the flat connections of the
+    grid (Chern on Np with rho = 1, Siv1 and sl2c, and all four on the abelian Np with
+    rho = 0), whose symbols stay small."""
+    checked = on_object = 0
+    for label, alg, h, specs in large_grid():
+        for spec in specs:
+            where = (label, spec.label())
+            table = christoffel(spec, h, alg)
+            dtypes.clear()
+            got = curvature(table, h, alg).tensor
+            assert _numerators(got) == _numerators(_raise_then_lower(table, h, alg)), where
+            re, im, den = connection._operator(table.gamma, alg.c, table.lowered)
+            assert re.dtype == im.dtype == dtypes[0][1]
+            want = ref_operator(table.gamma, alg.c, table.lowered)
+            assert ([-a for a in connection._stored(re)], [-b for b in connection._stored(im)],
+                    den) == _numerators(want), where
+            dtypes.clear()
+            defect, want_defect = torsion_and_bianchi_defect(spec, h, alg), ref_defect(spec, h, alg)
+            assert [_numerators(t) for t in defect] == [_numerators(t) for t in want_defect], where
+            if not got.is_zero():
+                assert re.dtype == object and (324, object) in dtypes, where
+                on_object += 1
+            checked += 1
+    assert checked == 21 * 4 and on_object >= 21 * 4 - 8
+
+
+def _python_ints(t):
+    return all(type(a) is int for a in (*t.re, *t.im, t.den))
+
+
+def test_kernel_outputs_are_python_ints_on_both_dtypes(dtypes):
+    """Every numerator and den out of _lc_sum, christoffel, curvature and the Bianchi
+    defect is a Python int, on the int64 path (every stage on the reference grid) and
+    on the object path (the Bianchi defects of the large grid)."""
+    grids = ((np.int64, itertools.islice(reference_grid("ints"), 0, None, 7)),
+             (object, itertools.islice(large_grid(), 1, None, 3)))
+    for dtype, grid in grids:
+        for label, alg, h, specs in grid:
+            dtypes.clear()
+            outputs = [connection._lc_sum(alg.c, h.g)]
+            for spec in specs[:4]:
+                table = christoffel(spec, h, alg)
+                outputs += [table.gamma, table.lowered, curvature(table, h, alg).tensor,
+                            *torsion_and_bianchi_defect(spec, h, alg)]
+            assert all(_python_ints(t) for t in outputs), label
+            if dtype is object:
+                assert (324, object) in dtypes, label
+            else:
+                assert {d for _, d in dtypes} == {np.int64}, label
+
+
+def _edge_tables(m, mx):
+    """(gamma, c, x) at the worst case of the operator's bound: gamma = m(1+i) s(H),
+    c = -m(1+i) and x = mx(1-i), with s(H) = 1 for barred H and -1 otherwise, so every
+    real product of the 36 per entry of a pair (unbarred I, barred H) adds m mx."""
+    def table(value):
+        re, im = zip(*(value(idx) for idx in all_indices(3)))
+        return MultiTensor.from_numerators(3, list(re), list(im), 1)
+
+    gamma = table(lambda idx: (m, m) if idx[0] >= 3 else (-m, -m))
+    return gamma, table(lambda idx: (-m, -m)), table(lambda idx: (mx, -mx))
+
+
+def test_the_dtype_chooser_holds_at_the_int64_edge():
+    """A product budget of 62 bits (bits(A) + bits(B) + ceil(log2 terms)) runs on int64
+    and stays exact at its worst case; 63 bits run on object.  A sum at budget 63 would
+    still be below 2^63, so the dtype, not an overflow, pins the bound here."""
+    choose = connection._dtype
+    assert choose(56, 36) is np.int64 and choose(57, 36) is object
+    assert choose(56, 64) is np.int64 and choose(56, 65) is object
+    assert choose(62, 1) is np.int64 and choose(62, 2) is object
+    m = 2 ** 28 - 1  # 28 bits: 28 + 28 + ceil(log2 36) = 62
+    for mx, dtype in ((m, np.int64), (m + 1, object)):
+        gamma, c, x = _edge_tables(m, mx)
+        re, im, den = connection._operator(gamma, c, x)
+        assert re.dtype == im.dtype == dtype
+        want = ref_operator(gamma, c, x)
+        assert ([-a for a in connection._stored(re)], [-b for b in connection._stored(im)],
+                den) == _numerators(want)
+        assert max(want.re) == 36 * m * mx  # the worst case is reached
+    assert 36 * m * m < 2 ** 62 and 36 * m * (m + 1) < 2 ** 63
+
+
+def test_zero_tables_take_scale_factors_beyond_int64():
+    """On the torus every table is zero, so every sum fits int64, while a metric with
+    2^70 denominators puts the zero torsion forms' lcm factors beyond int64: the
+    factors must not meet the int64 zeros, and every output is zero."""
+    h = build_metric(MetricParams.make(r2=Rat(1, 2 ** 70), s2=Rat(3, 2 ** 65), t2=1))
+    for name in PRESETS:
+        spec = ConnectionSpec.preset(name)
+        assert curvature_of(spec, h, TORUS).tensor.is_zero()
+        assert all(t.is_zero() for t in torsion_and_bianchi_defect(spec, h, TORUS))
 
 
 def test_oracles_catch_a_lower_half_block_read_with_the_wrong_sign(monkeypatch, rng):
