@@ -33,11 +33,12 @@ content and expands it by one table lookup (_EXPAND), and the Bianchi defect
 reads its cyclic rows off the raised operator's half, R(k,i)h = -R(i,k)h.
 The flow's exact Ricci traces the symbols directly and builds no operator.
 The Riemannian Ricci ric_lc keeps the standard orientation, so the Ricci flow
-has its usual sign.  All of it runs on one Gaussian-integer kernel (below):
-it reads the numerators MultiTensor stores into numpy arrays, evaluates each
-stage as integer matrix products and index gathers, on int64 where the bit
-lengths of its inputs prove every sum exact and on Python ints (dtype object)
-otherwise, and writes Python-int numerators back.
+has its usual sign.  All of it, the Ricci traces too, runs on the one
+Gaussian-integer kernel of tensors.py: it reads the numerators MultiTensor
+stores into numpy arrays, evaluates each stage as integer matrix products and
+index gathers, on int64 where the bit lengths of its inputs prove every sum
+exact and on Python ints (dtype object) otherwise, and writes Python-int
+numerators back.
 """
 
 from __future__ import annotations
@@ -53,12 +54,16 @@ from .algebra import LieAlgebraCx
 from .metric import HermitianData, torsion_forms
 from .scalars import GaussianRational, Rat, rat_from_str
 from .tensors import (
-    BARRED,
     DIM,
     INDICES,
     MultiTensor,
-    UNBARRED,
-    _trace,
+    _arrays,
+    _cmatmul,
+    _dtype,
+    _maxabs,
+    _reduced,
+    _scaled,
+    _tensor,
     all_indices,
     bar,
     index_name,
@@ -157,100 +162,6 @@ class ConnectionSpec:
 
     def as_dict(self):
         return {"eps": str(self.eps), "rho": str(self.rho), "name": self.name}
-
-
-# -- the Gaussian-integer kernel ----------------------------------------------
-#
-# The kernel reads the numerators of MultiTensor (re[n] + im[n] i over one
-# positive den; see tensors.py) into numpy arrays z = [re, im] of shape
-# (2, 6, ..., 6), evaluates each stage as integer matrix products and index
-# gathers, and hands MultiTensors back through .tolist(), so every stored
-# numerator and den stays a Python int.  Each call picks one dtype for its
-# products (_dtype): np.int64 when the bit lengths of its inputs prove that no
-# sum can leave the int64 range, and object (numpy running the same
-# expressions on Python ints) otherwise.  Every output is exact either way,
-# so the two dtypes give the same numbers.
-
-# the bound: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
-# to spare, so a partial sum, its negation and the difference of two of them fit
-_INT64_BUDGET = 62
-
-
-def _dtype(product_bits, terms):
-    """np.int64 when every sum of at most `terms` real products, each below
-    2^product_bits in magnitude, stays below 2^62 (|sum| < terms 2^product_bits
-    <= 2^(product_bits + ceil(log2 terms))), and object otherwise."""
-    return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
-
-
-def _maxabs(z):
-    """The largest |entry| of the array z, as a Python int."""
-    return max(int(np.maximum.reduce(z, None)), -int(np.minimum.reduce(z, None)))
-
-
-def _arrays(t):
-    """(z, m): t's numerators as z = [re, im], int64 when they fit and object
-    otherwise, and m = _maxabs(z)."""
-    try:
-        z = np.array((t.re, t.im), np.int64)
-    except OverflowError:
-        z = np.array((t.re, t.im), object)
-    return z, _maxabs(z)
-
-
-def _scaled(z, f, dtype):
-    """f z in dtype (an all-zero z is returned as it is, so an f beyond int64
-    never meets an int64 array)."""
-    z = z.astype(dtype, copy=False)
-    return z * f if f != 1 and z.any() else z
-
-
-def _cmatmul(a, b):
-    """The Gaussian-integer matrix product a @ b of [re, im] stacks (numpy matmul
-    broadcasting on the axes between the first and the last two): 2k real
-    products per entry for k the contracted length."""
-    p = np.matmul(a[:, None], b[None])  # p[s, t] = a[s] @ b[t]
-    out = p[0]
-    out[0] -= p[1, 1]
-    out[1] += p[1, 0]
-    return out
-
-
-def _reduced(z, den):
-    """(z / g, den / g) for g = the gcd of den and every numerator in z."""
-    content = int(np.gcd.reduce(z.ravel()))
-    if not content:  # all zero
-        return z, 1
-    g = gcd(den, content)
-    return (z // g, den // g) if g != 1 else (z, den)
-
-
-def _tensor(rank, z, den):
-    """The MultiTensor of the numerators z = [re, im] over den, as Python ints."""
-    re, im = z.reshape(2, -1).tolist()
-    return MultiTensor.from_numerators(rank, re, im, den)
-
-
-# The flow's exact Ricci (flow.exact_lc_ricci) takes its trace on Python ints
-# through the next two helpers.
-
-def _common(s, t):
-    """Two tensors rescaled to one denominator, the lcm of theirs."""
-    den = lcm(s.den, t.den)
-    fs, ft = den // s.den, den // t.den
-    return (MultiTensor.from_numerators(s.rank, [fs * a for a in s.re], [fs * b for b in s.im],
-                                        den),
-            MultiTensor.from_numerators(t.rank, [ft * a for a in t.re], [ft * b for b in t.im],
-                                        den))
-
-
-def _rows(t):
-    """Sparse rows over the last slot: rows[n // 6] lists (n % 6, re, im) per nonzero n."""
-    rows = [[] for _ in range(len(t.re) // DIM)]
-    for n, (a, b) in enumerate(zip(t.re, t.im)):
-        if a or b:
-            rows[n // DIM].append((n % DIM, a, b))
-    return rows
 
 
 def _lc_sum(c, g):
@@ -419,16 +330,31 @@ class RicciData:
     scal: GaussianRational
 
 
+# the holomorphic traces read g^{lb k} at offset 6 k + lb: g^{-1} transposed, as a
+# 36-vector kept only at unbarred k and barred lb; ric_lc reads g^{-1} as stored
+_HOL = np.array([k < 3 <= l for k, l in all_indices(2)])
+
+
 def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
+    """The traces of RicciData as kernel products of R's 36 x 36 reshapes with g^{-1}
+    read as a 36-vector, over r.den g_inv.den and unreduced; scal sums ric1 once
+    more with g^{-1}, over r.den g_inv.den^2."""
     r, g_inv = curv.tensor, h.g_inv
-    # holomorphic trace pairs (k, lbar), weighted by g^{lbar k}
-    hol = [(k, l, 6 * l + k) for k in UNBARRED for l in BARRED]
-    ric1 = _trace(r, 36, [(6 * k + l, w) for k, l, w in hol], g_inv)
-    ric2 = _trace(r, 1, [(216 * k + 36 * l, w) for k, l, w in hol], g_inv)
-    ric_lc = _trace(r, 6, [(216 * a + l, 6 * a + l) for a in INDICES for l in INDICES],
-                    -g_inv)
-    scal = _trace(ric1, 0, [(6 * k + l, w) for k, l, w in hol], g_inv, rank=0)
-    return RicciData(ric1, ric2, ric_lc, scal[()])
+    (zr, mr), (zi, mi) = _arrays(r), _arrays(g_inv)
+    # ric_lc sums 2 x 36 real products per entry, ric1 and ric2 2 x 9
+    dtype = _dtype(mr.bit_length() + mi.bit_length(), 72)
+    zr, zi = zr.astype(dtype).reshape(2, 36, 36), zi.astype(dtype)
+    hol = zi.reshape(2, DIM, DIM).transpose(0, 2, 1).reshape(2, 36) * _HOL
+    ric1 = _cmatmul(zr, hol.reshape(2, 36, 1))  # rows (I, H)
+    ric2 = _cmatmul(hol.reshape(2, 1, 36), zr)  # columns (K, L)
+    # rows (H, K), columns (A, L)
+    zr = zr.reshape(2, DIM, 36, DIM).transpose(0, 2, 1, 3).reshape(2, 36, 36)
+    ric_lc = -_cmatmul(zr, zi.reshape(2, 36, 1))
+    dtype = _dtype(_maxabs(ric1).bit_length() + mi.bit_length(), 18)
+    scal = _cmatmul(hol.astype(dtype).reshape(2, 1, 36), ric1.astype(dtype))
+    den = r.den * g_inv.den
+    return RicciData(_tensor(2, ric1, den), _tensor(2, ric2, den), _tensor(2, ric_lc, den),
+                     _tensor(0, scal, den * g_inv.den)[()])
 
 
 # the flat offset of (H, I, K) at the flat offset of (I, H, K)
@@ -453,6 +379,9 @@ _CYCLIC = np.array([[base // 6 for base, s in fills if s > 0] for *_, fills in _
 _FILL_ROW = {base // 6: t if s > 0 else 20 + t
              for t, (*_, fills) in enumerate(_TRIPLES) for base, s in fills}
 _FILL = np.array([_FILL_ROW.get(n, 40) for n in range(216)])
+# the factors of each cyclic block 36 x + 6 y + z: x and 6 y + z, 6 x + y and z
+_CX, _CYZ = np.divmod(_CYCLIC, 36)
+_CXY, _CZ = np.divmod(_CYCLIC, 6)
 
 
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
@@ -465,8 +394,8 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     are fully skew in (x, y, z), so sorted triples are evaluated, each from three
     rows of the kernel's I < H half (60 rows in all, no rank-4 operator), and
     copied to the dense 1296-entry defect with the signs of _TRIPLES.  The
-    d^nabla T terms nabla_x (T(y,z)) - T([x,y], z) are two products, over every
-    (x, y, z), read at the cyclic blocks.  All of it sits over den^2 for den the
+    d^nabla T terms nabla_x (T(y,z)) - T([x,y], z) are two products over the 60
+    cyclic blocks the sums read.  All of it sits over den^2 for den the
     lcm of the symbols' and c's denominators.  The symbols are rebuilt here
     without a plane, so the defect shares no table with the caller's.
     """
@@ -483,10 +412,11 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     re, im, _ = _operator(table.gamma, alg.c, table.gamma)  # over den gamma.den
     half = _scaled(np.array((re, im)), fg, dtype).reshape(2, 90, DIM)[:, _HALF_ROWS]
     # nabla_x (T(y,z))^a = T_{yz}^m Gamma_{xm}^a and T([x,y], z)^a = c_{xy}^m T_{mz}^a,
-    # each at block 36 x + 6 y + z
-    nabla_t = _cmatmul(zt.reshape(2, 1, 36, DIM), zg.reshape(2, DIM, DIM, DIM))
-    t_bracket = _cmatmul(zc.reshape(2, 36, DIM), zt.reshape(2, DIM, 36))
-    d_t = (nabla_t.reshape(2, 216, DIM) - t_bracket.reshape(2, 216, DIM))[:, _CYCLIC]
+    # a row times a 6 x 6 matrix per cyclic block (x, y, z), gathered before the product
+    zg3, zt3 = zg.reshape(2, DIM, DIM, DIM), zt.reshape(2, DIM, DIM, DIM)
+    nabla_t = _cmatmul(zt.reshape(2, 36, 1, DIM)[:, _CYZ], zg3[:, _CX])
+    t_bracket = _cmatmul(zc.reshape(2, 36, 1, DIM)[:, _CXY], zt3.transpose(0, 2, 1, 3)[:, _CZ])
+    d_t = (nabla_t - t_bracket)[:, :, :, 0]
     # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
     sums = half[:, :, 0] + half[:, :, 1] - half[:, :, 2] - d_t.sum(axis=2)
     rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :1])), axis=1)

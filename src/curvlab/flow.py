@@ -13,9 +13,9 @@ connection with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y]:
     Ric_{HK} = Gamma_{HK}^B Gamma_{AB}^A - Gamma_{AK}^B Gamma_{HB}^A
                - c_{AH}^B Gamma_{BK}^A.
 
-Neither path builds the rank-4 operator: exact_lc_ricci sums the three terms
-on Gaussian-integer numerators, and float_lc_ricci evaluates them as one
-matrix-vector and two matrix products.
+Neither path builds the rank-4 operator: both evaluate the three terms as one
+matrix-vector and two matrix products, exact_lc_ricci on the exact kernel's
+Gaussian-integer numerators and float_lc_ricci in complex floating point.
 
 hermitian_deviation monitors max |g_{ij}| over the pure-type block; for
 initial data whose Levi-Civita connection is Kahler-like the flow must keep
@@ -25,13 +25,26 @@ it at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 import numpy as np
 
 from .algebra import LieAlgebraCx
-from .connection import _common, _lc_sum, _rows, _symbols
+from .connection import _lc_sum, _symbols
 from .metric import HermitianData
-from .tensors import DIM, INDICES, MultiTensor, bar, index_name, inverse
+from .tensors import (
+    DIM,
+    INDICES,
+    MultiTensor,
+    _arrays,
+    _cmatmul,
+    _dtype,
+    _scaled,
+    _tensor,
+    bar,
+    index_name,
+    inverse,
+)
 
 __all__ = [
     "FlowState",
@@ -51,34 +64,26 @@ __all__ = [
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
 
-    The trace of the module docstring, taken term by term on the numerators of
-    the raised symbols and c over their common denominator D, so every term sits
-    over D^2.  The trace needs no metric, so only the raise uses g^{-1}.
+    The three products of float_lc_ricci on the numerators of the raised symbols
+    and c over their common denominator D, so the trace sits over D^2.  The trace
+    needs no metric, so only the raise uses g^{-1}.
     """
     g = MultiTensor(2, [v for row in g6 for v in row])
-    gamma, c = _common(_symbols(_lc_sum(alg.c, g), inverse(g))[1], alg.c)
-    gre, gim, rows, crows = gamma.re, gamma.im, _rows(gamma), _rows(c)
-    # rows[6 H + K] = nonzero (B, Gamma_{HK}^B); the trace Gamma_{AB}^A sums 37 A + 6 B
-    tre = [sum(gre[37 * a + 6 * b] for a in INDICES) for b in INDICES]
-    tim = [sum(gim[37 * a + 6 * b] for a in INDICES) for b in INDICES]
-    re, im = [0] * DIM ** 2, [0] * DIM ** 2
-    for hh in INDICES:
-        for k in INDICES:
-            xr = xi = 0
-            for b, pr, pi in rows[6 * hh + k]:
-                xr += pr * tre[b] - pi * tim[b]
-                xi += pr * tim[b] + pi * tre[b]
-            for a in INDICES:
-                for b, pr, pi in rows[6 * a + k]:
-                    qr, qi = gre[36 * hh + 6 * b + a], gim[36 * hh + 6 * b + a]
-                    xr -= pr * qr - pi * qi
-                    xi -= pr * qi + pi * qr
-                for b, pr, pi in crows[6 * a + hh]:
-                    qr, qi = gre[36 * b + 6 * k + a], gim[36 * b + 6 * k + a]
-                    xr -= pr * qr - pi * qi
-                    xi -= pr * qi + pi * qr
-            re[6 * hh + k], im[6 * hh + k] = xr, xi
-    ric = MultiTensor.from_numerators(2, re, im, gamma.den ** 2)
+    gamma = _symbols(_lc_sum(alg.c, g), inverse(g))[1]
+    den = lcm(gamma.den, alg.c.den)
+    fg, fc = den // gamma.den, den // alg.c.den
+    (zg, mg), (zc, mc) = _arrays(gamma), _arrays(alg.c)
+    # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 symbols,
+    # so counted as 6 x 12 products below 2^(2b), and 2 x 36 in each other term
+    dtype = _dtype(2 * max(mg * fg, mc * fc).bit_length(), 72 + 72 + 72)
+    zg, zc = _scaled(zg, fg, dtype), _scaled(zc, fc, dtype)
+    g3 = zg.reshape(2, DIM, DIM, DIM)
+    trace = np.trace(g3, axis1=1, axis2=3).reshape(2, DIM, 1)  # Gamma_{AB}^A over B
+    ric = (_cmatmul(zg.reshape(2, 36, DIM), trace).reshape(2, DIM, DIM)
+           - _cmatmul(zg.reshape(2, DIM, 36), g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM))
+           - _cmatmul(zc.reshape(2, DIM, DIM, DIM).transpose(0, 2, 3, 1).reshape(2, DIM, 36),
+                      g3.transpose(0, 1, 3, 2).reshape(2, 36, DIM)))
+    ric = _tensor(2, ric, den * den)
     return [[ric[h, k] for k in INDICES] for h in INDICES]
 
 

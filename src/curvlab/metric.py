@@ -32,7 +32,16 @@ from math import lcm
 
 from .algebra import LieAlgebraCx, d_is_zero, exterior_d
 from .scalars import I, GaussianRational, Rat, gr, rat_from_str
-from .tensors import INDICES, MultiTensor, _trace, all_indices, inverse, is_barred
+from .tensors import (
+    DIM,
+    MultiTensor,
+    _arrays,
+    _cmatmul,
+    _dtype,
+    all_indices,
+    inverse,
+    is_barred,
+)
 
 __all__ = [
     "MetricParams",
@@ -190,10 +199,6 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
                  for signs in (_T_SIGNS, _C_SIGNS))
 
 
-# the Lee trace theta_k = sum_{a,b} g^{ab} C_{bak}: C at 36 b + 6 a + k, g^{-1} at 6 a + b
-_LEE_PAIRS = [(36 * b + 6 * a, 6 * a + b) for a in INDICES for b in INDICES]
-
-
 @dataclass(frozen=True)
 class MetricClassification:
     kahler: bool
@@ -217,5 +222,10 @@ def classify_metric(h: HermitianData, alg: LieAlgebraCx, forms=None) -> MetricCl
     t, c = forms or torsion_forms(h, alg)
     if c.is_zero():
         return MetricClassification(True, True, True)
-    lee = _trace(c, 1, _LEE_PAIRS, h.g_inv, rank=1)
-    return MetricClassification(False, lee.is_zero(), d_is_zero(t, alg))
+    # the Lee trace theta_k = sum_{a,b} g^{ab} C_{bak}: g^{-1} as the 36-vector of
+    # (a, b) times C with rows (a, b), 2 x 36 real products per entry
+    (zc, mc), (zi, mi) = _arrays(c), _arrays(h.g_inv)
+    dtype = _dtype(mc.bit_length() + mi.bit_length(), 72)
+    zc = zc.astype(dtype).reshape(2, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(2, 36, DIM)
+    lee = _cmatmul(zi.astype(dtype).reshape(2, 1, 36), zc)
+    return MetricClassification(False, not lee.any(), d_is_zero(t, alg))

@@ -5,14 +5,15 @@ with bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the
 format of the exact kernel: Gaussian-integer numerators over one positive
 common denominator (see MultiTensor); GaussianRational values appear only
 when entries are read.  This is the one module that turns GaussianRational
-values into numerators and back (numerator_value reads one entry), and it
-holds the one exact matrix inverse (one fraction-free elimination, run on the
-3x3 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6
-matrix otherwise) and the one trace loop (_trace, shared by the Ricci traces
-of the stored curvature and the Lee form of the metric).  The index arithmetic
-of the hot loops is done once, at import: all_indices hands out one stored
-tuple per rank up to 4, and offset_table builds the tables of permuted and
-conjugated offsets the structural checks read.
+values into numerators and back (numerator_value reads one entry).  It holds
+the one exact matrix inverse (one fraction-free elimination, run on the 3x3
+block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix
+otherwise) and the primitives of the one exact kernel (_dtype, _arrays,
+_cmatmul, _reduced, _tensor and their kin, at the end of the module), on which
+contract and every other exact product of two stored tensors run.  The index
+arithmetic of the hot loops is done once, at import: all_indices hands out one
+stored tuple per rank up to 4, and offset_table builds the tables of permuted
+and conjugated offsets the structural checks read.
 Values are treated as immutable once built: the constructors hand out fresh
 storage and no public operation mutates its arguments.
 """
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
+
+import numpy as np
 
 from .scalars import ZERO, GaussianRational, Rat
 
@@ -243,54 +246,20 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
     """Sum over a shared frame index: Einstein contraction of slot_t of t with slot_a of a.
 
     Result slots are the remaining slots of t followed by the remaining
-    slots of a, in their original order.
+    slots of a, in their original order.  One kernel product over
+    t.den * a.den (12 real products per entry), reduced.
     """
     if not 0 <= slot_t < t.rank:
         raise ValueError(f"slot {slot_t} out of range for rank-{t.rank} tensor")
     if not 0 <= slot_a < a.rank:
         raise ValueError(f"slot {slot_a} out of range for rank-{a.rank} tensor")
-    size = DIM ** (t.rank + a.rank - 2)
-    re, im = [0] * size, [0] * size
-    # bucket the entries of `a` by the contracted slot; products sum over t.den * a.den
-    buckets = [[] for _ in range(DIM)]
-    for n, i, rest in _split_slot(a, slot_a):
-        buckets[i].append((rest, a.re[n], a.im[n]))
-    stride = DIM ** (a.rank - 1)
-    for n, i, rest in _split_slot(t, slot_t):
-        base, x, y = stride * rest, t.re[n], t.im[n]
-        for o, c, d in buckets[i]:
-            re[base + o] += x * c - y * d
-            im[base + o] += x * d + y * c
-    return MultiTensor.from_numerators(t.rank + a.rank - 2, re, im, t.den * a.den).reduced()
-
-
-def _split_slot(t: MultiTensor, slot: int):
-    """Yield (n, i, rest) per nonzero entry: its flat offset, its index in `slot`, and
-    the flat offset of its other indices (the entry's offset with that digit removed)."""
-    low = DIM ** (t.rank - 1 - slot)
-    re, im = t.re, t.im
-    for n in range(len(re)):
-        if re[n] or im[n]:
-            high, lo = divmod(n, low)
-            high, i = divmod(high, DIM)
-            yield n, i, high * low + lo
-
-
-def _trace(t, stride, pairs, g, rank=2):
-    """out[n] = sum of t[stride * n + o] * g[w] over the (o, w) in pairs, for n < 6**rank;
-    zero entries of t and of g are skipped."""
-    pairs = [(o, g.re[w], g.im[w]) for o, w in pairs if g.re[w] or g.im[w]]
-    tre, tim = t.re, t.im
-    re = [0] * DIM ** rank
-    im = [0] * DIM ** rank
-    for n in range(DIM ** rank):
-        base = stride * n
-        for o, c, d in pairs:
-            a, b = tre[base + o], tim[base + o]
-            if a or b:
-                re[n] += a * c - b * d
-                im[n] += a * d + b * c
-    return MultiTensor.from_numerators(rank, re, im, t.den * g.den)
+    (zt, mt), (za, ma) = _arrays(t), _arrays(a)
+    dtype = _dtype(mt.bit_length() + ma.bit_length(), 12)
+    # t's slot last and a's first: the product of a 6^(rank-1) x 6 by a 6 x 6^(rank-1) stack
+    zt = np.moveaxis(zt.reshape((2,) + (DIM,) * t.rank), 1 + slot_t, -1)
+    za = np.moveaxis(za.reshape((2,) + (DIM,) * a.rank), 1 + slot_a, 1)
+    out = _cmatmul(zt.astype(dtype).reshape(2, -1, DIM), za.astype(dtype).reshape(2, DIM, -1))
+    return _tensor(t.rank + a.rank - 2, *_reduced(out, t.den * a.den))
 
 
 def flat_offset(idx) -> int:
@@ -305,3 +274,75 @@ def offset_table(rank: int, f) -> tuple:
     """The flat offset of f(*idx) for every rank-tuple idx, in flat-offset order: a
     permutation or conjugation of the slots as an import-time table of offsets."""
     return tuple(flat_offset(f(*idx)) for idx in all_indices(rank))
+
+
+# -- the Gaussian-integer kernel ----------------------------------------------
+#
+# The kernel reads the numerators of MultiTensor (re[n] + im[n] i over one
+# positive den) into numpy arrays z = [re, im] of shape (2, 6, ..., 6),
+# evaluates each stage as integer matrix products and index gathers, and hands
+# MultiTensors back through .tolist(), so every stored numerator and den stays
+# a Python int.  Each call picks one dtype for its products (_dtype): np.int64
+# when the bit lengths of its inputs prove that no sum can leave the int64
+# range, and object (numpy running the same expressions on Python ints)
+# otherwise.  Every output is exact either way, so the two dtypes give the same
+# numbers (docs/conventions.md lists every call site).
+
+# the bound: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
+# to spare, so a partial sum, its negation and the difference of two of them fit
+_INT64_BUDGET = 62
+
+
+def _dtype(product_bits, terms):
+    """np.int64 when every sum of at most `terms` real products, each below
+    2^product_bits in magnitude, stays below 2^62 (|sum| < terms 2^product_bits
+    <= 2^(product_bits + ceil(log2 terms))), and object otherwise."""
+    return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
+
+
+def _maxabs(z):
+    """The largest |entry| of the array z, as a Python int."""
+    return max(int(np.maximum.reduce(z, None)), -int(np.minimum.reduce(z, None)))
+
+
+def _arrays(t):
+    """(z, m): t's numerators as z = [re, im], int64 when they fit and object
+    otherwise, and m = _maxabs(z)."""
+    try:
+        z = np.array((t.re, t.im), np.int64)
+    except OverflowError:
+        z = np.array((t.re, t.im), object)
+    return z, _maxabs(z)
+
+
+def _scaled(z, f, dtype):
+    """f z in dtype (an all-zero z is returned as it is, so an f beyond int64
+    never meets an int64 array)."""
+    z = z.astype(dtype, copy=False)
+    return z * f if f != 1 and z.any() else z
+
+
+def _cmatmul(a, b):
+    """The Gaussian-integer matrix product a @ b of [re, im] stacks (numpy matmul
+    broadcasting on the axes between the first and the last two): 2k real
+    products per entry for k the contracted length."""
+    p = np.matmul(a[:, None], b[None])  # p[s, t] = a[s] @ b[t]
+    out = p[0]
+    out[0] -= p[1, 1]
+    out[1] += p[1, 0]
+    return out
+
+
+def _reduced(z, den):
+    """(z / g, den / g) for g = the gcd of den and every numerator in z."""
+    content = int(np.gcd.reduce(z.ravel()))
+    if not content:  # all zero
+        return z, 1
+    g = gcd(den, content)
+    return (z // g, den // g) if g != 1 else (z, den)
+
+
+def _tensor(rank, z, den):
+    """The MultiTensor of the numerators z = [re, im] over den, as Python ints."""
+    re, im = z.reshape(2, -1).tolist()
+    return MultiTensor.from_numerators(rank, re, im, den)

@@ -1,10 +1,11 @@
 import itertools
 import random
+from math import lcm
 
 import numpy as np
 import pytest
 
-from curvlab import connection, flow, goldens, verify
+from curvlab import connection, flow, goldens, metric, tensors, verify
 from curvlab.algebra import LieAlgebraCx, _perm_sign
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
@@ -21,7 +22,7 @@ from curvlab.connection import (
 )
 from curvlab.metric import MetricParams, build_metric, classify_metric
 from curvlab.scalars import GaussianRational, Rat, ZERO, gr
-from curvlab.tensors import MultiTensor, all_indices, bar, contract
+from curvlab.tensors import MultiTensor, all_indices, bar, contract, identity_tensor, inverse
 
 from conftest import rand_metric
 
@@ -300,6 +301,25 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     assert not all(ok for *_, ok in goldens.compare_components(*case))
 
 
+def _common(s, t):
+    """Two tensors rescaled to one denominator, the lcm of theirs."""
+    den = lcm(s.den, t.den)
+    fs, ft = den // s.den, den // t.den
+    return (MultiTensor.from_numerators(s.rank, [fs * a for a in s.re], [fs * b for b in s.im],
+                                        den),
+            MultiTensor.from_numerators(t.rank, [ft * a for a in t.re], [ft * b for b in t.im],
+                                        den))
+
+
+def _rows(t):
+    """Sparse rows over the last slot: rows[n // 6] lists (n % 6, re, im) per nonzero n."""
+    rows = [[] for _ in range(len(t.re) // 6)]
+    for n, (a, b) in enumerate(zip(t.re, t.im)):
+        if a or b:
+            rows[n // 6].append((n % 6, a, b))
+    return rows
+
+
 def ref_operator(gamma, c, x):
     """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} over (I, H, K, X).
 
@@ -307,10 +327,10 @@ def ref_operator(gamma, c, x):
     evaluated for I < H and every entry of the 1296 filled in by skewness in
     (I, H), over the denominator of the (gamma, c) pair times x's.
     """
-    gamma, c = connection._common(gamma, c)
-    rows = connection._rows(gamma)
-    xrows = connection._rows(x)
-    crows = connection._rows(c)
+    gamma, c = _common(gamma, c)
+    rows = _rows(gamma)
+    xrows = _rows(x)
+    crows = _rows(c)
     re = [0] * 6 ** 4
     im = [0] * 6 ** 4
     for i in range(6):
@@ -338,14 +358,14 @@ def ref_operator(gamma, c, x):
 def ref_defect(spec, h, alg):
     """The torsion and the Bianchi defect, with the curvature side read off ref_operator."""
     table = christoffel(spec, h, alg)
-    gamma, c = connection._common(table.gamma, alg.c)
+    gamma, c = _common(table.gamma, alg.c)
     gre, gim, cre, cim, den = gamma.re, gamma.im, c.re, c.im, gamma.den
     swap = [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]
     torsion = MultiTensor.from_numerators(
         3, [gre[n] - gre[m] - cre[n] for n, m in enumerate(swap)],
         [gim[n] - gim[m] - cim[n] for n, m in enumerate(swap)], den)
     rop = ref_operator(gamma, c, gamma)
-    trows, grows, crows = connection._rows(torsion), connection._rows(gamma), connection._rows(c)
+    trows, grows, crows = _rows(torsion), _rows(gamma), _rows(c)
     dre = [0] * 6 ** 4
     dim = [0] * 6 ** 4
     for i, hh, k in itertools.combinations(range(6), 3):
@@ -368,6 +388,18 @@ def ref_defect(spec, h, alg):
             for a in range(6):
                 dre[base + a], dim[base + a] = s * ar[a], s * ai[a]
     return torsion, MultiTensor.from_numerators(4, dre, dim, den * den)
+
+
+def ref_exact_lc_ricci(g6, alg):
+    """The exact Ricci as the trace sum_A R(A,H)K^A of the full reference operator."""
+    g = MultiTensor(2, [v for row in g6 for v in row])
+    _, gamma = connection._symbols(connection._lc_sum(alg.c, g), inverse(g))
+    rop = ref_operator(gamma, alg.c, gamma)
+    # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A
+    re = [sum(rop.re[217 * a + 6 * n] for a in range(6)) for n in range(36)]
+    im = [sum(rop.im[217 * a + 6 * n] for a in range(6)) for n in range(36)]
+    ric = MultiTensor.from_numerators(2, re, im, rop.den)
+    return [[ric[hh, k] for k in range(6)] for hh in range(6)]
 
 
 def reference_grid(tag):
@@ -463,15 +495,18 @@ def test_bianchi_defect_matches_the_reference():
 @pytest.fixture
 def dtypes(monkeypatch):
     """(terms, dtype) per dtype choice of a kernel stage, in call order; terms tells
-    the stages apart (36 for the operator half, 324 for the Bianchi defect)."""
+    the stages apart (36 for the operator half, 324 for the Bianchi defect, 12 for
+    contract, 72 for the Ricci and Lee traces, 18 for scal and 216 for the flow's
+    exact Ricci).  The chooser is patched in every module that calls it."""
     chosen = []
-    choose = connection._dtype
+    choose = tensors._dtype
 
     def spy(product_bits, terms):
         chosen.append((terms, choose(product_bits, terms)))
         return chosen[-1][1]
 
-    monkeypatch.setattr(connection, "_dtype", spy)
+    for module in (tensors, connection, metric, flow):
+        monkeypatch.setattr(module, "_dtype", spy)
     return chosen
 
 
@@ -552,6 +587,66 @@ def test_kernel_outputs_are_python_ints_on_both_dtypes(dtypes):
                 assert (324, object) in dtypes, label
             else:
                 assert {d for _, d in dtypes} == {np.int64}, label
+
+
+def _kernel_outputs(alg, h, specs):
+    """The numerators of every exact kernel product at one point: contract, the
+    symbols, curvature, Ricci traces and Bianchi defect of each spec, the metric
+    classification and the flow's exact Ricci."""
+    out = [_numerators(contract(h.g, h.g_inv, 1, 0)), _numerators(contract(alg.c, h.g, 2, 0)),
+           classify_metric(h, alg),
+           flow.exact_lc_ricci(flow.flow_state_from_hermitian(h, alg).g6, alg)]
+    for spec in specs:
+        table = christoffel(spec, h, alg)
+        curv = curvature(table, h, alg)
+        rd = ricci_and_scalar(curv, h)
+        out += [_numerators(t) for t in (table.gamma, table.lowered, curv.tensor,
+                                         rd.ric1, rd.ric2, rd.ric_lc,
+                                         *torsion_and_bianchi_defect(spec, h, alg))]
+        out.append(rd.scal)
+    return out
+
+
+def test_the_object_dtype_gives_the_int64_numerators(monkeypatch, dtypes):
+    """With the int64 budget below every product, each kernel call takes object, and
+    every output of a slice of the reference grid, all on int64 by default, keeps
+    its numerators and den."""
+    budget = tensors._INT64_BUDGET
+    for label, alg, h, specs in itertools.islice(reference_grid("object"), 0, None, 6):
+        monkeypatch.setattr(tensors, "_INT64_BUDGET", budget)
+        dtypes.clear()
+        want = _kernel_outputs(alg, h, specs[::3])
+        assert {d for _, d in dtypes} == {np.int64}, label
+        monkeypatch.setattr(tensors, "_INT64_BUDGET", -1)
+        dtypes.clear()
+        assert _kernel_outputs(alg, h, specs[::3]) == want, label
+        assert {d for _, d in dtypes} == {object}, label
+        assert {t for t, _ in dtypes} >= {12, 18, 36, 72, 216, 324}, label
+
+
+def test_large_coefficients_in_contract_and_the_exact_ricci(dtypes):
+    """On the large grid's metrics g g^{-1} contracts to the identity, and the flow's
+    exact Ricci equals the operator reference and the Levi-Civita ric_lc, with each
+    of the three on object wherever its inputs are not all zero (every structure
+    but the abelian one, whose symbols vanish)."""
+    lc = ConnectionSpec.preset("lc")
+    on_object = 0
+    for label, alg, h, _ in large_grid():
+        dtypes.clear()
+        assert contract(h.g, h.g_inv, 1, 0) == identity_tensor(), label
+        assert dtypes == [(12, object)], label
+        g6 = flow.flow_state_from_hermitian(h, alg).g6
+        dtypes.clear()
+        exact = flow.exact_lc_ricci(g6, alg)
+        exact_dtype = dtypes[-1]
+        assert exact == ref_exact_lc_ricci(g6, alg), label
+        dtypes.clear()
+        ric = ricci_and_scalar(curvature_of(lc, h, alg), h).ric_lc
+        assert [[ric[i, j] for j in range(6)] for i in range(6)] == exact, label
+        assert (72, object) in dtypes, label
+        if exact_dtype == (216, object):
+            on_object += 1
+    assert on_object == 21 - 1
 
 
 def _edge_tables(m, mx):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from curvlab.catalog import FamilySpec, instantiate
-from curvlab.connection import (
-    ConnectionSpec,
-    _lc_sum,
-    _symbols,
-    curvature_of,
-    ricci_and_scalar,
-)
+from curvlab.connection import ConnectionSpec, curvature_of, ricci_and_scalar
 from curvlab.flow import (
     FlowState,
     _structure_array,
@@ -21,12 +15,12 @@ from curvlab.flow import (
     trace_to_csv,
 )
 from curvlab.metric import MetricParams, build_metric
-from curvlab.scalars import ONE, gr
-from curvlab.tensors import INDICES, MultiTensor, _trace, inverse
+from curvlab.scalars import gr
+from curvlab.tensors import INDICES
 from curvlab.verify import _SWEEP_STRUCTURES
 
 from conftest import rand_metric
-from test_connection import ref_operator, reference_grid
+from test_connection import ref_exact_lc_ricci, reference_grid
 
 # every nilpotent family and a spread of solvable ones, with sl2c as the one
 # non-solvable algebra
@@ -120,16 +114,6 @@ def test_oracle_on_non_hermitian_state():
     ric_exact = _to_float(exact_lc_ricci(st.g6, st.structure))
     ric_real, basis = _real_frame_ricci(st.structure, st.as_float_matrix())
     assert np.allclose(ric_real, (basis @ ric_exact @ basis.T).real, atol=1e-9)
-
-
-def ref_exact_lc_ricci(g6, alg):
-    """The exact Ricci as the trace sum_A R(A,H)K^A of the full reference operator."""
-    g = MultiTensor(2, [v for row in g6 for v in row])
-    _, gamma = _symbols(_lc_sum(alg.c, g), inverse(g))
-    # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A; unit weights
-    ric = _trace(ref_operator(gamma, alg.c, gamma), 6, [(217 * a, 0) for a in INDICES],
-                 MultiTensor(0, [ONE]))
-    return [[ric[h, k] for k in INDICES] for h in INDICES]
 
 
 def test_exact_ricci_matches_the_operator_trace():
