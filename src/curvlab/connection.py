@@ -15,10 +15,22 @@ Lowered, the symbols are affine in (eps, rho):
     lc_{IHL} = c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH},
 
 and the three tables depend on the point (structure, metric) alone.  A
-ConnectionPlane holds them: the scoreboard and the structural sweep build it
-once per point and share it between classify_metric, which reads (T, C), and
-every connection they evaluate there.  christoffel without a plane builds
-the tables its spec needs, and the Levi-Civita connection needs no (T, C).
+ConnectionPlane holds them: the scoreboard, the structural sweep and the
+appendix oracle build it once per point and share it between classify_metric,
+which reads (T, C), and every connection they evaluate there.  They evaluate
+those connections together: christoffel_and_curvature runs a list of specs
+through the kernel stages (_symbols, _operator, and the curvature's reduction
+and expansion) as one stack with a leading spec axis.  The point's tables are
+read into arrays once, the lowered sums are one integer combination of
+(lc, T, C) with one row of scale factors per spec, each over its own lcm
+denominator, the raise by g^{-1}, the operator half and the content gcd (taken
+per spec) run once for the whole stack, and the symbols reach the operator as
+arrays.  Each stage picks one dtype for the stack, from the largest bound over
+its specs; both dtypes are exact and the gcd is per spec, so the stored
+numerators and denominators are those of the specs evaluated one by one.
+christoffel and curvature are the one-spec stacks;
+christoffel without a plane builds the tables its spec needs, and the
+Levi-Civita connection needs no (T, C).
 The curvature operator R(x, y) = [nabla_x, nabla_y] - nabla_[x,y] has raised
 components R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A
 - c_{IH}^B Gamma_{BK}^A.  The stored (4,0)-tensor is the lowered operator
@@ -46,7 +58,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
+from operator import floordiv, mul
 
 import numpy as np
 
@@ -61,9 +74,13 @@ from .tensors import (
     _cmatmul,
     _dtype,
     _maxabs,
-    _reduced,
+    _maxabs_each,
+    _reduced_each,
     _scaled,
+    _scaled_each,
+    _stack,
     _tensor,
+    _tensors,
     all_indices,
     bar,
     index_name,
@@ -80,6 +97,7 @@ __all__ = [
     "christoffel",
     "CurvatureTensor",
     "curvature",
+    "christoffel_and_curvature",
     "curvature_of",
     "RicciData",
     "ricci_and_scalar",
@@ -177,26 +195,39 @@ def _lc_sum(c, g):
     return _tensor(3, x - x.transpose(0, 3, 1, 2) - x.transpose(0, 1, 3, 2), c.den * g.den)
 
 
-def _symbols(lc, g_inv, torsion=()):
-    """Lowered and raised symbols of 1/2 lc + sum q t over the (q, t) pairs in torsion:
-    Gamma^LC + sum q t for lc = _lc_sum(c, g) and any nondegenerate invariant (g, g^{-1}).
+def _symbols(tables, rows, g_inv):
+    """The lowered and raised symbols of one connection per row of coefficients, as
+    two stacks (z, dens): spec s is sum_j rows[s][j] tables[j], with tables lc and
+    the forms of (T, C) the stack uses and rows[s] their coefficients (1/2, eps,
+    rho), so Gamma^LC + eps T + rho C for lc = _lc_sum(c, g) and any nondegenerate
+    invariant (g, g^{-1}).
 
-    The lowered table sums one product q t per term over the lcm of the terms'
-    denominators; the raised one is its product with g^{-1} (12 real products
-    per entry).  Both are reduced.
+    The lowered sums are one integer product: a row of scale factors per spec,
+    each spec over the lcm of its nonzero terms' denominators, times the tables'
+    numerators (one product per nonzero term).  The raise is one product of the
+    stack with g^{-1} (12 real products per entry).  Each spec is reduced.
     """
-    terms = [(q, *_arrays(t), int(q.denominator) * t.den)
-             for q, t in ((_HALF, lc), *torsion) if q]
-    den = lcm(*(d for *_, d in terms))
-    scales = [(z, m, int(q.numerator) * (den // d)) for q, z, m, d in terms]
-    dtype = _dtype(max(abs(f) * m for _, m, f in scales).bit_length(), len(scales))
-    low = sum(_scaled(z, f, dtype) for z, _, f in scales)
-    low, den = _reduced(low, den)
+    z, _ = _stack(tables)
+    ms = _maxabs_each(z)
+    dens, scales = [], []
+    for row in rows:
+        ds = [int(q.denominator) * t.den for q, t in zip(row, tables)]
+        den = lcm(*(d for q, d in zip(row, ds) if q))
+        dens.append(den)
+        # a zero table's factor may lie beyond int64; its term is zero anyway
+        scales.append([int(q.numerator) * (den // d) if m else 0 for q, d, m in zip(row, ds, ms)])
+    bits = max(abs(f) * m for row in scales for f, m in zip(row, ms)).bit_length()
+    dtype = _dtype(bits, max(len(row) - row.count(0) for row in scales))
+    scales = np.array(scales, dtype)
+    low = np.matmul(scales, z.astype(dtype, copy=False))  # (2, S, 216)
+    low, dens = _reduced_each(low, dens)
 
     zi, mi = _arrays(g_inv)
     dtype = _dtype(_maxabs(low).bit_length() + mi.bit_length(), 12)
-    gamma = _cmatmul(low.astype(dtype).reshape(2, 36, DIM), zi.astype(dtype).reshape(2, DIM, DIM))
-    return _tensor(3, low, den), _tensor(3, *_reduced(gamma, den * g_inv.den))
+    gamma = _cmatmul(low.astype(dtype, copy=False).reshape(2, -1, DIM),
+                     zi.astype(dtype, copy=False).reshape(2, DIM, DIM))
+    gamma = _reduced_each(gamma.reshape(low.shape), [d * g_inv.den for d in dens])
+    return (low, dens), gamma
 
 
 # The I < H half of an operator: the 15 pairs (I, H) in combinations order,
@@ -206,6 +237,7 @@ _PAIR = {pair: p for p, pair in enumerate(_PAIRS)}
 # the offsets 6 I + H and 6 H + I of the pairs, in pair order
 _IH = np.array([6 * i + hh for i, hh in _PAIRS])
 _HI = np.array([6 * hh + i for i, hh in _PAIRS])
+_IH_HI = np.concatenate((_IH, _HI))
 
 # _EXPAND[6 I + H] is the 36-entry block of [-half] + half + [0] * 36 that holds
 # the stored entries -R(I,H)K^L: the negated copy of pair (I, H) for I < H, the
@@ -218,27 +250,36 @@ def _operator(gamma, c, x):
     """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} for I < H.
 
     Bilinear in the symbols gamma and a rank-3 table x whose last slot is the
-    output slot: x = gamma gives the raised operator R(I,H)K^A, and x = the
+    output slot, both stacks (z, dens) with one spec per connection (see
+    tensors.py): x = gamma gives the raised operator R(I,H)K^A, and x = the
     lowered symbols Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  The operator is
     skew in (I, H), so only the I < H half is evaluated, once: it returns the
-    (re, im, den) numerator arrays of the 540 entries, entry 36 _PAIR[I, H] +
-    6 K + X, over lcm(gamma.den, c.den) x.den, unreduced.  The first two terms
+    stack of the 540 entries, entry 36 _PAIR[I, H] + 6 K + X, spec s over
+    lcm(gamma's dens[s], c.den) times x's dens[s], unreduced.  The first two terms
     are one product P[I, H, K, X] = Gamma_{HK}^B X_{IB} read at (I, H) and at
-    (H, I), the third one product over the 15 pairs' rows of c: 3 sums of 12
-    real products per entry.  curvature expands the half to the stored tensor
-    through _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.
+    (H, I), the third one product over the 15 pairs' rows of c: 3 sums of 12 real
+    products per entry.  All specs share each product, on the dtype of the largest
+    bound among them.  The curvature expands the half to the stored tensor through
+    _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.
     """
-    den = lcm(gamma.den, c.den)
-    fg, fc = den // gamma.den, den // c.den
-    (zg, mg), (zc, mc), (zx, mx) = _arrays(gamma), _arrays(c), _arrays(x)
-    dtype = _dtype(max(mg * fg, mc * fc).bit_length() + mx.bit_length(), 36)
-    zg = _scaled(zg, fg, dtype).reshape(2, 1, 36, DIM)
-    zc = _scaled(zc, fc, dtype).reshape(2, 36, DIM)
-    zx = zx.astype(dtype).reshape(2, DIM, DIM, DIM)
-    p = _cmatmul(zg, zx).reshape(2, 36, 36)  # p[:, 6 I + H, 6 K + X]
-    half = p[:, _IH] - p[:, _HI] - _cmatmul(zc[:, _IH], zx.reshape(2, DIM, 36))
-    re, im = half.reshape(2, 540)
-    return re, im, den * x.den
+    (zg, dg), (zx, dx) = gamma, x
+    zc, mc = _arrays(c)
+    dens = [lcm(d, c.den) for d in dg]
+    fg = list(map(floordiv, dens, dg))
+    fc = [den // c.den for den in dens]
+    mg, mx = _maxabs_each(zg), _maxabs_each(zx)
+    dtype = _dtype(max(max(g * f, mc * k).bit_length() + m.bit_length()
+                       for g, f, k, m in zip(mg, fg, fc, mx)), 36)
+    n = len(dens)
+    zg = _scaled_each(zg, fg, mg, dtype).reshape(2, n, 1, 36, DIM)
+    zx = zx.astype(dtype, copy=False).reshape(2, n, DIM, DIM, DIM)
+    p = _cmatmul(zg, zx).reshape(2, n, 36, 36)  # p[:, s, 6 I + H, 6 K + X]
+    p = np.take(p, _IH_HI, axis=2).reshape(2, n, 2, 540)
+    # c is shared: its rows times x, then each spec's factor (the same bound)
+    zc = np.take(zc.astype(dtype, copy=False).reshape(2, 36, DIM), _IH, axis=1)
+    c_term = _cmatmul(zc.reshape(2, 1, 15, DIM), zx.reshape(2, n, DIM, 36))
+    c_term = _scaled_each(c_term.reshape(2, n, 540), fc, [mc] * n, dtype)
+    return p[:, :, 0] - p[:, :, 1] - c_term, list(map(mul, dens, dx))
 
 
 def _stored(half):
@@ -246,7 +287,7 @@ def _stored(half):
     I < H half along the last axis of half, through _EXPAND."""
     lead = half.shape[:-1]
     src = np.concatenate((-half, half, np.zeros_like(half[..., :36])), axis=-1)
-    return src.reshape(*lead, 31, 36)[..., _EXPAND, :].reshape(*lead, DIM ** 4)
+    return np.take(src.reshape(*lead, 31, 36), _EXPAND, axis=-2).reshape(*lead, DIM ** 4)
 
 
 @dataclass(frozen=True)
@@ -271,17 +312,29 @@ def connection_plane(h: HermitianData, alg: LieAlgebraCx) -> ConnectionPlane:
     return ConnectionPlane(_lc_sum(alg.c, h.g), torsion_forms(h, alg))
 
 
+def _plane_symbols(specs, h: HermitianData, alg: LieAlgebraCx, plane):
+    """_symbols of specs at (h, alg), on plane's tables when it is given (built from
+    the same h and alg) and on tables built here otherwise.  A table no spec of the
+    stack uses is left out: Levi-Civita connections alone need no (T, C)."""
+    tables = [plane.lc if plane else _lc_sum(alg.c, h.g)]
+    columns = [[_HALF] * len(specs)]
+    eps, rho = [spec.eps for spec in specs], [spec.rho for spec in specs]
+    if any(eps) or any(rho):
+        for t, q in zip(plane.forms if plane else torsion_forms(h, alg), (eps, rho)):
+            if any(q):
+                tables.append(t)
+                columns.append(q)
+    return _symbols(tables, list(zip(*columns)), h.g_inv)
+
+
+def _tables(specs, low, gamma):
+    return list(map(ChristoffelTable, specs, _tensors(3, *gamma), _tensors(3, *low)))
+
+
 def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx,
                 plane: ConnectionPlane | None = None) -> ChristoffelTable:
-    """The symbols of spec at (h, alg), combined from plane's tables when it is given
-    (built from the same h and alg) and from tables built here otherwise."""
-    lc = plane.lc if plane else _lc_sum(alg.c, h.g)
-    torsion = ()
-    if not spec.is_lc:
-        forms = plane.forms if plane else torsion_forms(h, alg)
-        torsion = tuple(zip((spec.eps, spec.rho), forms))
-    low, gamma = _symbols(lc, h.g_inv, torsion)
-    return ChristoffelTable(spec, gamma, low)
+    """The symbols of spec at (h, alg): the one-spec stack of _plane_symbols."""
+    return _tables((spec,), *_plane_symbols((spec,), h, alg, plane))[0]
 
 
 @dataclass(frozen=True)
@@ -295,18 +348,32 @@ class CurvatureTensor:
         return self.tensor[i, h, k, l]
 
 
-def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
-    """The (4,0)-curvature in the pinned component orientation: the lowered operator
+def _curvatures(specs, gamma, c, low):
+    """The (4,0)-curvature of each spec of the symbol stacks (gamma, low) in the
+    pinned component orientation, the lowered operator
 
     R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K),
 
-    read off the lowered symbols gamma.lowered; h is not read.  The I < H half has
-    the whole tensor's content (the rest is its negation and zeros), so it is
-    reduced before the one expansion.
+    read off the lowered symbols.  The I < H half has the whole tensor's content
+    (the rest is its negation and zeros), so each spec's half is reduced before
+    the one expansion of the stack.
     """
-    re, im, den = _operator(gamma.gamma, alg.c, gamma.lowered)
-    half, den = _reduced(np.array((re, im)), den)
-    return CurvatureTensor(gamma.spec, _tensor(4, _stored(half), den))
+    half, dens = _reduced_each(*_operator(gamma, c, low))
+    return list(map(CurvatureTensor, specs, _tensors(4, _stored(half), dens)))
+
+
+def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
+    """The curvature of one table: the one-spec stack of _curvatures; h is not read."""
+    return _curvatures((gamma.spec,), _stack((gamma.gamma,)), alg.c, _stack((gamma.lowered,)))[0]
+
+
+def christoffel_and_curvature(specs, h: HermitianData, alg: LieAlgebraCx,
+                              plane: ConnectionPlane | None = None):
+    """[(ChristoffelTable, CurvatureTensor)] of every spec at (h, alg), in one stacked
+    pass: the symbols of all specs in one _symbols call, handed to one _operator
+    call as arrays.  Each pair equals christoffel and curvature called on its own."""
+    low, gamma = _plane_symbols(specs, h, alg, plane)
+    return list(zip(_tables(specs, low, gamma), _curvatures(specs, gamma, alg.c, low)))
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -403,24 +470,27 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     den = lcm(table.gamma.den, alg.c.den)
     fg, fc = den // table.gamma.den, den // alg.c.den
     (zg, mg), (zc, mc) = _arrays(table.gamma), _arrays(alg.c)
+    gamma = zg[:, None], [table.gamma.den]
     # per entry: 3 half rows of 36 products below 2^(2b), and 3 x 24 products with
     # one factor T, |T| < 3 2^b, each counted as 3 products below 2^(2b)
     dtype = _dtype(2 * max(mg * fg, mc * fc).bit_length(), 3 * 36 + 3 * 3 * 24)
     zg, zc = _scaled(zg, fg, dtype), _scaled(zc, fc, dtype)
-    zt = zg - zg[:, _SWAP_AT] - zc  # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
+    # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
+    zt = zg - np.take(zg, _SWAP_AT, axis=1) - zc
 
-    re, im, _ = _operator(table.gamma, alg.c, table.gamma)  # over den gamma.den
-    half = _scaled(np.array((re, im)), fg, dtype).reshape(2, 90, DIM)[:, _HALF_ROWS]
+    half, _ = _operator(gamma, alg.c, gamma)  # over den gamma.den
+    half = np.take(_scaled(half[:, 0], fg, dtype).reshape(2, 90, DIM), _HALF_ROWS, axis=1)
     # nabla_x (T(y,z))^a = T_{yz}^m Gamma_{xm}^a and T([x,y], z)^a = c_{xy}^m T_{mz}^a,
     # a row times a 6 x 6 matrix per cyclic block (x, y, z), gathered before the product
     zg3, zt3 = zg.reshape(2, DIM, DIM, DIM), zt.reshape(2, DIM, DIM, DIM)
-    nabla_t = _cmatmul(zt.reshape(2, 36, 1, DIM)[:, _CYZ], zg3[:, _CX])
-    t_bracket = _cmatmul(zc.reshape(2, 36, 1, DIM)[:, _CXY], zt3.transpose(0, 2, 1, 3)[:, _CZ])
+    nabla_t = _cmatmul(np.take(zt.reshape(2, 36, 1, DIM), _CYZ, axis=1), np.take(zg3, _CX, axis=1))
+    t_bracket = _cmatmul(np.take(zc.reshape(2, 36, 1, DIM), _CXY, axis=1),
+                         np.take(zt3.transpose(0, 2, 1, 3), _CZ, axis=1))
     d_t = (nabla_t - t_bracket)[:, :, :, 0]
     # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
     sums = half[:, :, 0] + half[:, :, 1] - half[:, :, 2] - d_t.sum(axis=2)
     rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :1])), axis=1)
-    return _tensor(3, zt, den), _tensor(4, rows[:, _FILL], den * den)
+    return _tensor(3, zt, den), _tensor(4, np.take(rows, _FILL, axis=1), den * den)
 
 
 # -- structural invariants ---------------------------------------------------

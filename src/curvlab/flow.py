@@ -30,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import LieAlgebraCx
-from .connection import _lc_sum, _symbols
+from .connection import _HALF, _lc_sum, _symbols
 from .metric import HermitianData
 from .tensors import (
     DIM,
@@ -39,6 +39,7 @@ from .tensors import (
     _arrays,
     _cmatmul,
     _dtype,
+    _maxabs,
     _scaled,
     _tensor,
     bar,
@@ -69,10 +70,11 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     needs no metric, so only the raise uses g^{-1}.
     """
     g = MultiTensor(2, [v for row in g6 for v in row])
-    gamma = _symbols(_lc_sum(alg.c, g), inverse(g))[1]
-    den = lcm(gamma.den, alg.c.den)
-    fg, fc = den // gamma.den, den // alg.c.den
-    (zg, mg), (zc, mc) = _arrays(gamma), _arrays(alg.c)
+    _, (zg, (gden,)) = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
+    den = lcm(gden, alg.c.den)
+    fg, fc = den // gden, den // alg.c.den
+    zg = zg[:, 0]
+    (zc, mc), mg = _arrays(alg.c), _maxabs(zg)
     # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 symbols,
     # so counted as 6 x 12 products below 2^(2b), and 2 x 36 in each other term
     dtype = _dtype(2 * max(mg * fg, mc * fc).bit_length(), 72 + 72 + 72)

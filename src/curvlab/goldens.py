@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import FamilySpec, instantiate
-from .connection import ConnectionSpec, christoffel, connection_plane, curvature
+from .connection import ConnectionSpec, christoffel_and_curvature, connection_plane
 from .metric import HermitianData, MetricParams, build_metric
 from .scalars import GaussianRational, I, Rat, gr
 from .symmetry import BTensor
@@ -237,9 +237,9 @@ def compare_components(family_key: str, structure: FamilySpec, metric: MetricPar
     h = build_metric(metric)
     alg = instantiate(structure)
     plane = connection_plane(h, alg)
+    specs = [ConnectionSpec.gauduchon(eps) for eps in eps_values]
     rows = []
-    for eps in eps_values:
-        curv = curvature(christoffel(ConnectionSpec.gauduchon(eps), h, alg, plane), h, alg)
+    for eps, (_, curv) in zip(eps_values, christoffel_and_curvature(specs, h, alg, plane)):
         b = BTensor(curv)
         raw = sorted((_label(*key), key, v) for key, v in table(structure, metric, h, eps).items())
         for label, (kind, i, j, k, l), expected in raw:

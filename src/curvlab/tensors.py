@@ -9,7 +9,8 @@ values into numerators and back (numerator_value reads one entry).  It holds
 the one exact matrix inverse (one fraction-free elimination, run on the 3x3
 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix
 otherwise) and the primitives of the one exact kernel (_dtype, _arrays,
-_cmatmul, _reduced, _tensor and their kin, at the end of the module), on which
+_cmatmul, _tensor and their kin, with versions such as _reduced_each over a
+stack of tensors along a leading spec axis, at the end of the module), on which
 contract and every other exact product of two stored tensors run.  The index
 arithmetic of the hot loops is done once, at import: all_indices hands out one
 stored tuple per rank up to 4, and offset_table builds the tables of permuted
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
+from operator import floordiv, neg
 
 import numpy as np
 
@@ -259,7 +261,8 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
     zt = np.moveaxis(zt.reshape((2,) + (DIM,) * t.rank), 1 + slot_t, -1)
     za = np.moveaxis(za.reshape((2,) + (DIM,) * a.rank), 1 + slot_a, 1)
     out = _cmatmul(zt.astype(dtype).reshape(2, -1, DIM), za.astype(dtype).reshape(2, DIM, -1))
-    return _tensor(t.rank + a.rank - 2, *_reduced(out, t.den * a.den))
+    z, (den,) = _reduced_each(out.reshape(2, 1, -1), [t.den * a.den])
+    return _tensor(t.rank + a.rank - 2, z, den)
 
 
 def flat_offset(idx) -> int:
@@ -333,16 +336,57 @@ def _cmatmul(a, b):
     return out
 
 
-def _reduced(z, den):
-    """(z / g, den / g) for g = the gcd of den and every numerator in z."""
-    content = int(np.gcd.reduce(z.ravel()))
-    if not content:  # all zero
-        return z, 1
-    g = gcd(den, content)
-    return (z // g, den // g) if g != 1 else (z, den)
-
-
 def _tensor(rank, z, den):
     """The MultiTensor of the numerators z = [re, im] over den, as Python ints."""
     re, im = z.reshape(2, -1).tolist()
     return MultiTensor.from_numerators(rank, re, im, den)
+
+
+# A stack is (z, dens): the numerators of S tensors along a spec axis, z of shape
+# (2, S, n) with z[:, s] = [re, im] of spec s, and dens[s] its Python-int
+# denominator.  The connection kernel runs a whole point's connections as one
+# stack, stage to stage, and each stage takes its dtype from the largest bound
+# over the stack's specs.
+
+def _stack(ts):
+    """The stack of the tensors ts, int64 when every numerator fits and object otherwise."""
+    parts = ([t.re for t in ts], [t.im for t in ts])
+    try:
+        z = np.array(parts, np.int64)
+    except OverflowError:
+        z = np.array(parts, object)
+    return z, [t.den for t in ts]
+
+
+def _maxabs_each(z):
+    """The largest |entry| of each spec of the stack array z, as Python ints."""
+    return list(map(max, z.max((0, 2)).tolist(), map(neg, z.min((0, 2)).tolist())))
+
+
+def _scaled_each(z, fs, ms, dtype):
+    """Each spec s of the stack array z times fs[s], in dtype; ms[s] = 0 marks an
+    all-zero spec, scaled by 1 so that an f beyond int64 never meets int64 zeros."""
+    z = z.astype(dtype, copy=False)
+    if fs.count(1) == len(fs):
+        return z
+    return z * np.array([f if m else 1 for f, m in zip(fs, ms)], dtype)[:, None]
+
+
+def _reduced_each(z, dens):
+    """The stack (z, dens) with each spec's content divided out: z[:, s] / g and
+    dens[s] / g for g the gcd of dens[s] and every numerator of spec s (an all-zero
+    spec keeps its zeros over 1)."""
+    content = np.gcd.reduce(z, (0, 2)).tolist()
+    gs = list(map(gcd, dens, content))  # gcd(den, 0) = den: an all-zero spec goes over 1
+    dens = list(map(floordiv, dens, gs))
+    if 0 in content:  # its zeros are divided by 1, so a den beyond int64 never meets them
+        gs = [g if c else 1 for g, c in zip(gs, content)]
+    if gs.count(gs[0]) == len(gs):  # one divisor for the whole stack
+        return (z // gs[0] if gs[0] != 1 else z), dens
+    return z // np.array(gs, z.dtype)[:, None], dens
+
+
+def _tensors(rank, z, dens):
+    """The MultiTensors of the stack (z, dens), as Python ints."""
+    re, im = z.tolist()
+    return [MultiTensor.from_numerators(rank, r, i, d) for r, i, d in zip(re, im, dens)]

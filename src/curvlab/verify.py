@@ -28,10 +28,13 @@ from dataclasses import dataclass, field
 
 from .algebra import d_component, exterior_d, validate_lie_algebra
 from .catalog import FamilySpec, family_info, instantiate
+# christoffel and curvature are not called here: bench/test_bench.py reads them off
+# this module to check that bench/tracing.py wraps every binding of a traced function
 from .connection import (
     ConnectionSpec,
     PRESETS,
     christoffel,
+    christoffel_and_curvature,
     connection_plane,
     curvature,
     curvature_symmetry_failures,
@@ -461,8 +464,7 @@ def evaluate_case(case: TheoremCase, plan: SamplePlan):
         h = build_metric(metric)
         plane = connection_plane(h, alg)
         flags = classify_metric(h, alg, plane.forms)
-        for spec in specs:
-            curv = curvature(christoffel(spec, h, alg, plane), h, alg)
+        for spec, (_, curv) in zip(specs, christoffel_and_curvature(specs, h, alg, plane)):
             observations.append(Observation(case.case_id, spec, kahler_like_check(curv),
                                             flatness_check(curv), flags,
                                             gray_check_lc(curv) if spec.is_lc else None))
@@ -650,11 +652,8 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
                                 _identity_witness(contract(h.g, h.g_inv, 1, 0))))
             results.append(_row("d-squared", point, _d_witness(exterior_d(h.omega, alg), alg)))
 
-            for spec in specs:
+            for spec, (table, curv) in zip(specs, christoffel_and_curvature(specs, h, alg, plane)):
                 sp = f"{point} {spec.label()}"
-                table = christoffel(spec, h, alg, plane)
-                curv = curvature(table, h, alg)
-
                 bad = curvature_symmetry_failures(curv, check_symm=spec.is_lc)
                 results.append(_row("curvature-symmetries", sp,
                                     bad and (bad[0][0], curv.tensor[bad[0][1]])))

@@ -282,7 +282,8 @@ def test_bianchi_tables_match_the_permutation_signs():
 
 def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     """The Bianchi defect and the goldens both fail on an operator whose
-    c_{IH}^B Gamma_{BK}^A term has the wrong sign."""
+    c_{IH}^B Gamma_{BK}^A term has the wrong sign, and the seed-0 scoreboard bytes
+    move (only its witness values: every verdict still passes)."""
     alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
     h = build_metric(rand_metric(rng))
     chern = ConnectionSpec.preset("chern")
@@ -290,6 +291,8 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
             MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), (Rat(1, 4),))
     assert torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
     assert all(ok for *_, ok in goldens.compare_components(*case))
+    plan = verify.SamplePlan(seed=0, points_per_case=1)
+    board = verify.theorem_suite(plan, threads=1).to_json()
 
     operator = connection._operator
 
@@ -299,6 +302,7 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
     monkeypatch.setattr(connection, "_operator", flipped)
     assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
     assert not all(ok for *_, ok in goldens.compare_components(*case))
+    assert verify.theorem_suite(plan, threads=1).to_json() != board
 
 
 def _common(s, t):
@@ -393,7 +397,8 @@ def ref_defect(spec, h, alg):
 def ref_exact_lc_ricci(g6, alg):
     """The exact Ricci as the trace sum_A R(A,H)K^A of the full reference operator."""
     g = MultiTensor(2, [v for row in g6 for v in row])
-    _, gamma = connection._symbols(connection._lc_sum(alg.c, g), inverse(g))
+    _, gamma = connection._symbols((connection._lc_sum(alg.c, g),), [(Rat(1, 2),)], inverse(g))
+    (gamma,) = tensors._tensors(3, *gamma)
     rop = ref_operator(gamma, alg.c, gamma)
     # entry (A, H, K, A) of the operator sits at 216 A + 6 (6 H + K) + A
     re = [sum(rop.re[217 * a + 6 * n] for a in range(6)) for n in range(36)]
@@ -417,6 +422,13 @@ def reference_grid(tag):
 
 def _numerators(t):
     return t.re, t.im, t.den
+
+
+def operator_half(gamma, c, x):
+    """(re, im, den) of the kernel's I < H half for one (gamma, x): the one-spec stack."""
+    half, (den,) = connection._operator(tensors._stack((gamma,)), c, tensors._stack((x,)))
+    re, im = half[:, 0]
+    return re, im, den
 
 
 def _raise_then_lower(table, h, alg):
@@ -448,7 +460,7 @@ def test_operator_half_expands_to_the_full_reference():
         for spec in specs:
             table = christoffel(spec, h, alg)
             for x in (table.lowered, table.gamma):
-                re, im, den = connection._operator(table.gamma, alg.c, x)
+                re, im, den = operator_half(table.gamma, alg.c, x)
                 assert len(re) == len(im) == 15 * 36
                 want = ref_operator(table.gamma, alg.c, x)
                 got = ([-a for a in connection._stored(re)],
@@ -549,7 +561,7 @@ def test_large_coefficients_take_the_object_dtype_and_match_the_references(dtype
             dtypes.clear()
             got = curvature(table, h, alg).tensor
             assert _numerators(got) == _numerators(_raise_then_lower(table, h, alg)), where
-            re, im, den = connection._operator(table.gamma, alg.c, table.lowered)
+            re, im, den = operator_half(table.gamma, alg.c, table.lowered)
             assert re.dtype == im.dtype == dtypes[0][1]
             want = ref_operator(table.gamma, alg.c, table.lowered)
             assert ([-a for a in connection._stored(re)], [-b for b in connection._stored(im)],
@@ -587,6 +599,61 @@ def test_kernel_outputs_are_python_ints_on_both_dtypes(dtypes):
                 assert (324, object) in dtypes, label
             else:
                 assert {d for _, d in dtypes} == {np.int64}, label
+
+
+def _stack_mismatches(alg, h, specs):
+    """Where christoffel_and_curvature(specs) on the point's plane differs from
+    christoffel and curvature called alone, in the numerators and den of the raised
+    and lowered symbols and of the curvature, or holds a value that is not a Python
+    int; each pair must also carry its own spec."""
+    bad = []
+    pairs = connection.christoffel_and_curvature(specs, h, alg, connection.connection_plane(h, alg))
+    assert len(pairs) == len(specs)
+    for spec, (table, curv) in zip(specs, pairs):
+        assert table.spec is spec and curv.spec is spec
+        single = christoffel(spec, h, alg)
+        want = (single.gamma, single.lowered, curvature(single, h, alg).tensor)
+        for name, got, w in zip(("gamma", "lowered", "curvature"),
+                                (table.gamma, table.lowered, curv.tensor), want):
+            if _numerators(got) != _numerators(w) or not _python_ints(got):
+                bad.append((spec.label(), name))
+    return bad
+
+
+def test_stacked_pass_matches_the_single_calls():
+    """One stacked pass per point gives every spec the numerators and den of its
+    single christoffel and curvature calls, as Python ints: on the reference grid
+    (8 specs a point, int64) and on the large grid (4 specs a point, object)."""
+    checked = 0
+    for grid in (reference_grid("stack"), large_grid()):
+        for label, alg, h, specs in grid:
+            assert _stack_mismatches(alg, h, specs) == [], label
+            checked += len(specs)
+    assert checked == 21 * 2 * 8 + 21 * 4
+
+
+def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
+    """A Gauduchon eps over 2^70 puts its lowered sums and its operator half beyond
+    the int64 bound, so both stages run on object for every spec of the stack it
+    joins (the raise follows the bound of the reduced symbols); each other spec of
+    that stack still equals its single call, which runs on int64 throughout.  The
+    abelian structure is left out: its tables are zero, so no sum leaves int64."""
+    huge = ConnectionSpec.gauduchon(Rat(1, 2 ** 70))
+    checked = 0
+    for label, alg, h, specs in itertools.islice(reference_grid("mixed"), 0, None, 5):
+        if alg.c.is_zero():
+            continue
+        checked += 1
+        plane = connection.connection_plane(h, alg)
+        dtypes.clear()
+        connection.christoffel_and_curvature(specs + [huge], h, alg, plane)
+        assert [d for t, d in dtypes if t != 12] == [object, object], label
+        dtypes.clear()
+        for spec in specs:
+            curvature(christoffel(spec, h, alg, plane), h, alg)
+        assert {d for _, d in dtypes} == {np.int64}, label
+        assert _stack_mismatches(alg, h, specs + [huge]) == [], label
+    assert checked == 8
 
 
 def _kernel_outputs(alg, h, specs):
@@ -672,7 +739,7 @@ def test_the_dtype_chooser_holds_at_the_int64_edge():
     m = 2 ** 28 - 1  # 28 bits: 28 + 28 + ceil(log2 36) = 62
     for mx, dtype in ((m, np.int64), (m + 1, object)):
         gamma, c, x = _edge_tables(m, mx)
-        re, im, den = connection._operator(gamma, c, x)
+        re, im, den = operator_half(gamma, c, x)
         assert re.dtype == im.dtype == dtype
         want = ref_operator(gamma, c, x)
         assert ([-a for a in connection._stored(re)], [-b for b in connection._stored(im)],
@@ -723,12 +790,15 @@ def test_oracles_catch_a_lower_half_block_read_with_the_wrong_sign(monkeypatch, 
 
 def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):
     """Curvature built on the raised symbols where the lowered ones belong fails
-    both the goldens and the raise-then-lower reference."""
+    both the goldens and the raise-then-lower reference, and moves the seed-0
+    scoreboard bytes."""
     alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
     h = build_metric(rand_metric(rng))
     table = christoffel(ConnectionSpec.preset("chern"), h, alg)
     case = ("Ni", FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"),
             MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"), (Rat(1, 4),))
+    plan = verify.SamplePlan(seed=0, points_per_case=1)
+    board = verify.theorem_suite(plan, threads=1).to_json()
     operator = connection._operator
 
     def raised(gamma, c, x):
@@ -737,6 +807,7 @@ def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):
     monkeypatch.setattr(connection, "_operator", raised)
     assert curvature(table, h, alg).tensor != _raise_then_lower(table, h, alg)
     assert not all(ok for *_, ok in goldens.compare_components(*case))
+    assert verify.theorem_suite(plan, threads=1).to_json() != board
 
 
 def test_closed_form_pins_other_families():

@@ -289,21 +289,41 @@ def test_each_point_builds_its_connection_plane_once(monkeypatch):
                       ("lc", True): points * specs, ("forms", True): points * (specs - 1)}
 
 
+def test_the_scoreboard_runs_one_operator_per_point(monkeypatch):
+    """The seed-0 scoreboard at 1 point per case evaluates its 161 connections in 50
+    stacked passes: one curvature operator call per point."""
+    calls = []
+    operator = connection._operator
+
+    def counted(gamma, c, x):
+        calls.append(len(gamma[1]))
+        return operator(gamma, c, x)
+
+    monkeypatch.setattr(connection, "_operator", counted)
+    board = theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
+    assert len(calls) == len(THEOREM_CASES) == 50
+    assert sum(calls) == len(board.cases) == 161
+
+
 def test_appendix_builds_each_point_once(monkeypatch):
     """verify appendix --seed 0 --points 2 --draws 2 compares 10 points (4 Ni, 4 Si-B0,
-    2 Si-g20) at 34 connections (5 eps on Ni and Si-g20, Chern on Si-B0): one metric
-    and one pair of torsion forms per point, one curvature per (point, eps)."""
+    2 Si-g20) at 34 connections (5 eps on Ni and Si-g20, Chern on Si-B0): one metric,
+    one pair of torsion forms and one stacked pass per point, one curvature per
+    (point, eps)."""
     counts = collections.Counter()
 
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
+            if name == "christoffel_and_curvature":
+                counts["curvature"] += len(args[0])
             return fn(*args)
         return wrapper
 
     for module, name in ((goldens, "build_metric"), (connection, "torsion_forms"),
-                         (goldens, "curvature")):
+                         (goldens, "christoffel_and_curvature")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rows = verify.appendix_suite(SamplePlan(seed=0, points_per_case=2), draws=2)
-    assert counts == {"build_metric": 10, "torsion_forms": 10, "curvature": 34}
+    assert counts == {"build_metric": 10, "torsion_forms": 10,
+                      "christoffel_and_curvature": 10, "curvature": 34}
     assert rows and all(ok for *_, ok in rows)
