@@ -18,7 +18,7 @@ and the three tables depend on the point (structure, metric) alone.  A
 ConnectionPlane holds them: the scoreboard, the structural sweep and the
 appendix oracle build it once per point and share it between classify_metric,
 which reads (T, C), and every connection they evaluate there.  They evaluate
-those connections together: christoffel_and_curvature runs a list of specs
+those connections together, in one stacked pass: a list of specs runs
 through the kernel stages (_symbols, _operator, and the curvature's reduction
 and expansion) as one stack with a leading spec axis.  The point's tables are
 read into arrays once, the lowered sums are one integer combination of
@@ -28,6 +28,9 @@ per spec) run once for the whole stack, and the symbols reach the operator as
 arrays.  Each stage picks one dtype for the stack, from the largest bound over
 its specs; both dtypes are exact and the gcd is per spec, so the stored
 numerators and denominators are those of the specs evaluated one by one.
+curvature_stack ends the pass at the stored curvatures, one array the
+scoreboard's verdicts read (symmetry.stack_verdicts); christoffel_and_curvature
+runs the same pass and writes each spec's symbols and curvature to lists.
 christoffel and curvature are the one-spec stacks;
 christoffel without a plane builds the tables its spec needs, and the
 Levi-Civita connection needs no (T, C).
@@ -98,6 +101,7 @@ __all__ = [
     "CurvatureTensor",
     "curvature",
     "christoffel_and_curvature",
+    "curvature_stack",
     "curvature_of",
     "RicciData",
     "ricci_and_scalar",
@@ -348,9 +352,9 @@ class CurvatureTensor:
         return self.tensor[i, h, k, l]
 
 
-def _curvatures(specs, gamma, c, low):
-    """The (4,0)-curvature of each spec of the symbol stacks (gamma, low) in the
-    pinned component orientation, the lowered operator
+def _stored_each(gamma, c, low):
+    """The stack (z, dens) of the (4,0)-curvatures of the symbol stacks (gamma, low),
+    z of shape (2, S, 1296), in the pinned component orientation, the lowered operator
 
     R_{IHKL} = -sum_A R(I,H)K^A g_{AL} = g(R(phi_I, phi_H) phi_L, phi_K),
 
@@ -359,21 +363,42 @@ def _curvatures(specs, gamma, c, low):
     the one expansion of the stack.
     """
     half, dens = _reduced_each(*_operator(gamma, c, low))
-    return list(map(CurvatureTensor, specs, _tensors(4, _stored(half), dens)))
+    return _stored(half), dens
+
+
+def _curvatures(specs, stack):
+    """The CurvatureTensor of each spec of a stored curvature stack, written to lists."""
+    return list(map(CurvatureTensor, specs, _tensors(4, *stack)))
 
 
 def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
-    """The curvature of one table: the one-spec stack of _curvatures; h is not read."""
-    return _curvatures((gamma.spec,), _stack((gamma.gamma,)), alg.c, _stack((gamma.lowered,)))[0]
+    """The curvature of one table: the one-spec stack of _stored_each; h is not read."""
+    return _curvatures((gamma.spec,), _stored_each(_stack((gamma.gamma,)), alg.c,
+                                                   _stack((gamma.lowered,))))[0]
+
+
+def _stacked_pass(specs, h, alg, plane):
+    """The symbol stacks (low, gamma) of specs at (h, alg) and their stored curvature stack."""
+    low, gamma = _plane_symbols(specs, h, alg, plane)
+    return low, gamma, _stored_each(gamma, alg.c, low)
+
+
+def curvature_stack(specs, h: HermitianData, alg: LieAlgebraCx, plane: ConnectionPlane):
+    """The stored curvatures of specs at (h, alg) as one stack (z, dens), spec s the
+    numerators z[:, s] of shape (2, 1296) over dens[s]: the stacked pass on the
+    point's plane, with no symbol or curvature list written (symmetry.stack_verdicts
+    reads it)."""
+    return _stacked_pass(specs, h, alg, plane)[2]
 
 
 def christoffel_and_curvature(specs, h: HermitianData, alg: LieAlgebraCx,
                               plane: ConnectionPlane | None = None):
     """[(ChristoffelTable, CurvatureTensor)] of every spec at (h, alg), in one stacked
     pass: the symbols of all specs in one _symbols call, handed to one _operator
-    call as arrays.  Each pair equals christoffel and curvature called on its own."""
-    low, gamma = _plane_symbols(specs, h, alg, plane)
-    return list(zip(_tables(specs, low, gamma), _curvatures(specs, gamma, alg.c, low)))
+    call as arrays, then written to lists.  Each pair equals christoffel and
+    curvature called on its own."""
+    low, gamma, curv = _stacked_pass(specs, h, alg, plane)
+    return list(zip(_tables(specs, low, gamma), _curvatures(specs, curv)))
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:

@@ -8,9 +8,18 @@ A metric connection is Kahler-like when its curvature satisfies both
     B_{i jb k lb} = R_{i jb k lb} - R_{k jb i lb} = 0.
 
 Both checks enumerate components exhaustively; they are the statements
-under test, not bookkeeping shortcuts.  Every check is a zero test on the
-Gaussian-integer numerators the curvature stores (see tensors.MultiTensor),
-so a GaussianRational value is built only for an entry that is reported.
+under test, not bookkeeping shortcuts.  Each verdict is a numpy mask over a
+stack of stored curvatures, the kernel's (2, S, 1296) numerator array of S
+connections with one denominator each (connection.curvature_stack), read at
+index arrays built at import from the tables below: a type or Gray entry is
+hit when its numerators are not both zero, and a B entry when the numerators
+at its two offsets differ, so every test is a comparison of integers and is
+exact on int64 and on object arrays alike.  Counts are mask sums, and the
+witnesses are the lexicographically first hits; a GaussianRational value is
+built, from Python ints, only for a witness.  stack_verdicts gives every
+verdict of a stack at once (the scoreboard's path); kahler_like_check,
+flatness_check and gray_check_lc are the one-spec stacks of one stored
+CurvatureTensor, gathered from its numerator lists at the offsets they read.
 """
 
 from __future__ import annotations
@@ -18,10 +27,22 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .connection import CurvatureTensor
 from .scalars import GaussianRational
-from .tensors import BARRED, INDICES, UNBARRED, all_indices, index_name, numerator_value
+from .tensors import (
+    BARRED,
+    INDICES,
+    UNBARRED,
+    _numerators,
+    _stack,
+    all_indices,
+    index_name,
+    numerator_value,
+)
 
 __all__ = [
     "BTensor",
@@ -30,6 +51,7 @@ __all__ = [
     "FlatnessResult",
     "flatness_check",
     "gray_check_lc",
+    "stack_verdicts",
     "report_to_json",
 ]
 
@@ -57,19 +79,6 @@ class BTensor:
         m = ((i * 3 + j) * 3 + k) * 3 + l
         return numerator_value(self.re[m], self.im[m], self.den)
 
-    def nonzero_offsets(self):
-        """Yield (m, (i, j, k, l)) for every nonzero entry, lexicographically."""
-        for m, idx in enumerate(_B_INDICES):
-            if self.re[m] or self.im[m]:
-                yield m, idx
-
-    def nonzero(self):
-        for m, idx in self.nonzero_offsets():
-            yield idx, numerator_value(self.re[m], self.im[m], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.re) and not any(self.im)
-
 
 _B_INDICES = tuple(itertools.product(UNBARRED, repeat=4))
 # the curvature offsets of R_{i jb k lb} and R_{k jb i lb} (jb = j + 3, lb = l + 3)
@@ -81,6 +90,24 @@ _TYPE_CONDITION = tuple((n, idx) for n, idx in enumerate(all_indices(4))
 # the Gray condition's offsets of R(X, Y, Zb, Wb) and R(X, Y, Z, Wb)
 _GRAY_OFFSETS = tuple(216 * i + 36 * j + 6 * k + l for i in UNBARRED for j in UNBARRED
                       for k in INDICES for l in BARRED)
+
+# The Kahler-like verdict reads one gather of 648 offsets: the type condition's 567,
+# then the 81 offsets p of R_{i jb k lb} in _B_INDICES order.  The offsets q of
+# R_{k jb i lb} are the same 81 with i and k swapped, so B reads them within the
+# gather, at the positions _B_SWAP.  Position m of a block names its witness by
+# _TYPE_WITNESS[m] or _B_WITNESS[m].
+_NT = len(_TYPE_CONDITION)
+_KL_AT = [n for n, _ in _TYPE_CONDITION] + [p for p, _ in _B_OFFSETS]
+_B_SWAP = np.array([27 * k + 9 * j + 3 * i + l for i, j, k, l in _B_INDICES])
+_TYPE_WITNESS = tuple(idx for _, idx in _TYPE_CONDITION)
+_B_WITNESS = tuple((i, j + 3, k, l + 3) for i, j, k, l in _B_INDICES)
+_KL_TAKE, _GRAY_TAKE = np.array(_KL_AT), np.array(_GRAY_OFFSETS)
+_KL_GET, _GRAY_GET = itemgetter(*_KL_AT), itemgetter(*_GRAY_OFFSETS)
+
+
+def _gathered(r, get):
+    """The one-spec stack array (2, 1, n) of r's numerators at the n offsets get reads."""
+    return _numerators(((get(r.re),), (get(r.im),)))
 
 
 @dataclass(frozen=True)
@@ -99,41 +126,43 @@ class KahlerLikeReport:
     witness_cap: int = DEFAULT_WITNESS_CAP
 
 
+def _kahler_like(t, dens, witness_cap):
+    """The KahlerLikeReport of each spec of a stack array t (2, S, 648) gathered at
+    _KL_AT, spec s over dens[s]: type entries are tested against zero and each B
+    entry by comparing its two curvature entries, so nothing is subtracted but a
+    witness value, from Python ints."""
+    hit_type = (t[:, :, :_NT] != 0).any(0)
+    p = t[:, :, _NT:]
+    q = p[:, :, _B_SWAP]
+    hit_b = (p != q).any(0)
+    reports = []
+    for s, (den, n_type, n_b) in enumerate(zip(dens, hit_type.sum(1).tolist(),
+                                                hit_b.sum(1).tolist())):
+        type_res = bianchi_res = ()
+        if n_type and witness_cap > 0:
+            at = np.flatnonzero(hit_type[s])[:witness_cap]
+            type_res = tuple((_TYPE_WITNESS[m], numerator_value(a, b, den))
+                             for m, a, b in zip(at.tolist(), *t[:, s, at].tolist()))
+        if n_b and witness_cap > 0:
+            at = np.flatnonzero(hit_b[s])[:witness_cap]
+            (pr, pi), (qr, qi) = p[:, s, at].tolist(), q[:, s, at].tolist()
+            bianchi_res = tuple((_B_WITNESS[m], numerator_value(a - c, b - d, den))
+                                for m, a, b, c, d in zip(at.tolist(), pr, pi, qr, qi))
+        reports.append(KahlerLikeReport(n_type == 0 and n_b == 0, type_res, bianchi_res,
+                                        n_type, n_b, witness_cap))
+    return reports
+
+
 def kahler_like_check(curv: CurvatureTensor, witness_cap: int = DEFAULT_WITNESS_CAP) -> KahlerLikeReport:
     """Evaluate the two Kahler-like conditions on a curvature tensor.
 
     Type residues collect nonzero R_{ij..} (first pair unbarred) and
     R_{..kl} (last pair unbarred); by the reality of R this also covers the
     conjugate blocks.  Bianchi residues collect nonzero B_{i jb k lb}.
-    Both are zero tests on numerators; values are built for witnesses only.
+    The one-spec stack of _kahler_like, gathered from the numerator lists.
     """
     r = curv.tensor
-    re, im = r.re, r.im
-    type_res = []
-    n_type = 0
-    # lexicographic enumeration keeps witness lists reproducible
-    for n, idx in _TYPE_CONDITION:
-        if re[n] or im[n]:
-            n_type += 1
-            if len(type_res) < witness_cap:
-                type_res.append((idx, numerator_value(re[n], im[n], r.den)))
-
-    b = BTensor(curv)
-    bianchi_res = []
-    n_bianchi = 0
-    for m, (i, j, k, l) in b.nonzero_offsets():
-        n_bianchi += 1
-        if len(bianchi_res) < witness_cap:
-            bianchi_res.append(((i, j + 3, k, l + 3), numerator_value(b.re[m], b.im[m], b.den)))
-
-    return KahlerLikeReport(
-        verdict=(n_type == 0 and n_bianchi == 0),
-        type_residues=tuple(type_res),
-        bianchi_residues=tuple(bianchi_res),
-        n_type_nonzero=n_type,
-        n_bianchi_nonzero=n_bianchi,
-        witness_cap=witness_cap,
-    )
+    return _kahler_like(_gathered(r, _KL_GET), (r.den,), witness_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -142,12 +171,30 @@ class FlatnessResult:
     witness: tuple | None = None  # (index tuple, value)
 
 
+def _flatness(z, dens):
+    """The FlatnessResult of each spec of a stored stack array z (2, S, 1296): flat
+    when no entry is hit, else the first hit, lexicographically."""
+    hits = (z != 0).any(0)
+    out = []
+    for s, (den, hit, n) in enumerate(zip(dens, hits.any(1).tolist(), hits.argmax(1).tolist())):
+        if hit:
+            a, b = z[:, s, n].tolist()
+            out.append(FlatnessResult(False, (all_indices(4)[n], numerator_value(a, b, den))))
+        else:
+            out.append(FlatnessResult(True, None))
+    return out
+
+
 def flatness_check(curv: CurvatureTensor) -> FlatnessResult:
-    """True when every curvature component vanishes; else the first nonzero entry."""
-    r = curv.tensor
-    for n, idx in r.nonzero_offsets():
-        return FlatnessResult(False, (idx, numerator_value(r.re[n], r.im[n], r.den)))
-    return FlatnessResult(True, None)
+    """True when every curvature component vanishes; else the first nonzero entry.
+    The one-spec stack of _flatness."""
+    return _flatness(*_stack((curv.tensor,)))[0]
+
+
+def _gray(t):
+    """The Gray verdict of each spec of a stack array t (2, S, 162) gathered at
+    _GRAY_OFFSETS: true when no entry is hit."""
+    return (~(t != 0).any((0, 2))).tolist()
 
 
 def gray_check_lc(curv: CurvatureTensor) -> bool:
@@ -155,12 +202,23 @@ def gray_check_lc(curv: CurvatureTensor) -> bool:
 
     Checks R(X, Y, Zb, Wb) = R(X, Y, Z, Wb) = 0 over (1,0)-frame vectors.
     Only meaningful for the torsion-free connection; rejects other specs.
+    The one-spec stack of _gray, gathered from the numerator lists.
     """
     spec = curv.spec
     if not (spec.eps == 0 and spec.rho == 0):
         raise ValueError(f"gray check applies to the Levi-Civita connection, got {spec.label()}")
-    re, im = curv.tensor.re, curv.tensor.im
-    return not any(re[n] or im[n] for n in _GRAY_OFFSETS)
+    return _gray(_gathered(curv.tensor, _GRAY_GET))[0]
+
+
+def stack_verdicts(specs, z, dens, witness_cap: int):
+    """[(KahlerLikeReport, FlatnessResult, gray)] of each spec of a stored curvature
+    stack (z, dens), z of shape (2, S, 1296) in specs' order, with gray the Gray
+    verdict for a Levi-Civita spec and None for the others.  Each equals what
+    kahler_like_check, flatness_check and gray_check_lc give on the spec's tensor."""
+    reports = _kahler_like(np.take(z, _KL_TAKE, axis=2), dens, witness_cap)
+    grays = _gray(np.take(z, _GRAY_TAKE, axis=2))
+    return [(report, flat, gray if spec.is_lc else None)
+            for spec, report, flat, gray in zip(specs, reports, _flatness(z, dens), grays)]
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -8,13 +8,13 @@ when entries are read.  This is the one module that turns GaussianRational
 values into numerators and back (numerator_value reads one entry).  It holds
 the one exact matrix inverse (one fraction-free elimination, run on the 3x3
 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix
-otherwise) and the primitives of the one exact kernel (_dtype, _arrays,
-_cmatmul, _tensor and their kin, with versions such as _reduced_each over a
-stack of tensors along a leading spec axis, at the end of the module), on which
-contract and every other exact product of two stored tensors run.  The index
-arithmetic of the hot loops is done once, at import: all_indices hands out one
-stored tuple per rank up to 4, and offset_table builds the tables of permuted
-and conjugated offsets the structural checks read.
+otherwise) and the primitives of the one exact kernel (_dtype, _numerators,
+_arrays, _cmatmul, _tensor and their kin, with versions such as _reduced_each
+over a stack of tensors along a leading spec axis, at the end of the module),
+on which contract and every other exact product of two stored tensors run.  The
+index arithmetic of the hot loops is done once, at import: all_indices hands out
+one stored tuple per rank up to 4, and offset_table builds the tables of
+permuted and conjugated offsets the structural checks read.
 Values are treated as immutable once built: the constructors hand out fresh
 storage and no public operation mutates its arguments.
 """
@@ -308,13 +308,19 @@ def _maxabs(z):
     return max(int(np.maximum.reduce(z, None)), -int(np.minimum.reduce(z, None)))
 
 
-def _arrays(t):
-    """(z, m): t's numerators as z = [re, im], int64 when they fit and object
-    otherwise, and m = _maxabs(z)."""
+def _numerators(parts):
+    """The array of numerator lists parts = (re, im) or (re_parts, im_parts), with
+    their nesting as its shape: int64 when every numerator fits and object
+    otherwise.  The one reader of numerator lists into the kernel's arrays."""
     try:
-        z = np.array((t.re, t.im), np.int64)
+        return np.array(parts, np.int64)
     except OverflowError:
-        z = np.array((t.re, t.im), object)
+        return np.array(parts, object)
+
+
+def _arrays(t):
+    """(z, m): t's numerators as z = [re, im] (see _numerators), and m = _maxabs(z)."""
+    z = _numerators((t.re, t.im))
     return z, _maxabs(z)
 
 
@@ -349,13 +355,8 @@ def _tensor(rank, z, den):
 # over the stack's specs.
 
 def _stack(ts):
-    """The stack of the tensors ts, int64 when every numerator fits and object otherwise."""
-    parts = ([t.re for t in ts], [t.im for t in ts])
-    try:
-        z = np.array(parts, np.int64)
-    except OverflowError:
-        z = np.array(parts, object)
-    return z, [t.den for t in ts]
+    """The stack of the tensors ts (see _numerators)."""
+    return _numerators(([t.re for t in ts], [t.im for t in ts])), [t.den for t in ts]
 
 
 def _maxabs_each(z):

@@ -31,12 +31,14 @@ from .catalog import FamilySpec, family_info, instantiate
 # christoffel and curvature are not called here: bench/test_bench.py reads them off
 # this module to check that bench/tracing.py wraps every binding of a traced function
 from .connection import (
+    _HALF,
     ConnectionSpec,
     PRESETS,
     christoffel,
     christoffel_and_curvature,
     connection_plane,
     curvature,
+    curvature_stack,
     curvature_symmetry_failures,
     nabla_g_failures,
     nabla_j_failures,
@@ -45,13 +47,7 @@ from .connection import (
 from .goldens import compare_components
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
 from .scalars import ZERO, GaussianRational, Rat, gr
-from .symmetry import (
-    FlatnessResult,
-    KahlerLikeReport,
-    flatness_check,
-    gray_check_lc,
-    kahler_like_check,
-)
+from .symmetry import FlatnessResult, KahlerLikeReport, stack_verdicts
 from .tensors import INDICES, all_indices, contract, index_name, numerator_value
 
 __all__ = [
@@ -441,7 +437,9 @@ def _joined(values) -> str:
 
 @dataclass(frozen=True)
 class Observation:
-    """One evaluated (point, connection) of a theorem case; gray is set for Levi-Civita."""
+    """One evaluated (point, connection) of a theorem case; gray is set for Levi-Civita.
+    The report lists at most one witness of each kind (witness_cap = 1), the one a
+    row prints; its counts and verdict cover every entry."""
 
     case_id: str
     spec: ConnectionSpec
@@ -464,10 +462,9 @@ def evaluate_case(case: TheoremCase, plan: SamplePlan):
         h = build_metric(metric)
         plane = connection_plane(h, alg)
         flags = classify_metric(h, alg, plane.forms)
-        for spec, (_, curv) in zip(specs, christoffel_and_curvature(specs, h, alg, plane)):
-            observations.append(Observation(case.case_id, spec, kahler_like_check(curv),
-                                            flatness_check(curv), flags,
-                                            gray_check_lc(curv) if spec.is_lc else None))
+        verdicts = stack_verdicts(specs, *curvature_stack(specs, h, alg, plane), witness_cap=1)
+        for spec, (report, flat, gray) in zip(specs, verdicts):
+            observations.append(Observation(case.case_id, spec, report, flat, flags, gray))
     results = [_case_result(case, spec, observations[k::len(specs)])
                for k, spec in enumerate(specs)]
     return results, observations
@@ -503,28 +500,30 @@ def _case_result(case: TheoremCase, spec: ConnectionSpec, obs: list) -> CaseResu
 
 
 def _is_bismut(spec: ConnectionSpec) -> bool:
-    return spec.is_gauduchon and spec.eps == Rat(1, 2)
+    return spec.is_gauduchon and spec.eps == _HALF
 
 
+def _klike(o: Observation) -> bool:
+    return o.report.verdict
+
+
+# (id, statement, covers: the specs it speaks of, applies: to which observations of
+# such a spec, holds); theorem_suite asks covers once per spec of a case
 _CONJECTURES = (
     ("conj-a", "Bismut Kahler-like implies pluriclosed",
-     lambda o: _is_bismut(o.spec) and o.report.verdict,
-     lambda o: o.flags.pluriclosed),
+     _is_bismut, _klike, lambda o: o.flags.pluriclosed),
     ("conj-b", "Gauduchon Kahler-like off {0, 1/2} implies Kahler",
-     lambda o: o.spec.is_gauduchon and o.spec.eps not in (Rat(0), Rat(1, 2))
-     and o.report.verdict,
+     lambda s: s.is_gauduchon and s.eps != 0 and s.eps != _HALF, _klike,
      lambda o: o.flags.kahler),
     ("conj-c", "Chern or Levi-Civita Kahler-like implies balanced",
-     lambda o: (o.spec.is_lc or (o.spec.is_gauduchon and o.spec.eps == 0))
-     and o.report.verdict,
+     lambda s: s.is_lc or (s.is_gauduchon and s.eps == 0), _klike,
      lambda o: o.flags.balanced),
     ("conj-d", "Levi-Civita Kahler-like iff Kahler",
-     lambda o: o.spec.is_lc,
+     lambda s: s.is_lc, lambda o: True,
      lambda o: o.report.verdict == o.flags.kahler),
     # may be exercised only by the Kahler cases; vacuity would be a coverage bug
     ("conj-e", "Bismut-flat implies pluriclosed",
-     lambda o: _is_bismut(o.spec) and o.flat.flat,
-     lambda o: o.flags.pluriclosed),
+     _is_bismut, lambda o: o.flat.flat, lambda o: o.flags.pluriclosed),
 )
 
 
@@ -546,11 +545,12 @@ def theorem_suite(plan: SamplePlan | None = None, threads: int | None = None) ->
 
     cases = sorted((c for results, _ in outputs for c in results),
                    key=lambda c: (c.case_id, c.spec))
-    observations = [o for _, obs in outputs for o in obs]
+    # a case's observations are point-major over its specs: spec k's are obs[k::n]
+    by_spec = [obs[k::len(results)] for results, obs in outputs for k in range(len(results))]
 
     conjectures = []
-    for conj_id, statement, applies, holds in _CONJECTURES:
-        checked = [o for o in observations if applies(o)]
+    for conj_id, statement, covers, applies, holds in _CONJECTURES:
+        checked = [o for obs in by_spec if covers(obs[0].spec) for o in obs if applies(o)]
         violations = sorted({f"{o.case_id}:{o.spec.label()}" for o in checked if not holds(o)})
         conjectures.append(ConjectureResult(conj_id, statement, len(checked),
                                             tuple(violations), not violations))

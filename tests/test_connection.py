@@ -748,6 +748,17 @@ def test_the_dtype_chooser_holds_at_the_int64_edge():
     assert 36 * m * m < 2 ** 62 and 36 * m * (m + 1) < 2 ** 63
 
 
+def test_numerator_arrays_take_object_beyond_int64():
+    """tensors._numerators reads numerator lists into int64 up to the int64 edge, on
+    both signs, and into object one past it, keeping every value and the nesting."""
+    for edge, dtype in ((2 ** 63 - 1, np.int64), (2 ** 63, object)):
+        for big in (edge, -edge - 1):
+            parts = ([[1, big, 0], [2, 3, 4]], [[0, -5, 6], [7, 8, 9]])
+            z = tensors._numerators(parts)
+            assert z.dtype == dtype and z.shape == (2, 2, 3)
+            assert z.tolist() == list(parts)
+
+
 def test_zero_tables_take_scale_factors_beyond_int64():
     """On the torus every table is zero, so every sum fits int64, while a metric with
     2^70 denominators puts the zero torsion forms' lcm factors beyond int64: the

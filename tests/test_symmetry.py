@@ -1,22 +1,35 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from curvlab import symmetry, tensors
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
-from curvlab.connection import ConnectionSpec, CurvatureTensor, curvature_of
+from curvlab.connection import (
+    ConnectionSpec,
+    CurvatureTensor,
+    christoffel_and_curvature,
+    connection_plane,
+    curvature_of,
+    curvature_stack,
+)
 from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import GaussianRational, Rat, gr
 from curvlab.symmetry import (
     BTensor,
+    FlatnessResult,
+    KahlerLikeReport,
     flatness_check,
     gray_check_lc,
     kahler_like_check,
+    report_to_json,
+    stack_verdicts,
 )
-from curvlab.tensors import all_indices, numerator_value
+from curvlab.tensors import all_indices, flat_offset, numerator_value
 
 from conftest import rand_metric
+from test_connection import large_grid, reference_grid
 
 TORUS = LieAlgebraCx.from_dphi({})
 IWASAWA = LieAlgebraCx.from_dphi({2: {(0, 1): gr(1)}})
@@ -213,3 +226,119 @@ def test_verdicts_build_values_only_for_witnesses(rng, monkeypatch):
     assert report.bianchi_residues == tuple(b_res[:100])
     assert (report.n_type_nonzero, report.n_bianchi_nonzero) == (len(type_res), len(b_res))
     assert flat.witness == next(iter(r.nonzero()))
+
+
+# -- the list-loop references of the verdicts -------------------------------------
+
+
+def ref_kahler_like_check(curv, witness_cap=symmetry.DEFAULT_WITNESS_CAP):
+    """The Kahler-like check as a loop over the numerator lists: every type-condition
+    entry tested against zero, then every B entry as a numerator difference."""
+    r = curv.tensor
+    re, im = r.re, r.im
+    type_res, n_type = [], 0
+    for n, idx in enumerate(all_indices(4)):
+        if ((idx[0] < 3 and idx[1] < 3) or (idx[2] < 3 and idx[3] < 3)) and (re[n] or im[n]):
+            n_type += 1
+            if len(type_res) < witness_cap:
+                type_res.append((idx, numerator_value(re[n], im[n], r.den)))
+    bianchi_res, n_bianchi = [], 0
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        p, q = flat_offset((i, j + 3, k, l + 3)), flat_offset((k, j + 3, i, l + 3))
+        a, b = re[p] - re[q], im[p] - im[q]
+        if a or b:
+            n_bianchi += 1
+            if len(bianchi_res) < witness_cap:
+                bianchi_res.append(((i, j + 3, k, l + 3), numerator_value(a, b, r.den)))
+    return KahlerLikeReport(n_type == 0 and n_bianchi == 0, tuple(type_res),
+                            tuple(bianchi_res), n_type, n_bianchi, witness_cap)
+
+
+def ref_flatness_check(curv):
+    """Flatness as a loop: the first nonzero entry in lexicographic order, if any."""
+    r = curv.tensor
+    for n, idx in r.nonzero_offsets():
+        return FlatnessResult(False, (idx, numerator_value(r.re[n], r.im[n], r.den)))
+    return FlatnessResult(True, None)
+
+
+def ref_gray_check_lc(curv):
+    """The Gray test as a loop over R(X, Y, Z, Wb) for unbarred X, Y and any Z."""
+    assert curv.spec.is_lc
+    r = curv.tensor
+    return not any(r.re[n] or r.im[n] for n, (i, j, k, l) in enumerate(all_indices(4))
+                   if i < 3 and j < 3 and l >= 3)
+
+
+CAPS = (0, 1, 8, 100)
+
+
+def _verdict_mismatches(alg, h, specs):
+    """Where the stacked verdicts of the point's curvature stack, or the single calls
+    on the spec's stored tensor, differ from the references, at every cap in CAPS;
+    returns (mismatches, stack dtype, the stack's flat and Levi-Civita flags)."""
+    z, dens = curvature_stack(specs, h, alg, connection_plane(h, alg))
+    curvs = [curv for _, curv in christoffel_and_curvature(specs, h, alg)]
+    bad = []
+    for cap in CAPS:
+        verdicts = stack_verdicts(specs, z, dens, witness_cap=cap)
+        assert len(verdicts) == len(specs)
+        for spec, curv, (report, flat, gray) in zip(specs, curvs, verdicts):
+            want = ref_kahler_like_check(curv, cap)
+            if report != want or kahler_like_check(curv, cap) != want:
+                bad.append((spec.label(), cap, "kahler-like"))
+            want = ref_flatness_check(curv)
+            if flat != want or flatness_check(curv) != want:
+                bad.append((spec.label(), "flat"))
+            want = ref_gray_check_lc(curv) if spec.is_lc else None
+            if gray != want or (spec.is_lc and gray_check_lc(curv) != want):
+                bad.append((spec.label(), "gray"))
+    flats = {flat.flat for _, flat, _ in verdicts}
+    return bad, z.dtype, flats, {spec.is_lc for spec in specs}
+
+
+def test_stacked_verdicts_match_the_list_loop_references():
+    """On the reference grid (8 specs a point, int64) and the large grid (4 specs a
+    point, object), stack_verdicts and the single calls give the references' reports
+    (verdict, both counts, both witness tuples with their values) at caps 0, 1, 8
+    and 100, the first nonzero entry and the Gray flag; the grids hold stacks mixing
+    flat with non-flat and Levi-Civita with other connections."""
+    checked = mixed_flat = 0
+    dtypes = set()
+    for grid in (reference_grid("verdicts"), large_grid()):
+        for label, alg, h, specs in grid:
+            bad, dtype, flats, lcs = _verdict_mismatches(alg, h, specs)
+            assert bad == [], label
+            assert lcs == {True, False}, label
+            mixed_flat += flats == {True, False}
+            dtypes.add(dtype)
+            checked += len(specs)
+    assert checked == 21 * 2 * 8 + 21 * 4
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    assert mixed_flat >= 3
+
+
+def test_verdict_counts_and_witnesses_are_python_ints(monkeypatch):
+    """Every count and every numerator a witness value is built from is a Python int,
+    on int64 and on object stacks, so report_to_json and repr see plain ints."""
+    seen = []
+
+    def recorded(a, b, den):
+        seen.append((type(a), type(b), type(den)))
+        return numerator_value(a, b, den)
+
+    monkeypatch.setattr(symmetry, "numerator_value", recorded)
+    grids = (itertools.islice(reference_grid("ints"), 0, None, 7),
+             itertools.islice(large_grid(), 1, None, 3))
+    dtypes = set()
+    for grid in grids:
+        for label, alg, h, specs in grid:
+            z, dens = curvature_stack(specs, h, alg, connection_plane(h, alg))
+            dtypes.add(z.dtype)
+            for report, flat, _ in stack_verdicts(specs, z, dens, witness_cap=100):
+                assert type(report.n_type_nonzero) is type(report.n_bianchi_nonzero) is int
+                assert all(type(i) is int for idx, _ in report.type_residues + report.bianchi_residues
+                           for i in idx), label
+                report_to_json(report)
+    assert seen and set(seen) == {(int, int, int)}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}

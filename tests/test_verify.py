@@ -9,7 +9,7 @@ import pytest
 from curvlab import connection, goldens, metric, verify
 from curvlab.algebra import d_component
 from curvlab.scalars import GaussianRational, Rat, gr
-from curvlab.tensors import index_name
+from curvlab.tensors import flat_offset, index_name
 from curvlab.verify import (
     THEOREM_CASES,
     SamplePlan,
@@ -100,6 +100,58 @@ def test_scoreboard_bytes_are_pinned():
     board = theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
     digest = hashlib.sha256(board.to_json().encode()).hexdigest()
     assert digest == "b7cb2e61f27ac48c0e9e1b980d371899a02c7eb58a388380c9146c6b5b1ed45a"
+
+
+def test_multi_point_scoreboard_bytes_are_pinned():
+    # at two points per case each row reads its spec's observations[k::len(specs)]
+    # out of every point's stacked verdicts
+    board = theorem_suite(SamplePlan(seed=3, points_per_case=2), threads=1)
+    digest = hashlib.sha256(board.to_json().encode()).hexdigest()
+    assert digest == "df4430055bd8de13b0ea793c9a52fcc7bf6f33e0b659d451a83a022c350fd2d7"
+
+
+def test_the_scoreboard_writes_no_symbol_or_curvature_lists(monkeypatch):
+    """evaluate_case reads its verdicts off the stacked pass's arrays: it builds no
+    ChristoffelTable and no curvature MultiTensor, so the kernel's one writer of
+    those lists is never called, while the list path still calls it."""
+    calls = []
+    write = connection._tensors
+
+    def spy(*args):
+        calls.append(args[0])
+        return write(*args)
+
+    monkeypatch.setattr(connection, "_tensors", spy)
+    plan = SamplePlan(seed=0, points_per_case=2)
+    for case in THEOREM_CASES:
+        evaluate_case(case, plan)
+    assert calls == []
+    struct, params = verify._point_for(THEOREM_CASES[0], plan.rng_for("list path"))
+    alg, h = verify.instantiate(struct), metric.build_metric(params)
+    connection.christoffel_and_curvature([connection.ConnectionSpec.preset("chern")], h, alg)
+    assert sorted(calls) == [3, 3, 4]
+
+
+# R[1,2,1b,2b], a type-condition entry, and R[1,1b,2,1b], one side of the B pair
+# of B[1,1b,2,1b] (the other side is R[2,1b,1,1b]) and in no type-condition block
+@pytest.mark.parametrize("idx", [(0, 1, 3, 4), (0, 3, 1, 3)])
+def test_the_scoreboard_verdicts_read_the_stack(monkeypatch, idx):
+    """One numerator bumped by 1 in every stored curvature the scoreboard's stack
+    holds turns every expected Kahler-like row into an observed klike=false."""
+    stored, n = connection._stored, flat_offset(idx)
+
+    def bumped(half):
+        z = stored(half)
+        z[0, ..., n] += 1
+        return z
+
+    monkeypatch.setattr(connection, "_stored", bumped)
+    board = theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
+    assert not board.passed
+    positives = [c for c in board.cases if c.expected.startswith("klike=true")]
+    assert {c.case_id for c in positives} == {c.case_id for c in THEOREM_CASES if c.expect_klike}
+    assert all(c.observed.startswith("klike=false,") or c.observed == "klike=false"
+               for c in positives)
 
 
 def test_scoreboard_enumerates_every_case():
