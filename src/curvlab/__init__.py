@@ -20,7 +20,6 @@ from .connection import (
     CurvatureTensor,
     RicciData,
     christoffel,
-    christoffel_and_curvature,
     curvature,
     curvature_of,
     ricci_and_scalar,

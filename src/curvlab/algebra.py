@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .scalars import GaussianRational, gr
 from .tensors import (
@@ -56,15 +57,15 @@ class LieAlgebraCx:
     @classmethod
     def from_structure_constants(cls, entries: dict) -> "LieAlgebraCx":
         """Build from {(I, H, K): value}; the skew and conjugate entries are filled in."""
-        c = MultiTensor(3)
-        for (i, h, k), raw in entries.items():
-            v = gr(raw)
-            if v.is_zero():
-                continue
-            for (a, b, k2, w) in ((i, h, k, v), (bar(i), bar(h), bar(k), v.conjugate())):
-                c[a, b, k2] = w
-                c[b, a, k2] = -w
-        return cls(c)
+        values = [(idx, v) for idx, v in ((idx, gr(raw)) for idx, raw in entries.items()) if v]
+        den = lcm(1, *(int(q.denominator) for _, v in values for q in (v.re, v.im)))
+        re, im = [0] * DIM ** 3, [0] * DIM ** 3
+        for (i, h, k), v in values:
+            a, b = (int(q.numerator) * (den // int(q.denominator)) for q in (v.re, v.im))
+            for x, y, z, s in ((i, h, k, b), (bar(i), bar(h), bar(k), -b)):
+                n, m = flat_offset((x, y, z)), flat_offset((y, x, z))
+                re[n], im[n], re[m], im[m] = a, s, -a, -s
+        return cls(MultiTensor.from_numerators(3, re, im, den))
 
     @classmethod
     def from_dphi(cls, dphi: dict) -> "LieAlgebraCx":

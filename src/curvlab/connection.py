@@ -28,12 +28,10 @@ per spec) run once for the whole stack, and the symbols reach the operator as
 arrays.  Each stage picks one dtype for the stack, from the largest bound over
 its specs; both dtypes are exact and the gcd is per spec, so the stored
 numerators and denominators are those of the specs evaluated one by one.
-curvature_stack ends the pass at the stored curvatures, one array the
-scoreboard's verdicts read (symmetry.stack_verdicts); christoffel_and_curvature
-runs the same pass and writes each spec's symbols and curvature to lists.
-christoffel and curvature are the one-spec stacks;
-christoffel without a plane builds the tables its spec needs, and the
-Levi-Civita connection needs no (T, C).
+The pass (_stacked_pass) writes no list: the verdicts, the appendix oracle and the
+sweep's checks read its arrays; the sweep's Bianchi defect rebuilds the stack without
+the plane (_defect_stack).  christoffel, curvature, the defect and the checks are one-spec
+stacks; christoffel without a plane builds the tables its spec needs (LC needs no (T, C)).
 The curvature operator R(x, y) = [nabla_x, nabla_y] - nabla_[x,y] has raised
 components R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A
 - c_{IH}^B Gamma_{BK}^A.  The stored (4,0)-tensor is the lowered operator
@@ -79,13 +77,11 @@ from .tensors import (
     _maxabs,
     _maxabs_each,
     _reduced_each,
-    _scaled,
     _scaled_each,
     _stack,
     _tensor,
     _tensors,
     all_indices,
-    bar,
     index_name,
     is_barred,
     offset_table,
@@ -100,7 +96,6 @@ __all__ = [
     "christoffel",
     "CurvatureTensor",
     "curvature",
-    "christoffel_and_curvature",
     "curvature_stack",
     "curvature_of",
     "RicciData",
@@ -331,14 +326,11 @@ def _plane_symbols(specs, h: HermitianData, alg: LieAlgebraCx, plane):
     return _symbols(tables, list(zip(*columns)), h.g_inv)
 
 
-def _tables(specs, low, gamma):
-    return list(map(ChristoffelTable, specs, _tensors(3, *gamma), _tensors(3, *low)))
-
-
 def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx,
                 plane: ConnectionPlane | None = None) -> ChristoffelTable:
     """The symbols of spec at (h, alg): the one-spec stack of _plane_symbols."""
-    return _tables((spec,), *_plane_symbols((spec,), h, alg, plane))[0]
+    low, gamma = _plane_symbols((spec,), h, alg, plane)
+    return ChristoffelTable(spec, *_tensors(3, *gamma), *_tensors(3, *low))
 
 
 @dataclass(frozen=True)
@@ -366,19 +358,15 @@ def _stored_each(gamma, c, low):
     return _stored(half), dens
 
 
-def _curvatures(specs, stack):
-    """The CurvatureTensor of each spec of a stored curvature stack, written to lists."""
-    return list(map(CurvatureTensor, specs, _tensors(4, *stack)))
-
-
 def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
     """The curvature of one table: the one-spec stack of _stored_each; h is not read."""
-    return _curvatures((gamma.spec,), _stored_each(_stack((gamma.gamma,)), alg.c,
-                                                   _stack((gamma.lowered,))))[0]
+    stack = _stored_each(_stack((gamma.gamma,)), alg.c, _stack((gamma.lowered,)))
+    return CurvatureTensor(gamma.spec, *_tensors(4, *stack))
 
 
 def _stacked_pass(specs, h, alg, plane):
-    """The symbol stacks (low, gamma) of specs at (h, alg) and their stored curvature stack."""
+    """The symbol stacks (low, gamma) of specs at (h, alg) and their stored curvature
+    stack, with no list written."""
     low, gamma = _plane_symbols(specs, h, alg, plane)
     return low, gamma, _stored_each(gamma, alg.c, low)
 
@@ -387,18 +375,8 @@ def curvature_stack(specs, h: HermitianData, alg: LieAlgebraCx, plane: Connectio
     """The stored curvatures of specs at (h, alg) as one stack (z, dens), spec s the
     numerators z[:, s] of shape (2, 1296) over dens[s]: the stacked pass on the
     point's plane, with no symbol or curvature list written (symmetry.stack_verdicts
-    reads it)."""
+    and goldens.compare_components read it)."""
     return _stacked_pass(specs, h, alg, plane)[2]
-
-
-def christoffel_and_curvature(specs, h: HermitianData, alg: LieAlgebraCx,
-                              plane: ConnectionPlane | None = None):
-    """[(ChristoffelTable, CurvatureTensor)] of every spec at (h, alg), in one stacked
-    pass: the symbols of all specs in one _symbols call, handed to one _operator
-    call as arrays, then written to lists.  Each pair equals christoffel and
-    curvature called on its own."""
-    low, gamma, curv = _stacked_pass(specs, h, alg, plane)
-    return list(zip(_tables(specs, low, gamma), _curvatures(specs, curv)))
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -476,8 +454,21 @@ _CX, _CYZ = np.divmod(_CYCLIC, 36)
 _CXY, _CZ = np.divmod(_CYCLIC, 6)
 
 
-def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
-    """Connection torsion T(x,y) = nabla_x y - nabla_y x - [x,y] and the Bianchi defect.
+def _over_c(gamma, c, terms):
+    """(zg, zc, dens, fg, dtype): gamma = (z, dens) and c over dens[s] = lcm(gamma's dens[s],
+    c.den) per spec, the symbols scaled by fg[s], in the dtype of `terms` products of two."""
+    (zg, dg), (zc, mc) = gamma, _arrays(c)
+    dens = [lcm(d, c.den) for d in dg]
+    fg, fc = list(map(floordiv, dens, dg)), [den // c.den for den in dens]
+    mg = _maxabs_each(zg)
+    dtype = _dtype(2 * max(max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)).bit_length(), terms)
+    zc = _scaled_each(np.broadcast_to(zc[:, None], zg.shape), fc, [mc] * len(dg), dtype)
+    return _scaled_each(zg, fg, mg, dtype), zc, dens, fg, dtype
+
+
+def _defect_stack(gamma, c):
+    """The torsion T(x,y) = nabla_x y - nabla_y x - [x,y] and the Bianchi defect of each
+    spec of a raised-symbol stack gamma, as stacks over den_s and den_s^2 (see _over_c).
 
     The defect is (cyclic sum of R(x,y)z) - (d^nabla T)(x,y,z), a vector-valued
     3-tensor that must vanish identically for every metric connection.  Its
@@ -487,86 +478,97 @@ def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieA
     rows of the kernel's I < H half (60 rows in all, no rank-4 operator), and
     copied to the dense 1296-entry defect with the signs of _TRIPLES.  The
     d^nabla T terms nabla_x (T(y,z)) - T([x,y], z) are two products over the 60
-    cyclic blocks the sums read.  All of it sits over den^2 for den the
-    lcm of the symbols' and c's denominators.  The symbols are rebuilt here
-    without a plane, so the defect shares no table with the caller's.
+    cyclic blocks the sums read.  All specs share each product, on the dtype of
+    the largest bound among them.
     """
-    table = christoffel(spec, h, alg)
-    den = lcm(table.gamma.den, alg.c.den)
-    fg, fc = den // table.gamma.den, den // alg.c.den
-    (zg, mg), (zc, mc) = _arrays(table.gamma), _arrays(alg.c)
-    gamma = zg[:, None], [table.gamma.den]
     # per entry: 3 half rows of 36 products below 2^(2b), and 3 x 24 products with
     # one factor T, |T| < 3 2^b, each counted as 3 products below 2^(2b)
-    dtype = _dtype(2 * max(mg * fg, mc * fc).bit_length(), 3 * 36 + 3 * 3 * 24)
-    zg, zc = _scaled(zg, fg, dtype), _scaled(zc, fc, dtype)
+    zg, zc, dens, fg, dtype = _over_c(gamma, c, 3 * 36 + 3 * 3 * 24)
+    half, _ = _operator(gamma, c, gamma)  # spec s over dens[s] gamma's dens[s]
+    half = _scaled_each(half, fg, (half != 0).any((0, 2)).tolist(), dtype)
+    half = np.take(half.reshape(2, -1, 90, DIM), _HALF_ROWS, axis=2)
     # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
-    zt = zg - np.take(zg, _SWAP_AT, axis=1) - zc
-
-    half, _ = _operator(gamma, alg.c, gamma)  # over den gamma.den
-    half = np.take(_scaled(half[:, 0], fg, dtype).reshape(2, 90, DIM), _HALF_ROWS, axis=1)
+    zt = zg - np.take(zg, _SWAP_AT, axis=2) - zc
     # nabla_x (T(y,z))^a = T_{yz}^m Gamma_{xm}^a and T([x,y], z)^a = c_{xy}^m T_{mz}^a,
     # a row times a 6 x 6 matrix per cyclic block (x, y, z), gathered before the product
-    zg3, zt3 = zg.reshape(2, DIM, DIM, DIM), zt.reshape(2, DIM, DIM, DIM)
-    nabla_t = _cmatmul(np.take(zt.reshape(2, 36, 1, DIM), _CYZ, axis=1), np.take(zg3, _CX, axis=1))
-    t_bracket = _cmatmul(np.take(zc.reshape(2, 36, 1, DIM), _CXY, axis=1),
-                         np.take(zt3.transpose(0, 2, 1, 3), _CZ, axis=1))
-    d_t = (nabla_t - t_bracket)[:, :, :, 0]
+    zg3, zt3 = zg.reshape(2, -1, DIM, DIM, DIM), zt.reshape(2, -1, DIM, DIM, DIM)
+    nabla_t = _cmatmul(np.take(zt.reshape(2, -1, 36, 1, DIM), _CYZ, axis=2),
+                       np.take(zg3, _CX, axis=2))
+    t_bracket = _cmatmul(np.take(zc.reshape(2, -1, 36, 1, DIM), _CXY, axis=2),
+                         np.take(zt3.transpose(0, 1, 3, 2, 4), _CZ, axis=2))
+    d_t = (nabla_t - t_bracket)[..., 0, :]
     # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
-    sums = half[:, :, 0] + half[:, :, 1] - half[:, :, 2] - d_t.sum(axis=2)
-    rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :1])), axis=1)
-    return _tensor(3, zt, den), _tensor(4, np.take(rows, _FILL, axis=1), den * den)
+    sums = half[:, :, :, 0] + half[:, :, :, 1] - half[:, :, :, 2] - d_t.sum(axis=3)
+    rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :, :1])), axis=2)
+    defect = np.take(rows, _FILL, axis=2).reshape(2, -1, DIM ** 4)
+    return (zt, dens), (defect, [den * den for den in dens])
+
+
+def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
+    """The torsion and the Bianchi defect of spec: the one-spec stack of _defect_stack, on
+    symbols rebuilt without a plane, so the defect shares no table with the caller's."""
+    table = christoffel(spec, h, alg)
+    torsion, defect = _defect_stack(_stack((table.gamma,)), alg.c)
+    return _tensors(3, *torsion)[0], _tensors(4, *defect)[0]
 
 
 # -- structural invariants ---------------------------------------------------
 #
-# The checks compare numerators over the tensor's one denominator: entry m is
-# minus entry n exactly when re[m] == -re[n] and im[m] == -im[n].
+# Each check is a mask over a stack array z (2, S, n): a nonzero entry is hit where
+# a partner, read at an import-time index array, is not the entry's (re, im) times
+# a pair of signs.  Only integers are compared: exact on int64 and object alike.
 
-# per flat offset n of (I, H, K, L): n, the index tuple, and the offsets of its partners
-# (H, I, K, L) for skew12, (I, H, L, K) for skew34, (bar I, bar H, bar K, bar L) for
-# reality and (K, L, I, H) for (Symm); n = 36 p + q for the pair offsets p of (I, H)
-# and q of (K, L), so each partner is composed from the pair tables of swap and bar
-_SWAP2 = offset_table(2, lambda i, hh: (hh, i))
-_BAR2 = offset_table(2, lambda *idx: map(bar, idx))
-_PARTNERS = tuple((36 * p + q, idx, 36 * _SWAP2[p] + q, 36 * p + _SWAP2[q],
-                   36 * _BAR2[p] + _BAR2[q], 36 * q + p)
-                  for (p, q), idx in zip(itertools.product(range(36), repeat=2), all_indices(4)))
+# the curvature checks in hit order; row j: the offset of each tuple (I, H, K, L) read as
+# (H, I, K, L), (I, H, L, K), (bar I, ..., bar L) or (K, L, I, H), which holds -R, -R, conj R, R
+_KINDS = ("skew12", "skew34", "reality", "symm")
+_IDX4 = np.array(all_indices(4))
+_CURVATURE_PARTNERS = np.array([_IDX4[:, [1, 0, 2, 3]], _IDX4[:, [0, 1, 3, 2]], (_IDX4 + 3) % DIM,
+                                _IDX4[:, [2, 3, 0, 1]]]) @ DIM ** np.arange(3, -1, -1)
+_CURVATURE_SIGNS = np.array([[-1, -1, 1, 1], [-1, -1, -1, 1]])
+# nabla g: Gamma_{IH,L} = -Gamma_{IL,H}; nabla J: Gamma_{IH}^K = 0 for H, K of mixed type
+_NABLA_G_PARTNERS = np.array([offset_table(3, lambda i, hh, l: (i, l, hh))])
+_MIXED = np.array([is_barred(hh) != is_barred(k) for _, hh, k in all_indices(3)])
+
+
+def _partner_hits(z, partners, signs):
+    """The mask (S, n, k) of a stack array z (2, S, n): entry n of spec s is hit at j
+    when it is nonzero and partners[j, n] does not hold signs[:, j] times it."""
+    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
+        z = z.astype(object)  # the one int64 whose negation is no int64
+    image = z[:, :, None] * signs[:, None, :, None]  # (2, S, k, n), n innermost
+    hits = (np.take(z, partners, axis=2) != image).any(0) & (z != 0).any(0)[:, None]
+    return hits.transpose(0, 2, 1)
+
+
+def _curvature_hits(z, symm):
+    """The mask (S, 4 1296) of a stored curvature stack array z: position 4 n + j is
+    hit when entry n fails _KINDS[j], (Symm) tested only where symm[s] is true."""
+    hits = _partner_hits(z, _CURVATURE_PARTNERS, _CURVATURE_SIGNS)
+    hits[:, :, 3] &= np.array(symm, bool)[:, None]
+    return hits.reshape(len(symm), -1)
+
+
+def _nabla_g_hits(low):
+    return _partner_hits(low, _NABLA_G_PARTNERS, _CURVATURE_SIGNS[:, :1])[:, :, 0]
 
 
 def curvature_symmetry_failures(curv: CurvatureTensor, check_symm: bool = False):
-    """Violations of skewness in (I,H) and (K,L), reality, and optionally (Symm)."""
-    r = curv.tensor
-    re, im = r.re, r.im
-    bad = []
-    for n, idx, m12, m34, mbar, msymm in _PARTNERS:
-        a, b = re[n], im[n]
-        if not (a or b):
-            continue
-        if re[m12] != -a or im[m12] != -b:
-            bad.append(("skew12", idx))
-        if re[m34] != -a or im[m34] != -b:
-            bad.append(("skew34", idx))
-        if re[mbar] != a or im[mbar] != -b:
-            bad.append(("reality", idx))
-        if check_symm and (re[msymm] != a or im[msymm] != b):
-            bad.append(("symm", idx))
-    return bad
+    """Violations of skewness in (I,H) and (K,L), reality, and optionally (Symm), as
+    (kind, index tuple) by offset, then kind: the one-spec stack of _curvature_hits."""
+    hits = _curvature_hits(_stack((curv.tensor,))[0], [check_symm])
+    return [(_KINDS[m % 4], all_indices(4)[m // 4]) for m in np.flatnonzero(hits).tolist()]
 
 
 def nabla_g_failures(table: ChristoffelTable):
     """Metric compatibility: the lowered symbols must be skew in the last two slots."""
-    low = table.lowered
-    re, im = low.re, low.im
-    return [idx for n, idx in low.nonzero_offsets()
-            if re[36 * idx[0] + 6 * idx[2] + idx[1]] != -re[n]
-            or im[36 * idx[0] + 6 * idx[2] + idx[1]] != -im[n]]
+    hits = _nabla_g_hits(_stack((table.lowered,))[0])
+    return [all_indices(3)[n] for n in np.flatnonzero(hits)]
 
 
 def nabla_j_failures(table: ChristoffelTable):
     """Type preservation: Gamma_{IH}^K with mixed types in (H, K) must vanish."""
-    return [idx for _, idx in table.gamma.nonzero_offsets()
-            if is_barred(idx[1]) != is_barred(idx[2])]
+    hits = (_stack((table.gamma,))[0] != 0).any(0) & _MIXED
+    return [all_indices(3)[n] for n in np.flatnonzero(hits)]
 
 
 # -- JSON wire format --------------------------------------------------------

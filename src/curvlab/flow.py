@@ -25,22 +25,17 @@ it at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 import numpy as np
 
 from .algebra import LieAlgebraCx
-from .connection import _HALF, _lc_sum, _symbols
+from .connection import _HALF, _lc_sum, _over_c, _symbols
 from .metric import HermitianData
 from .tensors import (
     DIM,
     INDICES,
     MultiTensor,
-    _arrays,
     _cmatmul,
-    _dtype,
-    _maxabs,
-    _scaled,
     _tensor,
     bar,
     index_name,
@@ -70,15 +65,10 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     needs no metric, so only the raise uses g^{-1}.
     """
     g = MultiTensor(2, [v for row in g6 for v in row])
-    _, (zg, (gden,)) = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
-    den = lcm(gden, alg.c.den)
-    fg, fc = den // gden, den // alg.c.den
-    zg = zg[:, 0]
-    (zc, mc), mg = _arrays(alg.c), _maxabs(zg)
+    _, gamma = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
     # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 symbols,
     # so counted as 6 x 12 products below 2^(2b), and 2 x 36 in each other term
-    dtype = _dtype(2 * max(mg * fg, mc * fc).bit_length(), 72 + 72 + 72)
-    zg, zc = _scaled(zg, fg, dtype), _scaled(zc, fc, dtype)
+    zg, zc, (den,), _, _ = _over_c(gamma, alg.c, 72 + 72 + 72)  # one spec, read as (2, ...)
     g3 = zg.reshape(2, DIM, DIM, DIM)
     trace = np.trace(g3, axis1=1, axis2=3).reshape(2, DIM, 1)  # Gamma_{AB}^A over B
     ric = (_cmatmul(zg.reshape(2, 36, DIM), trace).reshape(2, DIM, DIM)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import FamilySpec, instantiate
-from .connection import ConnectionSpec, christoffel_and_curvature, connection_plane
+from .connection import ConnectionSpec, connection_plane, curvature_stack
 from .metric import HermitianData, MetricParams, build_metric
 from .scalars import GaussianRational, I, Rat, gr
-from .symmetry import BTensor
+from .symmetry import _B_OFFSETS
+from .tensors import numerator_value
 
 __all__ = [
     "ORACLE_FAMILIES",
@@ -230,19 +231,23 @@ def compare_components(family_key: str, structure: FamilySpec, metric: MetricPar
     """[(eps, label, expected, got, equal)], eps-major and sorted by label within each eps.
 
     The rules are checked at every eps first; then the point and its connection plane
-    are built once for every eps, and the pipeline is read at the table's raw keys:
-    R[i,j,k,lb] from the curvature, B[i,jb,k,lb] from the Bianchi tensor.
+    are built once for every eps, and the point's curvature stack is read at the table's
+    raw keys: R[i,j,k,lb] at its offset, B[i,jb,k,lb] at its two symmetry._B_OFFSETS.
     """
     table = _checked_table(family_key, structure, metric, eps_values)
     h = build_metric(metric)
     alg = instantiate(structure)
-    plane = connection_plane(h, alg)
-    specs = [ConnectionSpec.gauduchon(eps) for eps in eps_values]
+    z, dens = curvature_stack([ConnectionSpec.gauduchon(eps) for eps in eps_values], h, alg,
+                              connection_plane(h, alg))
     rows = []
-    for eps, (_, curv) in zip(eps_values, christoffel_and_curvature(specs, h, alg, plane)):
-        b = BTensor(curv)
+    for eps, (re, im), den in zip(eps_values, z.transpose(1, 0, 2).tolist(), dens):
         raw = sorted((_label(*key), key, v) for key, v in table(structure, metric, h, eps).items())
         for label, (kind, i, j, k, l), expected in raw:
-            got = curv.tensor[i, j, k, l + 3] if kind == "R" else b.component(i, j, k, l)
+            if kind == "R":
+                n = 216 * i + 36 * j + 6 * k + l + 3
+                got = numerator_value(re[n], im[n], den)
+            else:
+                p, q = _B_OFFSETS[27 * i + 9 * j + 3 * k + l]
+                got = numerator_value(re[p] - re[q], im[p] - im[q], den)
             rows.append((eps, label, expected, got, expected == got))
     return rows

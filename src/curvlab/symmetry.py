@@ -37,6 +37,7 @@ from .tensors import (
     BARRED,
     INDICES,
     UNBARRED,
+    _first_hits,
     _numerators,
     _stack,
     all_indices,
@@ -173,16 +174,9 @@ class FlatnessResult:
 
 def _flatness(z, dens):
     """The FlatnessResult of each spec of a stored stack array z (2, S, 1296): flat
-    when no entry is hit, else the first hit, lexicographically."""
-    hits = (z != 0).any(0)
-    out = []
-    for s, (den, hit, n) in enumerate(zip(dens, hits.any(1).tolist(), hits.argmax(1).tolist())):
-        if hit:
-            a, b = z[:, s, n].tolist()
-            out.append(FlatnessResult(False, (all_indices(4)[n], numerator_value(a, b, den))))
-        else:
-            out.append(FlatnessResult(True, None))
-    return out
+    when no entry is nonzero, else the first nonzero entry, lexicographically."""
+    hits = _first_hits((z != 0).any(0), z, dens, all_indices(4))
+    return [FlatnessResult(hit is None, hit) for hit in hits]
 
 
 def flatness_check(curv: CurvatureTensor) -> FlatnessResult:

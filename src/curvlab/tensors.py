@@ -324,13 +324,6 @@ def _arrays(t):
     return z, _maxabs(z)
 
 
-def _scaled(z, f, dtype):
-    """f z in dtype (an all-zero z is returned as it is, so an f beyond int64
-    never meets an int64 array)."""
-    z = z.astype(dtype, copy=False)
-    return z * f if f != 1 and z.any() else z
-
-
 def _cmatmul(a, b):
     """The Gaussian-integer matrix product a @ b of [re, im] stacks (numpy matmul
     broadcasting on the axes between the first and the last two): 2k real
@@ -385,6 +378,14 @@ def _reduced_each(z, dens):
     if gs.count(gs[0]) == len(gs):  # one divisor for the whole stack
         return (z // gs[0] if gs[0] != 1 else z), dens
     return z // np.array(gs, z.dtype)[:, None], dens
+
+
+def _first_hits(hits, z, dens, labels):
+    """Per spec s of the stack (z, dens): None when the mask hits[s], k positions per entry
+    of z, has no hit, else (labels[m], the value of entry m // k) at its first hit m."""
+    k = hits.shape[1] // z.shape[2]
+    return [(labels[m], numerator_value(*z[:, s, m // k].tolist(), dens[s])) if hit else None
+            for s, (hit, m) in enumerate(zip(hits.any(1).tolist(), hits.argmax(1).tolist()))]
 
 
 def _tensors(rank, z, dens):

@@ -32,23 +32,25 @@ from .catalog import FamilySpec, family_info, instantiate
 # this module to check that bench/tracing.py wraps every binding of a traced function
 from .connection import (
     _HALF,
+    _KINDS,
+    _MIXED,
     ConnectionSpec,
     PRESETS,
+    _curvature_hits,
+    _defect_stack,
+    _nabla_g_hits,
+    _plane_symbols,
+    _stacked_pass,
     christoffel,
-    christoffel_and_curvature,
     connection_plane,
     curvature,
     curvature_stack,
-    curvature_symmetry_failures,
-    nabla_g_failures,
-    nabla_j_failures,
-    torsion_and_bianchi_defect,
 )
 from .goldens import compare_components
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
 from .scalars import ZERO, GaussianRational, Rat, gr
 from .symmetry import FlatnessResult, KahlerLikeReport, stack_verdicts
-from .tensors import INDICES, all_indices, contract, index_name, numerator_value
+from .tensors import INDICES, _first_hits, all_indices, contract, index_name, numerator_value
 
 __all__ = [
     "SamplePlan",
@@ -589,9 +591,9 @@ _SWEEP_STRUCTURES = (
 
 def _row(name: str, where: str, witness) -> IdentityResult:
     """One sweep row at one point: PASS without a witness, else FAIL carrying
-    (where, label, value) from witness = (label, value)."""
+    (where, str(label), value) from witness = (label, value)."""
     return IdentityResult(f"{name}[{where}]", not witness, 1,
-                          (where, *witness) if witness else None)
+                          (where, str(witness[0]), witness[1]) if witness else None)
 
 
 def _identity_witness(prod):
@@ -624,6 +626,9 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
     reality, (Symm) for the torsion-free connection, metric compatibility,
     type preservation on the Gauduchon line, the torsion Bianchi defect,
     d o d = 0, and g g^{-1} = id.  Returns a list of IdentityResult.
+
+    A point's connections run as one stacked pass on its plane, whose arrays the checks
+    read as masks; the Bianchi defect rebuilds them as one stack without the plane.
     """
     plan = plan or SamplePlan()
     results = []
@@ -652,19 +657,19 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
                                 _identity_witness(contract(h.g, h.g_inv, 1, 0))))
             results.append(_row("d-squared", point, _d_witness(exterior_d(h.omega, alg), alg)))
 
-            for spec, (table, curv) in zip(specs, christoffel_and_curvature(specs, h, alg, plane)):
+            low, gamma, curv = _stacked_pass(specs, h, alg, plane)
+            _, defect = _defect_stack(_plane_symbols(specs, h, alg, None)[1], alg.c)
+            checks = [(name, _first_hits(hits, *stack, labels)) for name, hits, stack, labels in (
+                ("curvature-symmetries", _curvature_hits(curv[0], [s.is_lc for s in specs]), curv,
+                 _KINDS * len(all_indices(4))),
+                ("nabla-g", _nabla_g_hits(low[0]), low, all_indices(3)),
+                ("nabla-j", (gamma[0] != 0).any(0) & _MIXED, gamma, all_indices(3)),
+                ("bianchi-defect", (defect[0] != 0).any(0), defect, all_indices(4)))]
+            for k, spec in enumerate(specs):
                 sp = f"{point} {spec.label()}"
-                bad = curvature_symmetry_failures(curv, check_symm=spec.is_lc)
-                results.append(_row("curvature-symmetries", sp,
-                                    bad and (bad[0][0], curv.tensor[bad[0][1]])))
-                bad = nabla_g_failures(table)
-                results.append(_row("nabla-g", sp, bad and (str(bad[0]), table.lowered[bad[0]])))
-                if spec.is_gauduchon:
-                    bad = nabla_j_failures(table)
-                    results.append(_row("nabla-j", sp, bad and (str(bad[0]), table.gamma[bad[0]])))
-                _, defect = torsion_and_bianchi_defect(spec, h, alg)
-                wit = next(defect.nonzero(), None)
-                results.append(_row("bianchi-defect", sp, wit and (str(wit[0]), wit[1])))
+                for name, witnesses in checks:
+                    if name != "nabla-j" or spec.is_gauduchon:
+                        results.append(_row(name, sp, witnesses[k]))
     return results
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from curvlab import algebra
+from curvlab import algebra, verify
 from curvlab.algebra import (
     LieAlgebraCx,
     d_component,
@@ -282,3 +282,42 @@ def test_wedge_component_matches_full(rng):
     full = wedge(a, b)
     for idx in itertools.combinations(range(6), 4):
         assert wedge_component(a, b, idx) == full[idx]
+
+
+def ref_structure_constants(entries):
+    """The structure-constant tensor written one entry at a time, each write putting the
+    tensor over the lcm of its denominator and the value's."""
+    c = MultiTensor(3)
+    for (i, h, k), raw in entries.items():
+        v = gr(raw)
+        if v.is_zero():
+            continue
+        for (a, b, k2, w) in ((i, h, k, v), (bar(i), bar(h), bar(k), v.conjugate())):
+            c[a, b, k2] = w
+            c[b, a, k2] = -w
+    return c
+
+
+def test_structure_constants_match_the_per_entry_build(monkeypatch):
+    """from_structure_constants, built once from its collected values, has the
+    numerators and denominator of the per-entry build: on every structure of the
+    structural sweep and on 3 seeded draws of every scoreboard case."""
+    seen = []
+    build = LieAlgebraCx.from_structure_constants.__func__
+
+    def spy(cls, entries):
+        seen.append((entries, build(cls, entries)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(LieAlgebraCx, "from_structure_constants", classmethod(spy))
+    for family_id, params in verify._SWEEP_STRUCTURES:
+        instantiate(FamilySpec.make(family_id, **params))
+    plan = verify.SamplePlan(seed=0)
+    for case in verify.THEOREM_CASES:
+        rng = plan.rng_for(f"structure constants:{case.case_id}")
+        for _ in range(3):
+            instantiate(verify._point_for(case, rng)[0])
+    assert len(seen) == len(verify._SWEEP_STRUCTURES) + 3 * len(verify.THEOREM_CASES)
+    for entries, alg in seen:
+        want = ref_structure_constants(entries)
+        assert (alg.c.re, alg.c.im, alg.c.den) == (want.re, want.im, want.den), entries

@@ -22,7 +22,15 @@ from curvlab.connection import (
 )
 from curvlab.metric import MetricParams, build_metric, classify_metric
 from curvlab.scalars import GaussianRational, Rat, ZERO, gr
-from curvlab.tensors import MultiTensor, all_indices, bar, contract, identity_tensor, inverse
+from curvlab.tensors import (
+    MultiTensor,
+    all_indices,
+    bar,
+    contract,
+    identity_tensor,
+    inverse,
+    is_barred,
+)
 
 from conftest import rand_metric
 
@@ -254,14 +262,143 @@ def test_symmetry_check_names_exactly_the_corrupted_pairs(rng):
     assert tensor == curv.tensor
 
 
+# per flat offset n of (I, H, K, L): n, the index tuple, and the offsets of its partners
+# (H, I, K, L) for skew12, (I, H, L, K) for skew34, (bar I, bar H, bar K, bar L) for
+# reality and (K, L, I, H) for (Symm), from the offset arithmetic
+REF_PARTNERS = tuple(
+    (n, (i, hh, k, l), 216 * hh + 36 * i + 6 * k + l, 216 * i + 36 * hh + 6 * l + k,
+     216 * bar(i) + 36 * bar(hh) + 6 * bar(k) + bar(l), 216 * k + 36 * l + 6 * i + hh)
+    for n, (i, hh, k, l) in enumerate(itertools.product(range(6), repeat=4)))
+
+
 def test_partner_table_matches_the_offset_arithmetic():
-    """Each flat offset's skew12, skew34, conjugate and (Symm) partners, as the checks
-    computed them per entry."""
-    expected = tuple(
-        (n, (i, hh, k, l), 216 * hh + 36 * i + 6 * k + l, 216 * i + 36 * hh + 6 * l + k,
-         216 * bar(i) + 36 * bar(hh) + 6 * bar(k) + bar(l), 216 * k + 36 * l + 6 * i + hh)
-        for n, (i, hh, k, l) in enumerate(itertools.product(range(6), repeat=4)))
-    assert connection._PARTNERS == expected
+    """Each flat offset's skew12, skew34, conjugate and (Symm) partners in the masks'
+    index arrays, as the checks computed them per entry; the nabla g partner of
+    (I, H, L) is (I, L, H), and nabla J tests the entries of mixed type in (H, K)."""
+    assert connection._CURVATURE_PARTNERS.T.tolist() == [list(p[2:]) for p in REF_PARTNERS]
+    assert connection._KINDS == ("skew12", "skew34", "reality", "symm")
+    assert connection._NABLA_G_PARTNERS.tolist() == [
+        [36 * i + 6 * l + hh for i, hh, l in all_indices(3)]]
+    assert connection._MIXED.tolist() == [
+        is_barred(hh) != is_barred(k) for _, hh, k in all_indices(3)]
+
+
+def ref_curvature_symmetry_failures(curv, check_symm=False):
+    """The curvature checks as a loop over the stored numerator lists and REF_PARTNERS."""
+    r = curv.tensor
+    re, im = r.re, r.im
+    bad = []
+    for n, idx, m12, m34, mbar, msymm in REF_PARTNERS:
+        a, b = re[n], im[n]
+        if not (a or b):
+            continue
+        if re[m12] != -a or im[m12] != -b:
+            bad.append(("skew12", idx))
+        if re[m34] != -a or im[m34] != -b:
+            bad.append(("skew34", idx))
+        if re[mbar] != a or im[mbar] != -b:
+            bad.append(("reality", idx))
+        if check_symm and (re[msymm] != a or im[msymm] != b):
+            bad.append(("symm", idx))
+    return bad
+
+
+def ref_nabla_g_failures(table):
+    """Metric compatibility as a loop over the lowered symbols' nonzero entries."""
+    low = table.lowered
+    re, im = low.re, low.im
+    return [idx for n, idx in low.nonzero_offsets()
+            if re[36 * idx[0] + 6 * idx[2] + idx[1]] != -re[n]
+            or im[36 * idx[0] + 6 * idx[2] + idx[1]] != -im[n]]
+
+
+def ref_nabla_j_failures(table):
+    """Type preservation as a loop over the raised symbols' nonzero entries."""
+    return [idx for _, idx in table.gamma.nonzero_offsets()
+            if is_barred(idx[1]) != is_barred(idx[2])]
+
+
+def _bumped(t, n):
+    """A copy of t with the real numerator at flat offset n raised by 1."""
+    t = t.copy()
+    t.re[n] += 1
+    return t
+
+
+def _check_mismatches(curv, table):
+    """Which mask checks' full failure lists on (curv, table) differ from their list
+    loops, numbered 0 and 1 for the curvature checks without and with (Symm), 2 for
+    nabla g and 3 for nabla J; also returns the loops' four lists."""
+    pairs = [(curvature_symmetry_failures(curv, symm), ref_curvature_symmetry_failures(curv, symm))
+             for symm in (False, True)]
+    pairs += [(nabla_g_failures(table), ref_nabla_g_failures(table)),
+              (nabla_j_failures(table), ref_nabla_j_failures(table))]
+    return [k for k, (got, want) in enumerate(pairs) if got != want], [w for _, w in pairs]
+
+
+def test_structural_checks_match_the_list_loop_references(monkeypatch):
+    """The mask checks give the full failure lists of the list loops: on the reference
+    grid, where nothing fails, and on corrupted copies, where something does: a
+    curvature with one numerator bumped at a lower-half (I > H) offset or at the (Symm)
+    partner of its first nonzero entry, lowered symbols with one bumped numerator,
+    symbols built on a plane with a negated T, and curvatures whose lower-half block
+    (1b, 1) is read with the wrong sign.  Also on object arrays (the large grid) and
+    on an int64 array holding -2^63, whose negation int64 cannot hold, at an entry
+    and its skew partner."""
+    lower, failing, checked = 216 * 4 + 36 * 1 + 6 * 2 + 5, 0, 0
+    for label, alg, h, specs in reference_grid("checks"):
+        negated = _negated_t_plane(h, alg)
+        for spec in specs:
+            where = (label, spec.label())
+            table = christoffel(spec, h, alg)
+            curv = curvature(table, h, alg)
+            first = next((n for n, _ in curv.tensor.nonzero_offsets()), 0)
+            cases = [(curv, table),
+                     (connection.CurvatureTensor(spec, _bumped(curv.tensor, lower)), table),
+                     (connection.CurvatureTensor(spec, _bumped(curv.tensor,
+                                                               REF_PARTNERS[first][5])), table),
+                     (curv, connection.ChristoffelTable(spec, table.gamma,
+                                                        _bumped(table.lowered, 6 * 4 + 1))),
+                     (curv, christoffel(spec, h, alg, negated))]
+            wants = []
+            for c, t in cases:
+                bad, want = _check_mismatches(c, t)
+                assert bad == [], where
+                wants.append(want)
+                checked += 1
+            clean = wants[0]
+            assert not clean[1 if spec.is_lc else 0] and not clean[2], where
+            assert not (spec.is_gauduchon and clean[3]), where
+            assert wants[1][0] and wants[2][1] and wants[3][2], where
+            failing += spec.is_gauduchon and bool(wants[4][3])
+    assert checked == 21 * 2 * 8 * 5 and failing > 0
+    table = connection._EXPAND[:]
+    table[6 * 3 + 0] = table[6 * 0 + 3]
+    monkeypatch.setattr(connection, "_EXPAND", table)
+    failing = 0
+    for label, alg, h, specs in itertools.islice(reference_grid("checks"), 0, None, 3):
+        for spec in specs:
+            t = christoffel(spec, h, alg)
+            bad, want = _check_mismatches(curvature(t, h, alg), t)
+            assert bad == [], (label, spec.label())
+            failing += bool(want[0])
+    assert failing > 0
+    monkeypatch.undo()
+    on_object = 0
+    for label, alg, h, specs in itertools.islice(large_grid(), 0, None, 4):
+        for spec in specs:
+            t = christoffel(spec, h, alg)
+            curv = curvature(t, h, alg)
+            on_object += tensors._stack((curv.tensor,))[0].dtype == object
+            assert _check_mismatches(curv, t)[0] == [], (label, spec.label())
+    assert on_object > 0
+    label, alg, h, specs = next(reference_grid("checks"))
+    t = christoffel(specs[0], h, alg)
+    edge = curvature(t, h, alg).tensor.copy()
+    edge.re[36 * 1 + 6 * 2 + 3] = edge.re[216 * 1 + 6 * 2 + 3] = -2 ** 63  # (1,2,3,1b), (2,1,3,1b)
+    assert tensors._stack((edge,))[0].dtype == np.int64
+    bad, want = _check_mismatches(connection.CurvatureTensor(specs[0], edge), t)
+    assert bad == [] and ("skew12", (0, 1, 2, 3)) in want[0]
 
 
 def test_bianchi_tables_match_the_permutation_signs():
@@ -517,7 +654,7 @@ def dtypes(monkeypatch):
         chosen.append((terms, choose(product_bits, terms)))
         return chosen[-1][1]
 
-    for module in (tensors, connection, metric, flow):
+    for module in (tensors, connection, metric):
         monkeypatch.setattr(module, "_dtype", spy)
     return chosen
 
@@ -602,19 +739,19 @@ def test_kernel_outputs_are_python_ints_on_both_dtypes(dtypes):
 
 
 def _stack_mismatches(alg, h, specs):
-    """Where christoffel_and_curvature(specs) on the point's plane differs from
-    christoffel and curvature called alone, in the numerators and den of the raised
-    and lowered symbols and of the curvature, or holds a value that is not a Python
-    int; each pair must also carry its own spec."""
+    """Where the stacked pass of specs on the point's plane differs from christoffel
+    and curvature called alone, in the numerators and den of the raised and lowered
+    symbols and of the curvature, or, written to lists, holds a value that is not a
+    Python int; each stack must also hold one entry per spec."""
     bad = []
-    pairs = connection.christoffel_and_curvature(specs, h, alg, connection.connection_plane(h, alg))
-    assert len(pairs) == len(specs)
-    for spec, (table, curv) in zip(specs, pairs):
-        assert table.spec is spec and curv.spec is spec
+    stacks = connection._stacked_pass(specs, h, alg, connection.connection_plane(h, alg))
+    low, gamma, curv = ([tensors._tensors(rank, *stack)
+                         for rank, stack in zip((3, 3, 4), stacks)])
+    assert len(low) == len(gamma) == len(curv) == len(specs)
+    for spec, got_all in zip(specs, zip(gamma, low, curv)):
         single = christoffel(spec, h, alg)
         want = (single.gamma, single.lowered, curvature(single, h, alg).tensor)
-        for name, got, w in zip(("gamma", "lowered", "curvature"),
-                                (table.gamma, table.lowered, curv.tensor), want):
+        for name, got, w in zip(("gamma", "lowered", "curvature"), got_all, want):
             if _numerators(got) != _numerators(w) or not _python_ints(got):
                 bad.append((spec.label(), name))
     return bad
@@ -646,7 +783,7 @@ def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
         checked += 1
         plane = connection.connection_plane(h, alg)
         dtypes.clear()
-        connection.christoffel_and_curvature(specs + [huge], h, alg, plane)
+        connection._stacked_pass(specs + [huge], h, alg, plane)
         assert [d for t, d in dtypes if t != 12] == [object, object], label
         dtypes.clear()
         for spec in specs:
@@ -654,6 +791,31 @@ def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
         assert {d for _, d in dtypes} == {np.int64}, label
         assert _stack_mismatches(alg, h, specs + [huge]) == [], label
     assert checked == 8
+
+
+def test_the_defect_stack_matches_the_reference(dtypes):
+    """_defect_stack on a point's connections rebuilt as one stack without the plane
+    gives each spec the torsion and defect of ref_defect, in numerators and den: on a
+    slice of the reference grid, on int64, and with a Gauduchon eps of 2^-70 joining
+    each stack, which puts the whole stack's defect on object wherever c is not zero
+    (the abelian structure's tables are zero, so no sum leaves int64)."""
+    huge = ConnectionSpec.gauduchon(Rat(1, 2 ** 70))
+    checked = 0
+    for label, alg, h, specs in itertools.islice(reference_grid("defect-stack"), 0, None, 3):
+        for stack, dtype in ((specs, np.int64), (specs + [huge], object)):
+            dtypes.clear()
+            torsion, defect = connection._defect_stack(
+                connection._plane_symbols(stack, h, alg, None)[1], alg.c)
+            want_dtype = np.int64 if alg.c.is_zero() else dtype
+            assert {d for t, d in dtypes if t == 324} == {want_dtype}, label
+            got = zip(tensors._tensors(3, *torsion), tensors._tensors(4, *defect))
+            for spec, pair in zip(stack, got, strict=True):
+                want = ref_defect(spec, h, alg)
+                assert [_numerators(t) for t in pair] == [_numerators(t) for t in want], \
+                    (label, spec.label())
+                assert all(_python_ints(t) for t in pair)
+                checked += 1
+    assert checked == 14 * (8 + 9)
 
 
 def _kernel_outputs(alg, h, specs):

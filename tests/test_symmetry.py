@@ -9,7 +9,6 @@ from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
     ConnectionSpec,
     CurvatureTensor,
-    christoffel_and_curvature,
     connection_plane,
     curvature_of,
     curvature_stack,
@@ -278,7 +277,7 @@ def _verdict_mismatches(alg, h, specs):
     on the spec's stored tensor, differ from the references, at every cap in CAPS;
     returns (mismatches, stack dtype, the stack's flat and Levi-Civita flags)."""
     z, dens = curvature_stack(specs, h, alg, connection_plane(h, alg))
-    curvs = [curv for _, curv in christoffel_and_curvature(specs, h, alg)]
+    curvs = list(map(CurvatureTensor, specs, tensors._tensors(4, z, dens)))
     bad = []
     for cap in CAPS:
         verdicts = stack_verdicts(specs, z, dens, witness_cap=cap)

@@ -113,7 +113,7 @@ def test_multi_point_scoreboard_bytes_are_pinned():
 def test_the_scoreboard_writes_no_symbol_or_curvature_lists(monkeypatch):
     """evaluate_case reads its verdicts off the stacked pass's arrays: it builds no
     ChristoffelTable and no curvature MultiTensor, so the kernel's one writer of
-    those lists is never called, while the list path still calls it."""
+    those lists is never called, while the one-spec list path still calls it."""
     calls = []
     write = connection._tensors
 
@@ -128,8 +128,35 @@ def test_the_scoreboard_writes_no_symbol_or_curvature_lists(monkeypatch):
     assert calls == []
     struct, params = verify._point_for(THEOREM_CASES[0], plan.rng_for("list path"))
     alg, h = verify.instantiate(struct), metric.build_metric(params)
-    connection.christoffel_and_curvature([connection.ConnectionSpec.preset("chern")], h, alg)
+    connection.curvature(connection.christoffel(connection.ConnectionSpec.preset("chern"), h, alg),
+                         h, alg)
     assert sorted(calls) == [3, 3, 4]
+
+
+def test_the_sweep_writes_no_lists_and_runs_two_operators_per_point(monkeypatch):
+    """structural_sweep tests its identities as masks on the stacked pass's arrays and
+    rebuilds the Bianchi defect's symbols as one more stack: no symbol, curvature or
+    defect list is written, and each point makes two curvature operator calls, the
+    pass's on the lowered symbols and the defect's on the raised ones, each over
+    all of the point's connections."""
+    calls, operators = [], []
+    write, operator = connection._tensors, connection._operator
+
+    def spy(*args):
+        calls.append(args[0])
+        return write(*args)
+
+    def counted(gamma, c, x):
+        operators.append(len(gamma[1]))
+        return operator(gamma, c, x)
+
+    monkeypatch.setattr(connection, "_tensors", spy)
+    monkeypatch.setattr(connection, "_operator", counted)
+    rows = structural_sweep(SamplePlan(seed=0), 1, 1)
+    assert calls == []
+    points, specs = len(verify._SWEEP_STRUCTURES), len(connection.PRESETS) + 1
+    assert operators == [specs] * (2 * points)
+    assert rows and all(r.passed for r in rows)
 
 
 # R[1,2,1b,2b], a type-condition entry, and R[1,1b,2,1b], one side of the B pair
@@ -304,8 +331,8 @@ def test_structural_failures_name_a_nonzero_entry(monkeypatch):
 
 def test_each_point_builds_its_connection_plane_once(monkeypatch):
     """The scoreboard and the sweep build T, C and the c.g table once per point for
-    classify_metric and every christoffel there; the Bianchi defect, counted apart,
-    still rebuilds its connection on each call."""
+    classify_metric and every connection there; the Bianchi defect, counted apart,
+    still rebuilds its connections without the plane, once per point."""
     counts = collections.Counter()
     in_defect = [False]
 
@@ -315,7 +342,7 @@ def test_each_point_builds_its_connection_plane_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    forms, defect = metric.torsion_forms, verify.torsion_and_bianchi_defect
+    forms, rebuild = metric.torsion_forms, verify._plane_symbols
     monkeypatch.setattr(metric, "torsion_forms", counted("forms", forms))
     monkeypatch.setattr(connection, "torsion_forms", counted("forms", forms))
     monkeypatch.setattr(connection, "_lc_sum", counted("lc", connection._lc_sum))
@@ -325,20 +352,21 @@ def test_each_point_builds_its_connection_plane_once(monkeypatch):
     assert points == 50
     assert counts == {("forms", False): points, ("lc", False): points}
 
-    def flagged(*args):
+    def flagged(specs, h, alg, plane):
+        assert plane is None
         in_defect[0] = True
         try:
-            return defect(*args)
+            return rebuild(specs, h, alg, plane)
         finally:
             in_defect[0] = False
 
-    monkeypatch.setattr(verify, "torsion_and_bianchi_defect", flagged)
+    monkeypatch.setattr(verify, "_plane_symbols", flagged)
     counts.clear()
     structural_sweep(SamplePlan(seed=0), metrics_per_structure=1, random_gauduchon=1)
-    points, specs = len(verify._SWEEP_STRUCTURES), len(connection.PRESETS) + 1
-    # one defect per connection, and every connection but the Levi-Civita needs (T, C)
+    points = len(verify._SWEEP_STRUCTURES)
+    # one rebuild of every connection of the point for the defect, which needs (T, C)
     assert counts == {("forms", False): points, ("lc", False): points,
-                      ("lc", True): points * specs, ("forms", True): points * (specs - 1)}
+                      ("lc", True): points, ("forms", True): points}
 
 
 def test_the_scoreboard_runs_one_operator_per_point(monkeypatch):
@@ -367,15 +395,15 @@ def test_appendix_builds_each_point_once(monkeypatch):
     def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
-            if name == "christoffel_and_curvature":
+            if name == "curvature_stack":
                 counts["curvature"] += len(args[0])
             return fn(*args)
         return wrapper
 
     for module, name in ((goldens, "build_metric"), (connection, "torsion_forms"),
-                         (goldens, "christoffel_and_curvature")):
+                         (goldens, "curvature_stack")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rows = verify.appendix_suite(SamplePlan(seed=0, points_per_case=2), draws=2)
     assert counts == {"build_metric": 10, "torsion_forms": 10,
-                      "christoffel_and_curvature": 10, "curvature": 34}
+                      "curvature_stack": 10, "curvature": 34}
     assert rows and all(ok for *_, ok in rows)
