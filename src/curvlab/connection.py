@@ -47,11 +47,11 @@ reads its cyclic rows off the raised operator's half, R(k,i)h = -R(i,k)h.
 The flow's exact Ricci traces the symbols directly and builds no operator.
 The Riemannian Ricci ric_lc keeps the standard orientation, so the Ricci flow
 has its usual sign.  All of it, the Ricci traces too, runs on the one
-Gaussian-integer kernel of tensors.py: it reads the numerators MultiTensor
-stores into numpy arrays, evaluates each stage as integer matrix products and
-index gathers, on int64 where the bit lengths of its inputs prove every sum
-exact and on Python ints (dtype object) otherwise, and writes Python-int
-numerators back.
+Gaussian-integer kernel of tensors.py: it reads the numerator arrays
+MultiTensor stores, evaluates each stage as integer matrix products and index
+gathers, on int64 where the bit lengths of its inputs prove every sum exact and
+on Python ints (dtype object) otherwise, and hands back tensors that store its
+output arrays, so the one-spec path writes no list either.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from operator import floordiv, mul
 
@@ -164,13 +165,19 @@ class ConnectionSpec:
             return cls.gauduchon(fields["eps"])
         return cls(fields["eps"], fields["rho"])
 
-    @property
+    # the predicates are computed once per spec, into the instance dict (which a
+    # frozen dataclass allows); equality and hashing read the fields alone
+    @cached_property
     def is_gauduchon(self) -> bool:
         return self.eps + self.rho == _HALF
 
-    @property
+    @cached_property
     def is_lc(self) -> bool:
         return self.eps == 0 and self.rho == 0
+
+    def __getstate__(self):
+        """The fields alone, so a spec pickles the same whether or not a predicate was read."""
+        return {"eps": self.eps, "rho": self.rho, "name": self.name}
 
     def label(self) -> str:
         if self.name:

@@ -30,14 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+import numpy as np
+
 from .algebra import LieAlgebraCx, d_is_zero, exterior_d
 from .scalars import I, GaussianRational, Rat, gr, rat_from_str
 from .tensors import (
     DIM,
     MultiTensor,
+    _array,
     _arrays,
     _cmatmul,
     _dtype,
+    _tensor,
     all_indices,
     inverse,
     is_barred,
@@ -178,10 +182,11 @@ def build_metric(p: MetricParams) -> HermitianData:
     return HermitianData(p, g, inverse(g), omega, GaussianRational(Rat(_determinant(c), d ** 3)))
 
 
-# the sign s in T = s i d(omega) and in C = s i d(omega), per flat offset (i0, i1, i2)
-_T_SIGNS = [1 if is_barred(i0) ^ is_barred(i1) ^ is_barred(i2) else -1
-            for i0, i1, i2 in all_indices(3)]
-_C_SIGNS = [1 if is_barred(i0) else -1 for i0, _, _ in all_indices(3)]
+# the sign s in T = s i d(omega) (row 0) and in C = s i d(omega) (row 1), per flat
+# offset (i0, i1, i2)
+_SIGNS = np.array([[1 if is_barred(i0) ^ is_barred(i1) ^ is_barred(i2) else -1
+                    for i0, i1, i2 in all_indices(3)],
+                   [1 if is_barred(i0) else -1 for i0, _, _ in all_indices(3)]])
 
 
 def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
@@ -193,10 +198,12 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
     T = s_0 s_1 s_2 * i d(omega) and C = s_0 * i d(omega): a swap of parts, up to sign.
     """
     domega = exterior_d(h.omega, alg)
+    z = _array(domega)
+    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
+        z = z.astype(object)  # the one int64 whose negation is no int64
     # s i (a + b i) = -s b + s a i on the numerators, with the sign s of each entry
-    return tuple(MultiTensor.from_numerators(3, [-s * b for s, b in zip(signs, domega.im)],
-                                             [s * a for s, a in zip(signs, domega.re)], domega.den)
-                 for signs in (_T_SIGNS, _C_SIGNS))
+    iz = np.stack((-z[1], z[0]))
+    return tuple(_tensor(3, signs * iz, domega.den) for signs in _SIGNS)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ witnesses are the lexicographically first hits; a GaussianRational value is
 built, from Python ints, only for a witness.  stack_verdicts gives every
 verdict of a stack at once (the scoreboard's path); kahler_like_check,
 flatness_check and gray_check_lc are the one-spec stacks of one stored
-CurvatureTensor, gathered from its numerator lists at the offsets they read.
+CurvatureTensor, read off its stored numerator array as stack_verdicts reads a
+stack, with no list built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .tensors import (
     INDICES,
     UNBARRED,
     _first_hits,
-    _numerators,
     _stack,
     all_indices,
     index_name,
@@ -103,12 +102,6 @@ _B_SWAP = np.array([27 * k + 9 * j + 3 * i + l for i, j, k, l in _B_INDICES])
 _TYPE_WITNESS = tuple(idx for _, idx in _TYPE_CONDITION)
 _B_WITNESS = tuple((i, j + 3, k, l + 3) for i, j, k, l in _B_INDICES)
 _KL_TAKE, _GRAY_TAKE = np.array(_KL_AT), np.array(_GRAY_OFFSETS)
-_KL_GET, _GRAY_GET = itemgetter(*_KL_AT), itemgetter(*_GRAY_OFFSETS)
-
-
-def _gathered(r, get):
-    """The one-spec stack array (2, 1, n) of r's numerators at the n offsets get reads."""
-    return _numerators(((get(r.re),), (get(r.im),)))
 
 
 @dataclass(frozen=True)
@@ -160,10 +153,10 @@ def kahler_like_check(curv: CurvatureTensor, witness_cap: int = DEFAULT_WITNESS_
     Type residues collect nonzero R_{ij..} (first pair unbarred) and
     R_{..kl} (last pair unbarred); by the reality of R this also covers the
     conjugate blocks.  Bianchi residues collect nonzero B_{i jb k lb}.
-    The one-spec stack of _kahler_like, gathered from the numerator lists.
+    The one-spec stack of _kahler_like.
     """
-    r = curv.tensor
-    return _kahler_like(_gathered(r, _KL_GET), (r.den,), witness_cap)[0]
+    z, dens = _stack((curv.tensor,))
+    return _kahler_like(np.take(z, _KL_TAKE, axis=2), dens, witness_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -196,12 +189,12 @@ def gray_check_lc(curv: CurvatureTensor) -> bool:
 
     Checks R(X, Y, Zb, Wb) = R(X, Y, Z, Wb) = 0 over (1,0)-frame vectors.
     Only meaningful for the torsion-free connection; rejects other specs.
-    The one-spec stack of _gray, gathered from the numerator lists.
+    The one-spec stack of _gray.
     """
     spec = curv.spec
-    if not (spec.eps == 0 and spec.rho == 0):
+    if not spec.is_lc:
         raise ValueError(f"gray check applies to the Levi-Civita connection, got {spec.label()}")
-    return _gray(_gathered(curv.tensor, _GRAY_GET))[0]
+    return _gray(np.take(_stack((curv.tensor,))[0], _GRAY_TAKE, axis=2))[0]
 
 
 def stack_verdicts(specs, z, dens, witness_cap: int):

@@ -3,7 +3,9 @@
 Frame indices run over {1, 2, 3, 1b, 2b, 3b}, encoded internally as 0..5
 with bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the
 format of the exact kernel: Gaussian-integer numerators over one positive
-common denominator (see MultiTensor); GaussianRational values appear only
+common denominator, kept as the kernel's numpy array when the kernel wrote the
+tensor and as Python-int lists when a caller did (see MultiTensor), so no
+stage turns an array into lists and back; GaussianRational values appear only
 when entries are read.  This is the one module that turns GaussianRational
 values into numerators and back (numerator_value reads one entry).  It holds
 the one exact matrix inverse (one fraction-free elimination, run on the 3x3
@@ -16,7 +18,7 @@ index arithmetic of the hot loops is done once, at import: all_indices hands out
 one stored tuple per rank up to 4, and offset_table builds the tables of
 permuted and conjugated offsets the structural checks read.
 Values are treated as immutable once built: the constructors hand out fresh
-storage and no public operation mutates its arguments.
+lists or read-only arrays, and no public operation mutates its arguments.
 """
 
 from __future__ import annotations
@@ -70,14 +72,20 @@ def numerator_value(a: int, b: int, den: int) -> GaussianRational:
 class MultiTensor:
     """Dense tensor of the given rank with Gaussian-rational entries.
 
-    The storage is the exact kernel's format: flat lists ``re`` and ``im`` of
-    Python-int numerators over one positive common denominator ``den``, so the
-    entry at flat offset n (the index tuple read in base 6) is
-    (re[n] + im[n] i) / den.  A GaussianRational value is built, through
-    Rat(num, den), only for an entry that ``[]`` or ``nonzero()`` returns.
+    The storage is the exact kernel's format: Gaussian-integer numerators over
+    one positive common denominator ``den``, so the entry at flat offset n (the
+    index tuple read in base 6) is (re[n] + im[n] i) / den.  A tensor the kernel
+    writes (_tensor) keeps the kernel's read-only array z = [re, im] of shape
+    (2, 6**rank), int64 when every numerator fits and object otherwise (see
+    _numerators); ``re`` and ``im`` are Python-int list views of it, built once by
+    .tolist() when a Python loop or a value read needs them, and read-only.  A
+    tensor built from lists (from_numerators, the value constructor) builds its
+    array once, on its first kernel read (_arrays); __setitem__, the one mutator,
+    writes the lists and drops the array.  A GaussianRational value is built,
+    through Rat(num, den), only for an entry that ``[]`` or ``nonzero()`` returns.
     """
 
-    __slots__ = ("rank", "re", "im", "den")
+    __slots__ = ("rank", "den", "_re", "_im", "_z", "_m")
 
     def __init__(self, rank: int, data=None):
         size = DIM ** rank
@@ -90,14 +98,28 @@ class MultiTensor:
             den = lcm(1, *(int(q.denominator) for v in data for q in (v.re, v.im)))
             re = [int(v.re.numerator) * (den // int(v.re.denominator)) for v in data]
             im = [int(v.im.numerator) * (den // int(v.im.denominator)) for v in data]
-        self.rank, self.re, self.im, self.den = rank, re, im, den
+        self.rank, self.den, self._re, self._im, self._z, self._m = rank, den, re, im, None, None
 
     @classmethod
     def from_numerators(cls, rank: int, re: list, im: list, den: int) -> "MultiTensor":
         """The tensor of entries (re[n] + im[n] i) / den; it takes ownership of the lists."""
         t = cls.__new__(cls)
-        t.rank, t.re, t.im, t.den = rank, re, im, den
+        t.rank, t.den, t._re, t._im, t._z, t._m = rank, den, re, im, None, None
         return t
+
+    @property
+    def re(self) -> list:
+        """The real numerators as a list of Python ints (a view: do not write it)."""
+        if self._re is None:
+            self._re, self._im = self._z.tolist()
+        return self._re
+
+    @property
+    def im(self) -> list:
+        """The imaginary numerators as a list of Python ints (a view: do not write it)."""
+        if self._im is None:
+            self._re, self._im = self._z.tolist()
+        return self._im
 
     def _offset(self, idx) -> int:
         if len(idx) != self.rank:
@@ -119,37 +141,49 @@ class MultiTensor:
         off = self._offset(idx)
         dr, di = int(value.re.denominator), int(value.im.denominator)
         den = lcm(self.den, dr, di)
+        re, im = self.re, self.im
         if den != self.den:
             f = den // self.den
-            self.re = [f * a for a in self.re]
-            self.im = [f * b for b in self.im]
+            re, im = [f * a for a in re], [f * b for b in im]
             self.den = den
-        self.re[off] = int(value.re.numerator) * (den // dr)
-        self.im[off] = int(value.im.numerator) * (den // di)
+        re[off] = int(value.re.numerator) * (den // dr)
+        im[off] = int(value.im.numerator) * (den // di)
+        self._re, self._im, self._z, self._m = re, im, None, None
 
     def reduced(self) -> "MultiTensor":
         """The same tensor with the common content of numerators and denominator divided out."""
-        g = gcd(self.den, *self.re, *self.im)
-        return MultiTensor.from_numerators(self.rank, [a // g for a in self.re],
-                                           [b // g for b in self.im], self.den // g)
+        if self._z is not None:
+            z, (den,) = _reduced_each(self._z[:, None], [self.den])
+            return _tensor(self.rank, z, den)
+        g = gcd(self.den, *self._re, *self._im)
+        return MultiTensor.from_numerators(self.rank, [a // g for a in self._re],
+                                           [b // g for b in self._im], self.den // g)
 
     def copy(self) -> "MultiTensor":
+        """A tensor of fresh lists: writes to its ``re`` and ``im`` are its own."""
         return MultiTensor.from_numerators(self.rank, self.re[:], self.im[:], self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.re) and not any(self.im)
+        if self._z is not None:
+            return not self._z.any()
+        return not any(self._re) and not any(self._im)
 
     def nonzero_offsets(self):
         """Yield (flat offset, index tuple) for every nonzero entry, lexicographically; no values."""
-        re, im = self.re, self.im
-        for n, idx in enumerate(all_indices(self.rank)):
-            if re[n] or im[n]:
-                yield n, idx
+        idx = all_indices(self.rank)
+        if self._z is not None:
+            for n in np.flatnonzero(self._z.any(0)).tolist():
+                yield n, idx[n]
+            return
+        for n, (a, b) in enumerate(zip(self._re, self._im)):
+            if a or b:
+                yield n, idx[n]
 
     def nonzero(self):
         """Yield (index_tuple, value) for every nonzero entry, lexicographically."""
+        re, im = self.re, self.im
         for n, idx in self.nonzero_offsets():
-            yield idx, numerator_value(self.re[n], self.im[n], self.den)
+            yield idx, numerator_value(re[n], im[n], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, MultiTensor):
@@ -164,7 +198,7 @@ class MultiTensor:
                                            [-b for b in self.im], self.den)
 
     def __repr__(self):
-        nz = sum(1 for a, b in zip(self.re, self.im) if a or b)
+        nz = sum(1 for _ in self.nonzero_offsets())
         return f"<MultiTensor rank={self.rank} nonzero={nz}>"
 
 
@@ -282,14 +316,16 @@ def offset_table(rank: int, f) -> tuple:
 # -- the Gaussian-integer kernel ----------------------------------------------
 #
 # The kernel reads the numerators of MultiTensor (re[n] + im[n] i over one
-# positive den) into numpy arrays z = [re, im] of shape (2, 6, ..., 6),
-# evaluates each stage as integer matrix products and index gathers, and hands
-# MultiTensors back through .tolist(), so every stored numerator and den stays
-# a Python int.  Each call picks one dtype for its products (_dtype): np.int64
-# when the bit lengths of its inputs prove that no sum can leave the int64
-# range, and object (numpy running the same expressions on Python ints)
-# otherwise.  Every output is exact either way, so the two dtypes give the same
-# numbers (docs/conventions.md lists every call site).
+# positive den) as numpy arrays z = [re, im] of shape (2, 6, ..., 6), each
+# tensor's stored array (_arrays), evaluates each stage as integer matrix
+# products and index gathers, and hands back MultiTensors that store its output
+# arrays (_tensor).  No stage writes a list: a numerator becomes a Python int
+# (.tolist()) only where a Python loop or a value read asks for the lists, and
+# every den is a Python int.  Each call picks one dtype for its products
+# (_dtype): np.int64 when the bit lengths of its inputs prove that no sum can
+# leave the int64 range, and object (numpy running the same expressions on
+# Python ints) otherwise.  Every output is exact either way, so the two dtypes
+# give the same numbers (docs/conventions.md lists every call site).
 
 # the bound: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
 # to spare, so a partial sum, its negation and the difference of two of them fit
@@ -309,19 +345,30 @@ def _maxabs(z):
 
 
 def _numerators(parts):
-    """The array of numerator lists parts = (re, im) or (re_parts, im_parts), with
-    their nesting as its shape: int64 when every numerator fits and object
-    otherwise.  The one reader of numerator lists into the kernel's arrays."""
+    """The numerators parts, lists (re, im) or an array, as an array of their shape:
+    int64 when every numerator fits and object otherwise, and an int64 array as it
+    is.  The one owner of that choice for the arrays MultiTensor stores."""
     try:
-        return np.array(parts, np.int64)
+        return np.asarray(parts, np.int64)
     except OverflowError:
-        return np.array(parts, object)
+        return np.asarray(parts, object)
+
+
+def _array(t):
+    """t's stored numerator array z = [re, im] (see MultiTensor), built from its lists
+    on the first read."""
+    if t._z is None:
+        t._z = _numerators((t._re, t._im))
+        t._z.setflags(write=False)
+    return t._z
 
 
 def _arrays(t):
-    """(z, m): t's numerators as z = [re, im] (see _numerators), and m = _maxabs(z)."""
-    z = _numerators((t.re, t.im))
-    return z, _maxabs(z)
+    """(z, m): t's stored numerator array (see _array), and m = _maxabs(z), computed once."""
+    z = _array(t)
+    if t._m is None:
+        t._m = _maxabs(z)
+    return z, t._m
 
 
 def _cmatmul(a, b):
@@ -336,9 +383,12 @@ def _cmatmul(a, b):
 
 
 def _tensor(rank, z, den):
-    """The MultiTensor of the numerators z = [re, im] over den, as Python ints."""
-    re, im = z.reshape(2, -1).tolist()
-    return MultiTensor.from_numerators(rank, re, im, den)
+    """The MultiTensor of the numerators z = [re, im] over den, which stores z (as an
+    int64 array when every numerator fits) read-only and writes no list."""
+    t = MultiTensor.from_numerators(rank, None, None, den)
+    t._z = _numerators(z.reshape(2, -1))
+    t._z.setflags(write=False)
+    return t
 
 
 # A stack is (z, dens): the numerators of S tensors along a spec axis, z of shape
@@ -348,8 +398,10 @@ def _tensor(rank, z, den):
 # over the stack's specs.
 
 def _stack(ts):
-    """The stack of the tensors ts (see _numerators)."""
-    return _numerators(([t.re for t in ts], [t.im for t in ts])), [t.den for t in ts]
+    """The stack of the tensors ts, their stored arrays along a spec axis (object when
+    any of them is); one tensor's stack is a read-only view of its array."""
+    zs = [_array(t) for t in ts]
+    return (zs[0][:, None] if len(zs) == 1 else np.stack(zs, axis=1)), [t.den for t in ts]
 
 
 def _maxabs_each(z):
@@ -389,6 +441,5 @@ def _first_hits(hits, z, dens, labels):
 
 
 def _tensors(rank, z, dens):
-    """The MultiTensors of the stack (z, dens), as Python ints."""
-    re, im = z.tolist()
-    return [MultiTensor.from_numerators(rank, r, i, d) for r, i, d in zip(re, im, dens)]
+    """The MultiTensors of the stack (z, dens), each storing its spec's array (see _tensor)."""
+    return [_tensor(rank, z[:, s], d) for s, d in enumerate(dens)]

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from math import lcm
 
@@ -27,9 +29,11 @@ from curvlab.tensors import (
     all_indices,
     bar,
     contract,
+    flat_offset,
     identity_tensor,
     inverse,
     is_barred,
+    numerator_value,
 )
 
 from conftest import rand_metric
@@ -62,6 +66,26 @@ def test_gauduchon_line():
         assert spec.eps + spec.rho == Rat(1, 2)
     assert ConnectionSpec.gauduchon(0).name == "chern"
     assert ConnectionSpec.gauduchon(Rat(1, 2)).name == "bismut"
+
+
+def test_spec_predicates_are_computed_once_and_pickle_as_before():
+    """is_gauduchon and is_lc are cached on the frozen spec: their values are the
+    Fraction tests, a second read does not recompute them, and equality, hashing and
+    the pickled bytes do not depend on whether they were read."""
+    specs = [ConnectionSpec.preset(name) for name in PRESETS]
+    specs += [ConnectionSpec.gauduchon(Rat(-3, 7)), ConnectionSpec(Rat(1, 3), Rat(1, 3))]
+    for spec in specs:
+        twin = ConnectionSpec(spec.eps, spec.rho, spec.name)
+        pickled = pickle.dumps(twin)
+        assert spec.is_gauduchon == (spec.eps + spec.rho == Rat(1, 2))
+        assert spec.is_lc == (spec.eps == 0 and spec.rho == 0)
+        assert {"is_gauduchon", "is_lc"} <= set(vars(spec))
+        assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+        assert pickle.dumps(spec) == pickled
+        back = pickle.loads(pickled)
+        assert back == spec and (back.is_gauduchon, back.is_lc) == (spec.is_gauduchon, spec.is_lc)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.eps = Rat(0)
 
 
 def test_spec_parse():
@@ -919,6 +943,82 @@ def test_numerator_arrays_take_object_beyond_int64():
             z = tensors._numerators(parts)
             assert z.dtype == dtype and z.shape == (2, 2, 3)
             assert z.tolist() == list(parts)
+
+
+def test_a_copy_owns_its_lists_and_its_array():
+    """After copy(), a write to the copy's re (as _bumped makes) is what _arrays reads
+    of the copy, and the kernel-written original keeps its stored array and values."""
+    h = build_metric(MetricParams.make(r2=2, s2=3, t2=1, u="1/5*i"))
+    t = curvature_of(ConnectionSpec.gauduchon(Rat(2, 7)), h, IWASAWA).tensor
+    z0 = tensors._arrays(t)[0].copy()
+    n = next(n for n, _ in t.nonzero_offsets())
+    bumped = _bumped(t, n)
+    z, m = tensors._arrays(bumped)
+    assert z[0, n] == z0[0, n] + 1 and m == tensors._maxabs(z)
+    assert (np.delete(z, n, axis=1) == np.delete(z0, n, axis=1)).all() and z[1, n] == z0[1, n]
+    assert (tensors._arrays(t)[0] == z0).all() and t.re[n] == int(z0[0, n])
+
+
+def test_a_write_after_a_kernel_read_is_what_the_next_read_sees():
+    """__setitem__ drops the stored array: the next _arrays read, and its max |entry|,
+    hold the written entry, on a list-born tensor and on a kernel-written one."""
+    t = MultiTensor(2)
+    z, m = tensors._arrays(t)
+    assert not z.any() and m == 0
+    t[0, 3] = gr("1/2+i")
+    z, m = tensors._arrays(t)
+    assert (z[:, 3].tolist(), t.den, m) == ([1, 2], 2, 2)
+    h = build_metric(MetricParams.make(r2=2, s2=3, t2=1, u="1/5*i"))
+    prod = contract(h.g, h.g_inv, 1, 0)
+    tensors._arrays(prod)
+    prod[1, 2] = gr("7/3")
+    z, m = tensors._arrays(prod)
+    assert prod[1, 2] == gr("7/3") and prod[0, 0] == gr(1) and m == tensors._maxabs(z)
+    assert numerator_value(*z[:, 8].tolist(), prod.den) == gr("7/3")
+
+
+def test_a_stored_array_rejects_an_in_place_write():
+    """Every stored array is read-only, so no caller that holds it, and no view of it,
+    can change a tensor."""
+    h = build_metric(MetricParams.make(r2=2, s2=3, t2=1, u="1/5*i"))
+    t = curvature_of(ConnectionSpec.preset("chern"), h, IWASAWA).tensor
+    for tensor in (t, h.g, MultiTensor(1)):
+        z, _ = tensors._arrays(tensor)
+        with pytest.raises(ValueError):
+            z[0, 0] = 1
+        with pytest.raises(ValueError):
+            z[:, :1] += 1
+    before = tensors._arrays(t)[0].copy()
+    stack, _ = tensors._stack((t, t))
+    stack[0, 0] += 1  # a stack is a copy of its tensors' arrays
+    assert (tensors._arrays(t)[0] == before).all()
+
+
+def test_torsion_forms_stay_exact_at_the_int64_edge(monkeypatch):
+    """A d(omega) numerator of -2^63, whose negation int64 cannot hold, goes to object:
+    T = -d(omega)(Jx, Jy, Jz) and C = d(omega)(Jx, y, z) keep their exact values."""
+    edge = -2 ** 63
+    re, im = [0] * 216, [0] * 216
+    re[flat_offset((0, 1, 5))], im[flat_offset((0, 1, 5))] = edge, 3
+    re[flat_offset((3, 4, 2))], im[flat_offset((3, 4, 2))] = 5, edge
+    domega = MultiTensor.from_numerators(3, re, im, 7)
+    assert tensors._arrays(domega)[0].dtype == np.int64
+    monkeypatch.setattr(metric, "exterior_d", lambda omega, alg: domega)
+    h = build_metric(MetricParams.make())
+    t, c = metric.torsion_forms(h, IWASAWA)
+    j = metric.j_factor
+    for idx in all_indices(3):
+        value = domega[idx]
+        assert t[idx] == -j(idx[0]) * j(idx[1]) * j(idx[2]) * value, idx
+        assert c[idx] == j(idx[0]) * value, idx
+    dtypes = []
+    for form in (t, c):
+        nums = (*form.re, *form.im)
+        assert form.den == 7 and all(type(a) is int for a in nums)
+        # the _numerators rule: int64 where -2^63 is the extreme, object where 2^63 is
+        dtypes.append(tensors._arrays(form)[0].dtype)
+        assert dtypes[-1] == (object if max(nums) == 2 ** 63 else np.int64)
+    assert object in dtypes
 
 
 def test_zero_tables_take_scale_factors_beyond_int64():

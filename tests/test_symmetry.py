@@ -9,9 +9,14 @@ from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
     ConnectionSpec,
     CurvatureTensor,
+    christoffel,
     connection_plane,
+    curvature,
     curvature_of,
     curvature_stack,
+    curvature_symmetry_failures,
+    nabla_g_failures,
+    ricci_and_scalar,
 )
 from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import GaussianRational, Rat, gr
@@ -225,6 +230,27 @@ def test_verdicts_build_values_only_for_witnesses(rng, monkeypatch):
     assert report.bianchi_residues == tuple(b_res[:100])
     assert (report.n_type_nonzero, report.n_bianchi_nonzero) == (len(type_res), len(b_res))
     assert flat.witness == next(iter(r.nonzero()))
+
+
+def test_the_one_spec_path_writes_no_lists(rng):
+    """The one-spec path of check-kl at a non-preset eps, and the one-spec checks after it,
+    read the arrays the kernel stored: neither the curvature nor the symbol table
+    builds its Python-int list view."""
+    alg = instantiate(FamilySpec.make("Ni", rho=1, **{"lambda": Rat(1, 2)}, D="1/3+1/2*i"))
+    h = build_metric(rand_metric(rng))
+    spec = ConnectionSpec.gauduchon(Rat(2, 7))
+    assert spec.name is None
+    table = christoffel(spec, h, alg)
+    curv = curvature(table, h, alg)
+    kahler_like_check(curv)
+    flatness_check(curv)
+    ricci_and_scalar(curv, h)
+    assert curvature_symmetry_failures(curv) == [] and nabla_g_failures(table) == []
+    for t in (curv.tensor, table.gamma, table.lowered):
+        assert t._re is None and t._im is None
+        assert isinstance(t._z, np.ndarray) and not t._z.flags.writeable
+    # a value read builds the lists once, and they are the stored numerators
+    assert curv.tensor.re == curv.tensor._z[0].tolist() and curv.tensor._re is not None
 
 
 # -- the list-loop references of the verdicts -------------------------------------
