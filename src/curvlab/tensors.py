@@ -75,9 +75,11 @@ class MultiTensor:
     The storage is the exact kernel's format: Gaussian-integer numerators over
     one positive common denominator ``den``, so the entry at flat offset n (the
     index tuple read in base 6) is (re[n] + im[n] i) / den.  A tensor the kernel
-    writes (_tensor) keeps the kernel's read-only array z = [re, im] of shape
-    (2, 6**rank), int64 when every numerator fits and object otherwise (see
-    _numerators); ``re`` and ``im`` are Python-int list views of it, built once by
+    writes (_tensor) keeps the kernel's array z = [re, im] of shape (2, 6**rank),
+    int64 when every numerator fits and object otherwise (see _numerators), as a
+    read-only view that may share memory with the kernel's own output: the kernel
+    writes no array after _tensor has it, and the flag stops writes through the
+    tensor.  ``re`` and ``im`` are Python-int list views of z, built once by
     .tolist() when a Python loop or a value read needs them, and read-only.  A
     tensor built from lists (from_numerators, the value constructor) builds its
     array once, on its first kernel read (_arrays); __setitem__, the one mutator,
@@ -152,32 +154,24 @@ class MultiTensor:
 
     def reduced(self) -> "MultiTensor":
         """The same tensor with the common content of numerators and denominator divided out."""
-        if self._z is not None:
-            z, (den,) = _reduced_each(self._z[:, None], [self.den])
-            return _tensor(self.rank, z, den)
-        g = gcd(self.den, *self._re, *self._im)
-        return MultiTensor.from_numerators(self.rank, [a // g for a in self._re],
-                                           [b // g for b in self._im], self.den // g)
+        re, im = self.re, self.im
+        g = gcd(self.den, *re, *im)
+        return MultiTensor.from_numerators(self.rank, [a // g for a in re],
+                                           [b // g for b in im], self.den // g)
 
     def copy(self) -> "MultiTensor":
-        """A tensor of fresh lists: writes to its ``re`` and ``im`` are its own."""
+        """A tensor of fresh lists: writes to its ``re`` and ``im``, made before its
+        first kernel read, are its own."""
         return MultiTensor.from_numerators(self.rank, self.re[:], self.im[:], self.den)
 
     def is_zero(self) -> bool:
-        if self._z is not None:
-            return not self._z.any()
-        return not any(self._re) and not any(self._im)
+        return not _array(self).any()
 
     def nonzero_offsets(self):
         """Yield (flat offset, index tuple) for every nonzero entry, lexicographically; no values."""
         idx = all_indices(self.rank)
-        if self._z is not None:
-            for n in np.flatnonzero(self._z.any(0)).tolist():
-                yield n, idx[n]
-            return
-        for n, (a, b) in enumerate(zip(self._re, self._im)):
-            if a or b:
-                yield n, idx[n]
+        for n in np.flatnonzero(_array(self).any(0)).tolist():
+            yield n, idx[n]
 
     def nonzero(self):
         """Yield (index_tuple, value) for every nonzero entry, lexicographically."""
@@ -384,7 +378,9 @@ def _cmatmul(a, b):
 
 def _tensor(rank, z, den):
     """The MultiTensor of the numerators z = [re, im] over den, which stores z (as an
-    int64 array when every numerator fits) read-only and writes no list."""
+    int64 array when every numerator fits) read-only and writes no list.  An int64 z
+    is stored as a view, not a copy, so the caller must not write to z, or to the
+    array it views, once _tensor has it; the read-only flag guards only the view."""
     t = MultiTensor.from_numerators(rank, None, None, den)
     t._z = _numerators(z.reshape(2, -1))
     t._z.setflags(write=False)

@@ -978,8 +978,10 @@ def test_a_write_after_a_kernel_read_is_what_the_next_read_sees():
 
 
 def test_a_stored_array_rejects_an_in_place_write():
-    """Every stored array is read-only, so no caller that holds it, and no view of it,
-    can change a tensor."""
+    """Every stored array is read-only, so no caller that reads it (through _arrays or
+    a one-tensor stack) can change a tensor by writing to it.  A kernel-written
+    tensor's array may view the kernel's own output, which the kernel does not write
+    after _tensor has it; the flag does not guard that array."""
     h = build_metric(MetricParams.make(r2=2, s2=3, t2=1, u="1/5*i"))
     t = curvature_of(ConnectionSpec.preset("chern"), h, IWASAWA).tensor
     for tensor in (t, h.g, MultiTensor(1)):
