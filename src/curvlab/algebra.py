@@ -5,24 +5,35 @@ phi_1b, phi_2b, phi_3b) as c[I][H][K] with [phi_I, phi_H] = c_{IH}^K phi_K.
 Invariant k-forms are fully skew rank-k tensors whose entries are the
 honest multilinear evaluations on frame vectors; wedges use the
 determinant convention, e.g. (a ^ b)(x, y) = a(x) b(y) - a(y) b(x).
+The differential and the skew, reality and Jacobi checks run on the exact
+kernel of curvlab.tensors: integer products and index gathers at offset
+tables, on the numerator arrays of c and of the form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm
+
+import numpy as np
 
 from .scalars import GaussianRational, gr
 from .tensors import (
     DIM,
     INDICES,
     MultiTensor,
+    _arrays,
+    _cmatmul,
+    _dtype,
+    _partner_hits,
+    _reduced_each,
+    _tensor,
     all_indices,
     bar,
     flat_offset,
     numerator_value,
-    offset_table,
 )
 
 __all__ = [
@@ -31,28 +42,20 @@ __all__ = [
     "ValidationReport",
     "validate_lie_algebra",
     "exterior_d",
-    "d_component",
     "d_is_zero",
 ]
 
 
 class LieAlgebraCx:
-    """Structure constants of a six-dimensional complexified Lie algebra.
+    """Structure constants of a six-dimensional complexified Lie algebra: the rank-3
+    tensor c, whose numerator array the differential and the checks read."""
 
-    The bracket rows are cached as sparse lists of numerators over c.den so
-    that the differential and the Jacobi check can skip zero terms.
-    """
-
-    __slots__ = ("c", "rows")
+    __slots__ = ("c",)
 
     def __init__(self, c: MultiTensor):
         if c.rank != 3:
             raise ValueError("structure constants must form a rank-3 tensor")
         self.c = c
-        # rows[I][H] = [(K, re, im), ...]: the nonzero c_{IH}^K = (re + im i) / c.den
-        self.rows = [[[] for _ in INDICES] for _ in INDICES]
-        for n, (i, h, k) in c.nonzero_offsets():
-            self.rows[i][h].append((k, c.re[n], c.im[n]))
 
     @classmethod
     def from_structure_constants(cls, entries: dict) -> "LieAlgebraCx":
@@ -111,117 +114,107 @@ class ValidationReport:
         return [ch for ch in self.checks if not ch.passed]
 
 
-# the flat offset of (bar I, bar H, bar K) at the flat offset of (I, H, K)
-_CONJUGATE = offset_table(3, lambda *idx: map(bar, idx))
+# per flat offset of c_{IH}^K: the offsets of c_{HI}^K, which a skew c holds as
+# -c_{IH}^K, and of c_{bar I bar H}^{bar K}, which a real c holds as its conjugate;
+# per (x, y, z) of the triples (I, H, K), (H, K, I) and (K, I, H), the row 6 x + y of
+# c (36 x 6) and the slot z of the Jacobiator's terms c_{xy}^a c_{az}^b; and the
+# strictly increasing triples
+_I, _H, _K = np.indices((DIM,) * 3).reshape(3, -1)
+_SWAP = 36 * _H + DIM * _I + _K
+_CONJUGATE = 36 * ((_I + 3) % DIM) + DIM * ((_H + 3) % DIM) + (_K + 3) % DIM
+_JACOBI_ROWS = np.stack((DIM * _I + _H, DIM * _H + _K, DIM * _K + _I), 1)
+_JACOBI_SLOTS = np.stack((_K, _I, _H), 1)
+_INCREASING = np.flatnonzero((_I < _H) & (_H < _K))
+
+
+def _check(name, hit, witness, residue, den):
+    """A failed ValidationCheck at witness, with the residue numerators over den, when
+    hit, else a passed one."""
+    if not hit:
+        return ValidationCheck(name, True)
+    return ValidationCheck(name, False, witness, numerator_value(*residue, den))
 
 
 def validate_lie_algebra(alg: LieAlgebraCx) -> ValidationReport:
     """Report skewness, reality, and Jacobi, each with a witness on failure.
 
-    The checks test numerators; a residue value is built only for a witness.
+    Each check is a mask over the numerator array of c; a residue value is built
+    only for a witness.  The skew witness is the first nonzero entry whose swap
+    partner is not its negation, the reality witness the first entry, zero or
+    not, whose conjugate partner is not its conjugate.
     """
     c = alg.c
-    re, im, den = c.re, c.im, c.den
+    z, m = _arrays(c)
     checks = []
-
-    witness = residue = None
-    for n, (i, h, k) in c.nonzero_offsets():
-        m = 36 * h + 6 * i + k
-        if re[m] != -re[n] or im[m] != -im[n]:
-            witness, residue = (i, h, k), numerator_value(re[m] + re[n], im[m] + im[n], den)
-            break
-    checks.append(ValidationCheck("skew", witness is None, witness, residue))
-
-    witness = residue = None
-    for n, (idx, m) in enumerate(zip(all_indices(3), _CONJUGATE)):
-        if re[m] != re[n] or im[m] != -im[n]:
-            witness, residue = idx, numerator_value(re[m] - re[n], im[m] + im[n], den)
-            break
-    checks.append(ValidationCheck("reality", witness is None, witness, residue))
+    for name, partners, (s, t), zeros in (("skew", _SWAP, (-1, -1), False),
+                                          ("reality", _CONJUGATE, (1, -1), True)):
+        hits = _partner_hits(z[:, None], partners[None], np.array([[s], [t]]), zeros).ravel()
+        n = int(hits.argmax())
+        (pa, pb), (a, b) = z[:, partners[n]].tolist(), z[:, n].tolist()
+        checks.append(_check(name, hits[n], all_indices(3)[n], (pa - s * a, pb - t * b), c.den))
 
     # the Jacobiator of a skew bracket is fully skew, so its first failure is at a
-    # strictly increasing triple; without skewness every triple is scanned
-    witness = residue = None
-    triples = itertools.combinations(INDICES, 3) if checks[0].passed else all_indices(3)
-    for i, h, k in triples:
-        if witness is not None:
-            break
-        for b in INDICES:
-            xr = xi = 0
-            for (x, y, z) in ((i, h, k), (h, k, i), (k, i, h)):
-                for a, vr, vi in alg.rows[x][y]:
-                    wr, wi = re[36 * a + 6 * z + b], im[36 * a + 6 * z + b]
-                    xr += vr * wr - vi * wi
-                    xi += vr * wi + vi * wr
-            if xr or xi:
-                witness, residue = (i, h, k, b), numerator_value(xr, xi, den * den)
-                break
-    checks.append(ValidationCheck("jacobi", witness is None, witness, residue))
-
+    # strictly increasing triple; without skewness every triple is scanned.  Per
+    # triple, its three rows c_{xy}^a times the 18 x 6 matrix of its c_{az}^b.
+    triples = _INCREASING if checks[0].passed else np.arange(DIM ** 3)
+    zc = z.astype(_dtype(2 * m.bit_length(), 36), copy=False)
+    rows = np.take(zc.reshape(2, 36, DIM), _JACOBI_ROWS[triples], axis=1)
+    cols = np.take(zc.reshape(2, DIM, DIM, DIM).swapaxes(1, 2), _JACOBI_SLOTS[triples], axis=1)
+    jac = _cmatmul(rows.reshape(2, -1, 1, 3 * DIM), cols.reshape(2, -1, 3 * DIM, DIM))
+    jac = jac.reshape(2, -1)
+    n = int(jac.any(0).argmax())
+    witness = all_indices(4)[DIM * triples[n // DIM] + n % DIM]
+    checks.append(_check("jacobi", jac[:, n].any(), witness, jac[:, n].tolist(), c.den ** 2))
     return ValidationReport(tuple(checks))
 
 
-def _perm_sign(perm) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+@functools.cache
+def _d_tables(n: int):
+    """(tuples, rows, rest, signs, fill), the tables of d on (n-1)-forms, built on the
+    first call per n.
 
-
-def _d_terms(idx: tuple):
-    """The terms (x, y, rest, sign) of d(alpha) at the tuple idx, one per pair of slots
-    p < q: x = idx[p], y = idx[q], rest the flat offset of idx without slots p and q, and
-    sign = (-1)^(p+q) (formula at exterior_d).
-
-    The one term enumeration of d: d_component reads it for its tuple, and exterior_d and
-    d_is_zero read it from the per-rank plan _D_PLANS, built from it at import.
+    tuples are the increasing n-tuples of frame indices in combinations order.  Per
+    tuple t and pair of slots p < q (the j-th in combinations order), rows[t, j] =
+    6 t_p + t_q and rest[t, j] is the offset of t without slots p, q; signs[j] =
+    (-1)^(p+q).  A skew n-form reads its entry at offset k from [sums, -sums, 0] at
+    fill[k]: its sorted tuple's sum, times the sign of the sorting, or 0.
     """
-    return tuple((idx[p], idx[q], flat_offset(idx[:p] + idx[p + 1:q] + idx[q + 1:]),
-                  -1 if (p + q) % 2 else 1)
-                 for p, q in itertools.combinations(range(len(idx)), 2))
+    tuples = tuple(itertools.combinations(INDICES, n))
+    pairs = tuple(itertools.combinations(range(n), 2))
+    shape = (len(tuples), len(pairs))
+    rows = np.array([[DIM * t[p] + t[q] for p, q in pairs] for t in tuples], np.intp)
+    rest = np.array([[flat_offset(t[:p] + t[p + 1:q] + t[q + 1:]) for p, q in pairs]
+                     for t in tuples], np.intp)
+    at, fill = {t: k for k, t in enumerate(tuples)}, []
+    for idx in all_indices(n):
+        odd = sum(a > b for a, b in itertools.combinations(idx, 2)) % 2
+        fill.append(at[tuple(sorted(idx))] + odd * len(tuples) if len(set(idx)) == n
+                    else 2 * len(tuples))
+    signs, fill = np.array([(-1) ** (p + q) for p, q in pairs], np.int64), np.array(fill, np.intp)
+    tables = rows.reshape(shape), rest.reshape(shape), signs, fill
+    for a in tables:  # every caller shares the cached arrays
+        a.setflags(write=False)
+    return (tuples, *tables)
 
 
-def _d_numerators(alpha: MultiTensor, alg: LieAlgebraCx, terms):
-    """(re, im) of d(alpha) at a tuple, from its _d_terms, over alpha.den * alg.c.den;
-    the one sum behind exterior_d, d_component and d_is_zero."""
-    are, aim, stride = alpha.re, alpha.im, DIM ** alpha.rank // DIM  # (a, rest) at a stride + rest
-    rows = alg.rows
-    xr = xi = 0
-    for x, y, rest, s in terms:
-        for a, cr, ci in rows[x][y]:
-            ar, ai = are[a * stride + rest], aim[a * stride + rest]
-            xr += s * (cr * ar - ci * ai)
-            xi += s * (cr * ai + ci * ar)
-    return xr, xi
+def _d_sums(alpha: MultiTensor, c: MultiTensor):
+    """(z, den): the numerators z (2, T) of d(alpha) at the T tuples of
+    _d_tables(alpha.rank + 1), over den = alpha.den c.den and unreduced.
 
-
-def _plan(n: int):
-    """One (terms, fills) per sorted n-tuple of distinct frame indices, in combinations
-    order: its d terms (_d_terms), and the (flat offset, sign) of each of its permutations,
-    where a skew n-form takes the sorted tuple's value times the sign."""
-    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(n))]
-    return tuple((_d_terms(idx), tuple((flat_offset([idx[q] for q in p]), sign)
-                                       for p, sign in perms))
-                 for idx in itertools.combinations(INDICES, n))
-
-
-# the plans of d(alpha) for alpha of rank 0-3; other ranks build theirs per call
-_D_PLANS = {n: _plan(n) for n in range(1, 5)}
-
-
-def _d_plan(n: int):
-    return _D_PLANS[n] if n in _D_PLANS else _plan(n)
+    By the formula at exterior_d, d(alpha) at a tuple is the sum over its pairs
+    p < q of the signed row c_{x_p x_q}^a times the column alpha_{a, rest}: two
+    gathers and one kernel product per tuple, 12 real products per pair.
+    """
+    tuples, rows, rest, signs, _ = _d_tables(alpha.rank + 1)
+    if not alpha.rank:  # a constant has d = 0
+        return np.zeros((2, len(tuples)), np.int64), alpha.den * c.den
+    (za, ma), (zc, mc) = _arrays(alpha), _arrays(c)
+    dtype = _dtype(ma.bit_length() + mc.bit_length(), 12 * len(signs))
+    zc = np.take(zc.astype(dtype, copy=False).reshape(2, 36, DIM), rows, axis=1)
+    za = np.take(za.astype(dtype, copy=False).reshape(2, DIM, -1).transpose(0, 2, 1), rest, axis=1)
+    shape = (2, len(tuples), 1, DIM * len(signs))  # per tuple: a row by a column
+    out = _cmatmul((zc * signs[:, None]).reshape(shape), za.reshape(shape).swapaxes(2, 3))
+    return out.reshape(2, -1), alpha.den * c.den
 
 
 def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
@@ -229,29 +222,18 @@ def exterior_d(alpha: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
 
     d(alpha)(x_0, ..., x_k) = sum over i < j of
     (-1)^(i+j) alpha([x_i, x_j], x_0, ..., without x_i, x_j, ..., x_k).
-    For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).  The result is skew,
-    so only sorted index tuples are evaluated, on numerators; the other entries
-    follow by the sign of the permutation.
+    For 1-forms this is d(alpha)(x, y) = -alpha([x, y]).  The result is skew, so
+    only increasing index tuples are evaluated (_d_sums); every entry is then read
+    from [sums, -sums, 0] at the fill table, so the output is skew for any input.
     """
     n = alpha.rank + 1
-    re, im = [0] * DIM ** n, [0] * DIM ** n
-    for terms, fills in _d_plan(n):
-        xr, xi = _d_numerators(alpha, alg, terms)
-        if xr or xi:
-            for off, sign in fills:
-                re[off], im[off] = sign * xr, sign * xi
-    return MultiTensor.from_numerators(n, re, im, alpha.den * alg.c.den).reduced()
-
-
-def d_component(alpha: MultiTensor, alg: LieAlgebraCx, idx: tuple) -> GaussianRational:
-    """Single component of exterior_d(alpha) at the given (rank+1)-tuple."""
-    if len(idx) != alpha.rank + 1 or not all(0 <= i < DIM for i in idx):
-        raise ValueError(f"expected a {alpha.rank + 1}-tuple of frame indices, got {idx}")
-    return numerator_value(*_d_numerators(alpha, alg, _d_terms(tuple(idx))),
-                           alpha.den * alg.c.den)
+    z, den = _d_sums(alpha, alg.c)
+    z, (den,) = _reduced_each(z[:, None], [den])
+    rows = np.concatenate((z[:, 0], -z[:, 0], np.zeros((2, 1), z.dtype)), axis=1)
+    return _tensor(n, np.take(rows, _d_tables(n)[-1], axis=1), den)
 
 
 def d_is_zero(alpha: MultiTensor, alg: LieAlgebraCx) -> bool:
-    """Whether d(alpha) vanishes; checks only sorted index tuples (enough by skewness)."""
-    return not any(any(_d_numerators(alpha, alg, terms))
-                   for terms, _ in _d_plan(alpha.rank + 1))
+    """Whether d(alpha) vanishes: a zero test of its sums at the increasing tuples
+    (enough by skewness)."""
+    return not _d_sums(alpha, alg.c)[0].any()

@@ -65,7 +65,7 @@ from operator import floordiv, mul
 
 import numpy as np
 
-from .algebra import LieAlgebraCx
+from .algebra import _SWAP, LieAlgebraCx, _d_tables
 from .metric import HermitianData, torsion_forms
 from .scalars import GaussianRational, Rat, rat_from_str
 from .tensors import (
@@ -77,6 +77,7 @@ from .tensors import (
     _dtype,
     _maxabs,
     _maxabs_each,
+    _partner_hits,
     _reduced_each,
     _scaled_each,
     _stack,
@@ -434,9 +435,6 @@ def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
                      _tensor(0, scal, den * g_inv.den)[()])
 
 
-# the flat offset of (H, I, K) at the flat offset of (I, H, K)
-_SWAP = offset_table(3, lambda i, hh, k: (hh, i, k))
-
 # per sorted triple (i, hh, k): the triple, the starts of its three rows R(i,hh)k,
 # R(hh,k)i and R(i,k)hh in the I < H half, and the (start, sign) of the defect's six
 # 6-entry blocks (x, y, z, .) over the permutations (x, y, z) of the triple
@@ -446,16 +444,15 @@ _TRIPLES = tuple(
            for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1))))
     for i, hh, k in itertools.combinations(INDICES, 3))
 
-# The tables above as numpy gathers over 6-entry rows: _SWAP as an index array; per
-# triple its three rows among the 90 of the half and its three cyclic blocks (the
-# permutations of sign +1) among the 216 of a rank-4 table; and per block of the
-# defect the row it copies from [sums] + [-sums] + [0] (20 sums, one per triple).
-_SWAP_AT = np.array(_SWAP)
+# The tables above as numpy gathers over 6-entry rows: per triple its three rows among
+# the 90 of the half and its three cyclic blocks (the permutations of sign +1) among
+# the 216 of a rank-4 table; and per block of the defect the row it copies from
+# [sums] + [-sums] + [0] (20 sums, one per triple), the fill table of a skew 3-form
+# that exterior_d reads.  The torsion's swap, the offset of (H, I, K) at the offset of
+# (I, H, K), is algebra._SWAP.
 _HALF_ROWS = np.array([[start // 6 for start in rows] for _, rows, _ in _TRIPLES])
 _CYCLIC = np.array([[base // 6 for base, s in fills if s > 0] for *_, fills in _TRIPLES])
-_FILL_ROW = {base // 6: t if s > 0 else 20 + t
-             for t, (*_, fills) in enumerate(_TRIPLES) for base, s in fills}
-_FILL = np.array([_FILL_ROW.get(n, 40) for n in range(216)])
+_FILL = _d_tables(3)[-1]
 # the factors of each cyclic block 36 x + 6 y + z: x and 6 y + z, 6 x + y and z
 _CX, _CYZ = np.divmod(_CYCLIC, 36)
 _CXY, _CZ = np.divmod(_CYCLIC, 6)
@@ -495,7 +492,7 @@ def _defect_stack(gamma, c):
     half = _scaled_each(half, fg, (half != 0).any((0, 2)).tolist(), dtype)
     half = np.take(half.reshape(2, -1, 90, DIM), _HALF_ROWS, axis=2)
     # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
-    zt = zg - np.take(zg, _SWAP_AT, axis=2) - zc
+    zt = zg - np.take(zg, _SWAP, axis=2) - zc
     # nabla_x (T(y,z))^a = T_{yz}^m Gamma_{xm}^a and T([x,y], z)^a = c_{xy}^m T_{mz}^a,
     # a row times a 6 x 6 matrix per cyclic block (x, y, z), gathered before the product
     zg3, zt3 = zg.reshape(2, -1, DIM, DIM, DIM), zt.reshape(2, -1, DIM, DIM, DIM)
@@ -535,16 +532,6 @@ _CURVATURE_SIGNS = np.array([[-1, -1, 1, 1], [-1, -1, -1, 1]])
 # nabla g: Gamma_{IH,L} = -Gamma_{IL,H}; nabla J: Gamma_{IH}^K = 0 for H, K of mixed type
 _NABLA_G_PARTNERS = np.array([offset_table(3, lambda i, hh, l: (i, l, hh))])
 _MIXED = np.array([is_barred(hh) != is_barred(k) for _, hh, k in all_indices(3)])
-
-
-def _partner_hits(z, partners, signs):
-    """The mask (S, n, k) of a stack array z (2, S, n): entry n of spec s is hit at j
-    when it is nonzero and partners[j, n] does not hold signs[:, j] times it."""
-    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
-        z = z.astype(object)  # the one int64 whose negation is no int64
-    image = z[:, :, None] * signs[:, None, :, None]  # (2, S, k, n), n innermost
-    hits = (np.take(z, partners, axis=2) != image).any(0) & (z != 0).any(0)[:, None]
-    return hits.transpose(0, 2, 1)
 
 
 def _curvature_hits(z, symm):

@@ -153,9 +153,12 @@ class MultiTensor:
         self._re, self._im, self._z, self._m = re, im, None, None
 
     def reduced(self) -> "MultiTensor":
-        """The same tensor with the common content of numerators and denominator divided out."""
+        """The same tensor with the common content of numerators and denominator divided
+        out, on fresh lists; a tensor already in lowest terms is copied undivided."""
         re, im = self.re, self.im
         g = gcd(self.den, *re, *im)
+        if g == 1:
+            return self.copy()
         return MultiTensor.from_numerators(self.rank, [a // g for a in re],
                                            [b // g for b in im], self.den // g)
 
@@ -434,6 +437,19 @@ def _first_hits(hits, z, dens, labels):
     k = hits.shape[1] // z.shape[2]
     return [(labels[m], numerator_value(*z[:, s, m // k].tolist(), dens[s])) if hit else None
             for s, (hit, m) in enumerate(zip(hits.any(1).tolist(), hits.argmax(1).tolist()))]
+
+
+def _partner_hits(z, partners, signs, zeros=False):
+    """The mask (S, n, k) of a stack array z (2, S, n): entry n of spec s is hit at j
+    when it is nonzero, or zeros is true, and partners[j, n] does not hold
+    signs[:, j] times it."""
+    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
+        z = z.astype(object)  # the one int64 whose negation is no int64
+    image = z[:, :, None] * signs[:, None, :, None]  # (2, S, k, n), n innermost
+    hits = (np.take(z, partners, axis=2) != image).any(0)
+    if not zeros:
+        hits &= (z != 0).any(0)[:, None]
+    return hits.transpose(0, 2, 1)
 
 
 def _tensors(rank, z, dens):

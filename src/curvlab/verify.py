@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import random
 from dataclasses import dataclass, field
 
-from .algebra import d_component, exterior_d, validate_lie_algebra
+from .algebra import _d_sums, _d_tables, exterior_d, validate_lie_algebra
 from .catalog import FamilySpec, family_info, instantiate
 # christoffel and curvature are not called here: bench/test_bench.py reads them off
 # this module to check that bench/tracing.py wraps every binding of a traced function
@@ -50,7 +49,7 @@ from .goldens import compare_components
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
 from .scalars import ZERO, GaussianRational, Rat, gr
 from .symmetry import FlatnessResult, KahlerLikeReport, stack_verdicts
-from .tensors import INDICES, _first_hits, all_indices, contract, index_name, numerator_value
+from .tensors import _first_hits, all_indices, contract, index_name, numerator_value
 
 __all__ = [
     "SamplePlan",
@@ -609,12 +608,11 @@ def _identity_witness(prod):
 
 def _d_witness(domega, alg):
     """The first nonzero component of d(d omega) over sorted index tuples, labelled,
-    or None when d(d omega) = 0; a zero component builds no value."""
-    for idx in itertools.combinations(INDICES, domega.rank + 1):
-        value = d_component(domega, alg, idx)
-        if not value.is_zero():
-            return f"d(d omega)[{','.join(index_name(i) for i in idx)}]", value
-    return None
+    or None when d(d omega) = 0: the kernel's sums at those tuples, where only a
+    witness builds a value."""
+    z, den = _d_sums(domega, alg.c)
+    hit = _first_hits(z.any(0)[None], z[:, None], [den], _d_tables(domega.rank + 1)[0])[0]
+    return hit and (f"d(d omega)[{','.join(map(index_name, hit[0]))}]", hit[1])
 
 
 def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int = 2,

@@ -2,21 +2,15 @@ import itertools
 
 import pytest
 
-from curvlab import algebra, verify
-from curvlab.algebra import (
-    LieAlgebraCx,
-    d_component,
-    d_is_zero,
-    exterior_d,
-    validate_lie_algebra,
-)
+from curvlab import algebra, tensors, verify
+from curvlab.algebra import LieAlgebraCx, d_is_zero, exterior_d, validate_lie_algebra
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.metric import build_metric
 from curvlab.scalars import ONE, ZERO, gr
 from curvlab.tensors import MultiTensor, all_indices, bar, flat_offset, numerator_value
 
 from conftest import rand_gauss, rand_metric
-from wedge_forms import wedge, wedge_component
+from wedge_forms import d_component, perm_sign, wedge, wedge_component
 
 
 TORUS = LieAlgebraCx.from_dphi({})
@@ -24,7 +18,7 @@ IWASAWA = LieAlgebraCx.from_dphi({2: {(0, 1): ONE}})
 
 
 def brute_force_jacobi(alg):
-    """Independent oracle: cyclic sum over all index combinations, no row caching."""
+    """Independent oracle: cyclic sum over all index combinations, in value arithmetic."""
     c = alg.c
     for i, h, k, b in all_indices(4):
         total = ZERO
@@ -37,7 +31,7 @@ def brute_force_jacobi(alg):
 
 
 def brute_force_d(alpha, alg, idx):
-    """Independent oracle: d(alpha) at one tuple in GaussianRational arithmetic, no row caching.
+    """Independent oracle: d(alpha) at one tuple in GaussianRational arithmetic.
 
     d(alpha)(x_0, ..., x_k) = sum over p < q of
     (-1)^(p+q) alpha([x_p, x_q], x_0, ..., without x_p, x_q, ..., x_k).
@@ -111,6 +105,100 @@ def test_reality_check_catches_missing_conjugate():
     i, h, k = reality.witness
     assert reality.residue == c[bar(i), bar(h), bar(k)] - c[i, h, k].conjugate()
     assert not reality.residue.is_zero()
+
+
+def brute_force_skew(c):
+    """Independent oracle: the first nonzero c_{IH}^K, lexicographically, with
+    c_{HI}^K != -c_{IH}^K, and c_{HI}^K + c_{IH}^K there; None when c is skew."""
+    for i, h, k in all_indices(3):
+        v = c[i, h, k]
+        if not v.is_zero() and c[h, i, k] != -v:
+            return (i, h, k), c[h, i, k] + v
+    return None
+
+
+def brute_force_reality(c):
+    """Independent oracle: the first c_{IH}^K, zero or not, with c_{bar I bar H}^{bar K}
+    != conj c_{IH}^K, and their difference there; None when c is real."""
+    for idx in all_indices(3):
+        partner = c[tuple(map(bar, idx))]
+        if partner != c[idx].conjugate():
+            return idx, partner - c[idx].conjugate()
+    return None
+
+
+def jacobiator(c, i, h, k, b):
+    """The cyclic sum of c_{xy}^a c_{az}^b over (x, y, z) = (i, h, k), (h, k, i), (k, i, h)."""
+    total = ZERO
+    for (x, y, z) in ((i, h, k), (h, k, i), (k, i, h)):
+        for a in range(6):
+            total = total + c[x, y, a] * c[a, z, b]
+    return total
+
+
+def assert_checks_match_brute_force(alg):
+    """Every check of validate_lie_algebra has the brute-force witness and residue."""
+    rep = {ch.name: ch for ch in validate_lie_algebra(alg).checks}
+    jac = brute_force_jacobi(alg)
+    want = {"skew": brute_force_skew(alg.c), "reality": brute_force_reality(alg.c),
+            "jacobi": jac and (jac, jacobiator(alg.c, *jac))}
+    for name, expected in want.items():
+        check = rep[name]
+        assert check.passed == (expected is None), name
+        assert (check.witness, check.residue) == (expected or (None, None)), name
+
+
+def test_jacobi_scans_every_triple_without_skewness(rng):
+    """On a non-skew c the Jacobi check takes its all-triples branch: its first failure,
+    at the non-increasing (1, 1, 2, 2) (0-based (0, 0, 1, 1)), is brute_force_jacobi's."""
+    c = MultiTensor(3)
+    c[1, 0, 1] = ONE
+    alg = LieAlgebraCx(c)
+    assert brute_force_jacobi(alg) == (0, 0, 1, 1)
+    assert_checks_match_brute_force(alg)
+    # and on a random non-skew, non-real c
+    for _ in range(3):
+        c = MultiTensor(3)
+        for _ in range(8):
+            c[tuple(rng.randrange(6) for _ in range(3))] = rand_gauss(rng)
+        assert_checks_match_brute_force(LieAlgebraCx(c))
+
+
+def test_reality_witness_is_the_first_offset_even_when_zero():
+    """Only c_{1b 2b}^{3b} and its skew partner are set: the first failing offset is
+    the zero entry (1, 2, 3), whose conjugate partner is nonzero."""
+    c = MultiTensor(3)
+    c[3, 4, 5] = gr("2+i")
+    c[4, 3, 5] = -gr("2+i")
+    alg = LieAlgebraCx(c)
+    reality = next(ch for ch in validate_lie_algebra(alg).checks if ch.name == "reality")
+    assert reality.witness == (0, 1, 2) and reality.residue == gr("2+i")
+    assert_checks_match_brute_force(alg)
+
+
+def test_checks_and_d_stay_exact_beyond_int64(rng):
+    """Numerators above 2^62 in c and in a 2-form: exterior_d, d_is_zero and every
+    check of validate_lie_algebra still equal the value-arithmetic references."""
+    big = 2 ** 70 + 3
+    alg = LieAlgebraCx.from_structure_constants({(0, 1, 2): gr(f"{big}/7"), (0, 2, 0): ONE,
+                                                 (1, 2, 4): gr(f"{big}*i")})
+    assert tensors._arrays(alg.c)[1].bit_length() > 62
+    assert_checks_match_brute_force(alg)
+    skewless = alg.c.copy()
+    skewless[1, 0, 2] = gr(big)
+    assert_checks_match_brute_force(LieAlgebraCx(skewless))
+    two = MultiTensor(2)
+    for i, j in itertools.combinations(range(6), 2):
+        v = rand_gauss(rng) * gr(big)
+        two[i, j] = v
+        two[j, i] = -v
+    assert tensors._arrays(two)[1].bit_length() > 62
+    for alpha in (two, exterior_d(one_form(2), alg)):
+        d = exterior_d(alpha, alg)
+        expected = {idx: brute_force_d(alpha, alg, idx) for idx in all_indices(alpha.rank + 1)}
+        assert all(d[idx] == value for idx, value in expected.items())
+        assert d_is_zero(alpha, alg) == all(v.is_zero() for v in expected.values())
+    assert not d_is_zero(two, alg)
 
 
 def one_form(i):
@@ -190,9 +278,10 @@ def test_d_component_matches_full():
 
 
 def test_exterior_d_matches_full_enumeration(rng):
-    # exterior_d evaluates sorted tuples only and shares one numerator routine with
-    # d_component and d_is_zero; brute_force_d over every 6^(k+1) tuple is the
-    # reference, for omega, a generic 2-form, a 3-form and a closed 3-form
+    # exterior_d evaluates sorted tuples only and shares its kernel sums with
+    # d_is_zero; brute_force_d over every 6^(k+1) tuple is the reference, and
+    # d_component (the Python-int reference) must agree, for omega, a generic
+    # 2-form, a 3-form and a closed 3-form
     structures = (FamilySpec.make("Sv"), FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"),
                   FamilySpec.make("sl2c"))
     for spec in structures:
@@ -218,8 +307,9 @@ def test_exterior_d_matches_full_enumeration(rng):
 
 
 def test_conjugate_table_matches_bar():
-    assert algebra._CONJUGATE == tuple(flat_offset((bar(i), bar(h), bar(k)))
-                                       for i, h, k in all_indices(3))
+    assert algebra._CONJUGATE.tolist() == [flat_offset((bar(i), bar(h), bar(k)))
+                                           for i, h, k in all_indices(3)]
+    assert algebra._SWAP.tolist() == [flat_offset((h, i, k)) for i, h, k in all_indices(3)]
 
 
 def _rand_skew(rng, rank):
@@ -234,27 +324,28 @@ def _rand_skew(rng, rank):
     return t
 
 
-def test_d_plan_matches_brute_force_d_and_d_component(rng):
-    """Each sorted tuple's terms give brute_force_d there, and each of its fills writes
-    brute_force_d of the permuted tuple: the tuple at the fill's offset, whose value is
-    the sorted tuple's times the fill's sign."""
+def test_d_tables_match_brute_force_d(rng):
+    """At each rank 0-4: each sorted tuple's kernel sum is brute_force_d there, and
+    each entry of exterior_d, read at the fill table, is the permuted tuple's value
+    times the sign of its permutation (zero at a repeated index)."""
     alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
-    assert sorted(algebra._D_PLANS) == [1, 2, 3, 4]
-    for n, plan in algebra._D_PLANS.items():
+    for n in range(1, 6):
         alpha = _rand_skew(rng, n - 1)
-        sorted_tuples = list(itertools.combinations(range(6), n))
-        assert len(plan) == len(sorted_tuples)
-        values = []
-        for idx, (terms, fills) in zip(sorted_tuples, plan):
-            value = numerator_value(*algebra._d_numerators(alpha, alg, terms),
-                                    alpha.den * alg.c.den)
-            values.append(value)
+        tuples = algebra._d_tables(n)[0]
+        assert tuples == tuple(itertools.combinations(range(6), n))
+        z, den = algebra._d_sums(alpha, alg.c)
+        values = [numerator_value(*z[:, t].tolist(), den) for t in range(len(tuples))]
+        for idx, value in zip(tuples, values):
             assert value == brute_force_d(alpha, alg, idx) == d_component(alpha, alg, idx)
-            assert sorted(all_indices(n)[off] for off, _ in fills) == sorted(
-                itertools.permutations(idx))
-            for off, sign in fills:
-                assert brute_force_d(alpha, alg, all_indices(n)[off]) == sign * value
-        # d of a function is zero; d of a generic form of rank 1-3 is not
+        d = exterior_d(alpha, alg)
+        for idx in all_indices(n):
+            if len(set(idx)) < n:
+                assert d[idx].is_zero(), idx
+                continue
+            order = sorted(range(n), key=idx.__getitem__)
+            value = values[tuples.index(tuple(sorted(idx)))]
+            assert d[idx] == perm_sign(order) * value, idx
+        # d of a function is zero; d of a generic form of rank 1-4 is not
         assert all(v.is_zero() for v in values) == (n == 1)
 
 

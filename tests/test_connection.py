@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from curvlab import connection, flow, goldens, metric, tensors, verify
-from curvlab.algebra import LieAlgebraCx, _perm_sign
+from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
     PRESETS,
@@ -37,6 +37,7 @@ from curvlab.tensors import (
 )
 
 from conftest import rand_metric
+from wedge_forms import perm_sign
 
 TORUS = LieAlgebraCx.from_dphi({})
 IWASAWA = LieAlgebraCx.from_dphi({2: {(0, 1): gr(1)}})
@@ -427,12 +428,12 @@ def test_structural_checks_match_the_list_loop_references(monkeypatch):
 
 def test_bianchi_tables_match_the_permutation_signs():
     """The torsion swap, each sorted triple's three half rows and its six signed fills,
-    against the offset arithmetic, itertools.permutations and _perm_sign."""
-    assert connection._SWAP == tuple(36 * hh + 6 * i + k for i, hh, k in all_indices(3))
+    against the offset arithmetic, itertools.permutations and perm_sign."""
+    assert connection._SWAP.tolist() == [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]
     triples = list(itertools.combinations(range(6), 3))
     assert [t for t, _, _ in connection._TRIPLES] == triples
     pair = connection._PAIR
-    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(3))]
+    perms = [(p, perm_sign(p)) for p in itertools.permutations(range(3))]
     for t, rows, fills in connection._TRIPLES:
         i, hh, k = t
         assert rows == (36 * pair[i, hh] + 6 * k, 36 * pair[hh, k] + 6 * i,

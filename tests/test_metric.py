@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curvlab.algebra import LieAlgebraCx, d_component, exterior_d
+from curvlab.algebra import LieAlgebraCx, exterior_d
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.metric import (
     MetricParams,
@@ -26,7 +26,7 @@ from curvlab.tensors import (
 )
 
 from conftest import rand_metric
-from wedge_forms import balanced_via_omega_squared
+from wedge_forms import balanced_via_omega_squared, d_component
 
 TORUS = LieAlgebraCx.from_dphi({})
 IWASAWA = LieAlgebraCx.from_dphi({2: {(0, 1): gr(1)}})

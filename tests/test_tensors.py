@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -177,3 +178,22 @@ def test_a_broken_block_inverse_fails_the_sweep_identity_rows(monkeypatch):
 def test_stored_index_tuples_match_the_product():
     for rank in range(6):
         assert all_indices(rank) == tuple(itertools.product(range(6), repeat=rank))
+
+
+def test_reduced_in_lowest_terms_is_an_independent_copy(rng):
+    """A tensor whose content is already 1 reduces to the same numerators and den, on
+    lists of its own: a write to the result leaves the source as it was."""
+    t = rand_tensor(rng, 2)
+    t[0, 1] = gr("1/3")
+    t[1, 0] = gr("2/7+1/5*i")
+    assert gcd(t.den, *t.re, *t.im) == 1
+    before = (t.re[:], t.im[:], t.den)
+    r = t.reduced()
+    assert (r.re, r.im, r.den) == before
+    r[0, 0] = gr("11/13")
+    assert (t.re, t.im, t.den) == before
+    assert r[0, 0] == gr("11/13")
+    # content 2 is divided out
+    doubled = MultiTensor.from_numerators(2, [2 * a for a in t.re], [2 * b for b in t.im],
+                                          2 * t.den).reduced()
+    assert (doubled.re, doubled.im, doubled.den) == before

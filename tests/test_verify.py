@@ -6,8 +6,7 @@ import os
 
 import pytest
 
-from curvlab import connection, goldens, metric, verify
-from curvlab.algebra import d_component
+from curvlab import algebra, connection, goldens, metric, verify
 from curvlab.scalars import GaussianRational, Rat, gr
 from curvlab.tensors import flat_offset, index_name
 from curvlab.verify import (
@@ -20,6 +19,8 @@ from curvlab.verify import (
     theorem_suite,
     verify_identity_zero,
 )
+
+from wedge_forms import d_component
 
 
 def test_verify_identity_zero_pass():
@@ -327,6 +328,34 @@ def test_structural_failures_name_a_nonzero_entry(monkeypatch):
     names = ",".join(index_name(i) for i in idx)
     assert bad.describe().startswith(
         f"FAIL d-squared[sl2c{{}} metric#0]: d(d omega)[{names}] = {value} at ")
+
+
+def test_oracles_catch_a_flipped_sign_in_the_d_table(monkeypatch):
+    """With the sign of the slot pair (0, 2) flipped in the table of d on 2-forms,
+    d(omega) and the torsion forms read from it are wrong: the seed-0 sweep fails
+    d o d = 0 (read through the unflipped table of d on 3-forms), the curvature
+    symmetries and nabla J, and the goldens fail; both pass unpatched."""
+    def failures():
+        results = structural_sweep(SamplePlan(seed=0), metrics_per_structure=1,
+                                   random_gauduchon=1)
+        counts = collections.Counter(r.name.split("[")[0] for r in results if not r.passed)
+        rows = verify.appendix_suite(SamplePlan(seed=0, points_per_case=1))
+        return counts, sum(not equal for *_, equal in rows)
+
+    assert failures() == (collections.Counter(), 0)
+    tables = algebra._d_tables
+
+    def flipped(n):
+        tuples, rows, rest, signs, fill = tables(n)
+        if n == 3:
+            signs = signs.copy()
+            signs[1] = -signs[1]  # the pair (0, 2)
+        return tuples, rows, rest, signs, fill
+
+    monkeypatch.setattr(algebra, "_d_tables", flipped)
+    counts, mismatches = failures()
+    assert counts == {"d-squared": 15, "curvature-symmetries": 102, "nabla-j": 85}
+    assert mismatches == 210
 
 
 def test_each_point_builds_its_connection_plane_once(monkeypatch):
