@@ -65,7 +65,7 @@ from operator import floordiv, mul
 
 import numpy as np
 
-from .algebra import _SWAP, LieAlgebraCx, _d_tables
+from .algebra import _INCREASING, _JACOBI_ROWS, _JACOBI_SLOTS, _SWAP, LieAlgebraCx, _d_tables
 from .metric import HermitianData, torsion_forms
 from .scalars import GaussianRational, Rat, rat_from_str
 from .tensors import (
@@ -446,12 +446,13 @@ _TRIPLES = tuple(
 
 # The tables above as numpy gathers over 6-entry rows: per triple its three rows among
 # the 90 of the half and its three cyclic blocks (the permutations of sign +1) among
-# the 216 of a rank-4 table; and per block of the defect the row it copies from
-# [sums] + [-sums] + [0] (20 sums, one per triple), the fill table of a skew 3-form
-# that exterior_d reads.  The torsion's swap, the offset of (H, I, K) at the offset of
-# (I, H, K), is algebra._SWAP.
+# the 216 of a rank-4 table, 36 x + 6 y + z for (x, y, z) = (i, hh, k), (hh, k, i) and
+# (k, i, hh), which are the Jacobi check's row 6 x + y and slot z at the same triple;
+# and per block of the defect the row it copies from [sums] + [-sums] + [0] (20 sums,
+# one per triple), the fill table of a skew 3-form that exterior_d reads.  The
+# torsion's swap, the offset of (H, I, K) at the offset of (I, H, K), is algebra._SWAP.
 _HALF_ROWS = np.array([[start // 6 for start in rows] for _, rows, _ in _TRIPLES])
-_CYCLIC = np.array([[base // 6 for base, s in fills if s > 0] for *_, fills in _TRIPLES])
+_CYCLIC = 6 * _JACOBI_ROWS[_INCREASING] + _JACOBI_SLOTS[_INCREASING]
 _FILL = _d_tables(3)[-1]
 # the factors of each cyclic block 36 x + 6 y + z: x and 6 y + z, 6 x + y and z
 _CX, _CYZ = np.divmod(_CYCLIC, 36)
@@ -480,7 +481,7 @@ def _defect_stack(gamma, c):
     structural oracle for the whole Christoffel/curvature pipeline.  Both sides
     are fully skew in (x, y, z), so sorted triples are evaluated, each from three
     rows of the kernel's I < H half (60 rows in all, no rank-4 operator), and
-    copied to the dense 1296-entry defect with the signs of _TRIPLES.  The
+    copied to the dense 1296-entry defect with their permutation signs by _FILL.  The
     d^nabla T terms nabla_x (T(y,z)) - T([x,y], z) are two products over the 60
     cyclic blocks the sums read.  All specs share each product, on the dtype of
     the largest bound among them.

@@ -13,9 +13,17 @@ connection with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y]:
     Ric_{HK} = Gamma_{HK}^B Gamma_{AB}^A - Gamma_{AK}^B Gamma_{HB}^A
                - c_{AH}^B Gamma_{BK}^A.
 
-Neither path builds the rank-4 operator: both evaluate the three terms as one
-matrix-vector and two matrix products, exact_lc_ricci on the exact kernel's
-Gaussian-integer numerators and float_lc_ricci in complex floating point.
+Neither path builds the rank-4 operator.  The first term needs no metric in its
+trace: by the Koszul formula Gamma_{AB}^A = (c_{AB}^A + c_{LB}^L) / 2 summed over
+A and L, because the third Koszul summand c_{AL}^C g_{CB} g^{LA} contracts c, skew
+in (A, L), with the symmetric g^{LA}.  So Gamma_{AB}^A = sum_A c_{AB}^A for every
+symmetric invertible g, zero on unimodular algebras.  The other two terms contract
+the same right factor Gamma_{AK}^B, so each path takes one matrix-vector product
+and one matrix product: exact_lc_ricci on the exact kernel's Gaussian-integer
+numerators, float_lc_ricci in complex floating point on a per-structure field that
+integrate_flow builds once (_lc_field: the 216 x 36 map from vec(g) to the lowered
+table laid out [L, (I, H)], the trace of c, and c as [H, (B, A)]).  One float
+evaluation is one lowering product, one solve and the trace's two products.
 
 hermitian_deviation monitors max |g_{ij}| over the pure-type block; for
 initial data whose Levi-Civita connection is Kahler-like the flow must keep
@@ -60,21 +68,24 @@ __all__ = [
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
 
-    The three products of float_lc_ricci on the numerators of the raised symbols
-    and c over their common denominator D, so the trace sits over D^2.  The trace
-    needs no metric, so only the raise uses g^{-1}.
+    The two products of float_lc_ricci on the numerators of the raised symbols and
+    c over their common denominator D, so the trace sits over D^2.  The trace
+    Gamma_{AB}^A is c_{AB}^A summed over A, read off c's numerators over the same D,
+    so only the raise uses g^{-1}.
     """
     g = MultiTensor(2, [v for row in g6 for v in row])
     _, gamma = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
-    # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 symbols,
-    # so counted as 6 x 12 products below 2^(2b), and 2 x 36 in each other term
+    # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 entries
+    # of c, so counted as 6 x 12 products below 2^(2b), and 2 x 36 with each of the
+    # two summands of the merged left factor
     zg, zc, (den,), _, _ = _over_c(gamma, alg.c, 72 + 72 + 72)  # one spec, read as (2, ...)
     g3 = zg.reshape(2, DIM, DIM, DIM)
-    trace = np.trace(g3, axis1=1, axis2=3).reshape(2, DIM, 1)  # Gamma_{AB}^A over B
+    c3 = zc.reshape(2, DIM, DIM, DIM)
+    trace = np.trace(c3, axis1=1, axis2=3).reshape(2, DIM, 1)  # c_{AB}^A over B
+    # [H, (B, A)]: Gamma_{HB}^A + c_{BH}^A; [(B, A), K]: Gamma_{AK}^B
+    left = (g3 + c3.transpose(0, 2, 1, 3)).reshape(2, DIM, 36)
     ric = (_cmatmul(zg.reshape(2, 36, DIM), trace).reshape(2, DIM, DIM)
-           - _cmatmul(zg.reshape(2, DIM, 36), g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM))
-           - _cmatmul(zc.reshape(2, DIM, DIM, DIM).transpose(0, 2, 3, 1).reshape(2, DIM, 36),
-                      g3.transpose(0, 1, 3, 2).reshape(2, 36, DIM)))
+           - _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM)))
     ric = _tensor(2, ric, den * den)
     return [[ric[h, k] for k in INDICES] for h in INDICES]
 
@@ -88,33 +99,48 @@ def _structure_array(alg: LieAlgebraCx) -> np.ndarray:
     return c
 
 
-def float_lc_ricci(g6: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Riemannian Ricci of the float metric g6, as the trace taken term by term.
+def _lc_field(c: np.ndarray):
+    """(LT, trc, cX): the constants of float_lc_ricci for one structure c.
+
+    LT (216 x 36) maps vec(g) to the lowered table (x_{IHL} - x_{HLI} - x_{ILH}) / 2,
+    x = c g, laid out [L, (I, H)]; trc[B] = sum_A c_{AB}^A; cX[H, (B, A)] = c_{BH}^A.
+    """
+    eye = np.eye(DIM)
+    lt = 0.5 * (np.einsum("ihb,ml->lihbm", c, eye)
+                - np.einsum("hlb,mi->lihbm", c, eye)
+                - np.einsum("ilb,mh->lihbm", c, eye))
+    return (lt.reshape(216, 36), c.trace(axis1=0, axis2=2),
+            c.transpose(1, 0, 2).reshape(DIM, 36))
+
+
+def float_lc_ricci(g6: np.ndarray, field) -> np.ndarray:
+    """Riemannian Ricci of the float metric g6 on the structure's field (see _lc_field).
 
     Ric_{HK} = Gamma_{HK}^B Gamma_{AB}^A - Gamma_{AK}^B Gamma_{HB}^A - c_{AH}^B Gamma_{BK}^A,
-    the trace sum_A R(A,H)K^A that exact_lc_ricci takes on numerators: with
-    x = c g6 the lowered table is (x_{IHL} - x_{HLI} - x_{ILH}) / 2, raised by
-    one product with g6^{-1}; the first term is a matrix-vector product with the
-    trace Gamma_{AB}^A, the other two are 6 x 36 by 36 x 6 matrix products.
+    the trace sum_A R(A,H)K^A that exact_lc_ricci takes on numerators.  One solve
+    with the symmetric g6 raises the lowered table to S = Gamma_{IH}^L as [L, (I, H)];
+    the first term is trc S, as Gamma_{AB}^A = c_{AB}^A summed over A, and the other
+    two contract the same right factor Gamma_{AK}^B, so they are one 6 x 36 by 36 x 6
+    product.
     """
-    x = (c.reshape(36, 6) @ g6).reshape(6, 6, 6)
-    low = 0.5 * (x - x.transpose(2, 0, 1) - x.transpose(0, 2, 1))
-    gm = low.reshape(36, 6) @ np.linalg.inv(g6)
-    g3 = gm.reshape(6, 6, 6)
-    return ((gm @ np.trace(g3, axis1=0, axis2=2)).reshape(6, 6)
-            - gm.reshape(6, 36) @ g3.transpose(2, 0, 1).reshape(36, 6)
-            - c.transpose(1, 2, 0).reshape(6, 36) @ g3.transpose(0, 2, 1).reshape(36, 6))
+    lt, trc, cx = field
+    s = np.linalg.solve(g6, (lt @ g6.reshape(36)).reshape(DIM, 36))
+    return ((trc @ s).reshape(DIM, DIM)
+            - (s.reshape(DIM, DIM, DIM).transpose(1, 2, 0).reshape(DIM, 36) + cx)
+            @ s.reshape(36, DIM))
 
 
 # -- states and traces -----------------------------------------------------------
 
-# m[_BAR][i, j] = m[bar(i), bar(j)]: conj(m[_BAR]) is the conjugate image of m
-_BAR = np.ix_([bar(i) for i in INDICES], [bar(i) for i in INDICES])
+# m.take(_BAR)[6 i + j] = m[bar(i), bar(j)]: its conjugate is the conjugate image of m
+_BAR = np.array([DIM * bar(i) + bar(j) for i in INDICES for j in INDICES])
 
 # real frame X_k = phi_k + phi_kb, Y_k = i(phi_k - phi_kb), one row per vector
 _REAL_FRAME = np.array([[1, 0, 0, 1, 0, 0], [1j, 0, 0, -1j, 0, 0],
                         [0, 1, 0, 0, 1, 0], [0, 1j, 0, 0, -1j, 0],
                         [0, 0, 1, 0, 0, 1], [0, 0, 1j, 0, 0, -1j]])
+# vec(F m F^T) = (F kron F) vec(m): the real-frame Gram of m as one product
+_REAL_GRAM = np.kron(_REAL_FRAME, _REAL_FRAME)
 
 
 @dataclass
@@ -140,7 +166,7 @@ class FlowState:
         m = self.as_float_matrix()
         if not np.allclose(m, m.T, rtol=0, atol=1e-12):
             raise ValueError("flow metric must be symmetric")
-        if not np.allclose(m, np.conj(m[_BAR]), rtol=0, atol=1e-12):
+        if not np.allclose(m, m.take(_BAR).reshape(DIM, DIM).conj(), rtol=0, atol=1e-12):
             raise ValueError("flow metric must be conjugation-real")
         if not _real_positive_definite(m):
             raise ValueError("flow metric must be positive-definite as a real metric")
@@ -153,7 +179,7 @@ def flow_state_from_hermitian(h: HermitianData, alg: LieAlgebraCx) -> FlowState:
 
 def _real_positive_definite(m: np.ndarray) -> bool:
     try:
-        np.linalg.cholesky((_REAL_FRAME @ m @ _REAL_FRAME.T).real)
+        np.linalg.cholesky((_REAL_GRAM @ m.reshape(36)).reshape(DIM, DIM).real)
         return True
     except np.linalg.LinAlgError:
         return False
@@ -164,7 +190,7 @@ def ricci_rhs(state: FlowState):
     if state.is_exact:
         ric = exact_lc_ricci(state.g6, state.structure)
         return [[-v for v in row] for row in ric]
-    return -float_lc_ricci(state.g6, _structure_array(state.structure))
+    return -float_lc_ricci(state.g6, _lc_field(_structure_array(state.structure)))
 
 
 def hermitian_deviation(g6) -> float:
@@ -192,6 +218,17 @@ class FlowTrace:
         return self.halt_reason is None
 
 
+def _project(m: np.ndarray) -> np.ndarray:
+    """The symmetric, conjugation-real part of m: (s + bar image of s) / 4, s = m + m.T.
+
+    The flow preserves these matrices exactly; projecting only damps rounding noise.
+    Both halvings are exact, so this is (m1 + bar image of m1) / 2, m1 = (m + m.T) / 2,
+    to the bit.
+    """
+    s = m + m.T
+    return 0.25 * (s + s.take(_BAR).reshape(DIM, DIM).conj())
+
+
 def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> FlowTrace:
     """Classical fourth-order integration of dg/dt = rhs(g) from g0.
 
@@ -204,16 +241,10 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     """
     n_steps = step_count(horizon, step)
     g0.validate()
-    c = _structure_array(g0.structure)
     default_field = rhs is None
     if default_field:
-        rhs = lambda m: -float_lc_ricci(m, c)
-
-    def project(m):
-        # keep the flow inside symmetric conjugation-real matrices (these are
-        # preserved exactly by the equation; this only damps rounding noise)
-        m = 0.5 * (m + m.T)
-        return 0.5 * (m + np.conj(m[_BAR]))
+        lc = _lc_field(_structure_array(g0.structure))
+        rhs = lambda m: -float_lc_ricci(m, lc)
 
     m = g0.as_float_matrix()
     trace = FlowTrace()
@@ -228,10 +259,10 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     trace.samples.append(FlowSample(0.0, m.copy(), hermitian_deviation(m), norm0))
     t = 0.0
     for _ in range(n_steps):
-        k2 = rhs(project(m + 0.5 * step * k1))
-        k3 = rhs(project(m + 0.5 * step * k2))
-        k4 = rhs(project(m + step * k3))
-        m_next = project(m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2 = rhs(_project(m + 0.5 * step * k1))
+        k3 = rhs(_project(m + 0.5 * step * k2))
+        k4 = rhs(_project(m + step * k3))
+        m_next = _project(m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if not _real_positive_definite(m_next):
             trace.halt_reason = f"positivity lost at t={t + step:.6g}"
             break

@@ -15,6 +15,7 @@ from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import ConnectionSpec, curvature_of
 from curvlab.flow import (
     FlowState,
+    _lc_field,
     _structure_array,
     exact_lc_ricci,
     float_lc_ricci,
@@ -193,14 +194,14 @@ def test_criterion_7_flow():
     pert = 0.5 * (pert + bar_image)
     g0 = g_star + pert
     FlowState(0.0, g0, g20).validate()
-    c = _structure_array(g20)
+    lc = _lc_field(_structure_array(g20))
 
     def round_trip_defect(step):
         fwd = integrate_flow(FlowState(0.0, g0.copy(), g20), horizon=0.5, step=step,
-                             rhs=lambda m: -float_lc_ricci(m, c))
+                             rhs=lambda m: -float_lc_ricci(m, lc))
         back = integrate_flow(FlowState(0.0, fwd.samples[-1].g6.copy(), g20),
                               horizon=0.5, step=step,
-                              rhs=lambda m: +float_lc_ricci(m, c))
+                              rhs=lambda m: +float_lc_ricci(m, lc))
         return np.abs(back.samples[-1].g6 - g0).max()
 
     d1, d2 = round_trip_defect(0.05), round_trip_defect(0.025)

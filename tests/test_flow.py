@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from curvlab.algebra import LieAlgebraCx, validate_lie_algebra
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import ConnectionSpec, curvature_of, ricci_and_scalar
 from curvlab.flow import (
     FlowState,
+    _lc_field,
+    _project,
     _structure_array,
     exact_lc_ricci,
     float_lc_ricci,
@@ -16,7 +19,7 @@ from curvlab.flow import (
 )
 from curvlab.metric import MetricParams, build_metric
 from curvlab.scalars import gr
-from curvlab.tensors import INDICES
+from curvlab.tensors import INDICES, bar
 from curvlab.verify import _SWEEP_STRUCTURES
 
 from conftest import rand_metric
@@ -38,13 +41,17 @@ FLOW_STRUCTURES = (
 )
 
 
-def ref_float_lc_ricci(g6, c):
-    """Reference: the rank-4 operator R(I,H)K^A built in full, then traced over I = A."""
-    ginv = np.linalg.inv(g6)
+def ref_float_symbols(g6, c):
+    """Reference Levi-Civita symbols Gamma_{IH}^K as [I, H, K]: Koszul, then g6^{-1}."""
     low = 0.5 * (np.einsum("ihb,bl->ihl", c, g6)
                  - np.einsum("hlb,bi->ihl", c, g6)
                  - np.einsum("ilb,bh->ihl", c, g6))
-    gm = np.einsum("ihl,lk->ihk", low, ginv)
+    return np.einsum("ihl,lk->ihk", low, np.linalg.inv(g6))
+
+
+def ref_float_lc_ricci(g6, c):
+    """Reference: the rank-4 operator R(I,H)K^A built in full, then traced over I = A."""
+    gm = ref_float_symbols(g6, c)
     rop = (np.einsum("hkb,iba->ihka", gm, gm)
            - np.einsum("ikb,hba->ihka", gm, gm)
            - np.einsum("ihb,bka->ihka", c, gm))
@@ -93,7 +100,7 @@ def test_exact_matches_float_and_real_frame_oracle(rng):
     alg = instantiate(FamilySpec.make("Ni", rho=0, **{"lambda": 0}, D="i"))
     state = flow_state_from_hermitian(build_metric(rand_metric(rng)), alg)
     ric_exact = _to_float(exact_lc_ricci(state.g6, alg))
-    ric_float = float_lc_ricci(state.as_float_matrix(), _structure_array(alg))
+    ric_float = float_lc_ricci(state.as_float_matrix(), _lc_field(_structure_array(alg)))
     assert np.allclose(ric_exact, ric_float, atol=1e-12)
     ric_real, basis = _real_frame_ricci(alg, state.as_float_matrix())
     assert np.allclose(ric_real, (basis @ ric_float @ basis.T).real, atol=1e-9)
@@ -135,7 +142,7 @@ def test_float_field_matches_exact_and_operator_reference(rng):
     assert len(states) == 1 + 2 * 21
     for st in states:
         m, c = st.as_float_matrix(), _structure_array(st.structure)
-        ric = float_lc_ricci(m, c)
+        ric = float_lc_ricci(m, _lc_field(c))
         assert _rel_err(ric, _to_float(exact_lc_ricci(st.g6, st.structure))) <= 1e-12
         assert _rel_err(ric, ref_float_lc_ricci(m, c)) <= 1e-12
 
@@ -154,6 +161,50 @@ def test_flow_traces_match_the_operator_reference_field(rng):
             assert abs(a.deviation - b.deviation) <= 1e-12 * max(abs(a.g6).max(), 1.0)
         for a, b in zip(got.samples[1:], ref.samples[1:]):
             assert abs(a.ricci_norm - b.ricci_norm) <= 1e-12 * max(b.ricci_norm, 1.0)
+
+
+def _aff_r_plus_r4():
+    """aff(R) + R^4, [X_0, X_1] = X_1 on the real frame X_k = phi_k + phi_kb: every
+    bracket of phi_0 or phi_0b with phi_1 or phi_1b is X_1 / 4.  Not unimodular:
+    sum_A c_{AB}^A is -1/2 at B = 0 and B = 0b."""
+    return LieAlgebraCx.from_structure_constants(
+        {(0, 1, 1): "1/4", (0, 1, 4): "1/4", (0, 4, 1): "1/4", (0, 4, 4): "1/4"})
+
+
+def test_the_trace_term_on_a_non_unimodular_algebra(rng):
+    """Every catalog algebra is unimodular, so there the first term of the trace,
+    Gamma_{HK}^B Gamma_{AB}^A, is zero; here it is not, and both paths must keep it."""
+    alg = _aff_r_plus_r4()
+    assert validate_lie_algebra(alg).passed
+    c = _structure_array(alg)
+    trc = c.trace(axis1=0, axis2=2)
+    assert np.array_equal(trc, [-0.5, 0, 0, -0.5, 0, 0])
+    # Gamma_{AB}^A = c_{AB}^A summed over A at any symmetric invertible metric
+    nprng = np.random.default_rng(24)
+    a = nprng.normal(size=(6, 6)) + 1j * nprng.normal(size=(6, 6))
+    g = a + a.T + 8 * np.eye(6)
+    assert np.abs(np.trace(ref_float_symbols(g, c), axis1=0, axis2=2) - trc).max() <= 1e-12
+
+    states = [flow_state_from_hermitian(build_metric(rand_metric(rng)), alg) for _ in range(2)]
+    for st in states:
+        assert exact_lc_ricci(st.g6, alg) == ref_exact_lc_ricci(st.g6, alg)
+        m = st.as_float_matrix()
+        ric = float_lc_ricci(m, _lc_field(c))
+        assert _rel_err(ric, ref_float_lc_ricci(m, c)) <= 1e-12
+        assert _rel_err(ric, _to_float(exact_lc_ricci(st.g6, alg))) <= 1e-12
+        ric_real, basis = _real_frame_ricci(alg, m)
+        assert np.allclose(ric_real, (basis @ ric @ basis.T).real, atol=1e-9)
+
+
+def test_projection_is_the_two_halvings_to_the_bit():
+    bar_ix = np.ix_([bar(i) for i in INDICES], [bar(i) for i in INDICES])
+    nprng = np.random.default_rng(7)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(50):
+            m = scale * (nprng.normal(size=(6, 6)) + 1j * nprng.normal(size=(6, 6)))
+            m1 = 0.5 * (m + m.T)
+            old = 0.5 * (m1 + np.conj(m1[bar_ix]))
+            assert _project(m).tobytes() == old.tobytes()
 
 
 def test_ric_lc_consistency_with_connection_module(rng):
@@ -283,12 +334,12 @@ def test_rk4_evaluates_the_field_four_times_per_step():
     # the field at each accepted point is that sample's norm and the next k1
     alg = instantiate(FamilySpec.make("Sii", x="1/2"))
     state = flow_state_from_hermitian(build_metric(MetricParams.make(r2=2, s2=1, t2=1)), alg)
-    c = _structure_array(alg)
+    lc = _lc_field(_structure_array(alg))
     calls = []
 
     def field(m):
         calls.append(1)
-        return -float_lc_ricci(m, c)
+        return -float_lc_ricci(m, lc)
 
     float_state = FlowState(0.0, state.as_float_matrix(), alg)
     trace = integrate_flow(float_state, horizon=0.1, step=0.01, rhs=field)
@@ -317,9 +368,9 @@ def test_rk4_order_round_trip():
     g0 = g_star + pert
     FlowState(0.0, g0, alg).validate()
 
-    c = _structure_array(alg)
-    forward = lambda m: -float_lc_ricci(m, c)
-    backward = lambda m: +float_lc_ricci(m, c)
+    lc = _lc_field(_structure_array(alg))
+    forward = lambda m: -float_lc_ricci(m, lc)
+    backward = lambda m: +float_lc_ricci(m, lc)
 
     def defect(step):
         out = integrate_flow(FlowState(0.0, g0.copy(), alg), horizon=0.5, step=step,
