@@ -15,11 +15,13 @@ Lowered, the symbols are affine in (eps, rho):
     lc_{IHL} = c_{IH}^B g_{BL} - c_{HL}^B g_{BI} - c_{IL}^B g_{BH},
 
 and the three tables depend on the point (structure, metric) alone.  A
-ConnectionPlane holds them: the scoreboard, the structural sweep and the
-appendix oracle build it once per point and share it between classify_metric,
-which reads (T, C), and every connection they evaluate there.  They evaluate
-those connections together, in one stacked pass: a list of specs runs
-through the kernel stages (_symbols, _operator, and the curvature's reduction
+ConnectionPlane(h, alg) is the point: it builds lc and (T, C) on their first
+read, and every route from a point to its connections takes the plane alone.
+The scoreboard, the structural sweep and the appendix oracle build one per point
+and share it between classify_metric, which reads (T, C), and every connection
+they evaluate there; a stack of Levi-Civita connections reads no (T, C), so
+builds none.  They evaluate those connections together, in one stacked pass: a
+list of specs runs through the kernel stages (_symbols, _operator, and the curvature's reduction
 and expansion) as one stack with a leading spec axis.  The point's tables are
 read into arrays once, the lowered sums are one integer combination of
 (lc, T, C) with one row of scale factors per spec, each over its own lcm
@@ -29,9 +31,9 @@ arrays.  Each stage picks one dtype for the stack, from the largest bound over
 its specs; both dtypes are exact and the gcd is per spec, so the stored
 numerators and denominators are those of the specs evaluated one by one.
 The pass (_stacked_pass) writes no list: the verdicts, the appendix oracle and the
-sweep's checks read its arrays; the sweep's Bianchi defect rebuilds the stack without
-the plane (_defect_stack).  christoffel, curvature, the defect and the checks are one-spec
-stacks; christoffel without a plane builds the tables its spec needs (LC needs no (T, C)).
+sweep's checks, its Bianchi defect (_defect_stack) among them, read its arrays.
+christoffel, curvature, the defect and the checks are one-spec stacks; christoffel
+builds a plane of its own.
 The curvature operator R(x, y) = [nabla_x, nabla_y] - nabla_[x,y] has raised
 components R(I,H)K^A = Gamma_{HK}^B Gamma_{IB}^A - Gamma_{IK}^B Gamma_{HB}^A
 - c_{IH}^B Gamma_{BK}^A.  The stored (4,0)-tensor is the lowered operator
@@ -86,7 +88,6 @@ from .tensors import (
     all_indices,
     index_name,
     is_barred,
-    offset_table,
 )
 
 __all__ = [
@@ -94,7 +95,6 @@ __all__ = [
     "PRESETS",
     "ChristoffelTable",
     "ConnectionPlane",
-    "connection_plane",
     "christoffel",
     "CurvatureTensor",
     "curvature",
@@ -253,6 +253,19 @@ _EXPAND = [_PAIR[i, hh] if i < hh else 15 + _PAIR[hh, i] if hh < i else 30
            for i, hh in itertools.product(INDICES, repeat=2)]
 
 
+def _common_den(gamma, c):
+    """(dens, fg, fc, mg, bounds): the symbol stack gamma = (z, dens) and c over dens[s]
+    = lcm(gamma's dens[s], c.den) per spec, spec s's symbols times fg[s] and c times
+    fc[s]; mg[s] is the largest |numerator| of spec s's symbols and bounds[s] the
+    largest |entry| of both once scaled."""
+    zg, dg = gamma
+    mc = _arrays(c)[1]
+    dens = [lcm(d, c.den) for d in dg]
+    fg, fc = list(map(floordiv, dens, dg)), [den // c.den for den in dens]
+    mg = _maxabs_each(zg)
+    return dens, fg, fc, mg, [max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)]
+
+
 def _operator(gamma, c, x):
     """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} for I < H.
 
@@ -269,14 +282,11 @@ def _operator(gamma, c, x):
     bound among them.  The curvature expands the half to the stored tensor through
     _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.
     """
-    (zg, dg), (zx, dx) = gamma, x
+    (zg, _), (zx, dx) = gamma, x
     zc, mc = _arrays(c)
-    dens = [lcm(d, c.den) for d in dg]
-    fg = list(map(floordiv, dens, dg))
-    fc = [den // c.den for den in dens]
-    mg, mx = _maxabs_each(zg), _maxabs_each(zx)
-    dtype = _dtype(max(max(g * f, mc * k).bit_length() + m.bit_length()
-                       for g, f, k, m in zip(mg, fg, fc, mx)), 36)
+    dens, fg, fc, mg, bounds = _common_den(gamma, c)
+    dtype = _dtype(max(b.bit_length() + m.bit_length()
+                       for b, m in zip(bounds, _maxabs_each(zx))), 36)
     n = len(dens)
     zg = _scaled_each(zg, fg, mg, dtype).reshape(2, n, 1, 36, DIM)
     zx = zx.astype(dtype, copy=False).reshape(2, n, DIM, DIM, DIM)
@@ -306,38 +316,42 @@ class ChristoffelTable:
     lowered: MultiTensor
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConnectionPlane:
-    """One point's tables lc = _lc_sum(c, g) and forms = (T, C) = torsion_forms(h, alg),
-    which every connection of the plane combines (see the module docstring)."""
+    """The point (h, alg) with the tables every connection of its plane combines (see
+    the module docstring), each built on its first read: lc = _lc_sum(c, g) and forms =
+    (T, C) = torsion_forms(h, alg)."""
 
-    lc: MultiTensor
-    forms: tuple
+    h: HermitianData
+    alg: LieAlgebraCx
+
+    @cached_property
+    def lc(self) -> MultiTensor:
+        return _lc_sum(self.alg.c, self.h.g)
+
+    @cached_property
+    def forms(self) -> tuple:
+        return torsion_forms(self.h, self.alg)
 
 
-def connection_plane(h: HermitianData, alg: LieAlgebraCx) -> ConnectionPlane:
-    return ConnectionPlane(_lc_sum(alg.c, h.g), torsion_forms(h, alg))
-
-
-def _plane_symbols(specs, h: HermitianData, alg: LieAlgebraCx, plane):
-    """_symbols of specs at (h, alg), on plane's tables when it is given (built from
-    the same h and alg) and on tables built here otherwise.  A table no spec of the
-    stack uses is left out: Levi-Civita connections alone need no (T, C)."""
-    tables = [plane.lc if plane else _lc_sum(alg.c, h.g)]
+def _plane_symbols(specs, plane: ConnectionPlane):
+    """_symbols of specs on plane's tables.  A table no spec of the stack uses is not
+    read, so not built: Levi-Civita connections alone build no (T, C)."""
+    tables = [plane.lc]
     columns = [[_HALF] * len(specs)]
     eps, rho = [spec.eps for spec in specs], [spec.rho for spec in specs]
     if any(eps) or any(rho):
-        for t, q in zip(plane.forms if plane else torsion_forms(h, alg), (eps, rho)):
+        for t, q in zip(plane.forms, (eps, rho)):
             if any(q):
                 tables.append(t)
                 columns.append(q)
-    return _symbols(tables, list(zip(*columns)), h.g_inv)
+    return _symbols(tables, list(zip(*columns)), plane.h.g_inv)
 
 
-def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx,
-                plane: ConnectionPlane | None = None) -> ChristoffelTable:
-    """The symbols of spec at (h, alg): the one-spec stack of _plane_symbols."""
-    low, gamma = _plane_symbols((spec,), h, alg, plane)
+def christoffel(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> ChristoffelTable:
+    """The symbols of spec at (h, alg): the one-spec stack of _plane_symbols on the
+    point's plane, which builds the tables spec needs (LC needs no (T, C))."""
+    low, gamma = _plane_symbols((spec,), ConnectionPlane(h, alg))
     return ChristoffelTable(spec, *_tensors(3, *gamma), *_tensors(3, *low))
 
 
@@ -372,19 +386,19 @@ def curvature(gamma: ChristoffelTable, h: HermitianData, alg: LieAlgebraCx) -> C
     return CurvatureTensor(gamma.spec, *_tensors(4, *stack))
 
 
-def _stacked_pass(specs, h, alg, plane):
-    """The symbol stacks (low, gamma) of specs at (h, alg) and their stored curvature
+def _stacked_pass(specs, plane: ConnectionPlane):
+    """The symbol stacks (low, gamma) of specs on plane and their stored curvature
     stack, with no list written."""
-    low, gamma = _plane_symbols(specs, h, alg, plane)
-    return low, gamma, _stored_each(gamma, alg.c, low)
+    low, gamma = _plane_symbols(specs, plane)
+    return low, gamma, _stored_each(gamma, plane.alg.c, low)
 
 
-def curvature_stack(specs, h: HermitianData, alg: LieAlgebraCx, plane: ConnectionPlane):
-    """The stored curvatures of specs at (h, alg) as one stack (z, dens), spec s the
-    numerators z[:, s] of shape (2, 1296) over dens[s]: the stacked pass on the
-    point's plane, with no symbol or curvature list written (symmetry.stack_verdicts
-    and goldens.compare_components read it)."""
-    return _stacked_pass(specs, h, alg, plane)[2]
+def curvature_stack(specs, plane: ConnectionPlane):
+    """The stored curvatures of specs on plane as one stack (z, dens), spec s the
+    numerators z[:, s] of shape (2, 1296) over dens[s]: the stacked pass, with no
+    symbol or curvature list written (symmetry.stack_verdicts and
+    goldens.compare_components read it)."""
+    return _stacked_pass(specs, plane)[2]
 
 
 def curvature_of(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx) -> CurvatureTensor:
@@ -435,23 +449,16 @@ def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
                      _tensor(0, scal, den * g_inv.den)[()])
 
 
-# per sorted triple (i, hh, k): the triple, the starts of its three rows R(i,hh)k,
-# R(hh,k)i and R(i,k)hh in the I < H half, and the (start, sign) of the defect's six
-# 6-entry blocks (x, y, z, .) over the permutations (x, y, z) of the triple
-_TRIPLES = tuple(
-    ((i, hh, k), (36 * _PAIR[i, hh] + 6 * k, 36 * _PAIR[hh, k] + 6 * i, 36 * _PAIR[i, k] + 6 * hh),
-     tuple((216 * x + 36 * y + 6 * zz, s)
-           for (x, y, zz), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1))))
-    for i, hh, k in itertools.combinations(INDICES, 3))
-
-# The tables above as numpy gathers over 6-entry rows: per triple its three rows among
-# the 90 of the half and its three cyclic blocks (the permutations of sign +1) among
-# the 216 of a rank-4 table, 36 x + 6 y + z for (x, y, z) = (i, hh, k), (hh, k, i) and
-# (k, i, hh), which are the Jacobi check's row 6 x + y and slot z at the same triple;
-# and per block of the defect the row it copies from [sums] + [-sums] + [0] (20 sums,
-# one per triple), the fill table of a skew 3-form that exterior_d reads.  The
-# torsion's swap, the offset of (H, I, K) at the offset of (I, H, K), is algebra._SWAP.
-_HALF_ROWS = np.array([[start // 6 for start in rows] for _, rows, _ in _TRIPLES])
+# Gathers over 6-entry rows, per sorted triple (i, hh, k) in combinations order: its
+# three rows R(i,hh)k, R(hh,k)i and R(i,k)hh among the 90 of the I < H half, and its
+# three cyclic blocks (the even permutations) among the 216 of a rank-4 table,
+# 36 x + 6 y + z for (x, y, z) = (i, hh, k), (hh, k, i) and (k, i, hh), which are the
+# Jacobi check's row 6 x + y and slot z at the same triple; and per block of the
+# defect the row it copies from [sums] + [-sums] + [0] (20 sums, one per triple),
+# the fill table of a skew 3-form that exterior_d reads.  The torsion's swap, the
+# offset of (H, I, K) at the offset of (I, H, K), is algebra._SWAP.
+_HALF_ROWS = np.array([[6 * _PAIR[i, hh] + k, 6 * _PAIR[hh, k] + i, 6 * _PAIR[i, k] + hh]
+                       for i, hh, k in itertools.combinations(INDICES, 3)])
 _CYCLIC = 6 * _JACOBI_ROWS[_INCREASING] + _JACOBI_SLOTS[_INCREASING]
 _FILL = _d_tables(3)[-1]
 # the factors of each cyclic block 36 x + 6 y + z: x and 6 y + z, 6 x + y and z
@@ -460,14 +467,12 @@ _CXY, _CZ = np.divmod(_CYCLIC, 6)
 
 
 def _over_c(gamma, c, terms):
-    """(zg, zc, dens, fg, dtype): gamma = (z, dens) and c over dens[s] = lcm(gamma's dens[s],
-    c.den) per spec, the symbols scaled by fg[s], in the dtype of `terms` products of two."""
-    (zg, dg), (zc, mc) = gamma, _arrays(c)
-    dens = [lcm(d, c.den) for d in dg]
-    fg, fc = list(map(floordiv, dens, dg)), [den // c.den for den in dens]
-    mg = _maxabs_each(zg)
-    dtype = _dtype(2 * max(max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)).bit_length(), terms)
-    zc = _scaled_each(np.broadcast_to(zc[:, None], zg.shape), fc, [mc] * len(dg), dtype)
+    """(zg, zc, dens, fg, dtype): gamma = (z, dens) and c over one denominator per spec
+    (see _common_den), the symbols scaled by fg[s], in the dtype of `terms` products of two."""
+    zg, (zc, mc) = gamma[0], _arrays(c)
+    dens, fg, fc, mg, bounds = _common_den(gamma, c)
+    dtype = _dtype(2 * max(bounds).bit_length(), terms)
+    zc = _scaled_each(np.broadcast_to(zc[:, None], zg.shape), fc, [mc] * len(dens), dtype)
     return _scaled_each(zg, fg, mg, dtype), zc, dens, fg, dtype
 
 
@@ -510,8 +515,8 @@ def _defect_stack(gamma, c):
 
 
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):
-    """The torsion and the Bianchi defect of spec: the one-spec stack of _defect_stack, on
-    symbols rebuilt without a plane, so the defect shares no table with the caller's."""
+    """The torsion and the Bianchi defect of spec: the one-spec stack of _defect_stack on
+    christoffel's symbols, built on a plane of their own."""
     table = christoffel(spec, h, alg)
     torsion, defect = _defect_stack(_stack((table.gamma,)), alg.c)
     return _tensors(3, *torsion)[0], _tensors(4, *defect)[0]
@@ -531,7 +536,8 @@ _CURVATURE_PARTNERS = np.array([_IDX4[:, [1, 0, 2, 3]], _IDX4[:, [0, 1, 3, 2]], 
                                 _IDX4[:, [2, 3, 0, 1]]]) @ DIM ** np.arange(3, -1, -1)
 _CURVATURE_SIGNS = np.array([[-1, -1, 1, 1], [-1, -1, -1, 1]])
 # nabla g: Gamma_{IH,L} = -Gamma_{IL,H}; nabla J: Gamma_{IH}^K = 0 for H, K of mixed type
-_NABLA_G_PARTNERS = np.array([offset_table(3, lambda i, hh, l: (i, l, hh))])
+_IDX3 = np.array(all_indices(3))
+_NABLA_G_PARTNERS = np.array([_IDX3[:, [0, 2, 1]]]) @ DIM ** np.arange(2, -1, -1)
 _MIXED = np.array([is_barred(hh) != is_barred(k) for _, hh, k in all_indices(3)])
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import FamilySpec, instantiate
-from .connection import ConnectionSpec, connection_plane, curvature_stack
+from .connection import ConnectionPlane, ConnectionSpec, curvature_stack
 from .metric import HermitianData, MetricParams, build_metric
 from .scalars import GaussianRational, I, Rat, gr
 from .symmetry import _B_OFFSETS
@@ -236,9 +236,8 @@ def compare_components(family_key: str, structure: FamilySpec, metric: MetricPar
     """
     table = _checked_table(family_key, structure, metric, eps_values)
     h = build_metric(metric)
-    alg = instantiate(structure)
-    z, dens = curvature_stack([ConnectionSpec.gauduchon(eps) for eps in eps_values], h, alg,
-                              connection_plane(h, alg))
+    z, dens = curvature_stack([ConnectionSpec.gauduchon(eps) for eps in eps_values],
+                              ConnectionPlane(h, instantiate(structure)))
     rows = []
     for eps, (re, im), den in zip(eps_values, z.transpose(1, 0, 2).tolist(), dens):
         raw = sorted((_label(*key), key, v) for key, v in table(structure, metric, h, eps).items())

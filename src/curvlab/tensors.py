@@ -15,8 +15,8 @@ _arrays, _cmatmul, _tensor and their kin, with versions such as _reduced_each
 over a stack of tensors along a leading spec axis, at the end of the module),
 on which contract and every other exact product of two stored tensors run.  The
 index arithmetic of the hot loops is done once, at import: all_indices hands out
-one stored tuple per rank up to 4, and offset_table builds the tables of
-permuted and conjugated offsets the structural checks read.
+one stored tuple per rank up to 4, from which the structural checks build their
+tables of permuted and conjugated offsets.
 Values are treated as immutable once built: the constructors hand out fresh
 lists or read-only arrays, and no public operation mutates its arguments.
 """
@@ -302,12 +302,6 @@ def flat_offset(idx) -> int:
     for i in idx:
         off = off * DIM + i
     return off
-
-
-def offset_table(rank: int, f) -> tuple:
-    """The flat offset of f(*idx) for every rank-tuple idx, in flat-offset order: a
-    permutation or conjugation of the slots as an import-time table of offsets."""
-    return tuple(flat_offset(f(*idx)) for idx in all_indices(rank))
 
 
 # -- the Gaussian-integer kernel ----------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -33,15 +34,14 @@ from .connection import (
     _HALF,
     _KINDS,
     _MIXED,
+    ConnectionPlane,
     ConnectionSpec,
     PRESETS,
     _curvature_hits,
     _defect_stack,
     _nabla_g_hits,
-    _plane_symbols,
     _stacked_pass,
     christoffel,
-    connection_plane,
     curvature,
     curvature_stack,
 )
@@ -49,7 +49,7 @@ from .goldens import compare_components
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
 from .scalars import ZERO, GaussianRational, Rat, gr
 from .symmetry import FlatnessResult, KahlerLikeReport, stack_verdicts
-from .tensors import _first_hits, all_indices, contract, index_name, numerator_value
+from .tensors import DIM, _first_hits, _stack, all_indices, contract, index_name
 
 __all__ = [
     "SamplePlan",
@@ -461,9 +461,9 @@ def evaluate_case(case: TheoremCase, plan: SamplePlan):
         struct, metric = _point_for(case, rng)
         alg = instantiate(struct)
         h = build_metric(metric)
-        plane = connection_plane(h, alg)
+        plane = ConnectionPlane(h, alg)
         flags = classify_metric(h, alg, plane.forms)
-        verdicts = stack_verdicts(specs, *curvature_stack(specs, h, alg, plane), witness_cap=1)
+        verdicts = stack_verdicts(specs, *curvature_stack(specs, plane), witness_cap=1)
         for spec, (report, flat, gray) in zip(specs, verdicts):
             observations.append(Observation(case.case_id, spec, report, flat, flags, gray))
     results = [_case_result(case, spec, observations[k::len(specs)])
@@ -539,8 +539,7 @@ def theorem_suite(plan: SamplePlan | None = None, threads: int | None = None) ->
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_evaluate_case_by_index,
-                                    [(i, plan) for i in range(len(THEOREM_CASES))]))
+            outputs = list(pool.map(evaluate_case, THEOREM_CASES, itertools.repeat(plan)))
     else:
         outputs = [evaluate_case(case, plan) for case in THEOREM_CASES]
 
@@ -556,11 +555,6 @@ def theorem_suite(plan: SamplePlan | None = None, threads: int | None = None) ->
         conjectures.append(ConjectureResult(conj_id, statement, len(checked),
                                             tuple(violations), not violations))
     return Scoreboard(plan.seed, plan.points_per_case, cases, conjectures)
-
-
-def _evaluate_case_by_index(args):
-    index, plan = args
-    return evaluate_case(THEOREM_CASES[index], plan)
 
 
 def _threads_from_env() -> int:
@@ -595,15 +589,16 @@ def _row(name: str, where: str, witness) -> IdentityResult:
                           (where, str(witness[0]), witness[1]) if witness else None)
 
 
+_ID_LABELS = [f"(g*g_inv - id)[{index_name(i)},{index_name(j)}]" for i, j in all_indices(2)]
+
+
 def _identity_witness(prod):
     """The first entry where a 6x6 matrix differs from the Kronecker delta, labelled,
-    with the difference, or None for the identity; only a witness builds a value."""
-    for n, (i, j) in enumerate(all_indices(2)):
-        re, im = prod.re[n] - (prod.den if i == j else 0), prod.im[n]
-        if re or im:
-            label = f"(g*g_inv - id)[{index_name(i)},{index_name(j)}]"
-            return label, numerator_value(re, im, prod.den)
-    return None
+    with the difference, or None for the identity: a _first_hits hit of the numerators
+    less delta den, taken on Python ints (den may lie beyond int64)."""
+    z = _stack((prod,))[0].astype(object)
+    z[0, 0, ::DIM + 1] -= prod.den
+    return _first_hits((z != 0).any(0), z, [prod.den], _ID_LABELS)[0]
 
 
 def _d_witness(domega, alg):
@@ -625,8 +620,8 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
     type preservation on the Gauduchon line, the torsion Bianchi defect,
     d o d = 0, and g g^{-1} = id.  Returns a list of IdentityResult.
 
-    A point's connections run as one stacked pass on its plane, whose arrays the checks
-    read as masks; the Bianchi defect rebuilds them as one stack without the plane.
+    A point's connections run as one stacked pass on its plane, whose arrays the checks,
+    the Bianchi defect among them, read as masks.
     """
     plan = plan or SamplePlan()
     results = []
@@ -648,15 +643,14 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
         for m_index in range(metrics_per_structure):
             metric = sample_metric(rng, shape="any")
             h = build_metric(metric)
-            plane = connection_plane(h, alg)
             point = f"{tag} metric#{m_index}"
 
             results.append(_row("g-ginv-identity", point,
                                 _identity_witness(contract(h.g, h.g_inv, 1, 0))))
             results.append(_row("d-squared", point, _d_witness(exterior_d(h.omega, alg), alg)))
 
-            low, gamma, curv = _stacked_pass(specs, h, alg, plane)
-            _, defect = _defect_stack(_plane_symbols(specs, h, alg, None)[1], alg.c)
+            low, gamma, curv = _stacked_pass(specs, ConnectionPlane(h, alg))
+            _, defect = _defect_stack(gamma, alg.c)
             checks = [(name, _first_hits(hits, *stack, labels)) for name, hits, stack, labels in (
                 ("curvature-symmetries", _curvature_hits(curv[0], [s.is_lc for s in specs]), curv,
                  _KINDS * len(all_indices(4))),

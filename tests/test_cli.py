@@ -248,14 +248,13 @@ def test_verify_appendix_bytes_are_pinned(capsys):
 def test_verify_appendix_fails_on_a_broken_shared_plane(capsys, monkeypatch):
     # every eps of a point reads one connection plane, so a fault in the plane must
     # show: with T negated, 145 of the 209 rows differ (the eps = 0 rows read no T)
-    plane = goldens.connection_plane
-
     def broken(h, alg):
-        p = plane(h, alg)
+        p = connection.ConnectionPlane(h, alg)
         t, c = p.forms
-        return connection.ConnectionPlane(p.lc, (-t, c))
+        p.forms = (-t, c)
+        return p
 
-    monkeypatch.setattr(goldens, "connection_plane", broken)
+    monkeypatch.setattr(goldens, "ConnectionPlane", broken)
     code, out, _ = run(capsys, "verify", "appendix", "--seed", "0", "--points", "1",
                        "--draws", "1")
     assert code == 1

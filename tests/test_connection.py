@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import pickle
@@ -350,6 +351,13 @@ def _bumped(t, n):
     return t
 
 
+def _table_on(spec, plane):
+    """The ChristoffelTable of spec on plane: the symbols of its one-spec stacked pass."""
+    low, gamma, _ = connection._stacked_pass([spec], plane)
+    return connection.ChristoffelTable(spec, *tensors._tensors(3, *gamma),
+                                       *tensors._tensors(3, *low))
+
+
 def _check_mismatches(curv, table):
     """Which mask checks' full failure lists on (curv, table) differ from their list
     loops, numbered 0 and 1 for the curvature checks without and with (Symm), 2 for
@@ -384,7 +392,7 @@ def test_structural_checks_match_the_list_loop_references(monkeypatch):
                                                                REF_PARTNERS[first][5])), table),
                      (curv, connection.ChristoffelTable(spec, table.gamma,
                                                         _bumped(table.lowered, 6 * 4 + 1))),
-                     (curv, christoffel(spec, h, alg, negated))]
+                     (curv, _table_on(spec, negated))]
             wants = []
             for c, t in cases:
                 bad, want = _check_mismatches(c, t)
@@ -427,19 +435,20 @@ def test_structural_checks_match_the_list_loop_references(monkeypatch):
 
 
 def test_bianchi_tables_match_the_permutation_signs():
-    """The torsion swap, each sorted triple's three half rows and its six signed fills,
-    against the offset arithmetic, itertools.permutations and perm_sign."""
+    """The torsion swap, each sorted triple's three half rows, and the fill of each
+    defect block from its sorted triple's sum with the sign of the sorting, against
+    the offset arithmetic, itertools.permutations and perm_sign."""
     assert connection._SWAP.tolist() == [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]
     triples = list(itertools.combinations(range(6), 3))
-    assert [t for t, _, _ in connection._TRIPLES] == triples
     pair = connection._PAIR
-    perms = [(p, perm_sign(p)) for p in itertools.permutations(range(3))]
-    for t, rows, fills in connection._TRIPLES:
-        i, hh, k = t
-        assert rows == (36 * pair[i, hh] + 6 * k, 36 * pair[hh, k] + 6 * i,
-                        36 * pair[i, k] + 6 * hh)
-        assert fills == tuple((216 * t[a] + 36 * t[b] + 6 * t[c], sign)
-                              for (a, b, c), sign in perms)
+    assert connection._HALF_ROWS.tolist() == [
+        [6 * pair[i, hh] + k, 6 * pair[hh, k] + i, 6 * pair[i, k] + hh] for i, hh, k in triples]
+    fill = [2 * len(triples)] * 216
+    for t, triple in enumerate(triples):
+        for p in itertools.permutations(range(3)):
+            x, y, z = (triple[a] for a in p)
+            fill[36 * x + 6 * y + z] = t if perm_sign(p) > 0 else len(triples) + t
+    assert connection._FILL.tolist() == fill
 
 
 def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
@@ -769,7 +778,7 @@ def _stack_mismatches(alg, h, specs):
     symbols and of the curvature, or, written to lists, holds a value that is not a
     Python int; each stack must also hold one entry per spec."""
     bad = []
-    stacks = connection._stacked_pass(specs, h, alg, connection.connection_plane(h, alg))
+    stacks = connection._stacked_pass(specs, connection.ConnectionPlane(h, alg))
     low, gamma, curv = ([tensors._tensors(rank, *stack)
                          for rank, stack in zip((3, 3, 4), stacks)])
     assert len(low) == len(gamma) == len(curv) == len(specs)
@@ -806,21 +815,22 @@ def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
         if alg.c.is_zero():
             continue
         checked += 1
-        plane = connection.connection_plane(h, alg)
+        plane = connection.ConnectionPlane(h, alg)
+        plane.lc, plane.forms  # the point's tables, built before the spy is cleared
         dtypes.clear()
-        connection._stacked_pass(specs + [huge], h, alg, plane)
+        connection._stacked_pass(specs + [huge], plane)
         assert [d for t, d in dtypes if t != 12] == [object, object], label
         dtypes.clear()
         for spec in specs:
-            curvature(christoffel(spec, h, alg, plane), h, alg)
+            connection._stacked_pass([spec], plane)
         assert {d for _, d in dtypes} == {np.int64}, label
         assert _stack_mismatches(alg, h, specs + [huge]) == [], label
     assert checked == 8
 
 
 def test_the_defect_stack_matches_the_reference(dtypes):
-    """_defect_stack on a point's connections rebuilt as one stack without the plane
-    gives each spec the torsion and defect of ref_defect, in numerators and den: on a
+    """_defect_stack on the symbols of a point's connections, built as one stack, gives
+    each spec the torsion and defect of ref_defect, in numerators and den: on a
     slice of the reference grid, on int64, and with a Gauduchon eps of 2^-70 joining
     each stack, which puts the whole stack's defect on object wherever c is not zero
     (the abelian structure's tables are zero, so no sum leaves int64)."""
@@ -830,7 +840,7 @@ def test_the_defect_stack_matches_the_reference(dtypes):
         for stack, dtype in ((specs, np.int64), (specs + [huge], object)):
             dtypes.clear()
             torsion, defect = connection._defect_stack(
-                connection._plane_symbols(stack, h, alg, None)[1], alg.c)
+                connection._plane_symbols(stack, connection.ConnectionPlane(h, alg))[1], alg.c)
             want_dtype = np.int64 if alg.c.is_zero() else dtype
             assert {d for t, d in dtypes if t == 324} == {want_dtype}, label
             got = zip(tensors._tensors(3, *torsion), tensors._tensors(4, *defect))
@@ -1155,7 +1165,7 @@ def _shared_route_mismatches(make_plane):
             if classify_metric(h, alg, plane.forms) != classify_metric(h, alg):
                 bad.append((point, "classify"))
             for spec in specs:
-                shared, single = christoffel(spec, h, alg, plane), christoffel(spec, h, alg)
+                shared, single = _table_on(spec, plane), christoffel(spec, h, alg)
                 for name in ("gamma", "lowered"):
                     got, want = getattr(shared, name), getattr(single, name)
                     if (got.re, got.im, got.den) != (want.re, want.im, want.den):
@@ -1168,13 +1178,46 @@ def _shared_route_mismatches(make_plane):
 def test_shared_plane_matches_the_single_call():
     """Every connection built on the point's one plane has the numerators and
     denominator of the connection built alone, and classification agrees."""
-    assert _shared_route_mismatches(connection.connection_plane) == []
+    assert _shared_route_mismatches(connection.ConnectionPlane) == []
+
+
+def test_a_plane_builds_each_table_once_on_its_first_read(monkeypatch):
+    """A plane builds lc and (T, C) only when a connection reads them, and once each:
+    Levi-Civita christoffel and curvature_stack calls build no (T, C), Gauduchon ones
+    build it once, and reading a plane's lc and forms twice builds each table once."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(connection, "torsion_forms", counted("forms", metric.torsion_forms))
+    monkeypatch.setattr(connection, "_lc_sum", counted("lc", connection._lc_sum))
+    h = build_metric(MetricParams.make(r2=2, s2=1, t2="3/2", u="1/4+1/5*i"))
+    lc = ConnectionSpec.preset("lc")
+    gauduchon = [ConnectionSpec.gauduchon(Rat(e, 7)) for e in (1, 2, 3)]
+    for call, forms in ((lambda p: christoffel(lc, h, IWASAWA), 0),
+                        (lambda p: connection.curvature_stack([lc, lc], p), 0),
+                        (lambda p: christoffel(gauduchon[0], h, IWASAWA), 1),
+                        (lambda p: connection.curvature_stack(gauduchon + [lc], p), 1)):
+        counts.clear()
+        call(connection.ConnectionPlane(h, IWASAWA))
+        assert counts == collections.Counter(lc=1, forms=forms)
+    counts.clear()
+    plane = connection.ConnectionPlane(h, IWASAWA)
+    assert counts == {}
+    tables = plane.lc, plane.forms
+    assert plane.lc is tables[0] and plane.forms is tables[1]
+    assert counts == {"lc": 1, "forms": 1}
 
 
 def _negated_t_plane(h, alg):
-    plane = connection.connection_plane(h, alg)
+    plane = connection.ConnectionPlane(h, alg)
     t, c = plane.forms
-    return connection.ConnectionPlane(plane.lc, (-t, c))
+    plane.forms = (-t, c)
+    return plane
 
 
 def test_oracles_catch_a_negated_torsion_form_in_the_plane(monkeypatch):
@@ -1184,7 +1227,7 @@ def test_oracles_catch_a_negated_torsion_form_in_the_plane(monkeypatch):
     assert _shared_route_mismatches(_negated_t_plane)
     plan = verify.SamplePlan(seed=0, points_per_case=1)
     board = verify.theorem_suite(plan, threads=1).to_json()
-    monkeypatch.setattr(verify, "connection_plane", _negated_t_plane)
+    monkeypatch.setattr(verify, "ConnectionPlane", _negated_t_plane)
     assert verify.theorem_suite(plan, threads=1).to_json() != board
     failed = {r.name.split("[")[0] for r in verify.structural_sweep(
         plan, metrics_per_structure=1, random_gauduchon=0) if not r.passed}

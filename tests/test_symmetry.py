@@ -7,10 +7,10 @@ from curvlab import symmetry, tensors
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
+    ConnectionPlane,
     ConnectionSpec,
     CurvatureTensor,
     christoffel,
-    connection_plane,
     curvature,
     curvature_of,
     curvature_stack,
@@ -302,7 +302,7 @@ def _verdict_mismatches(alg, h, specs):
     """Where the stacked verdicts of the point's curvature stack, or the single calls
     on the spec's stored tensor, differ from the references, at every cap in CAPS;
     returns (mismatches, stack dtype, the stack's flat and Levi-Civita flags)."""
-    z, dens = curvature_stack(specs, h, alg, connection_plane(h, alg))
+    z, dens = curvature_stack(specs, ConnectionPlane(h, alg))
     curvs = list(map(CurvatureTensor, specs, tensors._tensors(4, z, dens)))
     bad = []
     for cap in CAPS:
@@ -358,7 +358,7 @@ def test_verdict_counts_and_witnesses_are_python_ints(monkeypatch):
     dtypes = set()
     for grid in grids:
         for label, alg, h, specs in grid:
-            z, dens = curvature_stack(specs, h, alg, connection_plane(h, alg))
+            z, dens = curvature_stack(specs, ConnectionPlane(h, alg))
             dtypes.add(z.dtype)
             for report, flat, _ in stack_verdicts(specs, z, dens, witness_cap=100):
                 assert type(report.n_type_nonzero) is type(report.n_bianchi_nonzero) is int

@@ -8,7 +8,7 @@ import pytest
 
 from curvlab import algebra, connection, goldens, metric, verify
 from curvlab.scalars import GaussianRational, Rat, gr
-from curvlab.tensors import flat_offset, index_name
+from curvlab.tensors import MultiTensor, all_indices, flat_offset, index_name, numerator_value
 from curvlab.verify import (
     THEOREM_CASES,
     SamplePlan,
@@ -236,8 +236,8 @@ def test_thread_count_is_clamped_where_the_pool_is_sized(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *items):
+            return map(fn, *items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     plan = SamplePlan(seed=2, points_per_case=1)
@@ -266,14 +266,13 @@ def test_sweep_rows_are_pinned():
 def test_sweep_failure_witnesses_are_pinned(monkeypatch):
     """With T negated in every point's shared plane, the failing rows (the nabla-j
     rows of the connections with torsion) and their exact witnesses are pinned too."""
-    plane = verify.connection_plane
-
     def broken(h, alg):
-        p = plane(h, alg)
+        p = connection.ConnectionPlane(h, alg)
         t, c = p.forms
-        return connection.ConnectionPlane(p.lc, (-t, c))
+        p.forms = (-t, c)
+        return p
 
-    monkeypatch.setattr(verify, "connection_plane", broken)
+    monkeypatch.setattr(verify, "ConnectionPlane", broken)
     assert _sweep_digest() == "d84bff320da51bb10c77c3e0373df5c0895770d370418b28e8975ef07bd9a8d8"
 
 
@@ -286,6 +285,41 @@ def test_structural_sweep_small():
     names = {r.name.split("[")[0] for r in results}
     assert names >= {"lie-algebra", "g-ginv-identity", "d-squared",
                      "curvature-symmetries", "nabla-g", "nabla-j", "bianchi-defect"}
+
+
+def _loop_identity_witness(prod):
+    """The first entry where a 6x6 matrix differs from the Kronecker delta, by a loop
+    over the lists: the reference of verify._identity_witness."""
+    for n, (i, j) in enumerate(all_indices(2)):
+        re, im = prod.re[n] - (prod.den if i == j else 0), prod.im[n]
+        if re or im:
+            return (f"(g*g_inv - id)[{index_name(i)},{index_name(j)}]",
+                    numerator_value(re, im, prod.den))
+    return None
+
+
+def test_identity_witness_matches_the_list_loop():
+    """The mask witness of g*g_inv = id equals the loop's (label, value) on crafted
+    products: delta itself, one off-diagonal entry, a diagonal entry off by one, and
+    each of those over a den of at least 2^63, whose numerators take object arrays."""
+    checked = 0
+    for den in (3, 2 ** 63 + 5):
+        delta = [den if i == j else 0 for i, j in all_indices(2)]
+        off = delta[:]
+        off[6 * 1 + 4] = -2
+        diag = delta[:]
+        diag[6 * 4 + 4] += 1
+        for re, im, want_none in ((delta, [0] * 36, True), (off, [0] * 36, False),
+                                  (diag, [0] * 36, False), (delta, off, False)):
+            prod = MultiTensor.from_numerators(2, re[:], im[:], den)
+            got = verify._identity_witness(prod)
+            assert got == _loop_identity_witness(prod)
+            assert (got is None) == want_none
+            checked += 1
+    assert checked == 8
+    big = MultiTensor.from_numerators(2, diag, [0] * 36, 2 ** 63 + 5)
+    assert verify._identity_witness(big) == ("(g*g_inv - id)[2b,2b]",
+                                             GaussianRational(Rat(1, 2 ** 63 + 5)))
 
 
 def test_structural_failures_name_a_nonzero_entry(monkeypatch):
@@ -359,19 +393,18 @@ def test_oracles_catch_a_flipped_sign_in_the_d_table(monkeypatch):
 
 
 def test_each_point_builds_its_connection_plane_once(monkeypatch):
-    """The scoreboard and the sweep build T, C and the c.g table once per point for
-    classify_metric and every connection there; the Bianchi defect, counted apart,
-    still rebuilds its connections without the plane, once per point."""
+    """The scoreboard and the sweep build T, C and the c.g table once per point, for
+    classify_metric and every connection there; the sweep's Bianchi defect reads the
+    point's stacked pass and builds neither again."""
     counts = collections.Counter()
-    in_defect = [False]
 
     def counted(name, fn):
         def wrapper(*args):
-            counts[name, in_defect[0]] += 1
+            counts[name] += 1
             return fn(*args)
         return wrapper
 
-    forms, rebuild = metric.torsion_forms, verify._plane_symbols
+    forms = metric.torsion_forms
     monkeypatch.setattr(metric, "torsion_forms", counted("forms", forms))
     monkeypatch.setattr(connection, "torsion_forms", counted("forms", forms))
     monkeypatch.setattr(connection, "_lc_sum", counted("lc", connection._lc_sum))
@@ -379,23 +412,12 @@ def test_each_point_builds_its_connection_plane_once(monkeypatch):
     theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
     points = len(THEOREM_CASES)
     assert points == 50
-    assert counts == {("forms", False): points, ("lc", False): points}
+    assert counts == {"forms": points, "lc": points}
 
-    def flagged(specs, h, alg, plane):
-        assert plane is None
-        in_defect[0] = True
-        try:
-            return rebuild(specs, h, alg, plane)
-        finally:
-            in_defect[0] = False
-
-    monkeypatch.setattr(verify, "_plane_symbols", flagged)
     counts.clear()
     structural_sweep(SamplePlan(seed=0), metrics_per_structure=1, random_gauduchon=1)
     points = len(verify._SWEEP_STRUCTURES)
-    # one rebuild of every connection of the point for the defect, which needs (T, C)
-    assert counts == {("forms", False): points, ("lc", False): points,
-                      ("lc", True): points, ("forms", True): points}
+    assert counts == {"forms": points, "lc": points}
 
 
 def test_the_scoreboard_runs_one_operator_per_point(monkeypatch):
