@@ -266,7 +266,7 @@ def _common_den(gamma, c):
     return dens, fg, fc, mg, [max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)]
 
 
-def _operator(gamma, c, x):
+def _operator(gamma, c, x, common=None):
     """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} for I < H.
 
     Bilinear in the symbols gamma and a rank-3 table x whose last slot is the
@@ -280,11 +280,12 @@ def _operator(gamma, c, x):
     (H, I), the third one product over the 15 pairs' rows of c: 3 sums of 12 real
     products per entry.  All specs share each product, on the dtype of the largest
     bound among them.  The curvature expands the half to the stored tensor through
-    _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.
+    _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.  common is
+    _common_den(gamma, c) where the caller has it already.
     """
     (zg, _), (zx, dx) = gamma, x
     zc, mc = _arrays(c)
-    dens, fg, fc, mg, bounds = _common_den(gamma, c)
+    dens, fg, fc, mg, bounds = common or _common_den(gamma, c)
     dtype = _dtype(max(b.bit_length() + m.bit_length()
                        for b, m in zip(bounds, _maxabs_each(zx))), 36)
     n = len(dens)
@@ -466,11 +467,12 @@ _CX, _CYZ = np.divmod(_CYCLIC, 36)
 _CXY, _CZ = np.divmod(_CYCLIC, 6)
 
 
-def _over_c(gamma, c, terms):
+def _over_c(gamma, c, terms, common=None):
     """(zg, zc, dens, fg, dtype): gamma = (z, dens) and c over one denominator per spec
-    (see _common_den), the symbols scaled by fg[s], in the dtype of `terms` products of two."""
+    (see _common_den, or common where the caller has it), the symbols scaled by fg[s],
+    in the dtype of `terms` products of two."""
     zg, (zc, mc) = gamma[0], _arrays(c)
-    dens, fg, fc, mg, bounds = _common_den(gamma, c)
+    dens, fg, fc, mg, bounds = common or _common_den(gamma, c)
     dtype = _dtype(2 * max(bounds).bit_length(), terms)
     zc = _scaled_each(np.broadcast_to(zc[:, None], zg.shape), fc, [mc] * len(dens), dtype)
     return _scaled_each(zg, fg, mg, dtype), zc, dens, fg, dtype
@@ -493,8 +495,9 @@ def _defect_stack(gamma, c):
     """
     # per entry: 3 half rows of 36 products below 2^(2b), and 3 x 24 products with
     # one factor T, |T| < 3 2^b, each counted as 3 products below 2^(2b)
-    zg, zc, dens, fg, dtype = _over_c(gamma, c, 3 * 36 + 3 * 3 * 24)
-    half, _ = _operator(gamma, c, gamma)  # spec s over dens[s] gamma's dens[s]
+    common = _common_den(gamma, c)
+    zg, zc, dens, fg, dtype = _over_c(gamma, c, 3 * 36 + 3 * 3 * 24, common)
+    half, _ = _operator(gamma, c, gamma, common)  # spec s over dens[s] gamma's dens[s]
     half = _scaled_each(half, fg, (half != 0).any((0, 2)).tolist(), dtype)
     half = np.take(half.reshape(2, -1, 90, DIM), _HALF_ROWS, axis=2)
     # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K

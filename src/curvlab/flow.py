@@ -18,12 +18,20 @@ trace: by the Koszul formula Gamma_{AB}^A = (c_{AB}^A + c_{LB}^L) / 2 summed ove
 A and L, because the third Koszul summand c_{AL}^C g_{CB} g^{LA} contracts c, skew
 in (A, L), with the symmetric g^{LA}.  So Gamma_{AB}^A = sum_A c_{AB}^A for every
 symmetric invertible g, zero on unimodular algebras.  The other two terms contract
-the same right factor Gamma_{AK}^B, so each path takes one matrix-vector product
-and one matrix product: exact_lc_ricci on the exact kernel's Gaussian-integer
-numerators, float_lc_ricci in complex floating point on a per-structure field that
-integrate_flow builds once (_lc_field: the 216 x 36 map from vec(g) to the lowered
-table laid out [L, (I, H)], the trace of c, and c as [H, (B, A)]).  One float
-evaluation is one lowering product, one solve and the trace's two products.
+the same right factor Gamma_{AK}^B, and so does the first, read as
+sum_{B,A} trc_B delta_{AH} Gamma_{AK}^B.  exact_lc_ricci takes the trace term's
+matrix-vector product and the other two terms' matrix product on the exact kernel's
+Gaussian-integer numerators.  float_lc_ricci folds all three into one product in
+complex floating point, on a per-structure field that integrate_flow builds once
+(_lc_field: the 216 x 36 map LT from vec(g) to the lowered table, and the left
+constant K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^A).  One float evaluation is one
+lowering product, one inverse, one raising product and the Ricci product.
+
+integrate_flow projects each accepted state onto the symmetric, conjugation-real
+matrices; the stage inputs of a step go to the field as they are.  Positivity is
+read on the Hermitian form H_{ij} = g(phi_i, phi_jb), one Cholesky of a 6 x 6
+matrix: a real symmetric form is positive-definite exactly when its sesquilinear
+extension is.
 
 hermitian_deviation monitors max |g_{ij}| over the pure-type block; for
 initial data whose Levi-Civita connection is Kahler-like the flow must keep
@@ -100,34 +108,36 @@ def _structure_array(alg: LieAlgebraCx) -> np.ndarray:
 
 
 def _lc_field(c: np.ndarray):
-    """(LT, trc, cX): the constants of float_lc_ricci for one structure c.
+    """(LT, K): the constants of float_lc_ricci for one structure c.
 
     LT (216 x 36) maps vec(g) to the lowered table (x_{IHL} - x_{HLI} - x_{ILH}) / 2,
-    x = c g, laid out [L, (I, H)]; trc[B] = sum_A c_{AB}^A; cX[H, (B, A)] = c_{BH}^A.
+    x = c g, laid out [(I, H, L), (B, M)]: three products of c with the identity,
+    broadcast.  K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^A, trc_B = sum_A c_{AB}^A,
+    is the part of the Ricci product's left factor that does not depend on g.
     """
     eye = np.eye(DIM)
-    lt = 0.5 * (np.einsum("ihb,ml->lihbm", c, eye)
-                - np.einsum("hlb,mi->lihbm", c, eye)
-                - np.einsum("ilb,mh->lihbm", c, eye))
-    return (lt.reshape(216, 36), c.trace(axis1=0, axis2=2),
-            c.transpose(1, 0, 2).reshape(DIM, 36))
+    lt = 0.5 * (c[:, :, None, :, None] * eye[None, None, :, None, :]
+                - c[None, :, :, :, None] * eye[:, None, None, None, :]
+                - c[:, None, :, :, None] * eye[None, :, None, None, :])
+    k = c.trace(axis1=0, axis2=2)[None, :, None] * eye[:, None, :] - c.transpose(1, 0, 2)
+    return lt.reshape(216, 36), k.reshape(DIM, 36)
 
 
 def float_lc_ricci(g6: np.ndarray, field) -> np.ndarray:
     """Riemannian Ricci of the float metric g6 on the structure's field (see _lc_field).
 
     Ric_{HK} = Gamma_{HK}^B Gamma_{AB}^A - Gamma_{AK}^B Gamma_{HB}^A - c_{AH}^B Gamma_{BK}^A,
-    the trace sum_A R(A,H)K^A that exact_lc_ricci takes on numerators.  One solve
-    with the symmetric g6 raises the lowered table to S = Gamma_{IH}^L as [L, (I, H)];
-    the first term is trc S, as Gamma_{AB}^A = c_{AB}^A summed over A, and the other
-    two contract the same right factor Gamma_{AK}^B, so they are one 6 x 36 by 36 x 6
-    product.
+    the trace sum_A R(A,H)K^A that exact_lc_ricci takes on numerators.  The lowered
+    table times g6^{-1} is S = Gamma_{IH}^L as [(I, H), L], since g6 is symmetric.  As
+    Gamma_{AB}^A = c_{AB}^A summed over A, the first term is
+    sum_{B,A} trc_B delta_{AH} Gamma_{AK}^B, so all three terms contract the same
+    right factor Gamma_{AK}^B: one 6 x 36 by 36 x 6 product with the left factor
+    K - Gamma_{HB}^A.
     """
-    lt, trc, cx = field
-    s = np.linalg.solve(g6, (lt @ g6.reshape(36)).reshape(DIM, 36))
-    return ((trc @ s).reshape(DIM, DIM)
-            - (s.reshape(DIM, DIM, DIM).transpose(1, 2, 0).reshape(DIM, 36) + cx)
-            @ s.reshape(36, DIM))
+    lt, k = field
+    s = (lt @ g6.reshape(36)).reshape(36, DIM) @ np.linalg.inv(g6)
+    # [H, (B, A)]: K - Gamma_{HB}^A; [(B, A), K]: Gamma_{AK}^B
+    return (k - s.reshape(DIM, 36)) @ s.reshape(DIM, DIM, DIM).transpose(2, 0, 1).reshape(36, DIM)
 
 
 # -- states and traces -----------------------------------------------------------
@@ -135,12 +145,8 @@ def float_lc_ricci(g6: np.ndarray, field) -> np.ndarray:
 # m.take(_BAR)[6 i + j] = m[bar(i), bar(j)]: its conjugate is the conjugate image of m
 _BAR = np.array([DIM * bar(i) + bar(j) for i in INDICES for j in INDICES])
 
-# real frame X_k = phi_k + phi_kb, Y_k = i(phi_k - phi_kb), one row per vector
-_REAL_FRAME = np.array([[1, 0, 0, 1, 0, 0], [1j, 0, 0, -1j, 0, 0],
-                        [0, 1, 0, 0, 1, 0], [0, 1j, 0, 0, -1j, 0],
-                        [0, 0, 1, 0, 0, 1], [0, 0, 1j, 0, 0, -1j]])
-# vec(F m F^T) = (F kron F) vec(m): the real-frame Gram of m as one product
-_REAL_GRAM = np.kron(_REAL_FRAME, _REAL_FRAME)
+# m[:, _BAR_COLS][i, j] = m[i, bar(j)] = g(phi_i, phi_jb): the Hermitian form of m
+_BAR_COLS = np.array([bar(i) for i in INDICES])
 
 
 @dataclass
@@ -163,13 +169,17 @@ class FlowState:
 
     def validate(self):
         """Symmetry, conjugation-reality, and positive-definiteness as a real metric."""
-        m = self.as_float_matrix()
-        if not np.allclose(m, m.T, rtol=0, atol=1e-12):
-            raise ValueError("flow metric must be symmetric")
-        if not np.allclose(m, m.take(_BAR).reshape(DIM, DIM).conj(), rtol=0, atol=1e-12):
-            raise ValueError("flow metric must be conjugation-real")
-        if not _real_positive_definite(m):
-            raise ValueError("flow metric must be positive-definite as a real metric")
+        _validate(self.as_float_matrix())
+
+
+def _validate(m: np.ndarray):
+    """FlowState.validate on the float matrix m: ValueError unless m is a metric."""
+    if not np.allclose(m, m.T, rtol=0, atol=1e-12):
+        raise ValueError("flow metric must be symmetric")
+    if not np.allclose(m, m.take(_BAR).reshape(DIM, DIM).conj(), rtol=0, atol=1e-12):
+        raise ValueError("flow metric must be conjugation-real")
+    if not _real_positive_definite(m):
+        raise ValueError("flow metric must be positive-definite as a real metric")
 
 
 def flow_state_from_hermitian(h: HermitianData, alg: LieAlgebraCx) -> FlowState:
@@ -178,8 +188,14 @@ def flow_state_from_hermitian(h: HermitianData, alg: LieAlgebraCx) -> FlowState:
 
 
 def _real_positive_definite(m: np.ndarray) -> bool:
+    """Whether the symmetric, conjugation-real m is positive-definite as a real metric.
+
+    Read on its Hermitian form H_{ij} = g(phi_i, phi_jb), which is Hermitian for such m:
+    a real symmetric form is positive-definite exactly when its sesquilinear extension
+    is, and H is that extension on the complex frame.  Cholesky reads H's lower triangle.
+    """
     try:
-        np.linalg.cholesky((_REAL_GRAM @ m.reshape(36)).reshape(DIM, DIM).real)
+        np.linalg.cholesky(m[:, _BAR_COLS])
         return True
     except np.linalg.LinAlgError:
         return False
@@ -221,7 +237,8 @@ class FlowTrace:
 def _project(m: np.ndarray) -> np.ndarray:
     """The symmetric, conjugation-real part of m: (s + bar image of s) / 4, s = m + m.T.
 
-    The flow preserves these matrices exactly; projecting only damps rounding noise.
+    The flow preserves these matrices exactly; projecting only damps rounding noise, so
+    integrate_flow projects each accepted state and leaves its stage inputs as they are.
     Both halvings are exact, so this is (m1 + bar image of m1) / 2, m1 = (m + m.T) / 2,
     to the bit.
     """
@@ -238,15 +255,16 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     the Ricci term; it truncates with a halt reason if positivity fails.
     horizon/step must be a whole number of steps (see step_count).  A step
     costs four evaluations: the field at an accepted point also starts the next.
+    Each accepted state is projected (see _project) and checked for positivity.
     """
     n_steps = step_count(horizon, step)
-    g0.validate()
+    m = g0.as_float_matrix()
+    _validate(m)
     default_field = rhs is None
     if default_field:
         lc = _lc_field(_structure_array(g0.structure))
         rhs = lambda m: -float_lc_ricci(m, lc)
 
-    m = g0.as_float_matrix()
     trace = FlowTrace()
     k1 = rhs(m)
     if g0.is_exact and default_field:
@@ -256,12 +274,12 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
             [[complex(float(v.re), float(v.im)) for v in row] for row in ric0])))
     else:
         norm0 = float(np.linalg.norm(k1))
-    trace.samples.append(FlowSample(0.0, m.copy(), hermitian_deviation(m), norm0))
+    trace.samples.append(FlowSample(0.0, m, hermitian_deviation(m), norm0))
     t = 0.0
     for _ in range(n_steps):
-        k2 = rhs(_project(m + 0.5 * step * k1))
-        k3 = rhs(_project(m + 0.5 * step * k2))
-        k4 = rhs(_project(m + step * k3))
+        k2 = rhs(m + 0.5 * step * k1)
+        k3 = rhs(m + 0.5 * step * k2)
+        k4 = rhs(m + step * k3)
         m_next = _project(m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if not _real_positive_definite(m_next):
             trace.halt_reason = f"positivity lost at t={t + step:.6g}"
@@ -270,7 +288,7 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
         t += step
         # the field at the new point is this sample's Ricci term and the next step's k1
         k1 = rhs(m)
-        trace.samples.append(FlowSample(t, m.copy(), hermitian_deviation(m),
+        trace.samples.append(FlowSample(t, m, hermitian_deviation(m),
                                         float(np.linalg.norm(k1))))
     return trace
 

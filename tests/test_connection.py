@@ -467,8 +467,8 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
 
     operator = connection._operator
 
-    def flipped(gamma, c, x):
-        return operator(gamma, -c, x)
+    def flipped(gamma, c, x, *common):
+        return operator(gamma, -c, x, *common)
 
     monkeypatch.setattr(connection, "_operator", flipped)
     assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
@@ -851,6 +851,25 @@ def test_the_defect_stack_matches_the_reference(dtypes):
                 assert all(_python_ints(t) for t in pair)
                 checked += 1
     assert checked == 14 * (8 + 9)
+
+
+def test_the_defect_stack_takes_its_common_denominators_once(monkeypatch):
+    """_over_c and _operator put the stack over one denominator per spec; _defect_stack
+    takes that from _common_den once and hands it to both."""
+    alg = instantiate(FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"))
+    h = build_metric(MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"))
+    specs = [ConnectionSpec.preset(name) for name in PRESETS]
+    gamma = connection._plane_symbols(specs, connection.ConnectionPlane(h, alg))[1]
+    calls = []
+    common_den = connection._common_den
+
+    def counted(*args):
+        calls.append(1)
+        return common_den(*args)
+
+    monkeypatch.setattr(connection, "_common_den", counted)
+    connection._defect_stack(gamma, alg.c)
+    assert len(calls) == 1
 
 
 def _kernel_outputs(alg, h, specs):

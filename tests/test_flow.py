@@ -8,6 +8,7 @@ from curvlab.flow import (
     FlowState,
     _lc_field,
     _project,
+    _real_positive_definite,
     _structure_array,
     exact_lc_ricci,
     float_lc_ricci,
@@ -194,6 +195,107 @@ def test_the_trace_term_on_a_non_unimodular_algebra(rng):
         assert _rel_err(ric, _to_float(exact_lc_ricci(st.g6, alg))) <= 1e-12
         ric_real, basis = _real_frame_ricci(alg, m)
         assert np.allclose(ric_real, (basis @ ric @ basis.T).real, atol=1e-9)
+
+
+# The integrator before its step was cut to fewer numpy calls, kept as a reference:
+# the solve-based field (LT, trc, cX) with LT laid out [L, (I, H)] and built by
+# einsum, every stage input projected, and positivity read on the real-frame Gram.
+_REAL_FRAME = np.array([[1, 0, 0, 1, 0, 0], [1j, 0, 0, -1j, 0, 0],
+                        [0, 1, 0, 0, 1, 0], [0, 1j, 0, 0, -1j, 0],
+                        [0, 0, 1, 0, 0, 1], [0, 0, 1j, 0, 0, -1j]])
+
+
+def ref_lc_field(c):
+    eye = np.eye(6)
+    lt = 0.5 * (np.einsum("ihb,ml->lihbm", c, eye)
+                - np.einsum("hlb,mi->lihbm", c, eye)
+                - np.einsum("ilb,mh->lihbm", c, eye))
+    return lt.reshape(216, 36), c.trace(axis1=0, axis2=2), c.transpose(1, 0, 2).reshape(6, 36)
+
+
+def ref_field_lc_ricci(g6, field):
+    lt, trc, cx = field
+    s = np.linalg.solve(g6, (lt @ g6.reshape(36)).reshape(6, 36))
+    return ((trc @ s).reshape(6, 6)
+            - (s.reshape(6, 6, 6).transpose(1, 2, 0).reshape(6, 36) + cx) @ s.reshape(36, 6))
+
+
+def ref_real_positive_definite(m):
+    try:
+        np.linalg.cholesky((_REAL_FRAME @ m @ _REAL_FRAME.T).real)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def ref_integrate_flow(state, horizon, step):
+    """The reference integrator on the default field: one (g6, deviation, ricci_norm)
+    per sample, the t = 0 norm from the exact Ricci."""
+    field = ref_lc_field(_structure_array(state.structure))
+    rhs = lambda m: -ref_field_lc_ricci(m, field)
+    m = state.as_float_matrix()
+    k1 = rhs(m)
+    norm0 = np.linalg.norm(_to_float(exact_lc_ricci(state.g6, state.structure)))
+    samples = [(m, hermitian_deviation(m), float(norm0))]
+    for _ in range(round(horizon / step)):
+        k2 = rhs(_project(m + 0.5 * step * k1))
+        k3 = rhs(_project(m + 0.5 * step * k2))
+        k4 = rhs(_project(m + step * k3))
+        m = _project(m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        assert ref_real_positive_definite(m)
+        k1 = rhs(m)
+        samples.append((m, hermitian_deviation(m), float(np.linalg.norm(k1))))
+    return samples
+
+
+def _flow_algebras():
+    """The flow workload's structures and the non-unimodular aff(R) + R^4."""
+    return ([instantiate(FamilySpec.make(family, **params)) for family, params in FLOW_STRUCTURES]
+            + [_aff_r_plus_r4()])
+
+
+def test_the_integrator_matches_the_reference_sample_by_sample(rng):
+    for alg in _flow_algebras():
+        state = flow_state_from_hermitian(build_metric(rand_metric(rng)), alg)
+        got = integrate_flow(state, horizon=0.4, step=0.01)
+        ref = ref_integrate_flow(state, 0.4, 0.01)
+        assert got.completed and len(got.samples) == len(ref) == 41
+        for s, (g6, deviation, ricci_norm) in zip(got.samples, ref):
+            assert _rel_err(s.g6, g6) <= 1e-12
+            assert _rel_err(s.deviation, deviation) <= 1e-12
+            assert _rel_err(s.ricci_norm, ricci_norm) <= 1e-12
+
+
+def test_positivity_on_the_hermitian_form_matches_the_real_frame_gram():
+    # m = F^{-1} G F^{-T} has the real-frame Gram G = Q diag(lam) Q^T, each |lam| >= 1e-3
+    finv = np.linalg.inv(_REAL_FRAME)
+    nprng = np.random.default_rng(26)
+    seen = set()
+    for _ in range(200):
+        q, _ = np.linalg.qr(nprng.normal(size=(6, 6)))
+        lam = 10.0 ** nprng.uniform(-3, 1, size=6) * nprng.choice([-1, 1], size=6, p=[0.15, 0.85])
+        m = _project(finv @ (q * lam) @ q.T @ finv.T)
+        positive = bool((lam > 0).all())
+        assert ref_real_positive_definite(m) == positive
+        assert _real_positive_definite(m) == positive
+        seen.add(positive)
+    assert seen == {True, False}
+
+
+def test_the_broadcast_field_matches_the_einsum_construction_to_the_bit():
+    for alg in _flow_algebras():
+        c = _structure_array(alg)
+        lt, k = _lc_field(c)
+        ref_lt = np.ascontiguousarray(ref_lc_field(c)[0].reshape(6, 6, 6, 36).transpose(1, 2, 0, 3))
+        # einsum sums into a zeroed array, so it writes +0 where the product c_{IHB} 0 is
+        # -0 (a negative real part); adding 0.0 turns -0 into +0 and leaves every other bit
+        assert lt.shape == (216, 36) and (lt + 0.0).tobytes() == (ref_lt + 0.0).tobytes()
+        assert k.shape == (6, 36)
+    # K[H, (B, A)] + c_{BH}^A is the delta block trc_B delta_{AH}
+    c = _structure_array(_aff_r_plus_r4())
+    delta = _lc_field(c)[1].reshape(6, 6, 6) + c.transpose(1, 0, 2)
+    trc = np.array([-0.5, 0, 0, -0.5, 0, 0])
+    assert np.array_equal(delta, trc[None, :, None] * np.eye(6)[:, None, :])
 
 
 def test_projection_is_the_two_halvings_to_the_bit():

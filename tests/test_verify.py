@@ -147,9 +147,9 @@ def test_the_sweep_writes_no_lists_and_runs_two_operators_per_point(monkeypatch)
         calls.append(args[0])
         return write(*args)
 
-    def counted(gamma, c, x):
+    def counted(gamma, c, x, *common):
         operators.append(len(gamma[1]))
-        return operator(gamma, c, x)
+        return operator(gamma, c, x, *common)
 
     monkeypatch.setattr(connection, "_tensors", spy)
     monkeypatch.setattr(connection, "_operator", counted)
