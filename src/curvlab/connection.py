@@ -196,8 +196,10 @@ def _lc_sum(c, g):
     - x_{ILH}: 3 sums of 12 real products.
     """
     (zc, mc), (zg, mg) = _arrays(c), _arrays(g)
-    dtype = _dtype(mc.bit_length() + mg.bit_length(), 36)
-    x = _cmatmul(zc.astype(dtype).reshape(2, 36, DIM), zg.astype(dtype).reshape(2, DIM, DIM))
+    bits = mc.bit_length() + mg.bit_length()
+    dtype = _dtype(bits, 36)
+    x = _cmatmul(zc.astype(dtype).reshape(2, 36, DIM), zg.astype(dtype).reshape(2, DIM, DIM),
+                 bits, 36)
     x = x.reshape(2, DIM, DIM, DIM)
     return _tensor(3, x - x.transpose(0, 3, 1, 2) - x.transpose(0, 1, 3, 2), c.den * g.den)
 
@@ -230,9 +232,10 @@ def _symbols(tables, rows, g_inv):
     low, dens = _reduced_each(low, dens)
 
     zi, mi = _arrays(g_inv)
-    dtype = _dtype(_maxabs(low).bit_length() + mi.bit_length(), 12)
+    bits = _maxabs(low).bit_length() + mi.bit_length()
+    dtype = _dtype(bits, 12)
     gamma = _cmatmul(low.astype(dtype, copy=False).reshape(2, -1, DIM),
-                     zi.astype(dtype, copy=False).reshape(2, DIM, DIM))
+                     zi.astype(dtype, copy=False).reshape(2, DIM, DIM), bits, 12)
     gamma = _reduced_each(gamma.reshape(low.shape), [d * g_inv.den for d in dens])
     return (low, dens), gamma
 
@@ -286,16 +289,16 @@ def _operator(gamma, c, x, common=None):
     (zg, _), (zx, dx) = gamma, x
     zc, mc = _arrays(c)
     dens, fg, fc, mg, bounds = common or _common_den(gamma, c)
-    dtype = _dtype(max(b.bit_length() + m.bit_length()
-                       for b, m in zip(bounds, _maxabs_each(zx))), 36)
+    bits = max(b.bit_length() + m.bit_length() for b, m in zip(bounds, _maxabs_each(zx)))
+    dtype = _dtype(bits, 36)
     n = len(dens)
     zg = _scaled_each(zg, fg, mg, dtype).reshape(2, n, 1, 36, DIM)
     zx = zx.astype(dtype, copy=False).reshape(2, n, DIM, DIM, DIM)
-    p = _cmatmul(zg, zx).reshape(2, n, 36, 36)  # p[:, s, 6 I + H, 6 K + X]
+    p = _cmatmul(zg, zx, bits, 36).reshape(2, n, 36, 36)  # p[:, s, 6 I + H, 6 K + X]
     p = np.take(p, _IH_HI, axis=2).reshape(2, n, 2, 540)
     # c is shared: its rows times x, then each spec's factor (the same bound)
     zc = np.take(zc.astype(dtype, copy=False).reshape(2, 36, DIM), _IH, axis=1)
-    c_term = _cmatmul(zc.reshape(2, 1, 15, DIM), zx.reshape(2, n, DIM, 36))
+    c_term = _cmatmul(zc.reshape(2, 1, 15, DIM), zx.reshape(2, n, DIM, 36), bits, 36)
     c_term = _scaled_each(c_term.reshape(2, n, 540), fc, [mc] * n, dtype)
     return p[:, :, 0] - p[:, :, 1] - c_term, list(map(mul, dens, dx))
 
@@ -435,16 +438,18 @@ def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
     r, g_inv = curv.tensor, h.g_inv
     (zr, mr), (zi, mi) = _arrays(r), _arrays(g_inv)
     # ric_lc sums 2 x 36 real products per entry, ric1 and ric2 2 x 9
-    dtype = _dtype(mr.bit_length() + mi.bit_length(), 72)
+    bits = mr.bit_length() + mi.bit_length()
+    dtype = _dtype(bits, 72)
     zr, zi = zr.astype(dtype).reshape(2, 36, 36), zi.astype(dtype)
     hol = zi.reshape(2, DIM, DIM).transpose(0, 2, 1).reshape(2, 36) * _HOL
-    ric1 = _cmatmul(zr, hol.reshape(2, 36, 1))  # rows (I, H)
-    ric2 = _cmatmul(hol.reshape(2, 1, 36), zr)  # columns (K, L)
+    ric1 = _cmatmul(zr, hol.reshape(2, 36, 1), bits, 72)  # rows (I, H)
+    ric2 = _cmatmul(hol.reshape(2, 1, 36), zr, bits, 72)  # columns (K, L)
     # rows (H, K), columns (A, L)
     zr = zr.reshape(2, DIM, 36, DIM).transpose(0, 2, 1, 3).reshape(2, 36, 36)
-    ric_lc = -_cmatmul(zr, zi.reshape(2, 36, 1))
-    dtype = _dtype(_maxabs(ric1).bit_length() + mi.bit_length(), 18)
-    scal = _cmatmul(hol.astype(dtype).reshape(2, 1, 36), ric1.astype(dtype))
+    ric_lc = -_cmatmul(zr, zi.reshape(2, 36, 1), bits, 72)
+    bits = _maxabs(ric1).bit_length() + mi.bit_length()
+    dtype = _dtype(bits, 18)
+    scal = _cmatmul(hol.astype(dtype).reshape(2, 1, 36), ric1.astype(dtype), bits, 18)
     den = r.den * g_inv.den
     return RicciData(_tensor(2, ric1, den), _tensor(2, ric2, den), _tensor(2, ric_lc, den),
                      _tensor(0, scal, den * g_inv.den)[()])
@@ -468,14 +473,16 @@ _CXY, _CZ = np.divmod(_CYCLIC, 6)
 
 
 def _over_c(gamma, c, terms, common=None):
-    """(zg, zc, dens, fg, dtype): gamma = (z, dens) and c over one denominator per spec
+    """(zg, zc, dens, fg, bits): gamma = (z, dens) and c over one denominator per spec
     (see _common_den, or common where the caller has it), the symbols scaled by fg[s],
-    in the dtype of `terms` products of two."""
+    in the dtype of `terms` products of two, each below 2^bits (the bound to hand
+    _cmatmul with terms)."""
     zg, (zc, mc) = gamma[0], _arrays(c)
     dens, fg, fc, mg, bounds = common or _common_den(gamma, c)
-    dtype = _dtype(2 * max(bounds).bit_length(), terms)
+    bits = 2 * max(bounds).bit_length()
+    dtype = _dtype(bits, terms)
     zc = _scaled_each(np.broadcast_to(zc[:, None], zg.shape), fc, [mc] * len(dens), dtype)
-    return _scaled_each(zg, fg, mg, dtype), zc, dens, fg, dtype
+    return _scaled_each(zg, fg, mg, dtype), zc, dens, fg, bits
 
 
 def _defect_stack(gamma, c):
@@ -496,9 +503,10 @@ def _defect_stack(gamma, c):
     # per entry: 3 half rows of 36 products below 2^(2b), and 3 x 24 products with
     # one factor T, |T| < 3 2^b, each counted as 3 products below 2^(2b)
     common = _common_den(gamma, c)
-    zg, zc, dens, fg, dtype = _over_c(gamma, c, 3 * 36 + 3 * 3 * 24, common)
+    terms = 3 * 36 + 3 * 3 * 24
+    zg, zc, dens, fg, bits = _over_c(gamma, c, terms, common)
     half, _ = _operator(gamma, c, gamma, common)  # spec s over dens[s] gamma's dens[s]
-    half = _scaled_each(half, fg, (half != 0).any((0, 2)).tolist(), dtype)
+    half = _scaled_each(half, fg, (half != 0).any((0, 2)).tolist(), zg.dtype)
     half = np.take(half.reshape(2, -1, 90, DIM), _HALF_ROWS, axis=2)
     # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
     zt = zg - np.take(zg, _SWAP, axis=2) - zc
@@ -506,9 +514,9 @@ def _defect_stack(gamma, c):
     # a row times a 6 x 6 matrix per cyclic block (x, y, z), gathered before the product
     zg3, zt3 = zg.reshape(2, -1, DIM, DIM, DIM), zt.reshape(2, -1, DIM, DIM, DIM)
     nabla_t = _cmatmul(np.take(zt.reshape(2, -1, 36, 1, DIM), _CYZ, axis=2),
-                       np.take(zg3, _CX, axis=2))
+                       np.take(zg3, _CX, axis=2), bits, terms)
     t_bracket = _cmatmul(np.take(zc.reshape(2, -1, 36, 1, DIM), _CXY, axis=2),
-                         np.take(zt3.transpose(0, 1, 3, 2, 4), _CZ, axis=2))
+                         np.take(zt3.transpose(0, 1, 3, 2, 4), _CZ, axis=2), bits, terms)
     d_t = (nabla_t - t_bracket)[..., 0, :]
     # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
     sums = half[:, :, :, 0] + half[:, :, :, 1] - half[:, :, :, 2] - d_t.sum(axis=3)

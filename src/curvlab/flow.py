@@ -86,14 +86,15 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 entries
     # of c, so counted as 6 x 12 products below 2^(2b), and 2 x 36 with each of the
     # two summands of the merged left factor
-    zg, zc, (den,), _, _ = _over_c(gamma, alg.c, 72 + 72 + 72)  # one spec, read as (2, ...)
+    terms = 72 + 72 + 72
+    zg, zc, (den,), _, bits = _over_c(gamma, alg.c, terms)  # one spec, read as (2, ...)
     g3 = zg.reshape(2, DIM, DIM, DIM)
     c3 = zc.reshape(2, DIM, DIM, DIM)
     trace = np.trace(c3, axis1=1, axis2=3).reshape(2, DIM, 1)  # c_{AB}^A over B
     # [H, (B, A)]: Gamma_{HB}^A + c_{BH}^A; [(B, A), K]: Gamma_{AK}^B
     left = (g3 + c3.transpose(0, 2, 1, 3)).reshape(2, DIM, 36)
-    ric = (_cmatmul(zg.reshape(2, 36, DIM), trace).reshape(2, DIM, DIM)
-           - _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM)))
+    ric = (_cmatmul(zg.reshape(2, 36, DIM), trace, bits, terms).reshape(2, DIM, DIM)
+           - _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM), bits, terms))
     ric = _tensor(2, ric, den * den)
     return [[ric[h, k] for k in INDICES] for h in INDICES]
 
@@ -252,7 +253,8 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     By default rhs is -Ric; a custom field (same signature, ndarray in and
     out) supports the integrator-order tests.  The trace records every
     accepted step with its Hermitian deviation and the Frobenius norm of
-    the Ricci term; it truncates with a halt reason if positivity fails.
+    the Ricci term; it truncates with a halt reason if positivity fails, which
+    names the step, since an overshoot of a fixed step also loses positivity.
     horizon/step must be a whole number of steps (see step_count).  A step
     costs four evaluations: the field at an accepted point also starts the next.
     Each accepted state is projected (see _project) and checked for positivity.
@@ -282,7 +284,9 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
         k4 = rhs(m + step * k3)
         m_next = _project(m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if not _real_positive_definite(m_next):
-            trace.halt_reason = f"positivity lost at t={t + step:.6g}"
+            # a fixed step cannot tell the flow's loss from its own overshoot
+            trace.halt_reason = (f"positivity lost at t={t + step:.6g} "
+                                 f"(fixed step {step:.6g}; a smaller step may keep it)")
             break
         m = m_next
         t += step

@@ -232,7 +232,8 @@ def classify_metric(h: HermitianData, alg: LieAlgebraCx, forms=None) -> MetricCl
     # the Lee trace theta_k = sum_{a,b} g^{ab} C_{bak}: g^{-1} as the 36-vector of
     # (a, b) times C with rows (a, b), 2 x 36 real products per entry
     (zc, mc), (zi, mi) = _arrays(c), _arrays(h.g_inv)
-    dtype = _dtype(mc.bit_length() + mi.bit_length(), 72)
+    bits = mc.bit_length() + mi.bit_length()
+    dtype = _dtype(bits, 72)
     zc = zc.astype(dtype).reshape(2, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(2, 36, DIM)
-    lee = _cmatmul(zi.astype(dtype).reshape(2, 1, 36), zc)
+    lee = _cmatmul(zi.astype(dtype).reshape(2, 1, 36), zc, bits, 72)
     return MetricClassification(False, not lee.any(), d_is_zero(t, alg))

@@ -13,9 +13,11 @@ block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix
 otherwise) and the primitives of the one exact kernel (_dtype, _numerators,
 _arrays, _cmatmul, _tensor and their kin, with versions such as _reduced_each
 over a stack of tensors along a leading spec axis, at the end of the module),
-on which contract and every other exact product of two stored tensors run.  The
-index arithmetic of the hot loops is done once, at import: all_indices hands out
-one stored tuple per rank up to 4, from which the structural checks build their
+on which contract and every other exact product of two stored tensors run: its
+larger products on float64 (BLAS) where a bit bound keeps every partial sum
+below 2^52, on int64 below 2^62 and on Python ints beyond.  The index
+arithmetic of the hot loops is done once, at import: all_indices hands out one
+stored tuple per rank up to 4, from which the structural checks build their
 tables of permuted and conjugated offsets.
 Values are treated as immutable once built: the constructors hand out fresh
 lists or read-only arrays, and no public operation mutates its arguments.
@@ -287,11 +289,13 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
     if not 0 <= slot_a < a.rank:
         raise ValueError(f"slot {slot_a} out of range for rank-{a.rank} tensor")
     (zt, mt), (za, ma) = _arrays(t), _arrays(a)
-    dtype = _dtype(mt.bit_length() + ma.bit_length(), 12)
+    bits = mt.bit_length() + ma.bit_length()
+    dtype = _dtype(bits, 12)
     # t's slot last and a's first: the product of a 6^(rank-1) x 6 by a 6 x 6^(rank-1) stack
     zt = np.moveaxis(zt.reshape((2,) + (DIM,) * t.rank), 1 + slot_t, -1)
     za = np.moveaxis(za.reshape((2,) + (DIM,) * a.rank), 1 + slot_a, 1)
-    out = _cmatmul(zt.astype(dtype).reshape(2, -1, DIM), za.astype(dtype).reshape(2, DIM, -1))
+    out = _cmatmul(zt.astype(dtype).reshape(2, -1, DIM), za.astype(dtype).reshape(2, DIM, -1),
+                   bits, 12)
     z, (den,) = _reduced_each(out.reshape(2, 1, -1), [t.den * a.den])
     return _tensor(t.rank + a.rank - 2, z, den)
 
@@ -312,21 +316,34 @@ def flat_offset(idx) -> int:
 # products and index gathers, and hands back MultiTensors that store its output
 # arrays (_tensor).  No stage writes a list: a numerator becomes a Python int
 # (.tolist()) only where a Python loop or a value read asks for the lists, and
-# every den is a Python int.  Each call picks one dtype for its products
-# (_dtype): np.int64 when the bit lengths of its inputs prove that no sum can
-# leave the int64 range, and object (numpy running the same expressions on
-# Python ints) otherwise.  Every output is exact either way, so the two dtypes
-# give the same numbers (docs/conventions.md lists every call site).
+# every den is a Python int.  Each call bounds its sums by the bit lengths of
+# its inputs and picks one storage dtype for its arrays (_dtype): np.int64 when
+# no sum can leave the int64 range, and object (numpy running the same
+# expressions on Python ints) otherwise.  Its products (_cmatmul) take the same
+# bound and, when large enough to pay for the casts, run on float64 (BLAS) where
+# every partial sum is an integer below 2^52, which float64 holds exactly, coming
+# back as int64.  So there are three tiers, float64 products, int64 and object,
+# every output is exact in each, and all three give the same numbers
+# (docs/conventions.md lists every call site).
 
-# the bound: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
-# to spare, so a partial sum, its negation and the difference of two of them fit
+# the bounds: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
+# to spare, so a partial sum, its negation and the difference of two of them fit.
+# float64 holds every integer below 2^53; sums kept below 2^52 leave the same bit.
 _INT64_BUDGET = 62
+_FLOAT_BUDGET = 52
+# the fewest multiply-adds per matrix (m k l for an m x k by k x l product) that
+# float64 pays off at: on the kernel's smaller products (1 x 6 x 6 to 6 x 6 x 6)
+# the casts and one BLAS call per matrix take 1.3-1.8x numpy's int64 loop, and
+# from its 36 x 6 x 6 products on the float64 product is 0.2-0.8x (OpenBLAS, x86-64)
+_FLOAT_MIN_SIZE = 1000
 
 
 def _dtype(product_bits, terms):
-    """np.int64 when every sum of at most `terms` real products, each below
-    2^product_bits in magnitude, stays below 2^62 (|sum| < terms 2^product_bits
-    <= 2^(product_bits + ceil(log2 terms))), and object otherwise."""
+    """The storage dtype of a call's arrays: np.int64 when every sum of at most
+    `terms` real products, each below 2^product_bits in magnitude, stays below 2^62
+    (|sum| < terms 2^product_bits <= 2^(product_bits + ceil(log2 terms))), and
+    object otherwise.  The call hands the same bound to _cmatmul, which runs its
+    larger products on float64 within _FLOAT_BUDGET; no float reaches a stored array."""
     return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
 
 
@@ -362,15 +379,26 @@ def _arrays(t):
     return z, t._m
 
 
-def _cmatmul(a, b):
+def _cmatmul(a, b, product_bits, terms):
     """The Gaussian-integer matrix product a @ b of [re, im] stacks (numpy matmul
     broadcasting on the axes between the first and the last two): 2k real
-    products per entry for k the contracted length."""
+    products per entry for k the contracted length.
+
+    The caller passes the bound of its _dtype choice, at most `terms` real products
+    below 2^product_bits per entry, and the operands in that dtype.  Within
+    _FLOAT_BUDGET the product runs on float64 (BLAS) and comes back as int64: every
+    partial sum, in any order and with or without FMA, is an integer below 2^52,
+    which float64 holds exactly.  Beyond it, or for matrices too small to pay for
+    the casts (_FLOAT_MIN_SIZE), the product runs in the operands' dtype."""
+    on_float = (product_bits + (terms - 1).bit_length() <= _FLOAT_BUDGET
+                and a.shape[-2] * a.shape[-1] * b.shape[-1] >= _FLOAT_MIN_SIZE)
+    if on_float:
+        a, b = a.astype(np.float64), b.astype(np.float64)
     p = np.matmul(a[:, None], b[None])  # p[s, t] = a[s] @ b[t]
     out = p[0]
     out[0] -= p[1, 1]
     out[1] += p[1, 0]
-    return out
+    return out.astype(np.int64) if on_float else out
 
 
 def _tensor(rank, z, den):

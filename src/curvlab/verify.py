@@ -43,7 +43,6 @@ from .connection import (
     _stacked_pass,
     christoffel,
     curvature,
-    curvature_stack,
 )
 from .goldens import compare_components
 from .metric import MetricClassification, MetricParams, build_metric, classify_metric
@@ -438,9 +437,11 @@ def _joined(values) -> str:
 
 @dataclass(frozen=True)
 class Observation:
-    """One evaluated (point, connection) of a theorem case; gray is set for Levi-Civita.
-    The report lists at most one witness of each kind (witness_cap = 1), the one a
-    row prints; its counts and verdict cover every entry."""
+    """One evaluated (point, connection) of a theorem case; gray is set for Levi-Civita,
+    and preserves_j, whether nabla J = 0 (no symbol of mixed type in its last two
+    slots), for Gauduchon connections.  The report lists at most one witness of each
+    kind (witness_cap = 1), the one a row prints; its counts and verdict cover every
+    entry."""
 
     case_id: str
     spec: ConnectionSpec
@@ -448,6 +449,7 @@ class Observation:
     flat: FlatnessResult
     flags: MetricClassification
     gray: bool | None
+    preserves_j: bool | None
 
 
 def evaluate_case(case: TheoremCase, plan: SamplePlan):
@@ -463,9 +465,13 @@ def evaluate_case(case: TheoremCase, plan: SamplePlan):
         h = build_metric(metric)
         plane = ConnectionPlane(h, alg)
         flags = classify_metric(h, alg, plane.forms)
-        verdicts = stack_verdicts(specs, *curvature_stack(specs, plane), witness_cap=1)
-        for spec, (report, flat, gray) in zip(specs, verdicts):
-            observations.append(Observation(case.case_id, spec, report, flat, flags, gray))
+        _, gamma, curv = _stacked_pass(specs, plane)
+        verdicts = stack_verdicts(specs, *curv, witness_cap=1)
+        j_hits = ((gamma[0] != 0).any(0) & _MIXED).any(1).tolist()
+        for spec, (report, flat, gray), hit in zip(specs, verdicts, j_hits):
+            preserves_j = not hit if spec.is_gauduchon else None
+            observations.append(Observation(case.case_id, spec, report, flat, flags, gray,
+                                            preserves_j))
     results = [_case_result(case, spec, observations[k::len(specs)])
                for k, spec in enumerate(specs)]
     return results, observations
@@ -491,11 +497,15 @@ def _case_result(case: TheoremCase, spec: ConnectionSpec, obs: list) -> CaseResu
         got = {getattr(o.flags, key) for o in obs}
         observed.append(f"{key}=" + _joined(got))
         ok = ok and got == {want}
-    # the Gray test must agree with the Kahler-like verdict for LC
+    # the Gray test must agree with the Kahler-like verdict for LC, and a Gauduchon
+    # connection must preserve J
     for o in obs:
         if o.gray is not None and o.gray != o.report.verdict:
             ok = False
             observed.append("gray-mismatch")
+        if o.preserves_j is False:
+            ok = False
+            observed.append("nabla-j-fail")
     return CaseResult(case.case_id, case.family, spec.label(), _expected_str(case),
                       ",".join(observed), witness, ok)
 

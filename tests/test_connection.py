@@ -890,21 +890,100 @@ def _kernel_outputs(alg, h, specs):
     return out
 
 
-def test_the_object_dtype_gives_the_int64_numerators(monkeypatch, dtypes):
-    """With the int64 budget below every product, each kernel call takes object, and
-    every output of a slice of the reference grid, all on int64 by default, keeps
-    its numerators and den."""
-    budget = tensors._INT64_BUDGET
+def test_the_object_dtype_gives_the_int64_numerators(monkeypatch, dtypes, matmul_dtypes):
+    """With the int64 and float budgets below every product, each kernel call takes
+    object, products included, and every output of a slice of the reference grid, all
+    on int64 by default, keeps its numerators and den."""
+    budgets = tensors._INT64_BUDGET, tensors._FLOAT_BUDGET
     for label, alg, h, specs in itertools.islice(reference_grid("object"), 0, None, 6):
-        monkeypatch.setattr(tensors, "_INT64_BUDGET", budget)
+        for name, budget in zip(("_INT64_BUDGET", "_FLOAT_BUDGET"), budgets):
+            monkeypatch.setattr(tensors, name, budget)
         dtypes.clear()
         want = _kernel_outputs(alg, h, specs[::3])
         assert {d for _, d in dtypes} == {np.int64}, label
-        monkeypatch.setattr(tensors, "_INT64_BUDGET", -1)
+        for name in ("_INT64_BUDGET", "_FLOAT_BUDGET"):
+            monkeypatch.setattr(tensors, name, -1)
         dtypes.clear()
+        matmul_dtypes.clear()
         assert _kernel_outputs(alg, h, specs[::3]) == want, label
         assert {d for _, d in dtypes} == {object}, label
+        assert set(matmul_dtypes) == {np.dtype(object)}, label
         assert {t for t, _ in dtypes} >= {12, 18, 36, 72, 216, 324}, label
+
+
+@pytest.fixture
+def matmul_dtypes(monkeypatch):
+    """The operand dtype of every np.matmul call, in call order: float64 marks a kernel
+    product on the float tier of tensors._cmatmul."""
+    seen = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return seen
+
+
+def test_the_float_tier_gives_the_int64_numerators(monkeypatch, dtypes, matmul_dtypes):
+    """With the float budget below every product, each kernel product runs in its
+    storage dtype (int64, or object beyond the int64 bound), and every output of a
+    slice of the reference grid, whose products run on float64 by default wherever
+    the bound allows, keeps its numerators and den; the storage dtypes do not move."""
+    budget = tensors._FLOAT_BUDGET
+    for label, alg, h, specs in itertools.islice(reference_grid("float"), 0, None, 6):
+        monkeypatch.setattr(tensors, "_FLOAT_BUDGET", budget)
+        dtypes.clear()
+        matmul_dtypes.clear()
+        want = _kernel_outputs(alg, h, specs[::3])
+        on_float = dtypes[:]
+        assert np.float64 in matmul_dtypes, label
+        monkeypatch.setattr(tensors, "_FLOAT_BUDGET", -1)
+        dtypes.clear()
+        matmul_dtypes.clear()
+        assert _kernel_outputs(alg, h, specs[::3]) == want, label
+        assert np.float64 not in matmul_dtypes, label
+        assert dtypes == on_float, label
+
+
+def _gaussian_product(a, b):
+    """The Gaussian-integer product of [re, im] arrays a (2, n, k) and b (2, k, m),
+    by a loop over Python ints."""
+    (ar, ai), (br, bi) = a.tolist(), b.tolist()
+    n, k, m = len(ar), len(br), len(br[0])
+    return [[[sum(ar[i][j] * br[j][l] - ai[i][j] * bi[j][l] for j in range(k)) for l in range(m)]
+             for i in range(n)],
+            [[sum(ar[i][j] * bi[j][l] + ai[i][j] * br[j][l] for j in range(k)) for l in range(m)]
+             for i in range(n)]]
+
+
+def test_the_float_tier_holds_at_its_edge(monkeypatch, matmul_dtypes):
+    """A product budget of 52 bits (bits(A) + bits(B) + ceil(log2 terms)) runs on
+    float64 and stays exact at its worst case, every real product 2^48-high and the 16
+    summed per entry just below 2^52; the same entries in a matrix product below
+    _FLOAT_MIN_SIZE multiply-adds run on int64.  A budget of 54 runs on int64: its
+    crafted sum 4 m^2 - m of 26-bit factors is odd and above 2^53, so float64 cannot
+    hold it, and with the float budget raised to 60 the same product comes out
+    rounded."""
+    m = 2 ** 24 - 1  # 24 + 24 + ceil(log2 16) = 52
+    for rows, dtype in ((36, np.float64), (1, np.int64)):  # 36 x 8 x 36 and 1 x 8 x 36
+        a = np.array([[[m] * 8] * rows] * 2, np.int64)  # m (1 + i)
+        b = np.array([[[m] * 36] * 8, [[-m] * 36] * 8], np.int64)  # m (1 - i)
+        matmul_dtypes.clear()
+        got = tensors._cmatmul(a, b, 48, 16)
+        assert matmul_dtypes == [dtype]
+        assert got.dtype == np.int64 and got.tolist() == _gaussian_product(a, b)
+        assert got[0, 0, 0] == 16 * m * m and 2 ** 52 - 16 * m * m < 2 ** 30
+
+    m = 2 ** 26 - 1  # 26 + 26 + ceil(log2 4) = 54
+    a = np.array([[[m, m]] * 36] * 2, np.int64)
+    b = np.array([[[m] * 36, [m - 1] * 36], [[-m] * 36] * 2], np.int64)
+    want = _gaussian_product(a, b)
+    assert want[0][0][0] == 4 * m * m - m and want[0][0][0] % 2 and want[0][0][0] > 2 ** 53
+    assert tensors._cmatmul(a, b, 52, 4).tolist() == want
+    monkeypatch.setattr(tensors, "_FLOAT_BUDGET", 60)
+    assert tensors._cmatmul(a, b, 52, 4).tolist() != want
 
 
 def test_large_coefficients_in_contract_and_the_exact_ricci(dtypes):
@@ -1242,12 +1321,18 @@ def _negated_t_plane(h, alg):
 def test_oracles_catch_a_negated_torsion_form_in_the_plane(monkeypatch):
     """A plane whose T is negated fails the single-call equality, moves the
     scoreboard bytes and fails the sweep's type-preservation check.  The
-    scoreboard's verdicts alone do not catch it."""
+    scoreboard's Kahler-like verdicts alone do not catch it; its rows' nabla J
+    check does, so the seed-0 board, which passes on the sound plane, fails."""
     assert _shared_route_mismatches(_negated_t_plane)
     plan = verify.SamplePlan(seed=0, points_per_case=1)
-    board = verify.theorem_suite(plan, threads=1).to_json()
+    sound = verify.theorem_suite(plan, threads=1)
+    assert sound.passed
     monkeypatch.setattr(verify, "ConnectionPlane", _negated_t_plane)
-    assert verify.theorem_suite(plan, threads=1).to_json() != board
+    broken = verify.theorem_suite(plan, threads=1)
+    assert broken.to_json() != sound.to_json()
+    assert not broken.passed
+    failing = [c for c in broken.cases if not c.passed]
+    assert failing and all("nabla-j-fail" in c.observed for c in failing)
     failed = {r.name.split("[")[0] for r in verify.structural_sweep(
         plan, metrics_per_structure=1, random_gauduchon=0) if not r.passed}
     assert "nabla-j" in failed

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,21 @@ def test_integrator_rejects_a_fractional_step_count():
         with pytest.raises(ValueError, match="whole number of steps"):
             integrate_flow(state, horizon=horizon, step=step)
     assert len(integrate_flow(state, horizon=0.4, step=0.01).samples) == 41
+
+
+def test_a_halt_names_its_fixed_step():
+    """A fixed step can overshoot: from this start (Ni at the flow workload's point, the
+    first metric of random.Random(5)) the step 0.01 loses positivity at once, and the
+    halt says so; the step 0.001 keeps positivity up to t = 0.4."""
+    alg = instantiate(FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"))
+    state = flow_state_from_hermitian(build_metric(rand_metric(random.Random(5))), alg)
+    coarse = integrate_flow(state, horizon=0.4, step=0.01)
+    assert coarse.halt_reason == \
+        "positivity lost at t=0.01 (fixed step 0.01; a smaller step may keep it)"
+    assert len(coarse.samples) == 1
+    fine = integrate_flow(state, horizon=0.4, step=0.001)
+    assert fine.completed and len(fine.samples) == 401
+    assert fine.samples[-1].t == pytest.approx(0.4)
 
 
 def test_rk4_evaluates_the_field_four_times_per_step():
