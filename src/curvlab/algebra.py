@@ -26,7 +26,7 @@ from .tensors import (
     MultiTensor,
     _arrays,
     _cmatmul,
-    _dtype,
+    _negatable,
     _partner_hits,
     _reduced_each,
     _tensor,
@@ -157,11 +157,10 @@ def validate_lie_algebra(alg: LieAlgebraCx) -> ValidationReport:
     # strictly increasing triple; without skewness every triple is scanned.  Per
     # triple, its three rows c_{xy}^a times the 18 x 6 matrix of its c_{az}^b.
     triples = _INCREASING if checks[0].passed else np.arange(DIM ** 3)
-    bits = 2 * m.bit_length()
-    zc = z.astype(_dtype(bits, 36), copy=False)
-    rows = np.take(zc.reshape(2, 36, DIM), _JACOBI_ROWS[triples], axis=1)
-    cols = np.take(zc.reshape(2, DIM, DIM, DIM).swapaxes(1, 2), _JACOBI_SLOTS[triples], axis=1)
-    jac = _cmatmul(rows.reshape(2, -1, 1, 3 * DIM), cols.reshape(2, -1, 3 * DIM, DIM), bits, 36)
+    rows = np.take(z.reshape(2, 36, DIM), _JACOBI_ROWS[triples], axis=1)
+    cols = np.take(z.reshape(2, DIM, DIM, DIM).swapaxes(1, 2), _JACOBI_SLOTS[triples], axis=1)
+    jac = _cmatmul(rows.reshape(2, -1, 1, 3 * DIM), cols.reshape(2, -1, 3 * DIM, DIM),
+                   2 * m.bit_length(), 36)
     jac = jac.reshape(2, -1)
     n = int(jac.any(0).argmax())
     witness = all_indices(4)[DIM * triples[n // DIM] + n % DIM]
@@ -210,13 +209,11 @@ def _d_sums(alpha: MultiTensor, c: MultiTensor):
     if not alpha.rank:  # a constant has d = 0
         return np.zeros((2, len(tuples)), np.int64), alpha.den * c.den
     (za, ma), (zc, mc) = _arrays(alpha), _arrays(c)
-    bits, terms = ma.bit_length() + mc.bit_length(), 12 * len(signs)
-    dtype = _dtype(bits, terms)
-    zc = np.take(zc.astype(dtype, copy=False).reshape(2, 36, DIM), rows, axis=1)
-    za = np.take(za.astype(dtype, copy=False).reshape(2, DIM, -1).transpose(0, 2, 1), rest, axis=1)
+    zc = np.take(_negatable(zc).reshape(2, 36, DIM), rows, axis=1)
+    za = np.take(za.reshape(2, DIM, -1).transpose(0, 2, 1), rest, axis=1)
     shape = (2, len(tuples), 1, DIM * len(signs))  # per tuple: a row by a column
     out = _cmatmul((zc * signs[:, None]).reshape(shape), za.reshape(shape).swapaxes(2, 3),
-                   bits, terms)
+                   ma.bit_length() + mc.bit_length(), 12 * len(signs))
     return out.reshape(2, -1), alpha.den * c.den
 
 

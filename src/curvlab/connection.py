@@ -196,11 +196,8 @@ def _lc_sum(c, g):
     - x_{ILH}: 3 sums of 12 real products.
     """
     (zc, mc), (zg, mg) = _arrays(c), _arrays(g)
-    bits = mc.bit_length() + mg.bit_length()
-    dtype = _dtype(bits, 36)
-    x = _cmatmul(zc.astype(dtype).reshape(2, 36, DIM), zg.astype(dtype).reshape(2, DIM, DIM),
-                 bits, 36)
-    x = x.reshape(2, DIM, DIM, DIM)
+    x = _cmatmul(zc.reshape(2, 36, DIM), zg.reshape(2, DIM, DIM),
+                 mc.bit_length() + mg.bit_length(), 36).reshape(2, DIM, DIM, DIM)
     return _tensor(3, x - x.transpose(0, 3, 1, 2) - x.transpose(0, 1, 3, 2), c.den * g.den)
 
 
@@ -232,10 +229,8 @@ def _symbols(tables, rows, g_inv):
     low, dens = _reduced_each(low, dens)
 
     zi, mi = _arrays(g_inv)
-    bits = _maxabs(low).bit_length() + mi.bit_length()
-    dtype = _dtype(bits, 12)
-    gamma = _cmatmul(low.astype(dtype, copy=False).reshape(2, -1, DIM),
-                     zi.astype(dtype, copy=False).reshape(2, DIM, DIM), bits, 12)
+    gamma = _cmatmul(low.reshape(2, -1, DIM), zi.reshape(2, DIM, DIM),
+                     _maxabs(low).bit_length() + mi.bit_length(), 12)
     gamma = _reduced_each(gamma.reshape(low.shape), [d * g_inv.den for d in dens])
     return (low, dens), gamma
 
@@ -293,11 +288,11 @@ def _operator(gamma, c, x, common=None):
     dtype = _dtype(bits, 36)
     n = len(dens)
     zg = _scaled_each(zg, fg, mg, dtype).reshape(2, n, 1, 36, DIM)
-    zx = zx.astype(dtype, copy=False).reshape(2, n, DIM, DIM, DIM)
-    p = _cmatmul(zg, zx, bits, 36).reshape(2, n, 36, 36)  # p[:, s, 6 I + H, 6 K + X]
+    # p[:, s, 6 I + H, 6 K + X]
+    p = _cmatmul(zg, zx.reshape(2, n, DIM, DIM, DIM), bits, 36).reshape(2, n, 36, 36)
     p = np.take(p, _IH_HI, axis=2).reshape(2, n, 2, 540)
     # c is shared: its rows times x, then each spec's factor (the same bound)
-    zc = np.take(zc.astype(dtype, copy=False).reshape(2, 36, DIM), _IH, axis=1)
+    zc = np.take(zc.reshape(2, 36, DIM), _IH, axis=1)
     c_term = _cmatmul(zc.reshape(2, 1, 15, DIM), zx.reshape(2, n, DIM, 36), bits, 36)
     c_term = _scaled_each(c_term.reshape(2, n, 540), fc, [mc] * n, dtype)
     return p[:, :, 0] - p[:, :, 1] - c_term, list(map(mul, dens, dx))
@@ -438,18 +433,14 @@ def ricci_and_scalar(curv: CurvatureTensor, h: HermitianData) -> RicciData:
     r, g_inv = curv.tensor, h.g_inv
     (zr, mr), (zi, mi) = _arrays(r), _arrays(g_inv)
     # ric_lc sums 2 x 36 real products per entry, ric1 and ric2 2 x 9
-    bits = mr.bit_length() + mi.bit_length()
-    dtype = _dtype(bits, 72)
-    zr, zi = zr.astype(dtype).reshape(2, 36, 36), zi.astype(dtype)
+    bits, zr = mr.bit_length() + mi.bit_length(), zr.reshape(2, 36, 36)
     hol = zi.reshape(2, DIM, DIM).transpose(0, 2, 1).reshape(2, 36) * _HOL
     ric1 = _cmatmul(zr, hol.reshape(2, 36, 1), bits, 72)  # rows (I, H)
     ric2 = _cmatmul(hol.reshape(2, 1, 36), zr, bits, 72)  # columns (K, L)
     # rows (H, K), columns (A, L)
     zr = zr.reshape(2, DIM, 36, DIM).transpose(0, 2, 1, 3).reshape(2, 36, 36)
     ric_lc = -_cmatmul(zr, zi.reshape(2, 36, 1), bits, 72)
-    bits = _maxabs(ric1).bit_length() + mi.bit_length()
-    dtype = _dtype(bits, 18)
-    scal = _cmatmul(hol.astype(dtype).reshape(2, 1, 36), ric1.astype(dtype), bits, 18)
+    scal = _cmatmul(hol.reshape(2, 1, 36), ric1, _maxabs(ric1).bit_length() + mi.bit_length(), 18)
     den = r.den * g_inv.den
     return RicciData(_tensor(2, ric1, den), _tensor(2, ric2, den), _tensor(2, ric_lc, den),
                      _tensor(0, scal, den * g_inv.den)[()])
@@ -564,6 +555,11 @@ def _nabla_g_hits(low):
     return _partner_hits(low, _NABLA_G_PARTNERS, _CURVATURE_SIGNS[:, :1])[:, :, 0]
 
 
+def _nabla_j_hits(gamma):
+    """The mask (S, 216) of a raised-symbol stack array: the nonzero entries of mixed type."""
+    return (gamma != 0).any(0) & _MIXED
+
+
 def curvature_symmetry_failures(curv: CurvatureTensor, check_symm: bool = False):
     """Violations of skewness in (I,H) and (K,L), reality, and optionally (Symm), as
     (kind, index tuple) by offset, then kind: the one-spec stack of _curvature_hits."""
@@ -579,7 +575,7 @@ def nabla_g_failures(table: ChristoffelTable):
 
 def nabla_j_failures(table: ChristoffelTable):
     """Type preservation: Gamma_{IH}^K with mixed types in (H, K) must vanish."""
-    hits = (_stack((table.gamma,))[0] != 0).any(0) & _MIXED
+    hits = _nabla_j_hits(_stack((table.gamma,))[0])
     return [all_indices(3)[n] for n in np.flatnonzero(hits)]
 
 

@@ -19,13 +19,13 @@ A and L, because the third Koszul summand c_{AL}^C g_{CB} g^{LA} contracts c, sk
 in (A, L), with the symmetric g^{LA}.  So Gamma_{AB}^A = sum_A c_{AB}^A for every
 symmetric invertible g, zero on unimodular algebras.  The other two terms contract
 the same right factor Gamma_{AK}^B, and so does the first, read as
-sum_{B,A} trc_B delta_{AH} Gamma_{AK}^B.  exact_lc_ricci takes the trace term's
-matrix-vector product and the other two terms' matrix product on the exact kernel's
-Gaussian-integer numerators.  float_lc_ricci folds all three into one product in
-complex floating point, on a per-structure field that integrate_flow builds once
-(_lc_field: the 216 x 36 map LT from vec(g) to the lowered table, and the left
-constant K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^A).  One float evaluation is one
-lowering product, one inverse, one raising product and the Ricci product.
+sum_{B,A} trc_B delta_{AH} Gamma_{AK}^B.  Both paths fold all three into one product
+with the left factor K - Gamma_{HB}^A, K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^A built
+by one function (_ricci_left): exact_lc_ricci on the exact kernel's Gaussian-integer
+numerators, float_lc_ricci in complex floating point, on a per-structure field that
+integrate_flow builds once (_lc_field: the 216 x 36 map LT from vec(g) to the lowered
+table, and K).  One float evaluation is one lowering product, one inverse, one raising
+product and the Ricci product.
 
 integrate_flow projects each accepted state onto the symmetric, conjugation-real
 matrices; the stage inputs of a step go to the field as they are.  Positivity is
@@ -76,27 +76,32 @@ __all__ = [
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
 
-    The two products of float_lc_ricci on the numerators of the raised symbols and
+    The Ricci product of float_lc_ricci on the numerators of the raised symbols and
     c over their common denominator D, so the trace sits over D^2.  The trace
-    Gamma_{AB}^A is c_{AB}^A summed over A, read off c's numerators over the same D,
-    so only the raise uses g^{-1}.
+    Gamma_{AB}^A in K is c_{AB}^A summed over A, read off c's numerators over the
+    same D, so only the raise uses g^{-1}.
     """
     g = MultiTensor(2, [v for row in g6 for v in row])
     _, gamma = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
-    # per entry: 2 x 6 real products with the trace Gamma_{AB}^A, a sum of 6 entries
-    # of c, so counted as 6 x 12 products below 2^(2b), and 2 x 36 with each of the
-    # two summands of the merged left factor
+    # per entry: 2 x 36 real products with each of the left factor's summands Gamma and
+    # c, and 2 x 6 with its trace term, a sum of 6 entries of c, so counted as 72
     terms = 72 + 72 + 72
     zg, zc, (den,), _, bits = _over_c(gamma, alg.c, terms)  # one spec, read as (2, ...)
     g3 = zg.reshape(2, DIM, DIM, DIM)
-    c3 = zc.reshape(2, DIM, DIM, DIM)
-    trace = np.trace(c3, axis1=1, axis2=3).reshape(2, DIM, 1)  # c_{AB}^A over B
-    # [H, (B, A)]: Gamma_{HB}^A + c_{BH}^A; [(B, A), K]: Gamma_{AK}^B
-    left = (g3 + c3.transpose(0, 2, 1, 3)).reshape(2, DIM, 36)
-    ric = (_cmatmul(zg.reshape(2, 36, DIM), trace, bits, terms).reshape(2, DIM, DIM)
-           - _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM), bits, terms))
-    ric = _tensor(2, ric, den * den)
+    # [H, (B, A)]: K - Gamma_{HB}^A; [(B, A), K]: Gamma_{AK}^B
+    left = _ricci_left(zc.reshape(2, DIM, DIM, DIM)) - g3.reshape(2, DIM, 36)
+    ric = _tensor(2, _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM), bits, terms),
+                  den * den)
     return [[ric[h, k] for k in INDICES] for h in INDICES]
+
+
+def _ricci_left(c):
+    """K[..., H, (B, A)] = trc_B delta_{AH} - c_{BH}^A, trc_B = sum_A c_{AB}^A: the part of
+    the Ricci product's left factor that does not depend on g, for c[..., I, H, K], the
+    float table (6, 6, 6) or the exact numerators [re, im] (2, 6, 6, 6), in c's dtype."""
+    trc = np.trace(c, axis1=-3, axis2=-1)  # over B
+    k = trc[..., None, :, None] * np.eye(DIM, dtype=np.int64)[:, None, :] - np.swapaxes(c, -3, -2)
+    return k.reshape(*c.shape[:-3], DIM, 36)
 
 
 # -- float path ----------------------------------------------------------------
@@ -113,15 +118,13 @@ def _lc_field(c: np.ndarray):
 
     LT (216 x 36) maps vec(g) to the lowered table (x_{IHL} - x_{HLI} - x_{ILH}) / 2,
     x = c g, laid out [(I, H, L), (B, M)]: three products of c with the identity,
-    broadcast.  K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^A, trc_B = sum_A c_{AB}^A,
-    is the part of the Ricci product's left factor that does not depend on g.
+    broadcast.  K is _ricci_left(c).
     """
     eye = np.eye(DIM)
     lt = 0.5 * (c[:, :, None, :, None] * eye[None, None, :, None, :]
                 - c[None, :, :, :, None] * eye[:, None, None, None, :]
                 - c[:, None, :, :, None] * eye[None, :, None, None, :])
-    k = c.trace(axis1=0, axis2=2)[None, :, None] * eye[:, None, :] - c.transpose(1, 0, 2)
-    return lt.reshape(216, 36), k.reshape(DIM, 36)
+    return lt.reshape(216, 36), _ricci_left(c)
 
 
 def float_lc_ricci(g6: np.ndarray, field) -> np.ndarray:
@@ -163,14 +166,16 @@ class FlowState:
         return not isinstance(self.g6, np.ndarray)
 
     def as_float_matrix(self) -> np.ndarray:
-        if not self.is_exact:
-            return np.array(self.g6, dtype=complex)
-        return np.array([[complex(float(v.re), float(v.im)) for v in row]
-                         for row in self.g6], dtype=complex)
+        return np.array(self.g6 if not self.is_exact else _complex_rows(self.g6), dtype=complex)
 
     def validate(self):
         """Symmetry, conjugation-reality, and positive-definiteness as a real metric."""
         _validate(self.as_float_matrix())
+
+
+def _complex_rows(rows):
+    """The nested lists of GaussianRational rows as nested lists of complex floats."""
+    return [[complex(float(v.re), float(v.im)) for v in row] for row in rows]
 
 
 def _validate(m: np.ndarray):
@@ -213,7 +218,7 @@ def ricci_rhs(state: FlowState):
 def hermitian_deviation(g6) -> float:
     """Max modulus over the pure-type components g_{ij}, i, j in {1, 2, 3}."""
     if not isinstance(g6, np.ndarray):
-        g6 = np.array([[complex(float(v.re), float(v.im)) for v in row[:3]] for row in g6[:3]])
+        g6 = np.array(_complex_rows(row[:3] for row in g6[:3]))
     return float(np.abs(g6[:3, :3]).max())
 
 
@@ -272,8 +277,7 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     if g0.is_exact and default_field:
         # the t = 0 record comes from the exact evaluation
         ric0 = exact_lc_ricci(g0.g6, g0.structure)
-        norm0 = float(np.linalg.norm(np.array(
-            [[complex(float(v.re), float(v.im)) for v in row] for row in ric0])))
+        norm0 = float(np.linalg.norm(np.array(_complex_rows(ric0))))
     else:
         norm0 = float(np.linalg.norm(k1))
     trace.samples.append(FlowSample(0.0, m, hermitian_deviation(m), norm0))

@@ -40,7 +40,7 @@ from .tensors import (
     _array,
     _arrays,
     _cmatmul,
-    _dtype,
+    _negatable,
     _tensor,
     all_indices,
     inverse,
@@ -198,9 +198,7 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
     T = s_0 s_1 s_2 * i d(omega) and C = s_0 * i d(omega): a swap of parts, up to sign.
     """
     domega = exterior_d(h.omega, alg)
-    z = _array(domega)
-    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
-        z = z.astype(object)  # the one int64 whose negation is no int64
+    z = _negatable(_array(domega))
     # s i (a + b i) = -s b + s a i on the numerators, with the sign s of each entry
     iz = np.stack((-z[1], z[0]))
     return tuple(_tensor(3, signs * iz, domega.den) for signs in _SIGNS)
@@ -232,8 +230,6 @@ def classify_metric(h: HermitianData, alg: LieAlgebraCx, forms=None) -> MetricCl
     # the Lee trace theta_k = sum_{a,b} g^{ab} C_{bak}: g^{-1} as the 36-vector of
     # (a, b) times C with rows (a, b), 2 x 36 real products per entry
     (zc, mc), (zi, mi) = _arrays(c), _arrays(h.g_inv)
-    bits = mc.bit_length() + mi.bit_length()
-    dtype = _dtype(bits, 72)
-    zc = zc.astype(dtype).reshape(2, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(2, 36, DIM)
-    lee = _cmatmul(zi.astype(dtype).reshape(2, 1, 36), zc, bits, 72)
+    zc = zc.reshape(2, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(2, 36, DIM)
+    lee = _cmatmul(zi.reshape(2, 1, 36), zc, mc.bit_length() + mi.bit_length(), 72)
     return MetricClassification(False, not lee.any(), d_is_zero(t, alg))

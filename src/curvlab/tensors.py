@@ -13,9 +13,10 @@ block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix
 otherwise) and the primitives of the one exact kernel (_dtype, _numerators,
 _arrays, _cmatmul, _tensor and their kin, with versions such as _reduced_each
 over a stack of tensors along a leading spec axis, at the end of the module),
-on which contract and every other exact product of two stored tensors run: its
-larger products on float64 (BLAS) where a bit bound keeps every partial sum
-below 2^52, on int64 below 2^62 and on Python ints beyond.  The index
+on which contract and every other exact product of two stored tensors run.
+Every dtype decision of a product is made here: _cmatmul takes a bit bound and
+runs on float64 (BLAS) where it keeps every partial sum below 2^52, on int64
+below 2^62 and on Python ints beyond.  The index
 arithmetic of the hot loops is done once, at import: all_indices hands out one
 stored tuple per rank up to 4, from which the structural checks build their
 tables of permuted and conjugated offsets.
@@ -289,13 +290,11 @@ def contract(t: MultiTensor, a: MultiTensor, slot_t: int, slot_a: int) -> MultiT
     if not 0 <= slot_a < a.rank:
         raise ValueError(f"slot {slot_a} out of range for rank-{a.rank} tensor")
     (zt, mt), (za, ma) = _arrays(t), _arrays(a)
-    bits = mt.bit_length() + ma.bit_length()
-    dtype = _dtype(bits, 12)
     # t's slot last and a's first: the product of a 6^(rank-1) x 6 by a 6 x 6^(rank-1) stack
     zt = np.moveaxis(zt.reshape((2,) + (DIM,) * t.rank), 1 + slot_t, -1)
     za = np.moveaxis(za.reshape((2,) + (DIM,) * a.rank), 1 + slot_a, 1)
-    out = _cmatmul(zt.astype(dtype).reshape(2, -1, DIM), za.astype(dtype).reshape(2, DIM, -1),
-                   bits, 12)
+    out = _cmatmul(zt.reshape(2, -1, DIM), za.reshape(2, DIM, -1),
+                   mt.bit_length() + ma.bit_length(), 12)
     z, (den,) = _reduced_each(out.reshape(2, 1, -1), [t.den * a.den])
     return _tensor(t.rank + a.rank - 2, z, den)
 
@@ -316,14 +315,13 @@ def flat_offset(idx) -> int:
 # products and index gathers, and hands back MultiTensors that store its output
 # arrays (_tensor).  No stage writes a list: a numerator becomes a Python int
 # (.tolist()) only where a Python loop or a value read asks for the lists, and
-# every den is a Python int.  Each call bounds its sums by the bit lengths of
-# its inputs and picks one storage dtype for its arrays (_dtype): np.int64 when
-# no sum can leave the int64 range, and object (numpy running the same
-# expressions on Python ints) otherwise.  Its products (_cmatmul) take the same
-# bound and, when large enough to pay for the casts, run on float64 (BLAS) where
-# every partial sum is an integer below 2^52, which float64 holds exactly, coming
-# back as int64.  So there are three tiers, float64 products, int64 and object,
-# every output is exact in each, and all three give the same numbers
+# every den is a Python int.  A call bounds each product's sums by the bit
+# lengths of its inputs and hands the bound, with the operands in whatever storage
+# dtype they have, to _cmatmul, the one owner of the tier: float64 (BLAS) for
+# products large enough to pay for the casts whose every partial sum is an integer
+# below 2^52, which float64 holds exactly, coming back as int64; int64 where every
+# sum stays below 2^62; object (numpy running the same expressions on Python ints)
+# beyond.  Every output is exact and all three tiers give the same numbers
 # (docs/conventions.md lists every call site).
 
 # the bounds: int64 holds magnitudes below 2^63; sums kept below 2^62 leave one bit
@@ -339,11 +337,11 @@ _FLOAT_MIN_SIZE = 1000
 
 
 def _dtype(product_bits, terms):
-    """The storage dtype of a call's arrays: np.int64 when every sum of at most
-    `terms` real products, each below 2^product_bits in magnitude, stays below 2^62
-    (|sum| < terms 2^product_bits <= 2^(product_bits + ceil(log2 terms))), and
-    object otherwise.  The call hands the same bound to _cmatmul, which runs its
-    larger products on float64 within _FLOAT_BUDGET; no float reaches a stored array."""
+    """The storage dtype of a sum of at most `terms` real products, each below
+    2^product_bits in magnitude: np.int64 when it stays below 2^62 (|sum| < terms
+    2^product_bits <= 2^(product_bits + ceil(log2 terms))), and object otherwise.
+    _cmatmul calls it once per product; beyond this module, only integer steps
+    outside a product do (connection's _symbols, _operator and _over_c)."""
     return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
 
 
@@ -384,21 +382,23 @@ def _cmatmul(a, b, product_bits, terms):
     broadcasting on the axes between the first and the last two): 2k real
     products per entry for k the contracted length.
 
-    The caller passes the bound of its _dtype choice, at most `terms` real products
-    below 2^product_bits per entry, and the operands in that dtype.  Within
-    _FLOAT_BUDGET the product runs on float64 (BLAS) and comes back as int64: every
-    partial sum, in any order and with or without FMA, is an integer below 2^52,
-    which float64 holds exactly.  Beyond it, or for matrices too small to pay for
-    the casts (_FLOAT_MIN_SIZE), the product runs in the operands' dtype."""
-    on_float = (product_bits + (terms - 1).bit_length() <= _FLOAT_BUDGET
-                and a.shape[-2] * a.shape[-1] * b.shape[-1] >= _FLOAT_MIN_SIZE)
-    if on_float:
-        a, b = a.astype(np.float64), b.astype(np.float64)
+    The caller passes the bound, at most `terms` real products below 2^product_bits
+    per entry, and the operands in any storage dtype (int64 or object, read-only
+    views too).  The result takes _dtype(product_bits, terms), and so does the
+    product, except that within _FLOAT_BUDGET, for matrices large enough to pay for
+    the casts (_FLOAT_MIN_SIZE), it runs on float64 (BLAS): every partial sum, in any
+    order and with or without FMA, is an integer below 2^52, which float64 holds
+    exactly.  Each operand is cast once, to the tier it runs on."""
+    dtype = tier = _dtype(product_bits, terms)
+    if (product_bits + (terms - 1).bit_length() <= _FLOAT_BUDGET
+            and a.shape[-2] * a.shape[-1] * b.shape[-1] >= _FLOAT_MIN_SIZE):
+        tier = np.float64
+    a, b = a.astype(tier, copy=False), b.astype(tier, copy=False)
     p = np.matmul(a[:, None], b[None])  # p[s, t] = a[s] @ b[t]
     out = p[0]
     out[0] -= p[1, 1]
     out[1] += p[1, 0]
-    return out.astype(np.int64) if on_float else out
+    return out.astype(dtype, copy=False)
 
 
 def _tensor(rank, z, den):
@@ -453,6 +453,13 @@ def _reduced_each(z, dens):
     return z // np.array(gs, z.dtype)[:, None], dens
 
 
+def _negatable(z):
+    """z, on object if it holds -2^63, the one int64 whose negation is no int64."""
+    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
+        return z.astype(object)
+    return z
+
+
 def _first_hits(hits, z, dens, labels):
     """Per spec s of the stack (z, dens): None when the mask hits[s], k positions per entry
     of z, has no hit, else (labels[m], the value of entry m // k) at its first hit m."""
@@ -465,8 +472,7 @@ def _partner_hits(z, partners, signs, zeros=False):
     """The mask (S, n, k) of a stack array z (2, S, n): entry n of spec s is hit at j
     when it is nonzero, or zeros is true, and partners[j, n] does not hold
     signs[:, j] times it."""
-    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
-        z = z.astype(object)  # the one int64 whose negation is no int64
+    z = _negatable(z)
     image = z[:, :, None] * signs[:, None, :, None]  # (2, S, k, n), n innermost
     hits = (np.take(z, partners, axis=2) != image).any(0)
     if not zeros:

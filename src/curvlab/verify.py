@@ -33,13 +33,13 @@ from .catalog import FamilySpec, family_info, instantiate
 from .connection import (
     _HALF,
     _KINDS,
-    _MIXED,
     ConnectionPlane,
     ConnectionSpec,
     PRESETS,
     _curvature_hits,
     _defect_stack,
     _nabla_g_hits,
+    _nabla_j_hits,
     _stacked_pass,
     christoffel,
     curvature,
@@ -467,7 +467,7 @@ def evaluate_case(case: TheoremCase, plan: SamplePlan):
         flags = classify_metric(h, alg, plane.forms)
         _, gamma, curv = _stacked_pass(specs, plane)
         verdicts = stack_verdicts(specs, *curv, witness_cap=1)
-        j_hits = ((gamma[0] != 0).any(0) & _MIXED).any(1).tolist()
+        j_hits = _nabla_j_hits(gamma[0]).any(1).tolist()
         for spec, (report, flat, gray), hit in zip(specs, verdicts, j_hits):
             preserves_j = not hit if spec.is_gauduchon else None
             observations.append(Observation(case.case_id, spec, report, flat, flags, gray,
@@ -665,7 +665,7 @@ def structural_sweep(plan: SamplePlan | None = None, metrics_per_structure: int 
                 ("curvature-symmetries", _curvature_hits(curv[0], [s.is_lc for s in specs]), curv,
                  _KINDS * len(all_indices(4))),
                 ("nabla-g", _nabla_g_hits(low[0]), low, all_indices(3)),
-                ("nabla-j", (gamma[0] != 0).any(0) & _MIXED, gamma, all_indices(3)),
+                ("nabla-j", _nabla_j_hits(gamma[0]), gamma, all_indices(3)),
                 ("bianchi-defect", (defect[0] != 0).any(0), defect, all_indices(4)))]
             for k, spec in enumerate(specs):
                 sp = f"{point} {spec.label()}"

@@ -8,7 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from curvlab import connection, flow, goldens, metric, tensors, verify
+from curvlab import algebra, connection, flow, goldens, metric, tensors, verify
 from curvlab.algebra import LieAlgebraCx
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import (
@@ -677,10 +677,12 @@ def test_bianchi_defect_matches_the_reference():
 
 @pytest.fixture
 def dtypes(monkeypatch):
-    """(terms, dtype) per dtype choice of a kernel stage, in call order; terms tells
-    the stages apart (36 for the operator half, 324 for the Bianchi defect, 12 for
-    contract, 72 for the Ricci and Lee traces, 18 for scal and 216 for the flow's
-    exact Ricci).  The chooser is patched in every module that calls it."""
+    """(terms, dtype) per dtype choice of a kernel stage, in call order: one per
+    product (tensors._cmatmul) and one per integer step beside the products
+    (connection's lowered sum and per-spec scalings); terms tells the stages apart
+    (36 for the operator half, 324 for the Bianchi defect, 12 for contract and the
+    raise, 72 for the Ricci and Lee traces, 18 for scal and 216 for the flow's exact
+    Ricci).  The chooser is patched in every module that calls it."""
     chosen = []
     choose = tensors._dtype
 
@@ -688,7 +690,7 @@ def dtypes(monkeypatch):
         chosen.append((terms, choose(product_bits, terms)))
         return chosen[-1][1]
 
-    for module in (tensors, connection, metric):
+    for module in (tensors, connection):
         monkeypatch.setattr(module, "_dtype", spy)
     return chosen
 
@@ -806,7 +808,8 @@ def test_stacked_pass_matches_the_single_calls():
 def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
     """A Gauduchon eps over 2^70 puts its lowered sums and its operator half beyond
     the int64 bound, so both stages run on object for every spec of the stack it
-    joins (the raise follows the bound of the reduced symbols); each other spec of
+    joins: the lowered sum, the operator's per-spec scaling and both of its products
+    (the raise follows the bound of the reduced symbols); each other spec of
     that stack still equals its single call, which runs on int64 throughout.  The
     abelian structure is left out: its tables are zero, so no sum leaves int64."""
     huge = ConnectionSpec.gauduchon(Rat(1, 2 ** 70))
@@ -819,7 +822,7 @@ def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
         plane.lc, plane.forms  # the point's tables, built before the spy is cleared
         dtypes.clear()
         connection._stacked_pass(specs + [huge], plane)
-        assert [d for t, d in dtypes if t != 12] == [object, object], label
+        assert [d for t, d in dtypes if t != 12] == [object] * 4, label
         dtypes.clear()
         for spec in specs:
             connection._stacked_pass([spec], plane)
@@ -984,6 +987,63 @@ def test_the_float_tier_holds_at_its_edge(monkeypatch, matmul_dtypes):
     assert tensors._cmatmul(a, b, 52, 4).tolist() == want
     monkeypatch.setattr(tensors, "_FLOAT_BUDGET", 60)
     assert tensors._cmatmul(a, b, 52, 4).tolist() != want
+
+
+def test_the_product_casts_its_operands_to_the_tier_of_its_bound(matmul_dtypes):
+    """_cmatmul takes its operands in any storage dtype, read-only views too, and runs
+    on the tier of its bound alone: int64 operands whose bound exceeds 62 bits run on
+    object, and object operands within the int64 bound come back int64, on int64
+    below _FLOAT_MIN_SIZE multiply-adds and on float64 from it; each exact."""
+    m = 2 ** 40 + 1  # 41 + 41 + ceil(log2 12) = 86 bits
+    a = np.array([[[m] * 6] * 36, [[-m] * 6] * 36], np.int64)  # m (1 - i)
+    b = np.array([[[m] * 6] * 6] * 2, np.int64)  # m (1 + i)
+    b.setflags(write=False)
+    matmul_dtypes.clear()
+    got = tensors._cmatmul(a, b, 82, 12)
+    assert matmul_dtypes == [np.dtype(object)] and got.dtype == object
+    assert got.tolist() == _gaussian_product(a, b) and got[0, 0, 0] == 12 * m * m > 2 ** 63
+    for rows, tier in ((1, np.int64), (36, np.float64)):  # 1 x 6 x 6 and 36 x 6 x 6
+        a = np.array([[[3, -5, 7, 0, 1, -2]] * rows, [[-1, 4, 0, 6, -3, 2]] * rows], object)
+        b = np.array([[[k - 2 * j for k in range(6)] for j in range(6)]] * 2, object)
+        matmul_dtypes.clear()
+        got = tensors._cmatmul(a, b, 6, 12)
+        assert matmul_dtypes == [np.dtype(tier)] and got.dtype == np.int64
+        assert got.tolist() == _gaussian_product(a, b)
+
+
+def test_a_sign_product_at_the_int64_edge_stays_exact(matmul_dtypes):
+    """A numerator of -2^63, whose negation int64 cannot hold, stays exact where the
+    kernel multiplies by +-1: in the signed rows of algebra._d_sums, whose bound puts
+    the product on object, and in the masks of tensors._partner_hits."""
+    edge = -2 ** 63
+    cre, cim = [0] * 216, [0] * 216
+    cre[flat_offset((0, 1, 2))], cim[flat_offset((0, 1, 2))] = edge, 3
+    cre[flat_offset((3, 4, 5))] = 7
+    c = MultiTensor.from_numerators(3, cre, cim, 1)
+    alpha = MultiTensor.from_numerators(1, [1, 2, 1, 0, 0, -1], [0, 0, -1, 2, 0, 0], 1)
+    assert tensors._arrays(c)[0].dtype == np.int64
+    matmul_dtypes.clear()
+    z, den = algebra._d_sums(alpha, c)
+    assert matmul_dtypes == [np.dtype(object)] and den == 1
+    # d(alpha)(x, y) = -alpha([x, y]) = -sum_a c_{xy}^a alpha_a on the 15 pairs x < y
+    want = [[], []]
+    for x, y in itertools.combinations(range(6), 2):
+        prod = [(cre[36 * x + 6 * y + a] * alpha.re[a] - cim[36 * x + 6 * y + a] * alpha.im[a],
+                 cre[36 * x + 6 * y + a] * alpha.im[a] + cim[36 * x + 6 * y + a] * alpha.re[a])
+                for a in range(6)]
+        want[0].append(-sum(p for p, _ in prod))
+        want[1].append(-sum(q for _, q in prod))
+    assert z.tolist() == want and want[0][0] == 2 ** 63 - 3 and want[1][0] == -2 ** 63 - 3
+
+    # one spec of 4 entries, each read against its swap partner as skew and as equal
+    zl = [[[edge, edge, edge, 5]], [[0, 0, 0, 0]]]
+    partners, signs = np.array([[1, 0, 3, 2]] * 2), np.array([[-1, 1], [-1, 1]])
+    sl, pl = signs.tolist(), partners.tolist()  # on Python ints
+    want = [[[any(zl[p][0][pl[j][n]] != sl[p][j] * zl[p][0][n] for p in (0, 1))
+              for j in range(2)] for n in range(4)]]
+    assert want[0][0] == [True, False]  # -(-2^63) is no int64, so not the partner's -2^63
+    hits = tensors._partner_hits(np.array(zl, np.int64), partners, signs)
+    assert hits.tolist() == want
 
 
 def test_large_coefficients_in_contract_and_the_exact_ricci(dtypes):
