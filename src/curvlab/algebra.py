@@ -209,7 +209,7 @@ def _d_sums(alpha: MultiTensor, c: MultiTensor):
     if not alpha.rank:  # a constant has d = 0
         return np.zeros((2, len(tuples)), np.int64), alpha.den * c.den
     (za, ma), (zc, mc) = _arrays(alpha), _arrays(c)
-    zc = np.take(_negatable(zc).reshape(2, 36, DIM), rows, axis=1)
+    zc = np.take(_negatable(zc, mc).reshape(2, 36, DIM), rows, axis=1)
     za = np.take(za.reshape(2, DIM, -1).transpose(0, 2, 1), rest, axis=1)
     shape = (2, len(tuples), 1, DIM * len(signs))  # per tuple: a row by a column
     out = _cmatmul((zc * signs[:, None]).reshape(shape), za.reshape(shape).swapaxes(2, 3),

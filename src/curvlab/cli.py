@@ -96,11 +96,15 @@ def _spec_from_args(args) -> ConnectionSpec:
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    text = text if text.endswith("\n") else text + "\n"
+    if not getattr(args, "out", None):
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:  # a usage error, as a missing input file is
+        raise CliError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -293,10 +297,8 @@ def cmd_flow_run(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     trace = integrate_flow(flow_state_from_hermitian(h, alg), horizon=horizon, step=step)
-    csv_text = trace_to_csv(trace)
+    _emit(args, trace_to_csv(trace))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
         last = trace.samples[-1]
         summary = (f"flow on {fam.id}: {len(trace.samples)} samples to t={last.t:.6g}, "
                    f"final deviation {last.deviation:.3e}, "
@@ -305,8 +307,6 @@ def cmd_flow_run(args) -> int:
             summary += f" (halted: {trace.halt_reason})"
         print(summary)
         print(f"trace written to {args.out}")
-    else:
-        sys.stdout.write(csv_text)
     return 0 if trace.completed else VERIFY_FAIL
 
 

@@ -37,7 +37,6 @@ from .scalars import I, GaussianRational, Rat, gr, rat_from_str
 from .tensors import (
     DIM,
     MultiTensor,
-    _array,
     _arrays,
     _cmatmul,
     _negatable,
@@ -198,7 +197,7 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
     T = s_0 s_1 s_2 * i d(omega) and C = s_0 * i d(omega): a swap of parts, up to sign.
     """
     domega = exterior_d(h.omega, alg)
-    z = _negatable(_array(domega))
+    z = _negatable(*_arrays(domega))
     # s i (a + b i) = -s b + s a i on the numerators, with the sign s of each entry
     iz = np.stack((-z[1], z[0]))
     return tuple(_tensor(3, signs * iz, domega.den) for signs in _SIGNS)

@@ -3,25 +3,26 @@
 Frame indices run over {1, 2, 3, 1b, 2b, 3b}, encoded internally as 0..5
 with bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the
 format of the exact kernel: Gaussian-integer numerators over one positive
-common denominator, kept as the kernel's numpy array when the kernel wrote the
-tensor and as Python-int lists when a caller did (see MultiTensor), so no
-stage turns an array into lists and back; GaussianRational values appear only
-when entries are read.  This is the one module that turns GaussianRational
-values into numerators and back (numerator_value reads one entry).  It holds
-the one exact matrix inverse (one fraction-free elimination, run on the 3x3
-block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix
-otherwise) and the primitives of the one exact kernel (_dtype, _numerators,
-_arrays, _cmatmul, _tensor and their kin, with versions such as _reduced_each
-over a stack of tensors along a leading spec axis, at the end of the module),
-on which contract and every other exact product of two stored tensors run.
+common denominator, stored as one read-only numpy array whoever built the
+tensor, with read-only tuple views of Python ints built from it on demand (see
+MultiTensor), so no stage turns an array into lists and back; GaussianRational
+values appear only when entries are read.  This is the one module that turns
+GaussianRational values into numerators and back (numerator_value reads one
+entry).  It holds the one exact matrix inverse (one fraction-free elimination,
+run on the 3x3 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the
+whole 6x6 matrix otherwise) and the primitives of the one exact kernel
+(_dtype, _numerators, _arrays, _cmatmul, _tensor and their kin, with versions
+such as _reduced_each over a stack of tensors along a leading spec axis, at the
+end of the module), on which contract and every other exact product of two
+stored tensors run.
 Every dtype decision of a product is made here: _cmatmul takes a bit bound and
 runs on float64 (BLAS) where it keeps every partial sum below 2^52, on int64
 below 2^62 and on Python ints beyond.  The index
 arithmetic of the hot loops is done once, at import: all_indices hands out one
 stored tuple per rank up to 4, from which the structural checks build their
 tables of permuted and conjugated offsets.
-Values are treated as immutable once built: the constructors hand out fresh
-lists or read-only arrays, and no public operation mutates its arguments.
+Values are treated as immutable once built: the constructors store read-only
+arrays, and no public operation mutates its arguments.
 """
 
 from __future__ import annotations
@@ -77,17 +78,16 @@ class MultiTensor:
 
     The storage is the exact kernel's format: Gaussian-integer numerators over
     one positive common denominator ``den``, so the entry at flat offset n (the
-    index tuple read in base 6) is (re[n] + im[n] i) / den.  A tensor the kernel
-    writes (_tensor) keeps the kernel's array z = [re, im] of shape (2, 6**rank),
-    int64 when every numerator fits and object otherwise (see _numerators), as a
-    read-only view that may share memory with the kernel's own output: the kernel
-    writes no array after _tensor has it, and the flag stops writes through the
-    tensor.  ``re`` and ``im`` are Python-int list views of z, built once by
-    .tolist() when a Python loop or a value read needs them, and read-only.  A
-    tensor built from lists (from_numerators, the value constructor) builds its
-    array once, on its first kernel read (_arrays); __setitem__, the one mutator,
-    writes the lists and drops the array.  A GaussianRational value is built,
-    through Rat(num, den), only for an entry that ``[]`` or ``nonzero()`` returns.
+    index tuple read in base 6) is (re[n] + im[n] i) / den.  Every constructor
+    stores one read-only array z = [re, im] of shape (2, 6**rank), int64 when
+    every numerator fits and object otherwise (see _numerators); a tensor the
+    kernel writes (_tensor) may store a view of the kernel's own output, which
+    the kernel writes no more once _tensor has it.  ``re`` and ``im`` are tuples
+    of Python ints read from z once, by .tolist(), when a Python loop or a value
+    read needs them.  __setitem__, the one mutator, stores a new array; no array
+    a tensor stores is ever written, so copy() shares it.  A GaussianRational
+    value is built, through Rat(num, den), only for an entry that ``[]`` or
+    ``nonzero()`` returns.
     """
 
     __slots__ = ("rank", "den", "_re", "_im", "_z", "_m")
@@ -95,35 +95,42 @@ class MultiTensor:
     def __init__(self, rank: int, data=None):
         size = DIM ** rank
         if data is None:
-            re, im, den = [0] * size, [0] * size, 1
+            z, den = np.zeros((2, size), np.int64), 1
         else:
             data = list(data)
             if len(data) != size:
                 raise ValueError(f"rank-{rank} tensor needs {size} entries, got {len(data)}")
             den = lcm(1, *(int(q.denominator) for v in data for q in (v.re, v.im)))
-            re = [int(v.re.numerator) * (den // int(v.re.denominator)) for v in data]
-            im = [int(v.im.numerator) * (den // int(v.im.denominator)) for v in data]
-        self.rank, self.den, self._re, self._im, self._z, self._m = rank, den, re, im, None, None
+            z = ([int(v.re.numerator) * (den // int(v.re.denominator)) for v in data],
+                 [int(v.im.numerator) * (den // int(v.im.denominator)) for v in data])
+        self._store(rank, z, den)
+
+    def _store(self, rank, z, den):
+        """Store the numerators z = [re, im], lists or an array of shape (2, ...), over den
+        as a read-only array (see _numerators).  An int64 z is stored as a view, not a
+        copy, so the caller must not write to z, or to the array it views, afterwards;
+        the read-only flag guards only the view."""
+        z = _numerators(z).reshape(2, -1)
+        z.setflags(write=False)
+        self.rank, self.den, self._re, self._im, self._z, self._m = rank, den, None, None, z, None
 
     @classmethod
-    def from_numerators(cls, rank: int, re: list, im: list, den: int) -> "MultiTensor":
-        """The tensor of entries (re[n] + im[n] i) / den; it takes ownership of the lists."""
-        t = cls.__new__(cls)
-        t.rank, t.den, t._re, t._im, t._z, t._m = rank, den, re, im, None, None
-        return t
+    def from_numerators(cls, rank: int, re, im, den: int) -> "MultiTensor":
+        """The tensor of entries (re[n] + im[n] i) / den; it reads the lists into its array."""
+        return _tensor(rank, (re, im), den)
 
     @property
-    def re(self) -> list:
-        """The real numerators as a list of Python ints (a view: do not write it)."""
+    def re(self) -> tuple:
+        """The real numerators as a tuple of Python ints."""
         if self._re is None:
-            self._re, self._im = self._z.tolist()
+            self._re, self._im = map(tuple, self._z.tolist())
         return self._re
 
     @property
-    def im(self) -> list:
-        """The imaginary numerators as a list of Python ints (a view: do not write it)."""
+    def im(self) -> tuple:
+        """The imaginary numerators as a tuple of Python ints."""
         if self._im is None:
-            self._re, self._im = self._z.tolist()
+            self._re, self._im = map(tuple, self._z.tolist())
         return self._im
 
     def _offset(self, idx) -> int:
@@ -140,43 +147,37 @@ class MultiTensor:
         return numerator_value(self.re[off], self.im[off], self.den)
 
     def __setitem__(self, idx, value: GaussianRational):
-        """Store one entry; the common denominator grows to the lcm with the value's."""
+        """Store one entry in a new array; the common denominator grows to the lcm with
+        the value's."""
         if isinstance(idx, int):
             idx = (idx,)
         off = self._offset(idx)
         dr, di = int(value.re.denominator), int(value.im.denominator)
         den = lcm(self.den, dr, di)
-        re, im = self.re, self.im
-        if den != self.den:
-            f = den // self.den
-            re, im = [f * a for a in re], [f * b for b in im]
-            self.den = den
+        f = den // self.den
+        re, im = [f * a for a in self.re], [f * b for b in self.im]
         re[off] = int(value.re.numerator) * (den // dr)
         im[off] = int(value.im.numerator) * (den // di)
-        self._re, self._im, self._z, self._m = re, im, None, None
+        self._store(self.rank, (re, im), den)
 
     def reduced(self) -> "MultiTensor":
         """The same tensor with the common content of numerators and denominator divided
-        out, on fresh lists; a tensor already in lowest terms is copied undivided."""
-        re, im = self.re, self.im
-        g = gcd(self.den, *re, *im)
-        if g == 1:
-            return self.copy()
-        return MultiTensor.from_numerators(self.rank, [a // g for a in re],
-                                           [b // g for b in im], self.den // g)
+        out (_reduced_each); a tensor already in lowest terms shares its array."""
+        z, (den,) = _reduced_each(_negatable(self._z)[:, None], [self.den])
+        return _tensor(self.rank, z, den)
 
     def copy(self) -> "MultiTensor":
-        """A tensor of fresh lists: writes to its ``re`` and ``im``, made before its
-        first kernel read, are its own."""
-        return MultiTensor.from_numerators(self.rank, self.re[:], self.im[:], self.den)
+        """An equal tensor that shares the read-only array: a write to either stores a
+        new array of its own."""
+        return _tensor(self.rank, self._z, self.den)
 
     def is_zero(self) -> bool:
-        return not _array(self).any()
+        return not self._z.any()
 
     def nonzero_offsets(self):
         """Yield (flat offset, index tuple) for every nonzero entry, lexicographically; no values."""
         idx = all_indices(self.rank)
-        for n in np.flatnonzero(_array(self).any(0)).tolist():
+        for n in np.flatnonzero(self._z.any(0)).tolist():
             yield n, idx[n]
 
     def nonzero(self):
@@ -194,8 +195,7 @@ class MultiTensor:
                 and all(a * s == b * o for a, b in zip(self.im, other.im)))
 
     def __neg__(self) -> "MultiTensor":
-        return MultiTensor.from_numerators(self.rank, [-a for a in self.re],
-                                           [-b for b in self.im], self.den)
+        return _tensor(self.rank, -_negatable(*_arrays(self)), self.den)
 
     def __repr__(self):
         nz = sum(1 for _ in self.nonzero_offsets())
@@ -204,11 +204,7 @@ class MultiTensor:
 
 def identity_tensor() -> MultiTensor:
     """Kronecker delta as a rank-2 tensor."""
-    t = MultiTensor(2)
-    one = GaussianRational(1)
-    for i in INDICES:
-        t[i, i] = one
-    return t
+    return _tensor(2, np.stack((np.eye(DIM, dtype=np.int64), np.zeros((DIM, DIM), np.int64))), 1)
 
 
 # (a, b, offset of (a, bbar), offset of (bbar, a)) over the block G of [[0, G], [G^T, 0]],
@@ -314,7 +310,7 @@ def flat_offset(idx) -> int:
 # tensor's stored array (_arrays), evaluates each stage as integer matrix
 # products and index gathers, and hands back MultiTensors that store its output
 # arrays (_tensor).  No stage writes a list: a numerator becomes a Python int
-# (.tolist()) only where a Python loop or a value read asks for the lists, and
+# (.tolist()) only where a Python loop or a value read asks for re and im, and
 # every den is a Python int.  A call bounds each product's sums by the bit
 # lengths of its inputs and hands the bound, with the operands in whatever storage
 # dtype they have, to _cmatmul, the one owner of the tier: float64 (BLAS) for
@@ -360,21 +356,12 @@ def _numerators(parts):
         return np.asarray(parts, object)
 
 
-def _array(t):
-    """t's stored numerator array z = [re, im] (see MultiTensor), built from its lists
-    on the first read."""
-    if t._z is None:
-        t._z = _numerators((t._re, t._im))
-        t._z.setflags(write=False)
-    return t._z
-
-
 def _arrays(t):
-    """(z, m): t's stored numerator array (see _array), and m = _maxabs(z), computed once."""
-    z = _array(t)
+    """(z, m): t's stored numerator array z = [re, im] (see MultiTensor), and
+    m = _maxabs(z), computed once."""
     if t._m is None:
-        t._m = _maxabs(z)
-    return z, t._m
+        t._m = _maxabs(t._z)
+    return t._z, t._m
 
 
 def _cmatmul(a, b, product_bits, terms):
@@ -402,13 +389,9 @@ def _cmatmul(a, b, product_bits, terms):
 
 
 def _tensor(rank, z, den):
-    """The MultiTensor of the numerators z = [re, im] over den, which stores z (as an
-    int64 array when every numerator fits) read-only and writes no list.  An int64 z
-    is stored as a view, not a copy, so the caller must not write to z, or to the
-    array it views, once _tensor has it; the read-only flag guards only the view."""
-    t = MultiTensor.from_numerators(rank, None, None, den)
-    t._z = _numerators(z.reshape(2, -1))
-    t._z.setflags(write=False)
+    """The MultiTensor of the numerators z = [re, im] over den (see MultiTensor._store)."""
+    t = MultiTensor.__new__(MultiTensor)
+    t._store(rank, z, den)
     return t
 
 
@@ -421,7 +404,7 @@ def _tensor(rank, z, den):
 def _stack(ts):
     """The stack of the tensors ts, their stored arrays along a spec axis (object when
     any of them is); one tensor's stack is a read-only view of its array."""
-    zs = [_array(t) for t in ts]
+    zs = [t._z for t in ts]
     return (zs[0][:, None] if len(zs) == 1 else np.stack(zs, axis=1)), [t.den for t in ts]
 
 
@@ -453,9 +436,11 @@ def _reduced_each(z, dens):
     return z // np.array(gs, z.dtype)[:, None], dens
 
 
-def _negatable(z):
-    """z, on object if it holds -2^63, the one int64 whose negation is no int64."""
-    if z.dtype != object and z.min(initial=0) == np.iinfo(np.int64).min:
+def _negatable(z, m=None):
+    """z, on object if it holds -2^63, the one int64 whose negation is no int64.  A
+    caller that has m = _maxabs(z) (_arrays) passes it to spare the scan: an int64
+    array reaches |entry| = 2^63 only at -2^63."""
+    if z.dtype != object and (z.min(initial=0) if m is None else -m) == -2 ** 63:
         return z.astype(object)
     return z
 

@@ -273,6 +273,26 @@ def test_flow_run_writes_csv(capsys, tmp_path):
     assert "final deviation 0.000e+00" in out
 
 
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    """classify and flow run report an --out they cannot write with exit 2, the usage
+    status, and no traceback; the CSV flow run writes to stdout and to --out is the
+    same text."""
+    missing = tmp_path / "missing" / "x.out"
+    classify = ("classify", "--family", "Si", "--set", "A=i", "--metric", "r2=1,s2=1,t2=1")
+    flow_run = ("flow", "run", "--family", "Si", "--set", "A=i", "--metric", "r2=2,s2=1,t2=1",
+                "--horizon", "1/10", "--step", "1/100")
+    for argv in (classify, flow_run):
+        for target in (missing, tmp_path):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 2 and not out, argv
+            assert err.startswith(f"error: cannot write --out {target}: ")
+            assert "Traceback" not in err
+    code, stdout_csv, _ = run(capsys, *flow_run)
+    assert code == 0
+    code, _, _ = run(capsys, *flow_run, "--out", str(tmp_path / "trace.csv"))
+    assert code == 0 and (tmp_path / "trace.csv").read_text() == stdout_csv
+
+
 def test_config_file_defaults(capsys, tmp_path):
     cfg = tmp_path / "curvlab.cfg"
     cfg.write_text("# defaults\nformat=json\nseed=7\n")

