@@ -47,6 +47,8 @@ consumer reads that half: the stored tensor negates it, divides out its
 content and expands it by one table lookup (_EXPAND), and the Bianchi defect
 reads its cyclic rows off the raised operator's half, R(k,i)h = -R(i,k)h.
 The flow's exact Ricci traces the symbols directly and builds no operator.
+The operator, the defect and the exact Ricci read the symbols and c over one
+denominator per spec, as one _over_c call per stack puts them.
 The Riemannian Ricci ric_lc keeps the standard orientation, so the Ricci flow
 has its usual sign.  All of it, the Ricci traces too, runs on the one
 Gaussian-integer kernel of tensors.py: it reads the numerator arrays
@@ -251,50 +253,45 @@ _EXPAND = [_PAIR[i, hh] if i < hh else 15 + _PAIR[hh, i] if hh < i else 30
            for i, hh in itertools.product(INDICES, repeat=2)]
 
 
-def _common_den(gamma, c):
-    """(dens, fg, fc, mg, bounds): the symbol stack gamma = (z, dens) and c over dens[s]
-    = lcm(gamma's dens[s], c.den) per spec, spec s's symbols times fg[s] and c times
-    fc[s]; mg[s] is the largest |numerator| of spec s's symbols and bounds[s] the
-    largest |entry| of both once scaled."""
-    zg, dg = gamma
-    mc = _arrays(c)[1]
-    dens = [lcm(d, c.den) for d in dg]
+def _over_c(gamma, c):
+    """(zg, zc, dens, bounds): gamma = (z, dens) and c over dens[s] = lcm(gamma's dens[s],
+    c.den) per spec, zc on a spec axis that broadcasts against zg's; bounds[s] is the
+    largest |entry| of spec s's two, stored in the dtype that holds a sum of 8 of them
+    (the torsion sums 3 entries, the left factor of flow.exact_lc_ricci 8)."""
+    (zg, dg), (zc, mc) = gamma, _arrays(c)
+    dens, mg = [lcm(d, c.den) for d in dg], _maxabs_each(zg)
     fg, fc = list(map(floordiv, dens, dg)), [den // c.den for den in dens]
-    mg = _maxabs_each(zg)
-    return dens, fg, fc, mg, [max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)]
+    bounds = [max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)]
+    dtype = _dtype(max(bounds).bit_length(), 8)
+    zc = _scaled_each(zc[:, None], fc, [mc] * len(dens), dtype)
+    return _scaled_each(zg, fg, mg, dtype), zc, dens, bounds
 
 
-def _operator(gamma, c, x, common=None):
+def _operator(over, x):
     """R(I,H)K^X = Gamma_{HK}^B X_{IB} - Gamma_{IK}^B X_{HB} - c_{IH}^B X_{BK} for I < H.
 
-    Bilinear in the symbols gamma and a rank-3 table x whose last slot is the
-    output slot, both stacks (z, dens) with one spec per connection (see
-    tensors.py): x = gamma gives the raised operator R(I,H)K^A, and x = the
-    lowered symbols Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  The operator is
-    skew in (I, H), so only the I < H half is evaluated, once: it returns the
-    stack of the 540 entries, entry 36 _PAIR[I, H] + 6 K + X, spec s over
-    lcm(gamma's dens[s], c.den) times x's dens[s], unreduced.  The first two terms
-    are one product P[I, H, K, X] = Gamma_{HK}^B X_{IB} read at (I, H) and at
-    (H, I), the third one product over the 15 pairs' rows of c: 3 sums of 12 real
-    products per entry.  All specs share each product, on the dtype of the largest
-    bound among them.  The curvature expands the half to the stored tensor through
-    _EXPAND, and the Bianchi defect reads its cyclic rows from it directly.  common is
-    _common_den(gamma, c) where the caller has it already.
+    Bilinear in the symbols and a rank-3 table x whose last slot is the output
+    slot: over = _over_c(gamma, c) holds the symbols and c over dens[s] per spec,
+    and x is a stack (z, dens) with one spec per connection (see tensors.py):
+    x = gamma gives the raised operator R(I,H)K^A, and x = the lowered symbols
+    Gamma_{IB,L} give sum_A R(I,H)K^A g_{AL}.  The operator is skew in (I, H), so
+    only the I < H half is evaluated, once: it returns the stack of the 540
+    entries, entry 36 _PAIR[I, H] + 6 K + X, spec s over dens[s] times x's dens[s],
+    unreduced.  The first two terms are one product P[I, H, K, X] = Gamma_{HK}^B
+    X_{IB} read at (I, H) and at (H, I), the third one product over the 15 pairs'
+    rows of c: 3 sums of 12 real products per entry.  All specs share each
+    product, on the tier of the largest bound among them.  The curvature expands
+    the half to the stored tensor through _EXPAND, and the Bianchi defect reads
+    its cyclic rows from it directly.
     """
-    (zg, _), (zx, dx) = gamma, x
-    zc, mc = _arrays(c)
-    dens, fg, fc, mg, bounds = common or _common_den(gamma, c)
+    (zg, zc, dens, bounds), (zx, dx) = over, x
     bits = max(b.bit_length() + m.bit_length() for b, m in zip(bounds, _maxabs_each(zx)))
-    dtype = _dtype(bits, 36)
-    n = len(dens)
-    zg = _scaled_each(zg, fg, mg, dtype).reshape(2, n, 1, 36, DIM)
     # p[:, s, 6 I + H, 6 K + X]
-    p = _cmatmul(zg, zx.reshape(2, n, DIM, DIM, DIM), bits, 36).reshape(2, n, 36, 36)
-    p = np.take(p, _IH_HI, axis=2).reshape(2, n, 2, 540)
-    # c is shared: its rows times x, then each spec's factor (the same bound)
-    zc = np.take(zc.reshape(2, 36, DIM), _IH, axis=1)
-    c_term = _cmatmul(zc.reshape(2, 1, 15, DIM), zx.reshape(2, n, DIM, 36), bits, 36)
-    c_term = _scaled_each(c_term.reshape(2, n, 540), fc, [mc] * n, dtype)
+    p = _cmatmul(zg.reshape(2, -1, 1, 36, DIM), zx.reshape(2, -1, DIM, DIM, DIM),
+                 bits, 36).reshape(2, -1, 36, 36)
+    p = np.take(p, _IH_HI, axis=2).reshape(2, -1, 2, 540)
+    zc = np.take(zc.reshape(2, -1, 36, DIM), _IH, axis=2)
+    c_term = _cmatmul(zc, zx.reshape(2, -1, DIM, 36), bits, 36).reshape(2, -1, 540)
     return p[:, :, 0] - p[:, :, 1] - c_term, list(map(mul, dens, dx))
 
 
@@ -375,7 +372,7 @@ def _stored_each(gamma, c, low):
     (the rest is its negation and zeros), so each spec's half is reduced before
     the one expansion of the stack.
     """
-    half, dens = _reduced_each(*_operator(gamma, c, low))
+    half, dens = _reduced_each(*_operator(_over_c(gamma, c), low))
     return _stored(half), dens
 
 
@@ -463,19 +460,6 @@ _CX, _CYZ = np.divmod(_CYCLIC, 36)
 _CXY, _CZ = np.divmod(_CYCLIC, 6)
 
 
-def _over_c(gamma, c, terms, common=None):
-    """(zg, zc, dens, fg, bits): gamma = (z, dens) and c over one denominator per spec
-    (see _common_den, or common where the caller has it), the symbols scaled by fg[s],
-    in the dtype of `terms` products of two, each below 2^bits (the bound to hand
-    _cmatmul with terms)."""
-    zg, (zc, mc) = gamma[0], _arrays(c)
-    dens, fg, fc, mg, bounds = common or _common_den(gamma, c)
-    bits = 2 * max(bounds).bit_length()
-    dtype = _dtype(bits, terms)
-    zc = _scaled_each(np.broadcast_to(zc[:, None], zg.shape), fc, [mc] * len(dens), dtype)
-    return _scaled_each(zg, fg, mg, dtype), zc, dens, fg, bits
-
-
 def _defect_stack(gamma, c):
     """The torsion T(x,y) = nabla_x y - nabla_y x - [x,y] and the Bianchi defect of each
     spec of a raised-symbol stack gamma, as stacks over den_s and den_s^2 (see _over_c).
@@ -493,11 +477,9 @@ def _defect_stack(gamma, c):
     """
     # per entry: 3 half rows of 36 products below 2^(2b), and 3 x 24 products with
     # one factor T, |T| < 3 2^b, each counted as 3 products below 2^(2b)
-    common = _common_den(gamma, c)
-    terms = 3 * 36 + 3 * 3 * 24
-    zg, zc, dens, fg, bits = _over_c(gamma, c, terms, common)
-    half, _ = _operator(gamma, c, gamma, common)  # spec s over dens[s] gamma's dens[s]
-    half = _scaled_each(half, fg, (half != 0).any((0, 2)).tolist(), zg.dtype)
+    over = zg, zc, dens, bounds = _over_c(gamma, c)
+    bits, terms = 2 * max(bounds).bit_length(), 3 * 36 + 3 * 3 * 24
+    half, dens2 = _operator(over, (zg, dens))  # spec s over dens[s]^2
     half = np.take(half.reshape(2, -1, 90, DIM), _HALF_ROWS, axis=2)
     # T_{IH}^K = Gamma_{IH}^K - Gamma_{HI}^K - c_{IH}^K
     zt = zg - np.take(zg, _SWAP, axis=2) - zc
@@ -509,11 +491,13 @@ def _defect_stack(gamma, c):
     t_bracket = _cmatmul(np.take(zc.reshape(2, -1, 36, 1, DIM), _CXY, axis=2),
                          np.take(zt3.transpose(0, 1, 3, 2, 4), _CZ, axis=2), bits, terms)
     d_t = (nabla_t - t_bracket)[..., 0, :]
-    # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh
+    # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh,
+    # in d_t's dtype: the rows of an int64 half (36 terms) may have no int64 sum
+    half = half.astype(d_t.dtype, copy=False)
     sums = half[:, :, :, 0] + half[:, :, :, 1] - half[:, :, :, 2] - d_t.sum(axis=3)
     rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :, :1])), axis=2)
     defect = np.take(rows, _FILL, axis=2).reshape(2, -1, DIM ** 4)
-    return (zt, dens), (defect, [den * den for den in dens])
+    return (zt, dens), (defect, dens2)
 
 
 def torsion_and_bianchi_defect(spec: ConnectionSpec, h: HermitianData, alg: LieAlgebraCx):

@@ -85,8 +85,8 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     _, gamma = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
     # per entry: 2 x 36 real products with each of the left factor's summands Gamma and
     # c, and 2 x 6 with its trace term, a sum of 6 entries of c, so counted as 72
-    terms = 72 + 72 + 72
-    zg, zc, (den,), _, bits = _over_c(gamma, alg.c, terms)  # one spec, read as (2, ...)
+    zg, zc, (den,), (bound,) = _over_c(gamma, alg.c)  # one spec, read as (2, ...)
+    bits, terms = 2 * bound.bit_length(), 72 + 72 + 72
     g3 = zg.reshape(2, DIM, DIM, DIM)
     # [H, (B, A)]: K - Gamma_{HB}^A; [(B, A), K]: Gamma_{AK}^B
     left = _ricci_left(zc.reshape(2, DIM, DIM, DIM)) - g3.reshape(2, DIM, 36)

@@ -171,6 +171,10 @@ class MultiTensor:
         new array of its own."""
         return _tensor(self.rank, self._z, self.den)
 
+    def __reduce__(self):
+        """pickle and deepcopy rebuild through _tensor, which stores the array read-only."""
+        return _tensor, (self.rank, self._z, self.den)
+
     def is_zero(self) -> bool:
         return not self._z.any()
 
@@ -337,7 +341,7 @@ def _dtype(product_bits, terms):
     2^product_bits in magnitude: np.int64 when it stays below 2^62 (|sum| < terms
     2^product_bits <= 2^(product_bits + ceil(log2 terms))), and object otherwise.
     _cmatmul calls it once per product; beyond this module, only integer steps
-    outside a product do (connection's _symbols, _operator and _over_c)."""
+    outside a product do (connection's _symbols and _over_c)."""
     return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
 
 

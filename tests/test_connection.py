@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -469,8 +470,9 @@ def test_oracles_catch_a_flipped_structure_term(monkeypatch, rng):
 
     operator = connection._operator
 
-    def flipped(gamma, c, x, *common):
-        return operator(gamma, -c, x, *common)
+    def flipped(over, x):
+        zg, zc, dens, bounds = over
+        return operator((zg, -zc, dens, bounds), x)
 
     monkeypatch.setattr(connection, "_operator", flipped)
     assert not torsion_and_bianchi_defect(chern, h, alg)[1].is_zero()
@@ -599,7 +601,8 @@ def _numerators(t):
 
 def operator_half(gamma, c, x):
     """(re, im, den) of the kernel's I < H half for one (gamma, x): the one-spec stack."""
-    half, (den,) = connection._operator(tensors._stack((gamma,)), c, tensors._stack((x,)))
+    over = connection._over_c(tensors._stack((gamma,)), c)
+    half, (den,) = connection._operator(over, tensors._stack((x,)))
     re, im = half[:, 0]
     return re, im, den
 
@@ -681,10 +684,11 @@ def test_bianchi_defect_matches_the_reference():
 def dtypes(monkeypatch):
     """(terms, dtype) per dtype choice of a kernel stage, in call order: one per
     product (tensors._cmatmul) and one per integer step beside the products
-    (connection's lowered sum and per-spec scalings); terms tells the stages apart
-    (36 for the operator half, 324 for the Bianchi defect, 12 for contract and the
-    raise, 72 for the Ricci and Lee traces, 18 for scal and 216 for the flow's exact
-    Ricci).  The chooser is patched in every module that calls it."""
+    (connection's lowered sum, and _over_c's storage of the symbols and c over one
+    denominator); terms tells the stages apart (8 for _over_c, 36 for the operator
+    half, 324 for the Bianchi defect, 12 for contract and the raise, 72 for the Ricci
+    and Lee traces, 18 for scal and 216 for the flow's exact Ricci).  The chooser is
+    patched in every module that calls it."""
     chosen = []
     choose = tensors._dtype
 
@@ -737,7 +741,7 @@ def test_large_coefficients_take_the_object_dtype_and_match_the_references(dtype
             got = curvature(table, h, alg).tensor
             assert _numerators(got) == _numerators(_raise_then_lower(table, h, alg)), where
             re, im, den = operator_half(table.gamma, alg.c, table.lowered)
-            assert re.dtype == im.dtype == dtypes[0][1]
+            assert re.dtype == im.dtype == next(d for t, d in dtypes if t == 36)
             want = ref_operator(table.gamma, alg.c, table.lowered)
             assert ([-a for a in connection._stored(re)], [-b for b in connection._stored(im)],
                     den) == _numerators(want), where
@@ -810,10 +814,11 @@ def test_stacked_pass_matches_the_single_calls():
 def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
     """A Gauduchon eps over 2^70 puts its lowered sums and its operator half beyond
     the int64 bound, so both stages run on object for every spec of the stack it
-    joins: the lowered sum, the operator's per-spec scaling and both of its products
-    (the raise follows the bound of the reduced symbols); each other spec of
-    that stack still equals its single call, which runs on int64 throughout.  The
-    abelian structure is left out: its tables are zero, so no sum leaves int64."""
+    joins: the lowered sum, _over_c's common-denominator arrays and both of the
+    operator's products (the raise follows the bound of the reduced symbols); each
+    other spec of that stack still equals its single call, which runs on int64
+    throughout.  The abelian structure is left out: its tables are zero, so no sum
+    leaves int64."""
     huge = ConnectionSpec.gauduchon(Rat(1, 2 ** 70))
     checked = 0
     for label, alg, h, specs in itertools.islice(reference_grid("mixed"), 0, None, 5):
@@ -858,23 +863,30 @@ def test_the_defect_stack_matches_the_reference(dtypes):
     assert checked == 14 * (8 + 9)
 
 
-def test_the_defect_stack_takes_its_common_denominators_once(monkeypatch):
-    """_over_c and _operator put the stack over one denominator per spec; _defect_stack
-    takes that from _common_den once and hands it to both."""
+def test_every_stack_takes_its_common_denominators_once(monkeypatch):
+    """_over_c puts a symbol stack and c over one denominator per spec, once per stack:
+    one call per _stored_each, per _defect_stack and per flow.exact_lc_ricci, whose
+    operator half, torsion and Ricci product all read its arrays."""
     alg = instantiate(FamilySpec.make("Ni", rho=1, **{"lambda": "1/2"}, D="1/3+2/5*i"))
     h = build_metric(MetricParams.make(r2=1, s2=2, t2="3/2", u="1/5+1/3*i"))
     specs = [ConnectionSpec.preset(name) for name in PRESETS]
-    gamma = connection._plane_symbols(specs, connection.ConnectionPlane(h, alg))[1]
+    low, gamma = connection._plane_symbols(specs, connection.ConnectionPlane(h, alg))
+    g6 = flow.flow_state_from_hermitian(h, alg).g6
     calls = []
-    common_den = connection._common_den
+    over_c = connection._over_c
 
-    def counted(*args):
-        calls.append(1)
-        return common_den(*args)
+    def counted(gamma, c):
+        calls.append(len(gamma[1]))
+        return over_c(gamma, c)
 
-    monkeypatch.setattr(connection, "_common_den", counted)
+    for module in (connection, flow):
+        monkeypatch.setattr(module, "_over_c", counted)
+    connection._stored_each(gamma, alg.c, low)
+    assert calls == [len(specs)]
     connection._defect_stack(gamma, alg.c)
-    assert len(calls) == 1
+    assert calls == [len(specs)] * 2
+    flow.exact_lc_ricci(g6, alg)
+    assert calls == [len(specs)] * 2 + [1]
 
 
 def _kernel_outputs(alg, h, specs):
@@ -1105,6 +1117,86 @@ def test_the_dtype_chooser_holds_at_the_int64_edge():
     assert 36 * m * m < 2 ** 62 and 36 * m * (m + 1) < 2 ** 63
 
 
+def _table(value):
+    """The rank-3 tensor over 1 whose entry at (I, H, K) is value(I, H, K) (1 + i)."""
+    re = [value(*idx) for idx in all_indices(3)]
+    return MultiTensor.from_numerators(3, re, re, 1)
+
+
+def test_the_common_denominator_arrays_hold_eight_term_sums_at_the_int64_edge(dtypes):
+    """_over_c stores the symbols and c on int64 up to a bound of 2^59 - 1, where a sum
+    of 8 entries stays below 2^62, and on object from 2^59 on.  At the edge, one bit
+    beyond it and at 2^62 - 1, whose sums no int64 holds, the defect's torsion
+    zg - swap(zg) - zc and the exact Ricci's left factor flow._ricci_left(zc) - Gamma
+    equal Python-int references at their worst cases, 3 m and 8 m."""
+    swap = [36 * hh + 6 * i + k for i, hh, k in all_indices(3)]
+    for m, dtype in ((2 ** 59 - 1, np.int64), (2 ** 59, object), (2 ** 62 - 1, object)):
+        # the torsion: Gamma = m s(I, H) and c = -m s(I, H), s = 1 for I < H and -1 otherwise
+        gamma = _table(lambda i, hh, k: m if i < hh else -m)
+        c = _table(lambda i, hh, k: -m if i < hh else m)
+        dtypes.clear()
+        (zt, _), _ = connection._defect_stack(tensors._stack((gamma,)), c)
+        assert dtypes[0] == (8, dtype), m
+        g, cr = gamma.re, c.re
+        want = [g[n] - g[swap[n]] - cr[n] for n in range(216)]
+        assert zt[:, 0].tolist() == [want, want] and max(want) == 3 * m, m
+        # the Ricci left factor: c = m where I = K and -m elsewhere, Gamma = -m
+        gamma, c = _table(lambda i, hh, k: -m), _table(lambda i, hh, k: m if i == k else -m)
+        zg, zc, _, bounds = connection._over_c(tensors._stack((gamma,)), c)
+        assert zg.dtype == zc.dtype == dtype and bounds == [m], m
+        left = flow._ricci_left(zc.reshape(2, 6, 6, 6)) - zg.reshape(2, 6, 36)
+        g, cr = gamma.re, c.re
+        # K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^A - Gamma_{HB}^A, trc_B = sum_A c_{AB}^A
+        trc = [sum(cr[37 * j + 6 * b] for j in range(6)) for b in range(6)]
+        want = [[(trc[b] if a == hh else 0) - cr[36 * b + 6 * hh + a] - g[36 * hh + 6 * b + a]
+                 for b in range(6) for a in range(6)] for hh in range(6)]
+        assert left.tolist() == [want, want] and max(map(max, want)) == 8 * m, m
+
+
+def test_the_defect_sums_its_half_rows_in_the_dtype_of_its_bound(monkeypatch, dtypes):
+    """An int64 operator half with rows near 2^62 is summed on object where the defect's
+    324-term bound puts d^nabla T there: the defect less that of a zero half is the
+    cyclic sum R(i,hh)k + R(hh,k)i - R(i,k)hh of the half's rows, filled in with the
+    permutation signs, on Python ints; three such rows summed on int64 would wrap."""
+    big = 2 ** 62 - 1
+    # |Gamma| < 2^28: 2 x 28 + ceil(log2 324) = 65 bits put d^nabla T on object
+    rng = random.Random("defect:half-rows")
+    gamma = MultiTensor.from_numerators(3, [rng.randint(-2 ** 27, 2 ** 27) for _ in range(216)],
+                                        [rng.randint(-2 ** 27, 2 ** 27) for _ in range(216)], 3)
+    # rows R(I,H)K^X, I < H, at +big, except at -big where I < K < H
+    sign = [-1 if i < k < hh else 1
+            for i, hh in connection._PAIRS for k in range(6) for _ in range(6)]
+    half = np.array([[sign], [[-s for s in sign]]], np.int64) * big
+    operator = connection._operator
+
+    def stub(value):
+        def stubbed(over, x):
+            assert operator(over, x)[0].dtype == np.int64
+            return value, [d * d for d in over[2]]
+        return stubbed
+
+    defects = []
+    for value in (half, np.zeros_like(half)):
+        monkeypatch.setattr(connection, "_operator", stub(value))
+        dtypes.clear()
+        defects.append(connection._defect_stack(tensors._stack((gamma,)), IWASAWA.c)[1][0])
+        assert (324, object) in dtypes and defects[-1].dtype == object
+    got = (defects[0] - defects[1])[:, 0].tolist()
+
+    hre, him = half[:, 0].tolist()
+    want = [[0] * 6 ** 4, [0] * 6 ** 4]
+    for i, hh, k in itertools.combinations(range(6), 3):
+        rows = [36 * connection._PAIR[x, y] + 6 * z
+                for x, y, z in ((i, hh, k), (hh, k, i), (i, k, hh))]
+        for part, h in zip(want, (hre, him)):
+            for a in range(6):
+                total = h[rows[0] + a] + h[rows[1] + a] - h[rows[2] + a]
+                assert abs(total) == 3 * big > 2 ** 63
+                for (x, y, z), s in zip(itertools.permutations((i, hh, k)), (1, -1, -1, 1, 1, -1)):
+                    part[216 * x + 36 * y + 6 * z + a] = s * total
+    assert got == want
+
+
 def test_numerator_arrays_take_object_beyond_int64():
     """tensors._numerators reads numerator lists into int64 up to the int64 edge, on
     both signs, and into object one past it, keeping every value and the nesting."""
@@ -1139,6 +1231,8 @@ def test_every_constructor_stores_one_read_only_array():
         "reduced": MultiTensor.from_numerators(1, [2, 4, 0, 0, 0, 0], [0, 6, 0, 0, 0, 0],
                                                2).reduced(),
         "copy": kernel.copy(),
+        "pickle": pickle.loads(pickle.dumps(kernel)),
+        "deepcopy": copy.deepcopy(kernel),
         "neg": -kernel,
         "setitem": written,
         "setitem after a read": listed,
@@ -1164,6 +1258,7 @@ def test_every_constructor_stores_one_read_only_array():
     assert (edge.den, list(edge.re)) == (1, [-1, 0, 0, 0, 0, 0])
     assert listed[1] == gr(5) and tensors._arrays(listed)[0][0, 1] == 5
     assert (tensors._arrays(kernel)[0] == z0).all() and built["copy"] == kernel
+    assert built["pickle"] == kernel and built["deepcopy"] == kernel
     assert written[all_indices(4)[n]] == kernel[all_indices(4)[n]] + gr("1/3")
     assert built["neg"] == MultiTensor(4, [-kernel[idx] for idx in all_indices(4)])
 
@@ -1285,8 +1380,9 @@ def test_oracles_catch_raised_symbols_in_the_curvature(monkeypatch, rng):
     board = verify.theorem_suite(plan, threads=1).to_json()
     operator = connection._operator
 
-    def raised(gamma, c, x):
-        return operator(gamma, c, gamma)
+    def raised(over, x):
+        zg, _, dens, _ = over
+        return operator(over, (zg, dens))
 
     monkeypatch.setattr(connection, "_operator", raised)
     assert curvature(table, h, alg).tensor != _raise_then_lower(table, h, alg)

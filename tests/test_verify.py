@@ -147,9 +147,9 @@ def test_the_sweep_writes_no_lists_and_runs_two_operators_per_point(monkeypatch)
         calls.append(args[0])
         return write(*args)
 
-    def counted(gamma, c, x, *common):
-        operators.append(len(gamma[1]))
-        return operator(gamma, c, x, *common)
+    def counted(over, x):
+        operators.append(len(over[2]))
+        return operator(over, x)
 
     monkeypatch.setattr(connection, "_tensors", spy)
     monkeypatch.setattr(connection, "_operator", counted)
@@ -426,9 +426,9 @@ def test_the_scoreboard_runs_one_operator_per_point(monkeypatch):
     calls = []
     operator = connection._operator
 
-    def counted(gamma, c, x):
-        calls.append(len(gamma[1]))
-        return operator(gamma, c, x)
+    def counted(over, x):
+        calls.append(len(over[2]))
+        return operator(over, x)
 
     monkeypatch.setattr(connection, "_operator", counted)
     board = theorem_suite(SamplePlan(seed=0, points_per_case=1), threads=1)
