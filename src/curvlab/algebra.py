@@ -15,18 +15,16 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
-from .scalars import GaussianRational, gr
+from .scalars import ZERO, GaussianRational, gr
 from .tensors import (
     DIM,
     INDICES,
     MultiTensor,
     _arrays,
     _cmatmul,
-    _negatable,
     _partner_hits,
     _reduced_each,
     _tensor,
@@ -60,15 +58,13 @@ class LieAlgebraCx:
     @classmethod
     def from_structure_constants(cls, entries: dict) -> "LieAlgebraCx":
         """Build from {(I, H, K): value}; the skew and conjugate entries are filled in."""
-        values = [(idx, v) for idx, v in ((idx, gr(raw)) for idx, raw in entries.items()) if v]
-        den = lcm(1, *(int(q.denominator) for _, v in values for q in (v.re, v.im)))
-        re, im = [0] * DIM ** 3, [0] * DIM ** 3
-        for (i, h, k), v in values:
-            a, b = (int(q.numerator) * (den // int(q.denominator)) for q in (v.re, v.im))
-            for x, y, z, s in ((i, h, k, b), (bar(i), bar(h), bar(k), -b)):
-                n, m = flat_offset((x, y, z)), flat_offset((y, x, z))
-                re[n], im[n], re[m], im[m] = a, s, -a, -s
-        return cls(MultiTensor.from_numerators(3, re, im, den))
+        values = [ZERO] * DIM ** 3
+        for (i, h, k), raw in entries.items():
+            v = gr(raw)
+            if v:
+                for x, y, z, w in ((i, h, k, v), (bar(i), bar(h), bar(k), v.conjugate())):
+                    values[flat_offset((x, y, z))], values[flat_offset((y, x, z))] = w, -w
+        return cls(MultiTensor(3, values))
 
     @classmethod
     def from_dphi(cls, dphi: dict) -> "LieAlgebraCx":
@@ -209,7 +205,7 @@ def _d_sums(alpha: MultiTensor, c: MultiTensor):
     if not alpha.rank:  # a constant has d = 0
         return np.zeros((2, len(tuples)), np.int64), alpha.den * c.den
     (za, ma), (zc, mc) = _arrays(alpha), _arrays(c)
-    zc = np.take(_negatable(zc, mc).reshape(2, 36, DIM), rows, axis=1)
+    zc = np.take(zc.reshape(2, 36, DIM), rows, axis=1)
     za = np.take(za.reshape(2, DIM, -1).transpose(0, 2, 1), rest, axis=1)
     shape = (2, len(tuples), 1, DIM * len(signs))  # per tuple: a row by a column
     out = _cmatmul((zc * signs[:, None]).reshape(shape), za.reshape(shape).swapaxes(2, 3),

@@ -90,7 +90,7 @@ def _family_from_args(args) -> FamilySpec:
 
 def _spec_from_args(args) -> ConnectionSpec:
     try:
-        return ConnectionSpec.parse(args.spec or "chern")
+        return ConnectionSpec.parse(args.spec)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

@@ -27,8 +27,8 @@ read into arrays once, the lowered sums are one integer combination of
 (lc, T, C) with one row of scale factors per spec, each over its own lcm
 denominator, the raise by g^{-1}, the operator half and the content gcd (taken
 per spec) run once for the whole stack, and the symbols reach the operator as
-arrays.  Each stage picks one dtype for the stack, from the largest bound over
-its specs; both dtypes are exact and the gcd is per spec, so the stored
+arrays.  Each stage bounds its sums by the largest bound over its specs; every
+tier is exact and the gcd is per spec, so the stored
 numerators and denominators are those of the specs evaluated one by one.
 The pass (_stacked_pass) writes no list: the verdicts, the appendix oracle and the
 sweep's checks, its Bianchi defect (_defect_stack) among them, read its arrays.
@@ -51,11 +51,9 @@ The operator, the defect and the exact Ricci read the symbols and c over one
 denominator per spec, as one _over_c call per stack puts them.
 The Riemannian Ricci ric_lc keeps the standard orientation, so the Ricci flow
 has its usual sign.  All of it, the Ricci traces too, runs on the one
-Gaussian-integer kernel of tensors.py: it reads the numerator arrays
-MultiTensor stores, evaluates each stage as integer matrix products and index
-gathers, on int64 where the bit lengths of its inputs prove every sum exact and
-on Python ints (dtype object) otherwise, and hands back tensors that store its
-output arrays, so the one-spec path writes no list either.
+Gaussian-integer kernel of tensors.py, which makes every number-format choice:
+this module hands it the arrays MultiTensor stores with the bounds of their sums
+and stores its output arrays, so the one-spec path writes no list either.
 """
 
 from __future__ import annotations
@@ -78,9 +76,9 @@ from .tensors import (
     MultiTensor,
     _arrays,
     _cmatmul,
-    _dtype,
     _maxabs,
     _maxabs_each,
+    _numerators,
     _partner_hits,
     _reduced_each,
     _scaled_each,
@@ -210,10 +208,10 @@ def _symbols(tables, rows, g_inv):
     rho), so Gamma^LC + eps T + rho C for lc = _lc_sum(c, g) and any nondegenerate
     invariant (g, g^{-1}).
 
-    The lowered sums are one integer product: a row of scale factors per spec,
+    The lowered sums are one kernel product: a real row of scale factors per spec,
     each spec over the lcm of its nonzero terms' denominators, times the tables'
-    numerators (one product per nonzero term).  The raise is one product of the
-    stack with g^{-1} (12 real products per entry).  Each spec is reduced.
+    numerators (one real product per nonzero term).  The raise is one product of
+    the stack with g^{-1} (12 real products per entry).  Each spec is reduced.
     """
     z, _ = _stack(tables)
     ms = _maxabs_each(z)
@@ -225,9 +223,9 @@ def _symbols(tables, rows, g_inv):
         # a zero table's factor may lie beyond int64; its term is zero anyway
         scales.append([int(q.numerator) * (den // d) if m else 0 for q, d, m in zip(row, ds, ms)])
     bits = max(abs(f) * m for row in scales for f, m in zip(row, ms)).bit_length()
-    dtype = _dtype(bits, max(len(row) - row.count(0) for row in scales))
-    scales = np.array(scales, dtype)
-    low = np.matmul(scales, z.astype(dtype, copy=False))  # (2, S, 216)
+    terms = max(len(row) - row.count(0) for row in scales)
+    # the real rows as Gaussian integers [scales, 0] times the tables: (2, S, 216)
+    low = _cmatmul(_numerators((scales, [[0] * len(tables)] * len(rows))), z, bits, terms)
     low, dens = _reduced_each(low, dens)
 
     zi, mi = _arrays(g_inv)
@@ -262,9 +260,9 @@ def _over_c(gamma, c):
     dens, mg = [lcm(d, c.den) for d in dg], _maxabs_each(zg)
     fg, fc = list(map(floordiv, dens, dg)), [den // c.den for den in dens]
     bounds = [max(m * f, mc * k) for m, f, k in zip(mg, fg, fc)]
-    dtype = _dtype(max(bounds).bit_length(), 8)
-    zc = _scaled_each(zc[:, None], fc, [mc] * len(dens), dtype)
-    return _scaled_each(zg, fg, mg, dtype), zc, dens, bounds
+    bits = max(bounds).bit_length()
+    zc = _scaled_each(zc[:, None], fc, [mc] * len(dens), bits, 8)
+    return _scaled_each(zg, fg, mg, bits, 8), zc, dens, bounds
 
 
 def _operator(over, x):
@@ -491,10 +489,10 @@ def _defect_stack(gamma, c):
     t_bracket = _cmatmul(np.take(zc.reshape(2, -1, 36, 1, DIM), _CXY, axis=2),
                          np.take(zt3.transpose(0, 1, 3, 2, 4), _CZ, axis=2), bits, terms)
     d_t = (nabla_t - t_bracket)[..., 0, :]
-    # R(i,hh)k + R(hh,k)i + R(k,i)hh, read off the I < H half as R(k,i)hh = -R(i,k)hh,
-    # in d_t's dtype: the rows of an int64 half (36 terms) may have no int64 sum
-    half = half.astype(d_t.dtype, copy=False)
-    sums = half[:, :, :, 0] + half[:, :, :, 1] - half[:, :, :, 2] - d_t.sum(axis=3)
+    # R(i,hh)k + R(hh,k)i + R(k,i)hh - d^nabla T, the curvature read off the I < H half
+    # as R(k,i)hh = -R(i,k)hh; summed from d_t on, whose dtype holds the 324-term bound,
+    # since three rows of an int64 half (36 terms) may have no int64 sum
+    sums = -d_t.sum(axis=3) + half[:, :, :, 0] + half[:, :, :, 1] - half[:, :, :, 2]
     rows = np.concatenate((sums, -sums, np.zeros_like(sums[:, :, :1])), axis=2)
     defect = np.take(rows, _FILL, axis=2).reshape(2, -1, DIM ** 4)
     return (zt, dens), (defect, dens2)

@@ -36,10 +36,10 @@ from .algebra import LieAlgebraCx, d_is_zero, exterior_d
 from .scalars import I, GaussianRational, Rat, gr, rat_from_str
 from .tensors import (
     DIM,
+    _G_BLOCK,
     MultiTensor,
     _arrays,
     _cmatmul,
-    _negatable,
     _tensor,
     all_indices,
     inverse,
@@ -165,17 +165,14 @@ def build_metric(p: MetricParams) -> HermitianData:
 
     d, c = _cleared(p)
     r, s, t, ur, ui, vr, vi, zr, zi = c
-    om = (((0, r), (ur, ui), (zr, zi)),  # 2d Omega[a][b] as (re, im)
-          ((-ur, ui), (0, s), (vr, vi)),
-          ((-zr, zi), (-vr, vi), (0, t)))
+    om = ((0, r), (ur, ui), (zr, zi),  # 2d Omega[a][b] as (re, im), in _G_BLOCK's order
+          (-ur, ui), (0, s), (vr, vi),
+          (-zr, zi), (-vr, vi), (0, t))
     ore, oim, gre, gim = [0] * 36, [0] * 36, [0] * 36, [0] * 36
-    for a in range(3):
-        for b in range(3):
-            x, y = om[a][b]
-            n, m = 6 * a + b + 3, 6 * (b + 3) + a  # (a, bbar) and (bbar, a)
-            ore[n], oim[n], ore[m], oim[m] = x, y, -x, -y
-            gre[n] = gre[m] = y  # -i (x + y i) = y - x i
-            gim[n] = gim[m] = -x
+    for (x, y), (_, _, n, m) in zip(om, _G_BLOCK):  # n, m: the offsets of (a, bbar), (bbar, a)
+        ore[n], oim[n], ore[m], oim[m] = x, y, -x, -y
+        gre[n] = gre[m] = y  # -i (x + y i) = y - x i
+        gim[n] = gim[m] = -x
     omega = MultiTensor.from_numerators(2, ore, oim, 2 * d).reduced()
     g = MultiTensor.from_numerators(2, gre, gim, 2 * d).reduced()
     return HermitianData(p, g, inverse(g), omega, GaussianRational(Rat(_determinant(c), d ** 3)))
@@ -197,7 +194,7 @@ def torsion_forms(h: HermitianData, alg: LieAlgebraCx):
     T = s_0 s_1 s_2 * i d(omega) and C = s_0 * i d(omega): a swap of parts, up to sign.
     """
     domega = exterior_d(h.omega, alg)
-    z = _negatable(*_arrays(domega))
+    z, _ = _arrays(domega)
     # s i (a + b i) = -s b + s a i on the numerators, with the sign s of each entry
     iz = np.stack((-z[1], z[0]))
     return tuple(_tensor(3, signs * iz, domega.den) for signs in _SIGNS)

@@ -15,9 +15,10 @@ whole 6x6 matrix otherwise) and the primitives of the one exact kernel
 such as _reduced_each over a stack of tensors along a leading spec axis, at the
 end of the module), on which contract and every other exact product of two
 stored tensors run.
-Every dtype decision of a product is made here: _cmatmul takes a bit bound and
-runs on float64 (BLAS) where it keeps every partial sum below 2^52, on int64
-below 2^62 and on Python ints beyond.  The index
+Every number-format decision is made here; no other module picks a dtype or
+casts.  A stored array is int64 only within |n| <= 2^63 - 1, closed under negation
+(_numerators), and a product (_cmatmul) runs on float64 (BLAS) where its bound keeps
+every partial sum below 2^52, on int64 below 2^62 and on Python ints beyond.  The index
 arithmetic of the hot loops is done once, at import: all_indices hands out one
 stored tuple per rank up to 4, from which the structural checks build their
 tables of permuted and conjugated offsets.
@@ -80,7 +81,7 @@ class MultiTensor:
     one positive common denominator ``den``, so the entry at flat offset n (the
     index tuple read in base 6) is (re[n] + im[n] i) / den.  Every constructor
     stores one read-only array z = [re, im] of shape (2, 6**rank), int64 when
-    every numerator fits and object otherwise (see _numerators); a tensor the
+    every |numerator| <= 2^63 - 1 and object otherwise (see _numerators); a tensor the
     kernel writes (_tensor) may store a view of the kernel's own output, which
     the kernel writes no more once _tensor has it.  ``re`` and ``im`` are tuples
     of Python ints read from z once, by .tolist(), when a Python loop or a value
@@ -100,9 +101,13 @@ class MultiTensor:
             data = list(data)
             if len(data) != size:
                 raise ValueError(f"rank-{rank} tensor needs {size} entries, got {len(data)}")
-            den = lcm(1, *(int(q.denominator) for v in data for q in (v.re, v.im)))
-            z = ([int(v.re.numerator) * (den // int(v.re.denominator)) for v in data],
-                 [int(v.im.numerator) * (den // int(v.im.denominator)) for v in data])
+            # the entries that are not the ZERO constant, the bulk of a sparse table
+            given = [(n, v.re, v.im) for n, v in enumerate(data) if v is not ZERO]
+            den = lcm(1, *{int(q.denominator) for _, a, b in given for q in (a, b)})
+            z = re, im = [0] * size, [0] * size
+            for n, a, b in given:
+                re[n] = int(a.numerator) * (den // int(a.denominator))
+                im[n] = int(b.numerator) * (den // int(b.denominator))
         self._store(rank, z, den)
 
     def _store(self, rank, z, den):
@@ -163,7 +168,7 @@ class MultiTensor:
     def reduced(self) -> "MultiTensor":
         """The same tensor with the common content of numerators and denominator divided
         out (_reduced_each); a tensor already in lowest terms shares its array."""
-        z, (den,) = _reduced_each(_negatable(self._z)[:, None], [self.den])
+        z, (den,) = _reduced_each(self._z[:, None], [self.den])
         return _tensor(self.rank, z, den)
 
     def copy(self) -> "MultiTensor":
@@ -199,7 +204,7 @@ class MultiTensor:
                 and all(a * s == b * o for a, b in zip(self.im, other.im)))
 
     def __neg__(self) -> "MultiTensor":
-        return _tensor(self.rank, -_negatable(*_arrays(self)), self.den)
+        return _tensor(self.rank, -self._z, self.den)
 
     def __repr__(self):
         nz = sum(1 for _ in self.nonzero_offsets())
@@ -340,8 +345,7 @@ def _dtype(product_bits, terms):
     """The storage dtype of a sum of at most `terms` real products, each below
     2^product_bits in magnitude: np.int64 when it stays below 2^62 (|sum| < terms
     2^product_bits <= 2^(product_bits + ceil(log2 terms))), and object otherwise.
-    _cmatmul calls it once per product; beyond this module, only integer steps
-    outside a product do (connection's _symbols and _over_c)."""
+    Called by _cmatmul and _scaled_each alone: no caller outside tensors is left."""
     return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
 
 
@@ -352,12 +356,16 @@ def _maxabs(z):
 
 def _numerators(parts):
     """The numerators parts, lists (re, im) or an array, as an array of their shape:
-    int64 when every numerator fits and object otherwise, and an int64 array as it
-    is.  The one owner of that choice for the arrays MultiTensor stores."""
+    int64 for the symmetric range |n| <= 2^63 - 1 that _maxabs bounds describe, so
+    that -2^63 has its negation, and object otherwise.  Only conversions are scanned:
+    an int64 array, which the kernel writes with every sum below 2^62, is kept."""
+    if isinstance(parts, np.ndarray) and parts.dtype == np.int64:
+        return parts
     try:
-        return np.asarray(parts, np.int64)
+        z = np.asarray(parts, np.int64)
     except OverflowError:
         return np.asarray(parts, object)
+    return z if z.min(initial=0) > -2 ** 63 else np.asarray(parts, object)
 
 
 def _arrays(t):
@@ -417,9 +425,10 @@ def _maxabs_each(z):
     return list(map(max, z.max((0, 2)).tolist(), map(neg, z.min((0, 2)).tolist())))
 
 
-def _scaled_each(z, fs, ms, dtype):
-    """Each spec s of the stack array z times fs[s], in dtype; ms[s] = 0 marks an
-    all-zero spec, scaled by 1 so that an f beyond int64 never meets int64 zeros."""
+def _scaled_each(z, fs, ms, bits, terms):
+    """Each spec s of the stack array z times fs[s], in _dtype(bits, terms); ms[s] = 0
+    marks an all-zero spec, scaled by 1 so that an f beyond int64 never meets int64 zeros."""
+    dtype = _dtype(bits, terms)
     z = z.astype(dtype, copy=False)
     if fs.count(1) == len(fs):
         return z
@@ -440,15 +449,6 @@ def _reduced_each(z, dens):
     return z // np.array(gs, z.dtype)[:, None], dens
 
 
-def _negatable(z, m=None):
-    """z, on object if it holds -2^63, the one int64 whose negation is no int64.  A
-    caller that has m = _maxabs(z) (_arrays) passes it to spare the scan: an int64
-    array reaches |entry| = 2^63 only at -2^63."""
-    if z.dtype != object and (z.min(initial=0) if m is None else -m) == -2 ** 63:
-        return z.astype(object)
-    return z
-
-
 def _first_hits(hits, z, dens, labels):
     """Per spec s of the stack (z, dens): None when the mask hits[s], k positions per entry
     of z, has no hit, else (labels[m], the value of entry m // k) at its first hit m."""
@@ -461,7 +461,6 @@ def _partner_hits(z, partners, signs, zeros=False):
     """The mask (S, n, k) of a stack array z (2, S, n): entry n of spec s is hit at j
     when it is nonzero, or zeros is true, and partners[j, n] does not hold
     signs[:, j] times it."""
-    z = _negatable(z)
     image = z[:, :, None] * signs[:, None, :, None]  # (2, S, k, n), n innermost
     hits = (np.take(z, partners, axis=2) != image).any(0)
     if not zeros:

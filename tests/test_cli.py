@@ -174,6 +174,20 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and "repeated config key 'points'" in err and not out
 
 
+def test_an_empty_spec_is_a_usage_error(capsys, tmp_path):
+    # --spec defaults to chern; an empty one, as a flag or a config line, names the
+    # known presets and evaluates no connection
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text("spec=\n")
+    check_kl = ("check-kl", "--family", "Si", "--set", "A=1")
+    for argv in (check_kl + ("--spec", ""), ("--config", str(cfg)) + check_kl):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "unknown connection preset ''" in err and "chern" in err, argv
+    code, out, _ = run(capsys, *check_kl)
+    assert code == 0 and "connection chern" in out
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")

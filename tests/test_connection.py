@@ -432,7 +432,8 @@ def test_structural_checks_match_the_list_loop_references(monkeypatch):
     re = list(edge.re)
     re[36 * 1 + 6 * 2 + 3] = re[216 * 1 + 6 * 2 + 3] = -2 ** 63  # (1,2,3,1b), (2,1,3,1b)
     edge = MultiTensor.from_numerators(4, re, list(edge.im), edge.den)
-    assert tensors._stack((edge,))[0].dtype == np.int64
+    # -2^63 has no int64 negation, so the stored tensor keeps it on object
+    assert tensors._stack((edge,))[0].dtype == object
     bad, want = _check_mismatches(connection.CurvatureTensor(specs[0], edge), t)
     assert bad == [] and ("skew12", (0, 1, 2, 3)) in want[0]
 
@@ -683,12 +684,12 @@ def test_bianchi_defect_matches_the_reference():
 @pytest.fixture
 def dtypes(monkeypatch):
     """(terms, dtype) per dtype choice of a kernel stage, in call order: one per
-    product (tensors._cmatmul) and one per integer step beside the products
-    (connection's lowered sum, and _over_c's storage of the symbols and c over one
-    denominator); terms tells the stages apart (8 for _over_c, 36 for the operator
-    half, 324 for the Bianchi defect, 12 for contract and the raise, 72 for the Ricci
-    and Lee traces, 18 for scal and 216 for the flow's exact Ricci).  The chooser is
-    patched in every module that calls it."""
+    product (tensors._cmatmul) and one per scaling (tensors._scaled_each, which
+    _over_c calls twice, for c and for the symbols, to store them over one
+    denominator); terms tells the stages apart (at most 3 for the lowered sums, 8 for
+    _over_c, 36 for the operator half, 324 for the Bianchi defect, 12 for contract and
+    the raise, 72 for the Ricci and Lee traces, 18 for scal and 216 for the flow's
+    exact Ricci).  Only tensors calls the chooser, so only tensors is patched."""
     chosen = []
     choose = tensors._dtype
 
@@ -696,8 +697,7 @@ def dtypes(monkeypatch):
         chosen.append((terms, choose(product_bits, terms)))
         return chosen[-1][1]
 
-    for module in (tensors, connection):
-        monkeypatch.setattr(module, "_dtype", spy)
+    monkeypatch.setattr(tensors, "_dtype", spy)
     return chosen
 
 
@@ -814,7 +814,7 @@ def test_stacked_pass_matches_the_single_calls():
 def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
     """A Gauduchon eps over 2^70 puts its lowered sums and its operator half beyond
     the int64 bound, so both stages run on object for every spec of the stack it
-    joins: the lowered sum, _over_c's common-denominator arrays and both of the
+    joins: the lowered sum, _over_c's two common-denominator arrays and both of the
     operator's products (the raise follows the bound of the reduced symbols); each
     other spec of that stack still equals its single call, which runs on int64
     throughout.  The abelian structure is left out: its tables are zero, so no sum
@@ -829,7 +829,7 @@ def test_a_mixed_stack_takes_object_and_keeps_every_spec(dtypes):
         plane.lc, plane.forms  # the point's tables, built before the spy is cleared
         dtypes.clear()
         connection._stacked_pass(specs + [huge], plane)
-        assert [d for t, d in dtypes if t != 12] == [object] * 4, label
+        assert [d for t, d in dtypes if t != 12] == [object] * 5, label
         dtypes.clear()
         for spec in specs:
             connection._stacked_pass([spec], plane)
@@ -1026,16 +1026,17 @@ def test_the_product_casts_its_operands_to_the_tier_of_its_bound(matmul_dtypes):
 
 
 def test_a_sign_product_at_the_int64_edge_stays_exact(matmul_dtypes):
-    """A numerator of -2^63, whose negation int64 cannot hold, stays exact where the
-    kernel multiplies by +-1: in the signed rows of algebra._d_sums, whose bound puts
-    the product on object, and in the masks of tensors._partner_hits."""
+    """A numerator of -2^63, whose negation int64 cannot hold, enters the kernel through
+    a stored tensor, which keeps it on object, and stays exact where the kernel
+    multiplies by +-1: in the signed rows of algebra._d_sums, whose bound puts the
+    product on object, and in the masks of tensors._partner_hits."""
     edge = -2 ** 63
     cre, cim = [0] * 216, [0] * 216
     cre[flat_offset((0, 1, 2))], cim[flat_offset((0, 1, 2))] = edge, 3
     cre[flat_offset((3, 4, 5))] = 7
     c = MultiTensor.from_numerators(3, cre, cim, 1)
     alpha = MultiTensor.from_numerators(1, [1, 2, 1, 0, 0, -1], [0, 0, -1, 2, 0, 0], 1)
-    assert tensors._arrays(c)[0].dtype == np.int64
+    assert tensors._arrays(c)[0].dtype == object
     matmul_dtypes.clear()
     z, den = algebra._d_sums(alpha, c)
     assert matmul_dtypes == [np.dtype(object)] and den == 1
@@ -1049,15 +1050,15 @@ def test_a_sign_product_at_the_int64_edge_stays_exact(matmul_dtypes):
         want[1].append(-sum(q for _, q in prod))
     assert z.tolist() == want and want[0][0] == 2 ** 63 - 3 and want[1][0] == -2 ** 63 - 3
 
-    # one spec of 4 entries, each read against its swap partner as skew and as equal
-    zl = [[[edge, edge, edge, 5]], [[0, 0, 0, 0]]]
-    partners, signs = np.array([[1, 0, 3, 2]] * 2), np.array([[-1, 1], [-1, 1]])
+    # a stored rank-1 tensor, each entry read against its swap partner as skew and as equal
+    zl = [[[edge, edge, edge, 5, 7, -7]], [[0, 0, 0, 0, 0, 0]]]
+    z = tensors._stack((MultiTensor.from_numerators(1, *(part[0] for part in zl), 1),))[0]
+    partners, signs = np.array([[1, 0, 3, 2, 5, 4]] * 2), np.array([[-1, 1], [-1, 1]])
     sl, pl = signs.tolist(), partners.tolist()  # on Python ints
     want = [[[any(zl[p][0][pl[j][n]] != sl[p][j] * zl[p][0][n] for p in (0, 1))
-              for j in range(2)] for n in range(4)]]
-    assert want[0][0] == [True, False]  # -(-2^63) is no int64, so not the partner's -2^63
-    hits = tensors._partner_hits(np.array(zl, np.int64), partners, signs)
-    assert hits.tolist() == want
+              for j in range(2)] for n in range(6)]]
+    assert want[0][0] == [True, False]  # -(-2^63) = 2^63, so not the partner's -2^63
+    assert z.dtype == object and tensors._partner_hits(z, partners, signs).tolist() == want
 
 
 def test_large_coefficients_in_contract_and_the_exact_ricci(dtypes):
@@ -1101,7 +1102,7 @@ def test_the_dtype_chooser_holds_at_the_int64_edge():
     """A product budget of 62 bits (bits(A) + bits(B) + ceil(log2 terms)) runs on int64
     and stays exact at its worst case; 63 bits run on object.  A sum at budget 63 would
     still be below 2^63, so the dtype, not an overflow, pins the bound here."""
-    choose = connection._dtype
+    choose = tensors._dtype
     assert choose(56, 36) is np.int64 and choose(57, 36) is object
     assert choose(56, 64) is np.int64 and choose(56, 65) is object
     assert choose(62, 1) is np.int64 and choose(62, 2) is object
@@ -1198,14 +1199,21 @@ def test_the_defect_sums_its_half_rows_in_the_dtype_of_its_bound(monkeypatch, dt
 
 
 def test_numerator_arrays_take_object_beyond_int64():
-    """tensors._numerators reads numerator lists into int64 up to the int64 edge, on
-    both signs, and into object one past it, keeping every value and the nesting."""
-    for edge, dtype in ((2 ** 63 - 1, np.int64), (2 ** 63, object)):
-        for big in (edge, -edge - 1):
-            parts = ([[1, big, 0], [2, 3, 4]], [[0, -5, 6], [7, 8, 9]])
-            z = tensors._numerators(parts)
-            assert z.dtype == dtype and z.shape == (2, 2, 3)
+    """tensors._numerators stores int64 only for the symmetric range |n| <= 2^63 - 1, on
+    both signs, and object beyond it: -2^63, whose negation int64 cannot hold, and
+    2^63.  Lists and object arrays convert alike, keeping every value and the nesting,
+    and the stored array negates exactly; an int64 array, as the kernel writes it, is
+    kept as it is."""
+    for big, dtype in ((2 ** 63 - 1, np.int64), (-2 ** 63 + 1, np.int64),
+                       (-2 ** 63, object), (2 ** 63, object)):
+        parts = ([[1, big, 0], [2, 3, 4]], [[0, -5, 6], [7, 8, 9]])
+        for given in (parts, np.array(parts, object)):
+            z = tensors._numerators(given)
+            assert z.dtype == dtype and z.shape == (2, 2, 3), (big, type(given))
             assert z.tolist() == list(parts)
+            assert (-z).tolist() == [[[-a for a in row] for row in part] for part in parts]
+    kernel = np.arange(12, dtype=np.int64).reshape(2, 2, 3)
+    assert tensors._numerators(kernel) is kernel
 
 
 def test_every_constructor_stores_one_read_only_array():
@@ -1247,6 +1255,8 @@ def test_every_constructor_stores_one_read_only_array():
         z, m = tensors._arrays(t)
         assert isinstance(z, np.ndarray) and not z.flags.writeable, name
         assert z.shape == (2, 6 ** t.rank) and m == tensors._maxabs(z), name
+        # int64 storage holds the symmetric range alone, so -2^63 never on int64
+        assert z.dtype == object or z.min() > -2 ** 63, name
         for view in (t.re, t.im):
             with pytest.raises(TypeError):
                 view[0] = 1
@@ -1301,14 +1311,15 @@ def test_a_stored_array_rejects_an_in_place_write():
 
 
 def test_torsion_forms_stay_exact_at_the_int64_edge(monkeypatch):
-    """A d(omega) numerator of -2^63, whose negation int64 cannot hold, goes to object:
-    T = -d(omega)(Jx, Jy, Jz) and C = d(omega)(Jx, y, z) keep their exact values."""
+    """A d(omega) numerator of -2^63, whose negation int64 cannot hold, is stored on
+    object: T = -d(omega)(Jx, Jy, Jz) and C = d(omega)(Jx, y, z) keep their exact
+    values."""
     edge = -2 ** 63
     re, im = [0] * 216, [0] * 216
     re[flat_offset((0, 1, 5))], im[flat_offset((0, 1, 5))] = edge, 3
     re[flat_offset((3, 4, 2))], im[flat_offset((3, 4, 2))] = 5, edge
     domega = MultiTensor.from_numerators(3, re, im, 7)
-    assert tensors._arrays(domega)[0].dtype == np.int64
+    assert tensors._arrays(domega)[0].dtype == object
     monkeypatch.setattr(metric, "exterior_d", lambda omega, alg: domega)
     h = build_metric(MetricParams.make())
     t, c = metric.torsion_forms(h, IWASAWA)
@@ -1317,14 +1328,11 @@ def test_torsion_forms_stay_exact_at_the_int64_edge(monkeypatch):
         value = domega[idx]
         assert t[idx] == -j(idx[0]) * j(idx[1]) * j(idx[2]) * value, idx
         assert c[idx] == j(idx[0]) * value, idx
-    dtypes = []
     for form in (t, c):
         nums = (*form.re, *form.im)
         assert form.den == 7 and all(type(a) is int for a in nums)
-        # the _numerators rule: int64 where -2^63 is the extreme, object where 2^63 is
-        dtypes.append(tensors._arrays(form)[0].dtype)
-        assert dtypes[-1] == (object if max(nums) == 2 ** 63 else np.int64)
-    assert object in dtypes
+        # the _numerators rule: each form holds 2^63 or -2^63, both beyond |n| <= 2^63 - 1
+        assert max(map(abs, nums)) == 2 ** 63 and tensors._arrays(form)[0].dtype == object
 
 
 def test_zero_tables_take_scale_factors_beyond_int64():
