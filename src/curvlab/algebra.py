@@ -15,10 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
-from .scalars import ZERO, GaussianRational, gr
+from .scalars import GaussianRational, gr
 from .tensors import (
     DIM,
     INDICES,
@@ -46,25 +47,51 @@ __all__ = [
 
 class LieAlgebraCx:
     """Structure constants of a six-dimensional complexified Lie algebra: the rank-3
-    tensor c, whose numerator array the differential and the checks read."""
+    tensor c, whose numerator array the differential and the checks read.
+
+    Immutable: c is set once, by __init__.  catalog.instantiate hands one algebra to
+    every caller of an equal family point, so a caller that writes entries of c
+    writes them on a copy (c.copy(), then __setitem__).
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, c: MultiTensor):
         if c.rank != 3:
             raise ValueError("structure constants must form a rank-3 tensor")
-        self.c = c
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebraCx is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LieAlgebraCx is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; the default slot restore would setattr
+        return LieAlgebraCx, (self.c,)
 
     @classmethod
-    def from_structure_constants(cls, entries: dict) -> "LieAlgebraCx":
-        """Build from {(I, H, K): value}; the skew and conjugate entries are filled in."""
-        values = [ZERO] * DIM ** 3
+    def from_structure_constants(cls, entries: dict, sign: int = 1) -> "LieAlgebraCx":
+        """Build from {(I, H, K): value}, each value times sign (+1 or -1); the skew and
+        conjugate entries are filled in, a later entry overwriting an earlier one's.
+
+        The signs and the conjugation act on the integer numerators of each value,
+        put over the lcm of the denominators of the values that are stored.
+        """
+        stored = {}  # per flat offset: (value, sign of its real part, sign of its imaginary part)
         for (i, h, k), raw in entries.items():
             v = gr(raw)
             if v:
-                for x, y, z, w in ((i, h, k, v), (bar(i), bar(h), bar(k), v.conjugate())):
-                    values[flat_offset((x, y, z))], values[flat_offset((y, x, z))] = w, -w
-        return cls(MultiTensor(3, values))
+                for x, y, z, t in ((i, h, k, sign), (bar(i), bar(h), bar(k), -sign)):
+                    stored[36 * x + DIM * y + z] = v, sign, t
+                    stored[36 * y + DIM * x + z] = v, -sign, -t
+        den = lcm(1, *{int(q.denominator) for v, _, _ in stored.values() for q in (v.re, v.im)})
+        re, im = [0] * DIM ** 3, [0] * DIM ** 3
+        for n, (v, s, t) in stored.items():
+            re[n] = s * int(v.re.numerator) * (den // int(v.re.denominator))
+            im[n] = t * int(v.im.numerator) * (den // int(v.im.denominator))
+        return cls(MultiTensor.from_numerators(3, re, im, den))
 
     @classmethod
     def from_dphi(cls, dphi: dict) -> "LieAlgebraCx":
@@ -81,8 +108,8 @@ class LieAlgebraCx:
                     raise ValueError(f"coframe wedge indices must be ordered, got {(i, j)}")
                 v = gr(raw)
                 if not v.is_zero():
-                    entries[(i, j, k)] = -v
-        return cls.from_structure_constants(entries)
+                    entries[(i, j, k)] = v
+        return cls.from_structure_constants(entries, -1)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebraCx):

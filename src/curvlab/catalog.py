@@ -15,6 +15,7 @@ parameters; the zero test runs on the metric parameters cleared to integers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -375,9 +376,23 @@ def instantiate(f: FamilySpec) -> LieAlgebraCx:
     """Build the complexified structure constants of a catalog family point.
 
     Rejects unknown and out-of-domain parameters with the violated constraint named.
+    Equal points share one algebra: the last _MEMO_SIZE built are kept, keyed on the
+    family id and the parameters as given (so "1/2" and gr("1/2") are two keys for
+    one algebra), and a rejected point is checked again on every call.  The algebra
+    is immutable, and its c is never written: a caller copies it first.
     """
-    fam = _validated(f)
-    return LieAlgebraCx.from_dphi(fam.dphi(f))
+    return _instantiate(f.id, tuple(sorted(f.params.items())))
+
+
+# the bound keeps a long run of random draws (golden queries: about 1500 distinct Ni
+# points) from holding every algebra it built
+_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _instantiate(family_id, params):
+    f = FamilySpec(family_id, dict(params))
+    return LieAlgebraCx.from_dphi(_validated(f).dphi(f))
 
 
 def special_metric_loci(f: FamilySpec):

@@ -78,8 +78,8 @@ from .tensors import (
     _cmatmul,
     _maxabs,
     _maxabs_each,
-    _numerators,
     _partner_hits,
+    _real_matmul,
     _reduced_each,
     _scaled_each,
     _stack,
@@ -208,10 +208,10 @@ def _symbols(tables, rows, g_inv):
     rho), so Gamma^LC + eps T + rho C for lc = _lc_sum(c, g) and any nondegenerate
     invariant (g, g^{-1}).
 
-    The lowered sums are one kernel product: a real row of scale factors per spec,
-    each spec over the lcm of its nonzero terms' denominators, times the tables'
-    numerators (one real product per nonzero term).  The raise is one product of
-    the stack with g^{-1} (12 real products per entry).  Each spec is reduced.
+    The lowered sums are one real kernel product (_real_matmul): a real row of scale
+    factors per spec, each spec over the lcm of its nonzero terms' denominators, times
+    the tables' numerators (one real product per nonzero term).  The raise is one
+    product of the stack with g^{-1} (12 real products per entry).  Each spec is reduced.
     """
     z, _ = _stack(tables)
     ms = _maxabs_each(z)
@@ -224,8 +224,7 @@ def _symbols(tables, rows, g_inv):
         scales.append([int(q.numerator) * (den // d) if m else 0 for q, d, m in zip(row, ds, ms)])
     bits = max(abs(f) * m for row in scales for f, m in zip(row, ms)).bit_length()
     terms = max(len(row) - row.count(0) for row in scales)
-    # the real rows as Gaussian integers [scales, 0] times the tables: (2, S, 216)
-    low = _cmatmul(_numerators((scales, [[0] * len(tables)] * len(rows))), z, bits, terms)
+    low = _real_matmul(scales, z, bits, terms)  # (2, S, 216)
     low, dens = _reduced_each(low, dens)
 
     zi, mi = _arrays(g_inv)

@@ -345,7 +345,7 @@ def _dtype(product_bits, terms):
     """The storage dtype of a sum of at most `terms` real products, each below
     2^product_bits in magnitude: np.int64 when it stays below 2^62 (|sum| < terms
     2^product_bits <= 2^(product_bits + ceil(log2 terms))), and object otherwise.
-    Called by _cmatmul and _scaled_each alone: no caller outside tensors is left."""
+    Called by _tiers and _scaled_each alone: no caller outside tensors is left."""
     return np.int64 if product_bits + (terms - 1).bit_length() <= _INT64_BUDGET else object
 
 
@@ -376,6 +376,18 @@ def _arrays(t):
     return t._z, t._m
 
 
+def _tiers(product_bits, terms, size):
+    """(dtype, tier): the storage dtype _dtype(product_bits, terms) of a product's
+    result, and the dtype it runs on: float64 (BLAS) within _FLOAT_BUDGET for matrices
+    of at least _FLOAT_MIN_SIZE multiply-adds (size = m k l for an m x k by k x l
+    product), where every partial sum, in any order and with or without FMA, is an
+    integer below 2^52, which float64 holds exactly; else the storage dtype."""
+    dtype = _dtype(product_bits, terms)
+    if product_bits + (terms - 1).bit_length() <= _FLOAT_BUDGET and size >= _FLOAT_MIN_SIZE:
+        return dtype, np.float64
+    return dtype, dtype
+
+
 def _cmatmul(a, b, product_bits, terms):
     """The Gaussian-integer matrix product a @ b of [re, im] stacks (numpy matmul
     broadcasting on the axes between the first and the last two): 2k real
@@ -383,21 +395,24 @@ def _cmatmul(a, b, product_bits, terms):
 
     The caller passes the bound, at most `terms` real products below 2^product_bits
     per entry, and the operands in any storage dtype (int64 or object, read-only
-    views too).  The result takes _dtype(product_bits, terms), and so does the
-    product, except that within _FLOAT_BUDGET, for matrices large enough to pay for
-    the casts (_FLOAT_MIN_SIZE), it runs on float64 (BLAS): every partial sum, in any
-    order and with or without FMA, is an integer below 2^52, which float64 holds
-    exactly.  Each operand is cast once, to the tier it runs on."""
-    dtype = tier = _dtype(product_bits, terms)
-    if (product_bits + (terms - 1).bit_length() <= _FLOAT_BUDGET
-            and a.shape[-2] * a.shape[-1] * b.shape[-1] >= _FLOAT_MIN_SIZE):
-        tier = np.float64
+    views too).  The result takes _dtype(product_bits, terms), and the product runs
+    on the tier _tiers picks.  Each operand is cast once, to that tier."""
+    dtype, tier = _tiers(product_bits, terms, a.shape[-2] * a.shape[-1] * b.shape[-1])
     a, b = a.astype(tier, copy=False), b.astype(tier, copy=False)
     p = np.matmul(a[:, None], b[None])  # p[s, t] = a[s] @ b[t]
     out = p[0]
     out[0] -= p[1, 1]
     out[1] += p[1, 0]
     return out.astype(dtype, copy=False)
+
+
+def _real_matmul(rows, b, product_bits, terms):
+    """The product rows @ b of a real matrix, lists of Python ints each below
+    2^product_bits, by each part of the Gaussian-integer stack b = [re, im]: k real
+    products per entry for k the length of a row, on the tier and in the dtype
+    _cmatmul gives the same bound, with no products of a zero imaginary part."""
+    dtype, tier = _tiers(product_bits, terms, len(rows) * b.shape[-2] * b.shape[-1])
+    return np.matmul(np.array(rows, tier), b.astype(tier, copy=False)).astype(dtype, copy=False)
 
 
 def _tensor(rank, z, den):

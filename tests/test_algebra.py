@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from curvlab import algebra, tensors, verify
+from curvlab import algebra, catalog, tensors, verify
 from curvlab.algebra import LieAlgebraCx, d_is_zero, exterior_d, validate_lie_algebra
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.metric import build_metric
@@ -391,24 +391,26 @@ def ref_structure_constants(entries):
 
 def test_structure_constants_match_the_per_entry_build(monkeypatch):
     """from_structure_constants, built once from its collected values, has the
-    numerators and denominator of the per-entry build: on every structure of the
-    structural sweep and on 3 seeded draws of every scoreboard case."""
+    numerators and denominator of the per-entry build: on every distinct structure of
+    the structural sweep and of 3 seeded draws of every scoreboard case, each built
+    once, since instantiate shares the algebra of an equal point."""
     seen = []
     build = LieAlgebraCx.from_structure_constants.__func__
 
-    def spy(cls, entries):
-        seen.append((entries, build(cls, entries)))
-        return seen[-1][1]
+    def spy(cls, entries, sign=1):
+        seen.append((entries, sign, build(cls, entries, sign)))
+        return seen[-1][2]
 
     monkeypatch.setattr(LieAlgebraCx, "from_structure_constants", classmethod(spy))
-    for family_id, params in verify._SWEEP_STRUCTURES:
-        instantiate(FamilySpec.make(family_id, **params))
+    catalog._instantiate.cache_clear()
+    specs = [FamilySpec.make(family_id, **params) for family_id, params in verify._SWEEP_STRUCTURES]
     plan = verify.SamplePlan(seed=0)
     for case in verify.THEOREM_CASES:
         rng = plan.rng_for(f"structure constants:{case.case_id}")
-        for _ in range(3):
-            instantiate(verify._point_for(case, rng)[0])
-    assert len(seen) == len(verify._SWEEP_STRUCTURES) + 3 * len(verify.THEOREM_CASES)
-    for entries, alg in seen:
-        want = ref_structure_constants(entries)
+        specs += [verify._point_for(case, rng)[0] for _ in range(3)]
+    for f in specs:
+        instantiate(f)
+    assert len(seen) == len({(f.id, tuple(sorted(f.params.items()))) for f in specs})
+    for entries, sign, alg in seen:
+        want = ref_structure_constants({key: sign * gr(v) for key, v in entries.items()})
         assert (alg.c.re, alg.c.im, alg.c.den) == (want.re, want.im, want.den), entries

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from curvlab import catalog
 from curvlab.algebra import exterior_d, validate_lie_algebra
 from curvlab.catalog import (
     FAMILY_IDS,
@@ -154,6 +157,36 @@ def test_every_declared_parameter_is_required(fid, name):
 def test_unknown_family():
     with pytest.raises(FamilyDomainError):
         instantiate(FamilySpec.make("Nx"))
+
+
+def test_equal_points_share_one_immutable_algebra_in_a_bounded_memo():
+    ni = {"rho": 1, "lambda": "1/2", "D": "1/3+1/2*i"}
+    alg = instantiate(FamilySpec.make("Ni", **ni))
+    # equal points, their parameters given in another order, are one object
+    assert instantiate(FamilySpec("Ni", {k: gr(ni[k]) for k in reversed(ni)})) is alg
+    with pytest.raises(AttributeError):
+        alg.c = alg.c.copy()
+    with pytest.raises(AttributeError):
+        del alg.c
+    assert copy.deepcopy(alg) == alg == pickle.loads(pickle.dumps(alg))
+
+    # a rejected point is not kept: every call raises, with the same message
+    for _ in range(3):
+        with pytest.raises(FamilyDomainError, match=r"\|A\| = 1"):
+            instantiate(FamilySpec.make("Si", A="2"))
+        with pytest.raises(FamilyDomainError, match="missing parameter 'D'"):
+            instantiate(FamilySpec.make("Ni", rho=1, **{"lambda": 1}))
+
+    catalog._instantiate.cache_clear()
+    draws = [FamilySpec.make("Ni", rho=k % 2, **{"lambda": Rat(k, 7)}, D=GaussianRational(0, k))
+             for k in range(300)]
+    first = instantiate(draws[0])
+    for f in draws:
+        instantiate(f)
+    assert catalog._instantiate.cache_info().currsize <= 256
+    # the first draw was evicted; it is rebuilt equal
+    again = instantiate(draws[0])
+    assert again is not first and again == first
 
 
 def test_algebra_labels():
