@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from typing import NamedTuple
 
 from . import __version__
 from .catalog import (
@@ -33,10 +35,10 @@ from .catalog import (
     instantiate,
     special_metric_loci,
 )
-from .connection import ConnectionSpec, curvature_of, curvature_to_json
+from .connection import PRESETS, ConnectionSpec, curvature_of, curvature_to_json
 from .metric import MetricParams, MetricValidationError, build_metric, classify_metric
 from .scalars import BACKEND, rat_from_str
-from .symmetry import flatness_check, kahler_like_check, report_to_json
+from .symmetry import DEFAULT_WITNESS_CAP, flatness_check, kahler_like_check, report_to_json
 from .tensors import index_name
 from .verify import SamplePlan, appendix_suite, structural_sweep, theorem_suite
 from .flow import flow_state_from_hermitian, integrate_flow, step_count, trace_to_csv
@@ -64,7 +66,7 @@ def _parse_kv(text: str, what: str) -> dict:
     return out
 
 
-_METRIC_KEYS = ("r2", "s2", "t2", "u", "v", "z")
+_METRIC_KEYS = tuple(f.name for f in fields(MetricParams))
 
 
 def _metric_from_args(args) -> MetricParams:
@@ -310,132 +312,112 @@ def cmd_flow_run(args) -> int:
     return 0 if trace.completed else VERIFY_FAIL
 
 
-# -- argument plumbing ------------------------------------------------------------
+# -- the command table ------------------------------------------------------------
 
-def _add_config_args(p):
-    p.add_argument("--family", help="catalog family id (see 'catalog list')")
-    p.add_argument("--set", help="structure parameters, e.g. rho=1,lambda=0,D=i")
-    p.add_argument("--metric", help="metric parameters, e.g. r2=1,s2=1,t2=1,u=1/2")
+def _flag(name, least=None, **options):
+    """One flag: its name, its add_argument options and, for an integer flag, its minimum."""
+    return name, options, least
 
 
+def _dest(name):
+    return name[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    words: tuple
+    help: str
+    handler: object
+    formats: tuple | None  # --format's choices, with --out; None for neither
+    flags: tuple
+
+
+_CONFIGURATION = (
+    _flag("--family", help="catalog family id (see 'catalog list')"),
+    _flag("--set", help="structure parameters, e.g. rho=1,lambda=0,D=i"),
+    _flag("--metric", help="metric parameters, e.g. r2=1,s2=1,t2=1,u=1/2"),
+)
+_SPEC = _flag("--spec", default="chern",
+              help=f"connection: a preset ({', '.join(PRESETS)}), eps=a/b,rho=c/d, or eps=a/b "
+                   "alone for the Gauduchon connection (rho = 1/2 - eps)")
+_SEED = _flag("--seed", type=int, default=0)
 _ALL_FORMATS = ("text", "json", "csv")
 _NO_CSV = ("text", "json")
+_GROUPS = {("catalog",): "catalog queries", ("verify",): "verification suites",
+           ("flow",): "invariant Ricci flow"}
+
+# every command, in the order --help lists them; each one's flags in their --help order
+_COMMANDS = (
+    _Command(("catalog", "list"), "list families, domains, and algebra labels", cmd_catalog,
+             _ALL_FORMATS, ()),
+    _Command(("curvature",), "dump the full curvature tensor", cmd_curvature, _ALL_FORMATS,
+             (*_CONFIGURATION, _SPEC)),
+    _Command(("check-kl",), "Kahler-like verdict with witnesses", cmd_check_kl, _NO_CSV,
+             (*_CONFIGURATION, _SPEC,
+              _flag("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP, least=0,
+                    help="list at most this many type and this many Bianchi residues; "
+                         "the verdict and the nonzero counts cover every entry"))),
+    _Command(("check-flat",), "flatness verdict", cmd_check_flat, _NO_CSV,
+             (*_CONFIGURATION, _SPEC)),
+    _Command(("classify",), "Kahler / balanced / pluriclosed flags", cmd_classify, _NO_CSV,
+             _CONFIGURATION),
+    _Command(("verify", "appendix"), "closed-form tables vs the pipeline", cmd_verify_appendix,
+             _ALL_FORMATS,
+             (_SEED, _flag("--points", type=int, default=5, least=1,
+                           help="metric points per table draw"),
+              _flag("--draws", type=int, default=3, least=1,
+                    help="Ni structure draws, and Si-B0 structures up to 4; "
+                         "Si-g20 always uses one structure"),
+              _flag("--full", action="store_true", help="print every comparison"))),
+    _Command(("verify", "theorems"), "classification scoreboard", cmd_verify_theorems,
+             _ALL_FORMATS,
+             (_SEED, _flag("--points", type=int, default=5, least=1, help="points per case"))),
+    _Command(("verify", "structural"), "exact structural identity sweep", cmd_verify_structural,
+             _NO_CSV, (_SEED, _flag("--full", action="store_true", help="print every check"))),
+    _Command(("flow", "run"), "integrate the flow and write a CSV trace", cmd_flow_run, None,
+             (*_CONFIGURATION, _flag("--horizon", default="1"), _flag("--step", default="1/100"),
+              _flag("--out", help="CSV output path (default: stdout)"))),
+)
 
 
-def _add_common(p, formats):
-    """--format with the formats the subcommand writes, and --out."""
-    p.add_argument("--format", choices=formats, default="text")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
+def _flags(command):
+    """The command's flags, then --format and --out if it has formats."""
+    yield from command.flags
+    if command.formats:
+        yield _flag("--format", choices=command.formats, default="text")
+        yield _flag("--out", help="write the report to this path instead of stdout")
 
 
-def _add_spec(p):
-    p.add_argument("--spec", default="chern",
-                   help="connection: a preset (lc, chern, bismut, anti-bismut, first-canonical, "
-                        "minimal-gauduchon), eps=a/b,rho=c/d, or eps=a/b alone for the "
-                        "Gauduchon connection (rho = 1/2 - eps)")
-
+# -- argument plumbing ------------------------------------------------------------
 
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
-    parsers = []
-
-    def with_defaults(p):
-        # defaults are applied after every argument is registered, because
-        # set_defaults only overrides actions that already exist
-        parsers.append(p)
-        return p
-
-    ap = with_defaults(argparse.ArgumentParser(
+    config = config_defaults or {}
+    ap = argparse.ArgumentParser(
         prog="curvlab",
         description="Exact curvature of the Gauduchon connection family on "
-                    "six-dimensional Lie algebras with invariant complex structures."))
+                    "six-dimensional Lie algebras with invariant complex structures.")
     ap.add_argument("--version", action="version", version=f"curvlab {__version__} ({BACKEND})")
     ap.add_argument("--config", help="flat key=value file providing flag defaults")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = with_defaults(sub.add_parser("catalog", help="catalog queries"))
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    pl = with_defaults(csub.add_parser("list", help="list families, domains, and algebra labels"))
-    _add_common(pl, _ALL_FORMATS)
-    pl.set_defaults(handler=cmd_catalog)
-
-    p = with_defaults(sub.add_parser("curvature", help="dump the full curvature tensor"))
-    _add_config_args(p)
-    _add_spec(p)
-    _add_common(p, _ALL_FORMATS)
-    p.set_defaults(handler=cmd_curvature)
-
-    p = with_defaults(sub.add_parser("check-kl", help="Kahler-like verdict with witnesses"))
-    _add_config_args(p)
-    _add_spec(p)
-    p.add_argument("--witness-cap", type=int, default=8,
-                   help="list at most this many type and this many Bianchi residues; "
-                        "the verdict and the nonzero counts cover every entry")
-    _add_common(p, _NO_CSV)
-    p.set_defaults(handler=cmd_check_kl)
-
-    p = with_defaults(sub.add_parser("check-flat", help="flatness verdict"))
-    _add_config_args(p)
-    _add_spec(p)
-    _add_common(p, _NO_CSV)
-    p.set_defaults(handler=cmd_check_flat)
-
-    p = with_defaults(sub.add_parser("classify", help="Kahler / balanced / pluriclosed flags"))
-    _add_config_args(p)
-    _add_common(p, _NO_CSV)
-    p.set_defaults(handler=cmd_classify)
-
-    p = with_defaults(sub.add_parser("verify", help="verification suites"))
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-
-    pa = with_defaults(vsub.add_parser("appendix", help="closed-form tables vs the pipeline"))
-    pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--points", type=int, default=5, help="metric points per table draw")
-    pa.add_argument("--draws", type=int, default=3,
-                    help="Ni structure draws, and Si-B0 structures up to 4; "
-                         "Si-g20 always uses one structure")
-    pa.add_argument("--full", action="store_true", help="print every comparison")
-    _add_common(pa, _ALL_FORMATS)
-    pa.set_defaults(handler=cmd_verify_appendix)
-
-    pt = with_defaults(vsub.add_parser("theorems", help="classification scoreboard"))
-    pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--points", type=int, default=5, help="points per case")
-    _add_common(pt, _ALL_FORMATS)
-    pt.set_defaults(handler=cmd_verify_theorems)
-
-    ps = with_defaults(vsub.add_parser("structural", help="exact structural identity sweep"))
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--full", action="store_true", help="print every check")
-    _add_common(ps, _NO_CSV)
-    ps.set_defaults(handler=cmd_verify_structural)
-
-    p = with_defaults(sub.add_parser("flow", help="invariant Ricci flow"))
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-    pf = with_defaults(fsub.add_parser("run", help="integrate the flow and write a CSV trace"))
-    _add_config_args(pf)
-    pf.add_argument("--horizon", default="1")
-    pf.add_argument("--step", default="1/100")
-    pf.add_argument("--out", help="CSV output path (default: stdout)")
-    pf.set_defaults(handler=cmd_flow_run)
-
-    if config_defaults:
-        all_dests = set()
-        for parser in parsers:
-            known = {a.dest for a in parser._actions}
-            all_dests |= known
-            parser.set_defaults(**{k: v for k, v in config_defaults.items() if k in known})
-            for action in parser._actions:
-                value = config_defaults.get(action.dest)
-                if action.choices is not None and value is not None \
-                        and value not in action.choices:
-                    # reported by main only when this parser's command runs, since
-                    # one value (format=csv) suits some commands and not others
-                    parser.set_defaults(config_error=(
-                        f"config key {action.dest!r}: invalid choice {value!r} "
-                        f"(choose from {', '.join(map(repr, action.choices))})"))
-        unknown = set(config_defaults) - all_dests
-        if unknown:
-            raise CliError(f"unknown config keys {sorted(unknown)}")
+    subs = {(): ap.add_subparsers(dest="command", required=True)}
+    for command in _COMMANDS:
+        group = command.words[:-1]
+        if group not in subs:  # a group's parser, made with its first command
+            parent = subs[()].add_parser(*group, help=_GROUPS[group])
+            subs[group] = parent.add_subparsers(dest="subcommand", required=True)
+        p = subs[group].add_parser(command.words[-1], help=command.help)
+        flags = tuple(_flags(command))
+        p.set_defaults(handler=command.handler, command_flags=flags)
+        for name, options, _ in flags:
+            key = _dest(name)
+            if key in config:
+                options = {**options, "default": config[key]}
+                choices = options.get("choices")
+                if choices is not None and config[key] not in choices:
+                    # reported by main only when this command runs, since one value
+                    # (format=csv) suits some commands and not others
+                    p.set_defaults(config_error=(
+                        f"config key {key!r}: invalid choice {config[key]!r} "
+                        f"(choose from {', '.join(map(repr, choices))})"))
+            p.add_argument(name, **options)
     return ap
 
 
@@ -467,17 +449,21 @@ def _load_config_defaults(argv):
         if key in defaults:
             raise CliError(f"repeated config key {key!r}")
         defaults[key] = val.strip()
-    for key in ("seed", "points", "draws", "witness_cap"):
-        if key in defaults:
+    options = {_dest(name): opts for command in _COMMANDS for name, opts, _ in _flags(command)}
+    for key, val in defaults.items():
+        opts = options.get(key, {})
+        if opts.get("type") is int:
             try:
-                defaults[key] = int(defaults[key])
+                defaults[key] = int(val)
             except ValueError:
-                raise CliError(f"config key {key!r} needs an integer, "
-                               f"got {defaults[key]!r}") from None
-    if "full" in defaults:  # the one store_true flag
-        if defaults["full"] not in ("true", "false"):
-            raise CliError(f"config key 'full' needs true or false, got {defaults['full']!r}")
-        defaults["full"] = defaults["full"] == "true"
+                raise CliError(f"config key {key!r} needs an integer, got {val!r}") from None
+        elif opts.get("action") == "store_true":
+            if val not in ("true", "false"):
+                raise CliError(f"config key {key!r} needs true or false, got {val!r}")
+            defaults[key] = val == "true"
+    unknown = set(defaults) - set(options)
+    if unknown:
+        raise CliError(f"unknown config keys {sorted(unknown)}")
     return defaults
 
 
@@ -488,10 +474,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         if getattr(args, "config_error", None):
             raise CliError(args.config_error)
-        for flag, least in (("points", 1), ("draws", 1), ("witness_cap", 0)):
-            if getattr(args, flag, least) < least:
-                raise CliError(f"--{flag.replace('_', '-')} must be at least {least}, "
-                               f"got {getattr(args, flag)}")
+        for name, _, least in args.command_flags:
+            value = getattr(args, _dest(name))
+            if least is not None and value < least:
+                raise CliError(f"{name} must be at least {least}, got {value}")
         return args.handler(args)
     except (CliError, FamilyDomainError, MetricValidationError) as exc:
         # only usage and domain errors; an internal ValueError propagates

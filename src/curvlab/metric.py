@@ -106,18 +106,22 @@ class MetricParams:
         keeps it.
         """
         c = _cleared(self)[1]
-        r, s, t, ur, ui, vr, vi, zr, zi = c
-        tests = (
-            (r > 0, "r2 > 0"),
-            (s > 0, "s2 > 0"),
-            (t > 0, "t2 > 0"),
-            (r * s > ur * ur + ui * ui, "r2*s2 > |u|^2"),
-            (r * t > zr * zr + zi * zi, "r2*t2 > |z|^2"),
-            (s * t > vr * vr + vi * vi, "s2*t2 > |v|^2"),
-            (_determinant(c) > 0,
-             "r2*s2*t2 + 2*Re(i*conj(u)*conj(v)*z) > t2*|u|^2 + r2*|v|^2 + s2*|z|^2"),
-        )
-        return [name for ok, name in tests if not ok]
+        return _failures(c, _determinant(c))
+
+
+def _failures(c, det):
+    """The constraint_failures of the cleared parts c, whose _determinant is det."""
+    r, s, t, ur, ui, vr, vi, zr, zi = c
+    tests = (
+        (r > 0, "r2 > 0"),
+        (s > 0, "s2 > 0"),
+        (t > 0, "t2 > 0"),
+        (r * s > ur * ur + ui * ui, "r2*s2 > |u|^2"),
+        (r * t > zr * zr + zi * zi, "r2*t2 > |z|^2"),
+        (s * t > vr * vr + vi * vi, "s2*t2 > |v|^2"),
+        (det > 0, "r2*s2*t2 + 2*Re(i*conj(u)*conj(v)*z) > t2*|u|^2 + r2*|v|^2 + s2*|z|^2"),
+    )
+    return [name for ok, name in tests if not ok]
 
 
 def _cleared(p: MetricParams):
@@ -159,11 +163,12 @@ def build_metric(p: MetricParams) -> HermitianData:
     matrix, so omega and g = -i Omega (omega(x, y) = g(x, Jy) with
     J phi_a = -i phi_a) are written as numerators over 2d.
     """
-    bad = p.constraint_failures()
+    d, c = _cleared(p)
+    det = _determinant(c)
+    bad = _failures(c, det)
     if bad:
         raise MetricValidationError(bad[0])
 
-    d, c = _cleared(p)
     r, s, t, ur, ui, vr, vi, zr, zi = c
     om = ((0, r), (ur, ui), (zr, zi),  # 2d Omega[a][b] as (re, im), in _G_BLOCK's order
           (-ur, ui), (0, s), (vr, vi),
@@ -175,7 +180,7 @@ def build_metric(p: MetricParams) -> HermitianData:
         gim[n] = gim[m] = -x
     omega = MultiTensor.from_numerators(2, ore, oim, 2 * d).reduced()
     g = MultiTensor.from_numerators(2, gre, gim, 2 * d).reduced()
-    return HermitianData(p, g, inverse(g), omega, GaussianRational(Rat(_determinant(c), d ** 3)))
+    return HermitianData(p, g, inverse(g), omega, GaussianRational(Rat(det, d ** 3)))
 
 
 # the sign s in T = s i d(omega) (row 0) and in C = s i d(omega) (row 1), per flat

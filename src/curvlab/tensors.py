@@ -6,11 +6,15 @@ format of the exact kernel: Gaussian-integer numerators over one positive
 common denominator, stored as one read-only numpy array whoever built the
 tensor, with read-only tuple views of Python ints built from it on demand (see
 MultiTensor), so no stage turns an array into lists and back; GaussianRational
-values appear only when entries are read.  This is the one module that turns
-GaussianRational values into numerators and back (numerator_value reads one
-entry).  It holds the one exact matrix inverse (one fraction-free elimination,
-run on the 3x3 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the
-whole 6x6 matrix otherwise) and the primitives of the one exact kernel
+values appear only when entries are read.  MultiTensor's constructor and
+__setitem__ clear GaussianRational values to numerators over their lcm, and
+numerator_value reads one entry back.  Three other sites clear rationals to
+integers themselves, each for its own input: LieAlgebraCx.from_structure_constants
+(the structure constants), metric._cleared (the metric parameters) and
+connection._symbols (each spec's coefficients).  This module holds the one exact
+matrix inverse (one fraction-free elimination, run on the 3x3 block G of a
+Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix otherwise) and
+the primitives of the one exact kernel
 (_dtype, _numerators, _arrays, _cmatmul, _tensor and their kin, with versions
 such as _reduced_each over a stack of tensors along a leading spec axis, at the
 end of the module), on which contract and every other exact product of two

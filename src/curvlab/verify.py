@@ -67,6 +67,7 @@ TABLE_EPS = (Rat(0), Rat(1, 6), Rat(1, 4), Rat(1, 3), Rat(1, 2))  # the golden t
 DEFAULT_EPS_SET = TABLE_EPS + (Rat(2, 3),)
 RANDOM_EPS_COUNT = 1  # seeded random eps off {0, 1/2} added to DEFAULT_EPS_SET per case
 EPS_HEIGHT = 10  # the random eps are a/b with |a| <= 2 EPS_HEIGHT, 1 <= b <= EPS_HEIGHT
+METRIC_ATTEMPTS = 200  # draws sample_metric makes before it raises SamplingError
 METRIC_HEIGHT = 10  # r2, s2, t2 are a/b with 1 <= a <= METRIC_HEIGHT, 1 <= b <= METRIC_HEIGHT // 2
 
 
@@ -115,17 +116,17 @@ _SHAPES = {
 }
 
 
-def sample_metric(rng, shape="any", attempts=200) -> MetricParams:
+def sample_metric(rng, shape="any") -> MetricParams:
     """Draw metric parameters of a _SHAPES shape until the positivity holds.
 
     r2, s2 and t2 are always drawn, then the shape's parts in u, v, z order;
-    the parts not drawn are 0.
+    the parts not drawn are 0.  After METRIC_ATTEMPTS draws it raises SamplingError.
     """
     try:
         unit_r2, drawn, nonzero = _SHAPES[shape]
     except KeyError:
         raise ValueError(f"unknown metric shape {shape!r}") from None
-    for _ in range(attempts):
+    for _ in range(METRIC_ATTEMPTS):
         r2, s2, t2 = (_rand_pos(rng, METRIC_HEIGHT) for _ in range(3))
         parts = {name: _rand_small_gauss(rng) for name in drawn}
         if nonzero and all(x.is_zero() for x in parts.values()):
@@ -134,7 +135,7 @@ def sample_metric(rng, shape="any", attempts=200) -> MetricParams:
                          *(parts.get(name, ZERO) for name in "uvz"))
         if not p.constraint_failures():
             return p
-    raise SamplingError(f"no valid metric of shape {shape!r} in {attempts} attempts")
+    raise SamplingError(f"no valid metric of shape {shape!r} in {METRIC_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)

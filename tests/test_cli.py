@@ -335,3 +335,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
                        "--format", "json", "--out", str(path))
     assert code == 0
     assert json.loads(path.read_text())["verdict"] is True
+
+
+def test_config_keys_that_name_no_command_flag_are_unknown(capsys, tmp_path):
+    # the destinations argparse keeps for the parsers themselves (the command words,
+    # --help, --version, --config) are no flag defaults a config file can set
+    cfg = tmp_path / "curvlab.cfg"
+    for key in ("command", "subcommand", "help", "version", "config"):
+        cfg.write_text(f"{key}=x\n")
+        for argv in (("catalog", "list"), ("verify", "theorems", "--points", "1")):
+            code, out, err = run(capsys, "--config", str(cfg), *argv)
+            assert code == 2 and not out, (key, argv)
+            assert f"unknown config keys [{key!r}]" in err, (key, argv)

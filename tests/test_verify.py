@@ -62,9 +62,10 @@ def test_sample_metric_shapes(rng):
         sample_metric(rng, shape="bogus")
 
 
-def test_sampling_error_reported(rng):
+def test_sampling_error_reported(rng, monkeypatch):
+    monkeypatch.setattr(verify, "METRIC_ATTEMPTS", 0)
     with pytest.raises(SamplingError):
-        sample_metric(rng, shape="any", attempts=0)
+        sample_metric(rng, shape="any")
 
 
 def test_case_table_covers_catalog():
