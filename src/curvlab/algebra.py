@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .tensors import (
     MultiTensor,
     _arrays,
     _cmatmul,
+    _lowest_terms,
     _partner_hits,
     _reduced_each,
     _tensor,
@@ -76,8 +76,8 @@ class LieAlgebraCx:
         """Build from {(I, H, K): value}, each value times sign (+1 or -1); the skew and
         conjugate entries are filled in, a later entry overwriting an earlier one's.
 
-        The signs and the conjugation act on the integer numerators of each value,
-        put over the lcm of the denominators of the values that are stored.
+        The signs and the conjugation act on the integer numerators of the values that
+        are stored, put over their least common denominator (_lowest_terms).
         """
         stored = {}  # per flat offset: (value, sign of its real part, sign of its imaginary part)
         for (i, h, k), raw in entries.items():
@@ -86,11 +86,10 @@ class LieAlgebraCx:
                 for x, y, z, t in ((i, h, k, sign), (bar(i), bar(h), bar(k), -sign)):
                     stored[36 * x + DIM * y + z] = v, sign, t
                     stored[36 * y + DIM * x + z] = v, -sign, -t
-        den = lcm(1, *{int(q.denominator) for v, _, _ in stored.values() for q in (v.re, v.im)})
+        nums, den = _lowest_terms([q for v, _, _ in stored.values() for q in (v.re, v.im)])
         re, im = [0] * DIM ** 3, [0] * DIM ** 3
-        for n, (v, s, t) in stored.items():
-            re[n] = s * int(v.re.numerator) * (den // int(v.re.denominator))
-            im[n] = t * int(v.im.numerator) * (den // int(v.im.denominator))
+        for (n, (_, s, t)), a, b in zip(stored.items(), nums[::2], nums[1::2]):
+            re[n], im[n] = s * a, t * b
         return cls(MultiTensor.from_numerators(3, re, im, den))
 
     @classmethod

@@ -80,7 +80,7 @@ class MetricLocus:
 
     def contains(self, m: MetricParams) -> bool:
         """Whether m solves every equation; a zero test on m's parameters cleared to integers."""
-        c = _cleared(m)[1]
+        c = _cleared(m)[0]
         return all(sum(a * x for a, x in zip(row, c)) == 0 for row in self.equations)
 
 

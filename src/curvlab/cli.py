@@ -293,8 +293,14 @@ def cmd_verify_structural(args) -> int:
 
 def cmd_flow_run(args) -> int:
     fam, alg, metric, h = _setup_configuration(args)
+    least, most = sys.float_info.min, sys.float_info.max
     try:
-        horizon, step = float(rat_from_str(args.horizon)), float(rat_from_str(args.step))
+        horizon, step = rat_from_str(args.horizon), rat_from_str(args.step)
+        for flag, x in (("--horizon", horizon), ("--step", step)):
+            if x and not least <= abs(x) <= most:  # float() overflows, or loses precision
+                raise ValueError(f"{flag} is outside the float64 range: a nonzero value "
+                                 f"needs a magnitude in [{least!r}, {most!r}]")
+        horizon, step = float(horizon), float(step)
         step_count(horizon, step)
     except ValueError as exc:
         raise CliError(str(exc)) from exc

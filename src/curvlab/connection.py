@@ -24,7 +24,7 @@ builds none.  They evaluate those connections together, in one stacked pass: a
 list of specs runs through the kernel stages (_symbols, _operator, and the curvature's reduction
 and expansion) as one stack with a leading spec axis.  The point's tables are
 read into arrays once, the lowered sums are one integer combination of
-(lc, T, C) with one row of scale factors per spec, each over its own lcm
+(lc, T, C) with one row of scale factors per spec, each over its own least common
 denominator, the raise by g^{-1}, the operator half and the content gcd (taken
 per spec) run once for the whole stack, and the symbols reach the operator as
 arrays.  Each stage bounds its sums by the largest bound over its specs; every
@@ -76,6 +76,7 @@ from .tensors import (
     MultiTensor,
     _arrays,
     _cmatmul,
+    _lowest_terms,
     _maxabs,
     _maxabs_each,
     _partner_hits,
@@ -209,19 +210,15 @@ def _symbols(tables, rows, g_inv):
     invariant (g, g^{-1}).
 
     The lowered sums are one real kernel product (_real_matmul): a real row of scale
-    factors per spec, each spec over the lcm of its nonzero terms' denominators, times
-    the tables' numerators (one real product per nonzero term).  The raise is one
-    product of the stack with g^{-1} (12 real products per entry).  Each spec is reduced.
+    factors per spec, its coefficients over the tables' dens put over their least
+    common denominator (_lowest_terms), times the tables' numerators (one real product
+    per nonzero term; a zero table's coefficient is read as 0).  The raise is one product
+    of the stack with g^{-1} (12 real products per entry).  Each spec is reduced.
     """
-    z, _ = _stack(tables)
+    z, tdens = _stack(tables)
     ms = _maxabs_each(z)
-    dens, scales = [], []
-    for row in rows:
-        ds = [int(q.denominator) * t.den for q, t in zip(row, tables)]
-        den = lcm(*(d for q, d in zip(row, ds) if q))
-        dens.append(den)
-        # a zero table's factor may lie beyond int64; its term is zero anyway
-        scales.append([int(q.numerator) * (den // d) if m else 0 for q, d, m in zip(row, ds, ms)])
+    scales, dens = zip(*(_lowest_terms([q if m else 0 for q, m in zip(row, ms)], tdens)
+                         for row in rows))
     bits = max(abs(f) * m for row in scales for f, m in zip(row, ms)).bit_length()
     terms = max(len(row) - row.count(0) for row in scales)
     low = _real_matmul(scales, z, bits, terms)  # (2, S, 216)

@@ -309,7 +309,7 @@ def step_count(horizon: float, step: float) -> int:
     if step <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
     ratio = horizon / step
-    n_steps = round(ratio)
+    n_steps = round(ratio) if np.isfinite(ratio) else 0
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
         raise ValueError(f"horizon/step must be a positive whole number of steps, "
                          f"got {horizon:g}/{step:g} = {ratio:g}")

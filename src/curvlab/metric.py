@@ -28,7 +28,6 @@ T = i(del omega - delbar omega) and dT = -2i del delbar omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .tensors import (
     MultiTensor,
     _arrays,
     _cmatmul,
+    _lowest_terms,
     _tensor,
     all_indices,
     inverse,
@@ -105,7 +105,7 @@ class MetricParams:
         homogeneous of degree 1, 2 or 3, so multiplying it by a power of d > 0
         keeps it.
         """
-        c = _cleared(self)[1]
+        c = _cleared(self)[0]
         return _failures(c, _determinant(c))
 
 
@@ -125,14 +125,9 @@ def _failures(c, det):
 
 
 def _cleared(p: MetricParams):
-    """d = lcm of the nine denominators of (r2, s2, t2, u, v, z), and d times each part.
-
-    The parts come as Python ints in the order r2, s2, t2, Re u, Im u, Re v,
-    Im v, Re z, Im z.
-    """
-    parts = (p.r2, p.s2, p.t2, p.u.re, p.u.im, p.v.re, p.v.im, p.z.re, p.z.im)
-    d = lcm(*(int(q.denominator) for q in parts))
-    return d, [int(q.numerator) * (d // int(q.denominator)) for q in parts]
+    """(c, d): r2, s2, t2, Re u, Im u, Re v, Im v, Re z, Im z as the Python ints c over
+    their least common denominator d."""
+    return _lowest_terms((p.r2, p.s2, p.t2, p.u.re, p.u.im, p.v.re, p.v.im, p.z.re, p.z.im))
 
 
 def _determinant(c) -> int:
@@ -161,16 +156,16 @@ def build_metric(p: MetricParams) -> HermitianData:
     Raises MetricValidationError naming the first violated inequality.  With
     the parameters cleared to integers over d, 2d Omega is a Gaussian-integer
     matrix, so omega and g = -i Omega (omega(x, y) = g(x, Jy) with
-    J phi_a = -i phi_a) are written as numerators over 2d.
+    J phi_a = -i phi_a) are written as its numerators in lowest terms, over 2d or d.
     """
-    d, c = _cleared(p)
+    c, d = _cleared(p)
     det = _determinant(c)
     bad = _failures(c, det)
     if bad:
         raise MetricValidationError(bad[0])
 
-    r, s, t, ur, ui, vr, vi, zr, zi = c
-    om = ((0, r), (ur, ui), (zr, zi),  # 2d Omega[a][b] as (re, im), in _G_BLOCK's order
+    (r, s, t, ur, ui, vr, vi, zr, zi), den = _lowest_terms(c, 2 * d)
+    om = ((0, r), (ur, ui), (zr, zi),  # den Omega[a][b] as (re, im), in _G_BLOCK's order
           (-ur, ui), (0, s), (vr, vi),
           (-zr, zi), (-vr, vi), (0, t))
     ore, oim, gre, gim = [0] * 36, [0] * 36, [0] * 36, [0] * 36
@@ -178,8 +173,8 @@ def build_metric(p: MetricParams) -> HermitianData:
         ore[n], oim[n], ore[m], oim[m] = x, y, -x, -y
         gre[n] = gre[m] = y  # -i (x + y i) = y - x i
         gim[n] = gim[m] = -x
-    omega = MultiTensor.from_numerators(2, ore, oim, 2 * d).reduced()
-    g = MultiTensor.from_numerators(2, gre, gim, 2 * d).reduced()
+    omega = MultiTensor.from_numerators(2, ore, oim, den)
+    g = MultiTensor.from_numerators(2, gre, gim, den)
     return HermitianData(p, g, inverse(g), omega, GaussianRational(Rat(det, d ** 3)))
 
 

@@ -1,33 +1,26 @@
 """Dense multi-index tensors over the six-element complexified frame.
 
-Frame indices run over {1, 2, 3, 1b, 2b, 3b}, encoded internally as 0..5
-with bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the
-format of the exact kernel: Gaussian-integer numerators over one positive
-common denominator, stored as one read-only numpy array whoever built the
-tensor, with read-only tuple views of Python ints built from it on demand (see
-MultiTensor), so no stage turns an array into lists and back; GaussianRational
-values appear only when entries are read.  MultiTensor's constructor and
-__setitem__ clear GaussianRational values to numerators over their lcm, and
-numerator_value reads one entry back.  Three other sites clear rationals to
-integers themselves, each for its own input: LieAlgebraCx.from_structure_constants
-(the structure constants), metric._cleared (the metric parameters) and
-connection._symbols (each spec's coefficients).  This module holds the one exact
-matrix inverse (one fraction-free elimination, run on the 3x3 block G of a
-Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6 matrix otherwise) and
-the primitives of the one exact kernel
-(_dtype, _numerators, _arrays, _cmatmul, _tensor and their kin, with versions
-such as _reduced_each over a stack of tensors along a leading spec axis, at the
-end of the module), on which contract and every other exact product of two
-stored tensors run.
+Frame indices run over {1, 2, 3, 1b, 2b, 3b}, encoded internally as 0..5 with
+bar(i) = (i + 3) % 6.  A tensor of rank k holds its 6**k entries in the exact
+kernel's format (see MultiTensor): Gaussian-integer numerators over one positive
+common denominator, in one read-only numpy array whoever built the tensor, so no
+stage turns an array into lists and back.  Numerators have one writer,
+_lowest_terms, which puts exact rationals over their least common denominator for
+every module, and one reader, numerator_value.
+This module holds the one exact matrix inverse (one fraction-free elimination, run
+on the 3x3 block G of a Hermitian matrix [[0, G], [G^T, 0]] and on the whole 6x6
+matrix otherwise) and the primitives of the one exact kernel (_dtype, _numerators,
+_arrays, _cmatmul, _tensor and their kin, with versions such as _reduced_each over
+a stack of tensors along a leading spec axis, at the end of the module), on which
+contract and every other exact product of two stored tensors run.
 Every number-format decision is made here; no other module picks a dtype or
 casts.  A stored array is int64 only within |n| <= 2^63 - 1, closed under negation
 (_numerators), and a product (_cmatmul) runs on float64 (BLAS) where its bound keeps
-every partial sum below 2^52, on int64 below 2^62 and on Python ints beyond.  The index
-arithmetic of the hot loops is done once, at import: all_indices hands out one
-stored tuple per rank up to 4, from which the structural checks build their
-tables of permuted and conjugated offsets.
-Values are treated as immutable once built: the constructors store read-only
-arrays, and no public operation mutates its arguments.
+every partial sum below 2^52, on int64 below 2^62 and on Python ints beyond.  The
+index arithmetic of the hot loops is done once, at import: all_indices hands out one
+stored tuple per rank up to 4, from which the structural checks build their tables
+of permuted and conjugated offsets.  Values are treated as immutable once built: the
+constructors store read-only arrays, and no public operation mutates its arguments.
 """
 
 from __future__ import annotations
@@ -78,6 +71,25 @@ def numerator_value(a: int, b: int, den: int) -> GaussianRational:
     return GaussianRational(Rat(a, den), Rat(b, den)) if a or b else ZERO
 
 
+def _lowest_terms(values, dens=None):
+    """(nums, den): the rationals values[k] / dens[k] (values[k] when dens is None) over
+    their least common denominator den, as Python ints with gcd(den, *nums) = 1 (zeros
+    alone go over 1).  values are rationals in lowest terms (Rat, or ints), each integer
+    read by one int() (a gmpy2 mpz reaches no list), and dens one positive int per value,
+    reduced by one gcd; or dens is one positive int shared by Python-int values, whose
+    content one gcd divides out, with no lcm.
+    """
+    if isinstance(dens, int):
+        g = gcd(dens, *values)
+        return (values, dens) if g == 1 else ([n // g for n in values], dens // g)
+    nums, ds = [int(q.numerator) for q in values], [int(q.denominator) for q in values]
+    if dens is not None:  # the gcd below reduces each a / (b k)
+        ds = [b * k if a else 1 for a, b, k in zip(nums, ds, dens)]
+    den = lcm(*ds)
+    nums = [a * (den // b) for a, b in zip(nums, ds)]
+    return (nums, den) if dens is None else _lowest_terms(nums, den)
+
+
 class MultiTensor:
     """Dense tensor of the given rank with Gaussian-rational entries.
 
@@ -105,20 +117,14 @@ class MultiTensor:
             data = list(data)
             if len(data) != size:
                 raise ValueError(f"rank-{rank} tensor needs {size} entries, got {len(data)}")
-            # the entries that are not the ZERO constant, the bulk of a sparse table
-            given = [(n, v.re, v.im) for n, v in enumerate(data) if v is not ZERO]
-            den = lcm(1, *{int(q.denominator) for _, a, b in given for q in (a, b)})
-            z = re, im = [0] * size, [0] * size
-            for n, a, b in given:
-                re[n] = int(a.numerator) * (den // int(a.denominator))
-                im[n] = int(b.numerator) * (den // int(b.denominator))
+            z, den = _lowest_terms([v.re for v in data] + [v.im for v in data])
         self._store(rank, z, den)
 
     def _store(self, rank, z, den):
-        """Store the numerators z = [re, im], lists or an array of shape (2, ...), over den
-        as a read-only array (see _numerators).  An int64 z is stored as a view, not a
-        copy, so the caller must not write to z, or to the array it views, afterwards;
-        the read-only flag guards only the view."""
+        """Store the numerators z = [re, im] (or the flat re + im), lists or an array of
+        shape (2, ...), over den as a read-only array (see _numerators).  An int64 z is
+        stored as a view, not a copy, so the caller must not write to z, or to the array
+        it views, afterwards; the read-only flag guards only the view."""
         z = _numerators(z).reshape(2, -1)
         z.setflags(write=False)
         self.rank, self.den, self._re, self._im, self._z, self._m = rank, den, None, None, z, None
@@ -143,6 +149,8 @@ class MultiTensor:
         return self._im
 
     def _offset(self, idx) -> int:
+        if isinstance(idx, int):
+            idx = (idx,)
         if len(idx) != self.rank:
             raise ValueError(f"index {idx} has wrong length for rank {self.rank}")
         if not all(0 <= i < DIM for i in idx):
@@ -150,23 +158,18 @@ class MultiTensor:
         return flat_offset(idx)
 
     def __getitem__(self, idx) -> GaussianRational:
-        if isinstance(idx, int):
-            idx = (idx,)
         off = self._offset(idx)
         return numerator_value(self.re[off], self.im[off], self.den)
 
     def __setitem__(self, idx, value: GaussianRational):
         """Store one entry in a new array; the common denominator grows to the lcm with
-        the value's."""
-        if isinstance(idx, int):
-            idx = (idx,)
+        the value's (_lowest_terms)."""
         off = self._offset(idx)
-        dr, di = int(value.re.denominator), int(value.im.denominator)
-        den = lcm(self.den, dr, di)
-        f = den // self.den
-        re, im = [f * a for a in self.re], [f * b for b in self.im]
-        re[off] = int(value.re.numerator) * (den // dr)
-        im[off] = int(value.im.numerator) * (den // di)
+        (a, b), d = _lowest_terms((value.re, value.im))
+        den = lcm(self.den, d)
+        f, k = den // self.den, den // d
+        re, im = [f * n for n in self.re], [f * n for n in self.im]
+        re[off], im[off] = k * a, k * b
         self._store(self.rank, (re, im), den)
 
     def reduced(self) -> "MultiTensor":
@@ -248,7 +251,7 @@ def inverse(m: MultiTensor) -> MultiTensor:
     else:
         re, im, den = _bareiss([[(re[DIM * r + c], im[DIM * r + c]) for c in INDICES]
                                 for r in INDICES], m.den)
-    return MultiTensor.from_numerators(2, re, im, den).reduced()
+    return _tensor(2, *_lowest_terms(re + im, den))
 
 
 def _bareiss(rows, den):

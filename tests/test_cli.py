@@ -124,10 +124,17 @@ def test_usage_errors(capsys, tmp_path):
                        "--metric", "r2=1,s2=1,t2=1", "--spec", "eps=1/2,rho=1/2,eps=0")
     assert code == 2 and "repeated key 'eps'" in err
 
-    for horizon, step in (("1", "2"), ("1", "3/10")):
+    # 10^400 and 10^-400 lie beyond float64: float() overflows, or rounds to 0; 10^300 and
+    # 10^-300 lie within it, and their ratio overflows to inf steps
+    huge, big = "1" + "0" * 400, "1" + "0" * 300
+    for horizon, step, message in (("1", "2", "whole number of steps"),
+                                   ("1", "3/10", "whole number of steps"),
+                                   (huge, "1/100", "--horizon is outside the float64 range"),
+                                   ("1", f"1/{huge}", "--step is outside the float64 range"),
+                                   (big, f"1/{big}", "whole number of steps")):
         code, out, err = run(capsys, "flow", "run", "--family", "Np", "--set", "rho=1",
                              "--metric", "r2=1,s2=1,t2=1", "--horizon", horizon, "--step", step)
-        assert code == 2 and "whole number of steps" in err and not out
+        assert code == 2 and message in err and not out
 
     for family, params in (("Np", "rho=1,lambda=2"), ("sl2c", "A=5")):
         code, out, err = run(capsys, "classify", "--family", family, "--set", params,

@@ -1,7 +1,9 @@
 import itertools
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from curvlab import tensors, verify
@@ -197,3 +199,65 @@ def test_reduced_in_lowest_terms_is_an_independent_copy(rng):
     doubled = MultiTensor.from_numerators(2, [2 * a for a in t.re], [2 * b for b in t.im],
                                           2 * t.den).reduced()
     assert (doubled.re, doubled.im, doubled.den) == before
+
+
+def check_lowest_terms(rationals, out):
+    """out = _lowest_terms(...) of the rationals: Python ints nums over their least common
+    denominator den, with gcd(den, *nums) = 1 and nums[k] / den = rationals[k]."""
+    nums, den = out
+    assert type(den) is int and all(type(n) is int for n in nums)
+    assert den == lcm(1, *(Fraction(q).denominator for q in rationals))
+    assert gcd(den, *nums) == 1
+    assert [Fraction(n, den) for n in nums] == [Fraction(q) for q in rationals]
+
+
+def test_lowest_terms_contract(rng):
+    """Random rationals, zeros alone, negative numerators and dens beyond int64; ints over
+    a shared den with common content; and rationals over one den per value."""
+    beyond = [Fraction(1, 3 ** 41), Fraction(-2, 5 ** 28), Fraction(7, 2 ** 63 + 1), Fraction(0)]
+    for values in ([Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(40)],
+                   [Fraction(0)] * 5, [Fraction(-3, 7), Fraction(-5, 14), Fraction(-1)],
+                   beyond, [0, -4, 9]):
+        check_lowest_terms(values, tensors._lowest_terms(values))
+    for ints, den in (([6, -12, 0, 18], 24), ([0, 0, 0], 7), ([5, -3], 1),
+                      ([3 * 2 ** 70, -9 * 2 ** 64, 0], 3 * 2 ** 66),
+                      ([-2 ** 63, 2 ** 62], 2 ** 64)):
+        check_lowest_terms([Fraction(n, den) for n in ints], tensors._lowest_terms(ints, den))
+    assert tensors._lowest_terms([0, 0, 0], 7) == ([0, 0, 0], 1)
+    # the pairs (numerator, denominator * k), not in lowest terms; a zero's den is dropped
+    values = [Fraction(1, 2), Fraction(-3, 4), Fraction(0), Fraction(5, 3), Fraction(2)]
+    for values, dens in ((values, [2, 4, 11, 3, 2]), (values, [6, 2 ** 70, 7, 1, 4]),
+                         (values, [1] * 5), ([2, -4, 6, 0], [6, 6, 3, 5])):
+        check_lowest_terms([Fraction(q) / k for q, k in zip(values, dens)],
+                           tensors._lowest_terms(values, dens))
+
+
+class Int64Rational:
+    """A rational whose numerator and denominator are np.int64: a numbers.Integral that
+    is not an int, as gmpy2's mpz is not."""
+
+    def __init__(self, q):
+        self.numerator, self.denominator = np.int64(q.numerator), np.int64(q.denominator)
+
+
+@pytest.fixture(params=["int", "int64"])
+def integers(request):
+    """Each integer type of a rational's parts in turn: Fraction's Python ints, or the
+    np.int64 parts of Int64Rational, an offline stand-in for gmpy2's mpq.  It shows only
+    that _lowest_terms reads every integer through int(): np.int64 arithmetic wraps with
+    a RuntimeWarning, an error under pytest, or overflows where an int() is missing.  It
+    proves nothing about gmpy2 itself, which the gmpy2 leg of CI runs."""
+    return Fraction if request.param == "int" else Int64Rational
+
+
+def test_lowest_terms_reads_every_integer_through_int(integers):
+    values = [Fraction(1, 3 ** 39), Fraction(-5, 7 ** 22), Fraction(2 ** 62 - 1, 2 ** 61),
+              Fraction(0), Fraction(-3)]
+    nums, den = tensors._lowest_terms([integers(q) for q in values])
+    assert (nums, den) == tensors._lowest_terms(values)
+    assert den > 2 ** 63 and max(map(abs, nums)) > 2 ** 63  # products beyond int64
+    check_lowest_terms(values, (nums, den))
+    dens = [2 ** 40, 3, 5, 7, 2 ** 30]
+    out = tensors._lowest_terms([integers(q) for q in values], dens)
+    assert out == tensors._lowest_terms(values, dens)
+    check_lowest_terms([q / k for q, k in zip(values, dens)], out)
