@@ -24,14 +24,19 @@ with the left factor K - Gamma_{HB}^A, K[H, (B, A)] = trc_B delta_{AH} - c_{BH}^
 by one function (_ricci_left): exact_lc_ricci on the exact kernel's Gaussian-integer
 numerators, float_lc_ricci in complex floating point, on a per-structure field that
 integrate_flow builds once (_lc_field: the 216 x 36 map LT from vec(g) to the lowered
-table, and K).  One float evaluation is one lowering product, one inverse, one raising
-product and the Ricci product.
+table, gathered from c at offsets fixed at import, and K).  One float evaluation is one
+lowering product, one inverse, one raising product and the Ricci product.  Exact values
+reach floating point from their numerators, by one correctly rounded Python-int
+division per part (_float_entries): c for the field, and the start metric and its
+exact Ricci, whose norm is the trace's t = 0 record.
 
 integrate_flow projects each accepted state onto the symmetric, conjugation-real
 matrices; the stage inputs of a step go to the field as they are.  Positivity is
 read on the Hermitian form H_{ij} = g(phi_i, phi_jb), one Cholesky of a 6 x 6
 matrix: a real symmetric form is positive-definite exactly when its sesquilinear
-extension is.
+extension is.  The loop keeps each accepted state and the field there, and the
+samples' deviations and Ricci norms are taken in one pass when the run ends or halts.
+A run takes at most MAX_STEPS steps (step_count).
 
 hermitian_deviation monitors max |g_{ij}| over the pure-type block; for
 initial data whose Levi-Civita connection is Kahler-like the flow must keep
@@ -56,6 +61,7 @@ from .tensors import (
     bar,
     index_name,
     inverse,
+    numerator_value,
 )
 
 __all__ = [
@@ -67,6 +73,7 @@ __all__ = [
     "hermitian_deviation",
     "integrate_flow",
     "step_count",
+    "MAX_STEPS",
     "flow_state_from_hermitian",
     "trace_to_csv",
 ]
@@ -76,12 +83,30 @@ __all__ = [
 def exact_lc_ricci(g6, alg: LieAlgebraCx):
     """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
 
+    g6 is the nested rows of GaussianRational a FlowState holds, and the Ricci comes
+    back as nested rows; given the MultiTensor of g6, it comes back as a MultiTensor
+    (see _exact_ricci).  integrate_flow passes the tensor and reads the Ricci's
+    numerators, so its one exact evaluation is still a call of this function.
+    """
+    if isinstance(g6, MultiTensor):
+        return _exact_ricci(g6, alg)
+    ric = _exact_ricci(_metric_tensor(g6), alg)
+    return [[ric[h, k] for k in INDICES] for h in INDICES]
+
+
+def _metric_tensor(g6) -> MultiTensor:
+    """The nested rows of GaussianRational g6 as a rank-2 MultiTensor."""
+    return MultiTensor(2, [v for row in g6 for v in row])
+
+
+def _exact_ricci(g: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
+    """The Ricci of exact_lc_ricci as a MultiTensor, for the metric tensor g.
+
     The Ricci product of float_lc_ricci on the numerators of the raised symbols and
     c over their common denominator D, so the trace sits over D^2.  The trace
     Gamma_{AB}^A in K is c_{AB}^A summed over A, read off c's numerators over the
     same D, so only the raise uses g^{-1}.
     """
-    g = MultiTensor(2, [v for row in g6 for v in row])
     _, gamma = _symbols((_lc_sum(alg.c, g),), [(_HALF,)], inverse(g))
     # per entry: 2 x 36 real products with each of the left factor's summands Gamma and
     # c, and 2 x 6 with its trace term, a sum of 6 entries of c, so counted as 72
@@ -90,9 +115,8 @@ def exact_lc_ricci(g6, alg: LieAlgebraCx):
     g3 = zg.reshape(2, DIM, DIM, DIM)
     # [H, (B, A)]: K - Gamma_{HB}^A; [(B, A), K]: Gamma_{AK}^B
     left = _ricci_left(zc.reshape(2, DIM, DIM, DIM)) - g3.reshape(2, DIM, 36)
-    ric = _tensor(2, _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM), bits, terms),
-                  den * den)
-    return [[ric[h, k] for k in INDICES] for h in INDICES]
+    return _tensor(2, _cmatmul(left, g3.transpose(0, 3, 1, 2).reshape(2, 36, DIM), bits, terms),
+                   den * den)
 
 
 def _ricci_left(c):
@@ -106,25 +130,46 @@ def _ricci_left(c):
 
 # -- float path ----------------------------------------------------------------
 
+def _float_entries(t: MultiTensor) -> np.ndarray:
+    """t's entries as a flat complex array in offset order: each nonzero entry's
+    numerators over t.den by Python-int true division, which rounds correctly, as
+    float(Fraction) does, whatever the size of the integers."""
+    re, im, den = t.re, t.im, t.den
+    out = np.zeros(DIM ** t.rank, dtype=complex)
+    for n, _ in t.nonzero_offsets():
+        out[n] = complex(re[n] / den, im[n] / den)
+    return out
+
+
+def _float_matrix(g: MultiTensor) -> np.ndarray:
+    """The rank-2 tensor g as a complex 6 x 6 array (_float_entries)."""
+    return _float_entries(g).reshape(DIM, DIM)
+
+
 def _structure_array(alg: LieAlgebraCx) -> np.ndarray:
-    c = np.zeros((DIM, DIM, DIM), dtype=complex)
-    for (i, h, k), v in alg.c.nonzero():
-        c[i, h, k] = complex(float(v.re), float(v.im))
-    return c
+    """c_{IH}^K as a complex (6, 6, 6) array, read from alg.c's numerators (_float_entries)."""
+    return _float_entries(alg.c).reshape(DIM, DIM, DIM)
+
+
+# _LT_TAKE[t, (I, H, L, B, M)]: the offset in c of Koszul term t of LT, or 216, a zero
+# slot appended to c, where its delta vanishes: c_{IH}^B at L = M, c_{HL}^B at I = M
+# and c_{IL}^B at H = M.  3 x 6^5 indices, built once
+_I, _H, _L, _B, _M = np.ix_(*[INDICES] * 5)
+_LT_TAKE = np.stack([np.where(_L == _M, 36 * _I + 6 * _H + _B, DIM ** 3),
+                     np.where(_I == _M, 36 * _H + 6 * _L + _B, DIM ** 3),
+                     np.where(_H == _M, 36 * _I + 6 * _L + _B, DIM ** 3)]).reshape(3, -1)
+del _I, _H, _L, _B, _M
 
 
 def _lc_field(c: np.ndarray):
     """(LT, K): the constants of float_lc_ricci for one structure c.
 
     LT (216 x 36) maps vec(g) to the lowered table (x_{IHL} - x_{HLI} - x_{ILH}) / 2,
-    x = c g, laid out [(I, H, L), (B, M)]: three products of c with the identity,
-    broadcast.  K is _ricci_left(c).
+    x = c g, laid out [(I, H, L), (B, M)]: one gather of each Koszul term from c with
+    a zero slot appended, at the import-time offsets _LT_TAKE.  K is _ricci_left(c).
     """
-    eye = np.eye(DIM)
-    lt = 0.5 * (c[:, :, None, :, None] * eye[None, None, :, None, :]
-                - c[None, :, :, :, None] * eye[:, None, None, None, :]
-                - c[:, None, :, :, None] * eye[None, :, None, None, :])
-    return lt.reshape(216, 36), _ricci_left(c)
+    t = np.append(c.reshape(DIM ** 3), 0).take(_LT_TAKE)
+    return (0.5 * (t[0] - t[1] - t[2])).reshape(216, 36), _ricci_left(c)
 
 
 def float_lc_ricci(g6: np.ndarray, field) -> np.ndarray:
@@ -166,16 +211,13 @@ class FlowState:
         return not isinstance(self.g6, np.ndarray)
 
     def as_float_matrix(self) -> np.ndarray:
-        return np.array(self.g6 if not self.is_exact else _complex_rows(self.g6), dtype=complex)
+        if self.is_exact:
+            return _float_matrix(_metric_tensor(self.g6))
+        return np.array(self.g6, dtype=complex)
 
     def validate(self):
         """Symmetry, conjugation-reality, and positive-definiteness as a real metric."""
         _validate(self.as_float_matrix())
-
-
-def _complex_rows(rows):
-    """The nested lists of GaussianRational rows as nested lists of complex floats."""
-    return [[complex(float(v.re), float(v.im)) for v in row] for row in rows]
 
 
 def _validate(m: np.ndarray):
@@ -189,8 +231,10 @@ def _validate(m: np.ndarray):
 
 
 def flow_state_from_hermitian(h: HermitianData, alg: LieAlgebraCx) -> FlowState:
-    g6 = [[h.g[i, j] for j in INDICES] for i in INDICES]
-    return FlowState(0.0, g6, alg)
+    """The exact t = 0 state of h's metric, its values read off h.g's numerators."""
+    g = h.g
+    values = [numerator_value(a, b, g.den) for a, b in zip(g.re, g.im)]
+    return FlowState(0.0, [values[DIM * i:DIM * i + DIM] for i in INDICES], alg)
 
 
 def _real_positive_definite(m: np.ndarray) -> bool:
@@ -218,8 +262,13 @@ def ricci_rhs(state: FlowState):
 def hermitian_deviation(g6) -> float:
     """Max modulus over the pure-type components g_{ij}, i, j in {1, 2, 3}."""
     if not isinstance(g6, np.ndarray):
-        g6 = np.array(_complex_rows(row[:3] for row in g6[:3]))
-    return float(np.abs(g6[:3, :3]).max())
+        g6 = _float_matrix(_metric_tensor(g6))
+    return _deviations(g6[None])[0].item()
+
+
+def _deviations(gs: np.ndarray) -> np.ndarray:
+    """hermitian_deviation of each matrix of the stack gs (n, 6, 6)."""
+    return np.abs(gs[:, :3, :3]).max(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -263,46 +312,75 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     horizon/step must be a whole number of steps (see step_count).  A step
     costs four evaluations: the field at an accepted point also starts the next.
     Each accepted state is projected (see _project) and checked for positivity.
+    An exact start reaches floating point once, from its numerators, and with the
+    default field its t = 0 norm is that of the exact Ricci.  The loop keeps each
+    accepted state and the field there; every sample's deviation and norm are taken
+    in one pass over them when the run ends or halts (_samples).
     """
     n_steps = step_count(horizon, step)
-    m = g0.as_float_matrix()
+    if g0.is_exact:
+        g = _metric_tensor(g0.g6)
+        m = _float_matrix(g)
+    else:
+        m = g0.as_float_matrix()
     _validate(m)
     default_field = rhs is None
     if default_field:
         lc = _lc_field(_structure_array(g0.structure))
         rhs = lambda m: -float_lc_ricci(m, lc)
 
-    trace = FlowTrace()
     k1 = rhs(m)
+    norm0 = None
     if g0.is_exact and default_field:
         # the t = 0 record comes from the exact evaluation
-        ric0 = exact_lc_ricci(g0.g6, g0.structure)
-        norm0 = float(np.linalg.norm(np.array(_complex_rows(ric0))))
-    else:
-        norm0 = float(np.linalg.norm(k1))
-    trace.samples.append(FlowSample(0.0, m, hermitian_deviation(m), norm0))
-    t = 0.0
+        norm0 = float(np.linalg.norm(_float_entries(exact_lc_ricci(g, g0.structure))))
+    states, fields, halted = [m], [k1], False
     for _ in range(n_steps):
         k2 = rhs(m + 0.5 * step * k1)
         k3 = rhs(m + 0.5 * step * k2)
         k4 = rhs(m + step * k3)
         m_next = _project(m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if not _real_positive_definite(m_next):
-            # a fixed step cannot tell the flow's loss from its own overshoot
-            trace.halt_reason = (f"positivity lost at t={t + step:.6g} "
-                                 f"(fixed step {step:.6g}; a smaller step may keep it)")
+            halted = True
             break
         m = m_next
-        t += step
         # the field at the new point is this sample's Ricci term and the next step's k1
         k1 = rhs(m)
-        trace.samples.append(FlowSample(t, m, hermitian_deviation(m),
-                                        float(np.linalg.norm(k1))))
+        states.append(m)
+        fields.append(k1)
+    trace = FlowTrace(_samples(states, fields, step, norm0))
+    if halted:
+        # a fixed step cannot tell the flow's loss from its own overshoot
+        trace.halt_reason = (f"positivity lost at t={trace.samples[-1].t + step:.6g} "
+                             f"(fixed step {step:.6g}; a smaller step may keep it)")
     return trace
 
 
+def _samples(states, fields, step, norm0=None) -> list:
+    """The FlowSamples of the accepted states, step apart from t = 0, and the field at
+    each: every deviation and Ricci norm in one pass over the stacked arrays, each
+    norm summed as np.linalg.norm sums one matrix; norm0, when given, is the t = 0 norm."""
+    deviations = _deviations(np.array(states)).tolist()
+    f = np.array(fields).reshape(len(fields), 1, 36)
+    re, im = f.real, f.imag  # views, strided as np.linalg.norm reads them
+    norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)).tolist()
+    if norm0 is not None:
+        norms[0] = norm0
+    samples, t = [], 0.0
+    for m, deviation, norm in zip(states, deviations, norms):
+        samples.append(FlowSample(t, m, deviation, norm))
+        t += step
+    return samples
+
+
+# the longest run integrate_flow takes: 10^5 samples of 6 x 6 complex states and fields
+# keep about 100 MB, and at about 90 us a step the run takes about 10 s
+MAX_STEPS = 100_000
+
+
 def step_count(horizon: float, step: float) -> int:
-    """The number of steps horizon/step; ValueError unless it is a positive whole number.
+    """The number of steps horizon/step; ValueError unless it is a positive whole number
+    of at most MAX_STEPS.
 
     The ratio must be within a relative 1e-9 of that number.
     """
@@ -313,6 +391,9 @@ def step_count(horizon: float, step: float) -> int:
     if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
         raise ValueError(f"horizon/step must be a positive whole number of steps, "
                          f"got {horizon:g}/{step:g} = {ratio:g}")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"horizon/step asks for {n_steps} steps, more than the limit of "
+                         f"{MAX_STEPS} (flow.MAX_STEPS)")
     return n_steps
 
 

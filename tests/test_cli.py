@@ -125,13 +125,15 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and "repeated key 'eps'" in err
 
     # 10^400 and 10^-400 lie beyond float64: float() overflows, or rounds to 0; 10^300 and
-    # 10^-300 lie within it, and their ratio overflows to inf steps
+    # 10^-300 lie within it, and their ratio overflows to inf steps; 10^10 steps is more
+    # than flow.MAX_STEPS, refused before any step runs
     huge, big = "1" + "0" * 400, "1" + "0" * 300
     for horizon, step, message in (("1", "2", "whole number of steps"),
                                    ("1", "3/10", "whole number of steps"),
                                    (huge, "1/100", "--horizon is outside the float64 range"),
                                    ("1", f"1/{huge}", "--step is outside the float64 range"),
-                                   (big, f"1/{big}", "whole number of steps")):
+                                   (big, f"1/{big}", "whole number of steps"),
+                                   ("1", "1/10000000000", "more than the limit of 100000")):
         code, out, err = run(capsys, "flow", "run", "--family", "Np", "--set", "rho=1",
                              "--metric", "r2=1,s2=1,t2=1", "--horizon", horizon, "--step", step)
         assert code == 2 and message in err and not out

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from curvlab.algebra import LieAlgebraCx, validate_lie_algebra
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import ConnectionSpec, curvature_of, ricci_and_scalar
 from curvlab.flow import (
+    MAX_STEPS,
     FlowState,
     _lc_field,
     _project,
@@ -18,6 +20,7 @@ from curvlab.flow import (
     hermitian_deviation,
     integrate_flow,
     ricci_rhs,
+    step_count,
     trace_to_csv,
 )
 from curvlab.metric import MetricParams, build_metric
@@ -107,6 +110,29 @@ def test_exact_matches_float_and_real_frame_oracle(rng):
     assert np.allclose(ric_exact, ric_float, atol=1e-12)
     ric_real, basis = _real_frame_ricci(alg, state.as_float_matrix())
     assert np.allclose(ric_real, (basis @ ric_float @ basis.T).real, atol=1e-9)
+
+
+def _correctly_rounded(q):
+    """float of the rational q rounded once, to nearest, on either rational backend."""
+    return float(Fraction(int(q.numerator), int(q.denominator)))
+
+
+def test_the_structure_array_is_correctly_rounded():
+    """_structure_array divides c's Python-int numerators by c.den, one rounding per part:
+    bit for bit the per-entry float of each value, on every flow structure and on an Ni
+    point whose D and lambda have numerators and denominators beyond 2^53, where a
+    float64 numerator over a float64 denominator rounds twice and misses."""
+    big = FamilySpec.make("Ni", rho=1, **{"lambda": "12345678901234567891/98765432109876543211"},
+                          D="12345678901234567891/3+1/98765432109876543211*i")
+    algs = [instantiate(FamilySpec.make(family, **params)) for family, params in FLOW_STRUCTURES]
+    for alg in algs + [instantiate(big)]:
+        ref = np.zeros((6, 6, 6), dtype=complex)
+        for (i, h, k), v in alg.c.nonzero():
+            ref[i, h, k] = complex(_correctly_rounded(v.re), _correctly_rounded(v.im))
+        assert _structure_array(alg).tobytes() == ref.tobytes()
+    c = instantiate(big).c
+    assert c.den > 2 ** 53
+    assert any(c.re[n] / c.den != float(c.re[n]) / float(c.den) for n, _ in c.nonzero_offsets())
 
 
 def _non_hermitian_sii_state():
@@ -434,6 +460,18 @@ def test_integrator_rejects_a_fractional_step_count():
     assert len(integrate_flow(state, horizon=0.4, step=0.01).samples) == 41
 
 
+def test_step_count_is_bounded():
+    """A run of more than MAX_STEPS steps is refused before it starts: horizon 1 at step
+    1e-10 asks for 10^10 steps.  Only step_count runs here, never such an integration."""
+    assert MAX_STEPS == 100_000
+    assert step_count(1000.0, 0.01) == MAX_STEPS
+    for horizon, step in ((1.0, 1e-10), (1000.01, 0.01)):
+        with pytest.raises(ValueError, match=f"steps, more than the limit of {MAX_STEPS}"):
+            step_count(horizon, step)
+    with pytest.raises(ValueError, match="asks for 10000000000 steps"):
+        step_count(1.0, 1e-10)
+
+
 def test_a_halt_names_its_fixed_step():
     """A fixed step can overshoot: from this start (Ni at the flow workload's point, the
     first metric of random.Random(5)) the step 0.01 loses positivity at once, and the
@@ -447,6 +485,45 @@ def test_a_halt_names_its_fixed_step():
     fine = integrate_flow(state, horizon=0.4, step=0.001)
     assert fine.completed and len(fine.samples) == 401
     assert fine.samples[-1].t == pytest.approx(0.4)
+    _assert_same_samples(coarse.samples, fine.samples[:1])
+
+    # sl2c from the first metric of random.Random(2) loses positivity after 100 steps or
+    # more; the samples that trace keeps are those of the run that stops before the halt
+    alg = instantiate(FamilySpec.make("sl2c"))
+    state = flow_state_from_hermitian(build_metric(rand_metric(random.Random(2))), alg)
+    halted = integrate_flow(state, horizon=2.0, step=0.01)
+    kept = len(halted.samples)
+    assert not halted.completed and kept > 100
+    before = integrate_flow(state, horizon=0.01 * (kept - 1), step=0.01)
+    assert before.completed and len(before.samples) == kept
+    _assert_same_samples(halted.samples, before.samples)
+    assert halted.halt_reason == (f"positivity lost at t={before.samples[-1].t + 0.01:.6g} "
+                                  "(fixed step 0.01; a smaller step may keep it)")
+
+
+def _assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.t, a.deviation, a.ricci_norm) == (b.t, b.deviation, b.ricci_norm)
+        assert a.g6.tobytes() == b.g6.tobytes()
+
+
+def test_the_start_norm_comes_from_the_exact_ricci_numerators():
+    """On Np at r2 = (10^200 + 1)/10^200, s2 = (10^200 + 3)/10^200 the exact Ricci's
+    numerators pass 10^400, so a float of their squared sum overflows; the t = 0 norm is
+    still the norm of the exact Ricci's float values.  Every sample's deviation is
+    hermitian_deviation of its own g6, though the run takes them all in one pass."""
+    alg = instantiate(FamilySpec.make("Np", rho=1))
+    e = 10 ** 200
+    h = build_metric(MetricParams.make(r2=f"{e + 1}/{e}", s2=f"{e + 3}/{e}"))
+    state = flow_state_from_hermitian(h, alg)
+    trace = integrate_flow(state, horizon=0.1, step=0.01)
+    assert trace.completed and len(trace.samples) == 11
+    norm0 = np.linalg.norm(_to_float(exact_lc_ricci(state.g6, alg)))
+    assert abs(trace.samples[0].ricci_norm - norm0) <= 1e-15 * norm0
+    assert trace.samples[0].ricci_norm == pytest.approx(1.224744871391589, rel=1e-15)
+    for s in trace.samples:
+        assert s.deviation == hermitian_deviation(s.g6)
 
 
 def test_rk4_evaluates_the_field_four_times_per_step():
