@@ -296,7 +296,11 @@ def cmd_flow_run(args) -> int:
     least, most = sys.float_info.min, sys.float_info.max
     try:
         horizon, step = rat_from_str(args.horizon), rat_from_str(args.step)
-        for flag, x in (("--horizon", horizon), ("--step", step)):
+        parts = [("--horizon", horizon), ("--step", step)]
+        parts += [(f"--metric {key}", getattr(metric, key)) for key in ("r2", "s2", "t2")]
+        parts += [(f"--metric {part}({key})", getattr(getattr(metric, key), part.lower()))
+                  for key in "uvz" for part in ("Re", "Im")]
+        for flag, x in parts:
             if x and not least <= abs(x) <= most:  # float() overflows, or loses precision
                 raise ValueError(f"{flag} is outside the float64 range: a nonzero value "
                                  f"needs a magnitude in [{least!r}, {most!r}]")

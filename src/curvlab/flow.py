@@ -4,8 +4,11 @@ The flow state is a symmetric, conjugation-real 6x6 component matrix of the
 metric in the complexified frame; it may carry nonzero pure-type blocks
 g_{ij}, so the machinery here evaluates the Levi-Civita curvature of an
 arbitrary invariant (pseudo-)metric rather than going through the Hermitian
-constructor.  The first evaluation at t = 0 is exact; the integration
-itself runs in floating point with a classical fourth-order scheme.
+constructor.  An exact state holds the metric as a rank-2 MultiTensor, the
+one exact format here (flow_state_from_hermitian shares h.g), and
+exact_lc_ricci takes and returns rank-2 tensors.  The first evaluation at
+t = 0 is exact; the integration itself runs in floating point with a
+classical fourth-order scheme.
 
 Both paths take the Ricci trace sum_A R(A,H)K^A of the Levi-Civita
 connection with R(x, y) = [nabla_x, nabla_y] - nabla_[x,y]:
@@ -61,7 +64,6 @@ from .tensors import (
     bar,
     index_name,
     inverse,
-    numerator_value,
 )
 
 __all__ = [
@@ -80,27 +82,9 @@ __all__ = [
 
 # -- exact path ----------------------------------------------------------------
 
-def exact_lc_ricci(g6, alg: LieAlgebraCx):
-    """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly.
-
-    g6 is the nested rows of GaussianRational a FlowState holds, and the Ricci comes
-    back as nested rows; given the MultiTensor of g6, it comes back as a MultiTensor
-    (see _exact_ricci).  integrate_flow passes the tensor and reads the Ricci's
-    numerators, so its one exact evaluation is still a call of this function.
-    """
-    if isinstance(g6, MultiTensor):
-        return _exact_ricci(g6, alg)
-    ric = _exact_ricci(_metric_tensor(g6), alg)
-    return [[ric[h, k] for k in INDICES] for h in INDICES]
-
-
-def _metric_tensor(g6) -> MultiTensor:
-    """The nested rows of GaussianRational g6 as a rank-2 MultiTensor."""
-    return MultiTensor(2, [v for row in g6 for v in row])
-
-
-def _exact_ricci(g: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
-    """The Ricci of exact_lc_ricci as a MultiTensor, for the metric tensor g.
+def exact_lc_ricci(g: MultiTensor, alg: LieAlgebraCx) -> MultiTensor:
+    """Riemannian Ricci of an arbitrary symmetric invariant metric, exactly: the rank-2
+    metric tensor g (an exact FlowState's g6, or h.g) in, the rank-2 Ricci tensor out.
 
     The Ricci product of float_lc_ricci on the numerators of the raised symbols and
     c over their common denominator D, so the trace sits over D^2.  The trace
@@ -200,19 +184,21 @@ _BAR_COLS = np.array([bar(i) for i in INDICES])
 
 @dataclass
 class FlowState:
-    """Metric components at one flow time; exact entries at t = 0, floats after."""
+    """Metric components at one flow time: exact at t = 0, the rank-2 MultiTensor of the
+    metric, and a complex 6 x 6 array after.  flow_state_from_hermitian's tensor is h.g
+    itself, shared, so a caller that edits it edits a copy (g6.copy())."""
 
     t: float
-    g6: object  # 6x6 nested list of GaussianRational, or complex ndarray
+    g6: object  # rank-2 MultiTensor, or complex ndarray
     structure: LieAlgebraCx
 
     @property
     def is_exact(self) -> bool:
-        return not isinstance(self.g6, np.ndarray)
+        return isinstance(self.g6, MultiTensor)
 
     def as_float_matrix(self) -> np.ndarray:
         if self.is_exact:
-            return _float_matrix(_metric_tensor(self.g6))
+            return _float_matrix(self.g6)
         return np.array(self.g6, dtype=complex)
 
     def validate(self):
@@ -231,10 +217,8 @@ def _validate(m: np.ndarray):
 
 
 def flow_state_from_hermitian(h: HermitianData, alg: LieAlgebraCx) -> FlowState:
-    """The exact t = 0 state of h's metric, its values read off h.g's numerators."""
-    g = h.g
-    values = [numerator_value(a, b, g.den) for a, b in zip(g.re, g.im)]
-    return FlowState(0.0, [values[DIM * i:DIM * i + DIM] for i in INDICES], alg)
+    """The exact t = 0 state of h's metric: h.g itself, not a copy."""
+    return FlowState(0.0, h.g, alg)
 
 
 def _real_positive_definite(m: np.ndarray) -> bool:
@@ -252,17 +236,18 @@ def _real_positive_definite(m: np.ndarray) -> bool:
 
 
 def ricci_rhs(state: FlowState):
-    """-Ric of the current metric; exact for exact states, floating otherwise."""
+    """-Ric of the current metric: for an exact state, 6 rows of 6 GaussianRational;
+    a complex array otherwise."""
     if state.is_exact:
-        ric = exact_lc_ricci(state.g6, state.structure)
-        return [[-v for v in row] for row in ric]
+        ric = -exact_lc_ricci(state.g6, state.structure)
+        return [[ric[h, k] for k in INDICES] for h in INDICES]
     return -float_lc_ricci(state.g6, _lc_field(_structure_array(state.structure)))
 
 
 def hermitian_deviation(g6) -> float:
     """Max modulus over the pure-type components g_{ij}, i, j in {1, 2, 3}."""
-    if not isinstance(g6, np.ndarray):
-        g6 = _float_matrix(_metric_tensor(g6))
+    if isinstance(g6, MultiTensor):
+        g6 = _float_matrix(g6)
     return _deviations(g6[None])[0].item()
 
 
@@ -306,9 +291,10 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
 
     By default rhs is -Ric; a custom field (same signature, ndarray in and
     out) supports the integrator-order tests.  The trace records every
-    accepted step with its Hermitian deviation and the Frobenius norm of
-    the Ricci term; it truncates with a halt reason if positivity fails, which
-    names the step, since an overshoot of a fixed step also loses positivity.
+    accepted step, sample k at t = k * step, with its Hermitian deviation and
+    the Frobenius norm of the Ricci term; it truncates with a halt reason if
+    positivity fails, which names the step, since an overshoot of a fixed step
+    also loses positivity.
     horizon/step must be a whole number of steps (see step_count).  A step
     costs four evaluations: the field at an accepted point also starts the next.
     Each accepted state is projected (see _project) and checked for positivity.
@@ -318,11 +304,7 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     in one pass over them when the run ends or halts (_samples).
     """
     n_steps = step_count(horizon, step)
-    if g0.is_exact:
-        g = _metric_tensor(g0.g6)
-        m = _float_matrix(g)
-    else:
-        m = g0.as_float_matrix()
+    m = g0.as_float_matrix()
     _validate(m)
     default_field = rhs is None
     if default_field:
@@ -333,7 +315,7 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     norm0 = None
     if g0.is_exact and default_field:
         # the t = 0 record comes from the exact evaluation
-        norm0 = float(np.linalg.norm(_float_entries(exact_lc_ricci(g, g0.structure))))
+        norm0 = float(np.linalg.norm(_float_entries(exact_lc_ricci(g0.g6, g0.structure))))
     states, fields, halted = [m], [k1], False
     for _ in range(n_steps):
         k2 = rhs(m + 0.5 * step * k1)
@@ -351,13 +333,13 @@ def integrate_flow(g0: FlowState, horizon: float, step: float, rhs=None) -> Flow
     trace = FlowTrace(_samples(states, fields, step, norm0))
     if halted:
         # a fixed step cannot tell the flow's loss from its own overshoot
-        trace.halt_reason = (f"positivity lost at t={trace.samples[-1].t + step:.6g} "
+        trace.halt_reason = (f"positivity lost at t={len(trace.samples) * step:.6g} "
                              f"(fixed step {step:.6g}; a smaller step may keep it)")
     return trace
 
 
 def _samples(states, fields, step, norm0=None) -> list:
-    """The FlowSamples of the accepted states, step apart from t = 0, and the field at
+    """The FlowSamples of the accepted states, sample k at t = k * step, and the field at
     each: every deviation and Ricci norm in one pass over the stacked arrays, each
     norm summed as np.linalg.norm sums one matrix; norm0, when given, is the t = 0 norm."""
     deviations = _deviations(np.array(states)).tolist()
@@ -366,11 +348,8 @@ def _samples(states, fields, step, norm0=None) -> list:
     norms = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)).tolist()
     if norm0 is not None:
         norms[0] = norm0
-    samples, t = [], 0.0
-    for m, deviation, norm in zip(states, deviations, norms):
-        samples.append(FlowSample(t, m, deviation, norm))
-        t += step
-    return samples
+    return [FlowSample(k * step, m, deviation, norm)
+            for k, (m, deviation, norm) in enumerate(zip(states, deviations, norms))]
 
 
 # the longest run integrate_flow takes: 10^5 samples of 6 x 6 complex states and fields

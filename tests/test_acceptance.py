@@ -179,8 +179,8 @@ def test_criterion_7_flow():
         ric = exact_lc_ricci(flow_state_from_hermitian(h, alg).g6, alg)
         for i in range(3):
             for j in range(3):
-                assert ric[i][j].is_zero()
-                assert ric[i + 3][j + 3].is_zero()
+                assert ric[i, j].is_zero()
+                assert ric[i + 3, j + 3].is_zero()
 
     # RK4 order: round trip against the constant reference from a perturbed,
     # projected start; the defect must drop by >= 8 per step halving

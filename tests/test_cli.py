@@ -124,18 +124,23 @@ def test_usage_errors(capsys, tmp_path):
                        "--metric", "r2=1,s2=1,t2=1", "--spec", "eps=1/2,rho=1/2,eps=0")
     assert code == 2 and "repeated key 'eps'" in err
 
-    # 10^400 and 10^-400 lie beyond float64: float() overflows, or rounds to 0; 10^300 and
-    # 10^-300 lie within it, and their ratio overflows to inf steps; 10^10 steps is more
-    # than flow.MAX_STEPS, refused before any step runs
-    huge, big = "1" + "0" * 400, "1" + "0" * 300
-    for horizon, step, message in (("1", "2", "whole number of steps"),
-                                   ("1", "3/10", "whole number of steps"),
-                                   (huge, "1/100", "--horizon is outside the float64 range"),
-                                   ("1", f"1/{huge}", "--step is outside the float64 range"),
-                                   (big, f"1/{big}", "whole number of steps"),
-                                   ("1", "1/10000000000", "more than the limit of 100000")):
+    # 10^400 and 10^-400 lie beyond float64: float() overflows, or rounds to 0, for a flag
+    # and for each real part of the metric; 10^300 and 10^-300 lie within it, and their
+    # ratio overflows to inf steps; 10^10 steps is more than flow.MAX_STEPS, refused before
+    # any step runs
+    huge, big, unit = "1" + "0" * 400, "1" + "0" * 300, "r2=1,s2=1,t2=1"
+    for metric, horizon, step, message in (
+            (unit, "1", "2", "whole number of steps"),
+            (unit, "1", "3/10", "whole number of steps"),
+            (unit, huge, "1/100", "--horizon is outside the float64 range"),
+            (unit, "1", f"1/{huge}", "--step is outside the float64 range"),
+            (unit, big, f"1/{big}", "whole number of steps"),
+            (unit, "1", "1/10000000000", "more than the limit of 100000"),
+            (f"r2={huge},s2=1,t2=1", "1", "1/100", "--metric r2 is outside the float64 range"),
+            (f"r2=1/{huge},s2=1,t2=1", "1", "1/100", "--metric r2 is outside the float64 range"),
+            (f"{unit},u=1/{huge}*i", "1", "1/100", "--metric Im(u) is outside the float64 range")):
         code, out, err = run(capsys, "flow", "run", "--family", "Np", "--set", "rho=1",
-                             "--metric", "r2=1,s2=1,t2=1", "--horizon", horizon, "--step", step)
+                             "--metric", metric, "--horizon", horizon, "--step", step)
         assert code == 2 and message in err and not out
 
     for family, params in (("Np", "rho=1,lambda=2"), ("sl2c", "A=5")):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvlab import flow
 from curvlab.algebra import LieAlgebraCx, validate_lie_algebra
 from curvlab.catalog import FamilySpec, instantiate
 from curvlab.connection import ConnectionSpec, curvature_of, ricci_and_scalar
@@ -24,8 +25,8 @@ from curvlab.flow import (
     trace_to_csv,
 )
 from curvlab.metric import MetricParams, build_metric
-from curvlab.scalars import gr
-from curvlab.tensors import INDICES, bar
+from curvlab.scalars import GaussianRational, gr
+from curvlab.tensors import INDICES, MultiTensor, bar
 from curvlab.verify import _SWEEP_STRUCTURES
 
 from conftest import rand_metric
@@ -98,8 +99,10 @@ def _real_frame_ricci(alg, g6_float):
     return np.einsum("abca->bc", rop), basis
 
 
-def _to_float(mat):
-    return np.array([[complex(float(v.re), float(v.im)) for v in row] for row in mat])
+def _to_float(t):
+    """The rank-2 tensor t as a complex 6 x 6 array, one float() per rational part."""
+    return np.array([[complex(float(t[i, j].re), float(t[i, j].im)) for j in INDICES]
+                     for i in INDICES])
 
 
 def test_exact_matches_float_and_real_frame_oracle(rng):
@@ -138,10 +141,10 @@ def test_the_structure_array_is_correctly_rounded():
 def _non_hermitian_sii_state():
     alg = instantiate(FamilySpec.make("Sii", x="1/2"))
     state = flow_state_from_hermitian(build_metric(MetricParams.make(r2=2, s2=1, t2=1)), alg)
-    g6 = [row[:] for row in state.g6]
-    g6[0][0] = g6[0][0] + gr("1/10")
-    g6[3][3] = g6[3][3] + gr("1/10")  # conjugation-real partner
-    return FlowState(0.0, g6, alg)
+    g = state.g6.copy()  # h.g itself: edit a copy
+    g[0, 0] = g[0, 0] + gr("1/10")
+    g[3, 3] = g[3, 3] + gr("1/10")  # conjugation-real partner
+    return FlowState(0.0, g, alg)
 
 
 def test_oracle_on_non_hermitian_state():
@@ -344,7 +347,7 @@ def test_ric_lc_consistency_with_connection_module(rng):
     ric = exact_lc_ricci(flow_state_from_hermitian(h, alg).g6, alg)
     for i in INDICES:
         for j in INDICES:
-            assert rd.ric_lc[i, j] == ric[i][j]
+            assert rd.ric_lc[i, j] == ric[i, j]
 
 
 def test_rhs_zero_on_flat_structures(rng):
@@ -368,9 +371,9 @@ def test_hermitian_deviation():
     alg = instantiate(FamilySpec.make("Np", rho=0))
     state = flow_state_from_hermitian(build_metric(MetricParams.make()), alg)
     assert hermitian_deviation(state.g6) == 0.0
-    g6 = [row[:] for row in state.g6]
-    g6[0][0] = gr("1/10")
-    assert abs(hermitian_deviation(g6) - 0.1) < 1e-15
+    g = state.g6.copy()
+    g[0, 0] = gr("1/10")
+    assert abs(hermitian_deviation(g) - 0.1) < 1e-15
     m = state.as_float_matrix()
     m[1, 2] = 0.25j
     assert abs(hermitian_deviation(m) - 0.25) < 1e-15
@@ -416,6 +419,49 @@ def test_torus_flow_constant(rng):
     drift = max(np.abs(s.g6 - trace.samples[0].g6).max() for s in trace.samples)
     assert drift <= 1e-12
     assert trace.samples[-1].deviation == 0.0
+
+
+def test_sample_k_is_at_k_times_the_step(rng):
+    """Each sample's time is k * step, not a running sum of steps: summing 0.1 ten times
+    gives 0.9999999999999999, and 5 of the 11 summed times miss k * 0.1."""
+    alg = instantiate(FamilySpec.make("Np", rho=0))
+    trace = integrate_flow(flow_state_from_hermitian(build_metric(rand_metric(rng)), alg),
+                           horizon=1.0, step=0.1)
+    assert trace.completed
+    assert [s.t for s in trace.samples] == [k * 0.1 for k in range(11)]
+    assert trace.samples[-1].t == 1.0
+
+
+def test_an_exact_start_is_h_g_and_builds_no_values(monkeypatch):
+    """flow_state_from_hermitian shares h.g, and the state build plus a default-field run
+    construct no GaussianRational and no MultiTensor from values: the start reaches
+    floats from h.g's numerators, and integrate_flow calls exact_lc_ricci, through the
+    module global, once."""
+    alg = instantiate(FamilySpec.make("Nii", rho=1, B="1/2-1/3*i", c="2/3"))
+    h = build_metric(MetricParams.make(r2=2, s2="3/2", t2=1, u="1/3*i"))
+    built, exact_calls = [], []
+    gr_init, tensor_init, exact = GaussianRational.__init__, MultiTensor.__init__, exact_lc_ricci
+
+    def counted(kind, init):
+        def wrapper(self, *args, **kwargs):
+            built.append(kind)
+            init(self, *args, **kwargs)
+        return wrapper
+
+    def counted_exact(g, alg):
+        exact_calls.append(g)
+        return exact(g, alg)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counted("value", gr_init))
+    monkeypatch.setattr(MultiTensor, "__init__", counted("tensor", tensor_init))
+    monkeypatch.setattr(flow, "exact_lc_ricci", counted_exact)
+    state = flow_state_from_hermitian(h, alg)
+    trace = integrate_flow(state, 0.4, 0.01)
+    monkeypatch.undo()
+    assert trace.completed and len(trace.samples) == 41
+    assert built == []
+    assert state.g6 is h.g
+    assert len(exact_calls) == 1 and exact_calls[0] is h.g
 
 
 def test_g20_kahler_flow_constant():
